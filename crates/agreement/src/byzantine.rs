@@ -19,7 +19,7 @@
 
 use crate::fig2::Fig2Msg;
 use crate::fig4::Fig4Msg;
-use sih_model::{Armor, AttackClass, MutationKind, Value};
+use sih_model::{Armor, AttackClass, AttackKind, AttackSpec, MutationKind, Value};
 use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
 
 impl Corruptible for Fig2Msg {
@@ -143,18 +143,22 @@ impl<A: Automaton<Msg = Fig2Msg>> Automaton for Equivocator<A> {
     }
 }
 
-/// Wraps a whole system, making process `attacker` equivocate with value
-/// `x` (subject to `armor`).
+/// Wraps a whole system. Process `attacker` equivocates with the
+/// attack's value iff `attack` is an [`AttackKind::Equivocate`] spec
+/// (subject to `armor`); with any other attack, or none, every wrapper is
+/// an inert shim.
 pub fn equivocator_processes<A: Automaton<Msg = Fig2Msg>>(
     procs: Vec<A>,
     attacker: sih_model::ProcessId,
-    x: u64,
+    attack: Option<AttackSpec>,
     armor: Armor,
 ) -> Vec<Equivocator<A>> {
+    let equivocating = matches!(attack, Some(AttackSpec { kind: AttackKind::Equivocate, .. }));
+    let x = attack.map_or(0, |a| a.x);
     procs
         .into_iter()
         .enumerate()
-        .map(|(i, a)| Equivocator::new(a, i == attacker.index(), x, armor))
+        .map(|(i, a)| Equivocator::new(a, equivocating && i == attacker.index(), x, armor))
         .collect()
 }
 
@@ -185,13 +189,15 @@ mod tests {
         assert_eq!(Fig4Msg::Decision(Value(5)).corrupt(MutationKind::Flip, 0), None);
     }
 
+    const EQUIVOCATE: Option<AttackSpec> = Some(AttackSpec { kind: AttackKind::Equivocate, x: 99 });
+
     #[test]
     fn armor_defeats_the_equivocator() {
         let honest = fig2_processes(&[Value(1), Value(2), Value(3)]);
-        let wrapped = equivocator_processes(honest, ProcessId(0), 99, Armor::PROVENANCE);
+        let wrapped = equivocator_processes(honest, ProcessId(0), EQUIVOCATE, Armor::PROVENANCE);
         assert!(wrapped.iter().all(|w| w.defeated));
         let honest = fig2_processes(&[Value(1), Value(2), Value(3)]);
-        let wrapped = equivocator_processes(honest, ProcessId(0), 99, Armor::NONE);
+        let wrapped = equivocator_processes(honest, ProcessId(0), EQUIVOCATE, Armor::NONE);
         assert!(wrapped[0].active && !wrapped[0].defeated);
         assert!(!wrapped[1].active);
     }

@@ -31,7 +31,7 @@ pub struct FileSource {
 /// starts from them. See DESIGN.md §6.
 const ROOT_TRAIT_METHODS: [(&str, &str); 1] = [("Automaton", "step")];
 const ROOT_OWNER_METHODS: [(&str, &[&str]); 4] = [
-    ("Simulation", &["step", "run", "run_until"]),
+    ("Simulation", &["step", "run", "run_until", "drive"]),
     ("LinkFaultPlan", &["fate", "active_at"]),
     // The DPOR explorer's happens-before shadow: every explored edge
     // runs these, and a nondeterminism bug here silently unsounds the

@@ -1,8 +1,11 @@
-//! Ready-made experiment pipelines: one call = one run of a paper
+//! Ready-made experiment pipelines: one call = one fair run of a paper
 //! algorithm (or a stacked reduction) with everything wired up.
 //!
 //! These are the building blocks the claims API, the `lab` harness, the
-//! benches and the examples all share.
+//! benches and the examples all share. Every pipeline builds its automata
+//! and detector and hands the run to [`Simulation::drive`] with a
+//! [`Driver::Fair`] — the one run loop the `lab` fault and Byzantine
+//! matrices and the `lab repro` record/replay harness also use.
 //!
 //! Every pipeline comes in two forms: a one-shot `run_*` returning an
 //! owned [`Trace`], and a `run_*_pooled` variant taking a [`SimPool`]
@@ -11,22 +14,17 @@
 //! worker, so the hot loop stops re-allocating per run.
 
 use sih_agreement::{
-    distinct_proposals, fig2_processes, fig4_processes, paxos_processes, Equivocator,
-    Fig2SetAgreement, Fig4SetAgreement, PaxosConsensus,
+    distinct_proposals, fig2_processes, fig4_processes, paxos_processes, Fig2SetAgreement,
+    Fig4SetAgreement, PaxosConsensus,
 };
 use sih_detectors::{Omega, Sigma, SigmaK, SigmaS};
-use sih_model::{
-    AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, FdOutput, LinkFaultPlan, OpKind,
-    OpRecord, ProcessId, ProcessSet,
-};
+use sih_model::{FailurePattern, FdOutput, OpKind, OpRecord, ProcessId, ProcessSet};
 use sih_reductions::{
     fig3_processes, fig5_processes, fig6_processes, Fig3SigmaFromSigmaPair, Fig5SigmaKFromSigmaX,
     Fig6AntiOmegaFromSigma,
 };
-use sih_registers::{abd_processes, AbdRegister, SplitAckForger};
-use sih_runtime::{
-    stubborn_processes, FairScheduler, RunOutcome, SimPool, Stacked, Stubborn, Trace,
-};
+use sih_registers::{abd_processes, AbdRegister};
+use sih_runtime::{Driver, SimPool, Simulation, Stacked, Trace};
 
 /// Reusable simulation slot for [`run_fig2_pooled`].
 pub type Fig2Pool = SimPool<Fig2SetAgreement>;
@@ -46,18 +44,6 @@ pub type StackFig5Fig4Pool = SimPool<Stacked<Fig5SigmaKFromSigmaX, Fig4SetAgreem
 pub type RegisterPool = SimPool<AbdRegister>;
 /// Reusable simulation slot for [`run_paxos_pooled`].
 pub type PaxosPool = SimPool<PaxosConsensus>;
-/// Reusable simulation slot for [`run_fig2_faulty_pooled`].
-pub type FaultyFig2Pool = SimPool<Stubborn<Fig2SetAgreement>>;
-/// Reusable simulation slot for [`run_fig4_faulty_pooled`].
-pub type FaultyFig4Pool = SimPool<Stubborn<Fig4SetAgreement>>;
-/// Reusable simulation slot for [`run_register_workload_faulty_pooled`].
-pub type FaultyRegisterPool = SimPool<Stubborn<AbdRegister>>;
-/// Reusable simulation slot for [`run_fig2_byz_pooled`].
-pub type ByzFig2Pool = SimPool<Equivocator<Fig2SetAgreement>>;
-/// Reusable simulation slot for [`run_fig4_byz_pooled`].
-pub type ByzFig4Pool = SimPool<Fig4SetAgreement>;
-/// Reusable simulation slot for [`run_register_workload_byz_pooled`].
-pub type ByzRegisterPool = SimPool<SplitAckForger>;
 
 /// Runs Figure 2 (set agreement from `σ`) in a pooled simulation;
 /// returns the run's trace, borrowed from the pool.
@@ -72,8 +58,7 @@ pub fn run_fig2_pooled<'a>(
     let n = pattern.n();
     let sigma = Sigma::new(a0, a1, pattern, seed);
     let sim = pool.acquire(fig2_processes(&distinct_proposals(n)), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run(&mut sched, &sigma, max_steps);
+    sim.drive(Driver::Fair { seed, max_steps }, &sigma, |_| false, None);
     sim.trace()
 }
 
@@ -102,8 +87,7 @@ pub fn run_fig4_pooled<'a>(
     let n = pattern.n();
     let det = SigmaK::new(active, pattern, seed);
     let sim = pool.acquire(fig4_processes(&distinct_proposals(n)), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run(&mut sched, &det, max_steps);
+    sim.drive(Driver::Fair { seed, max_steps }, &det, |_| false, None);
     sim.trace()
 }
 
@@ -128,8 +112,7 @@ pub fn run_fig3_pooled<'a>(
     let s = ProcessSet::from_iter([p, q]);
     let det = SigmaS::new(s, pattern, seed);
     let sim = pool.acquire(fig3_processes(n, p, q), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run(&mut sched, &det, max_steps);
+    sim.drive(Driver::Fair { seed, max_steps }, &det, |_| false, None);
     sim.trace()
 }
 
@@ -157,8 +140,7 @@ pub fn run_fig5_pooled<'a>(
 ) -> &'a Trace {
     let det = SigmaS::new(x, pattern, seed);
     let sim = pool.acquire(fig5_processes(pattern.n(), x), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run(&mut sched, &det, max_steps);
+    sim.drive(Driver::Fair { seed, max_steps }, &det, |_| false, None);
     sim.trace()
 }
 
@@ -180,8 +162,7 @@ pub fn run_fig6_pooled<'a>(
 ) -> &'a Trace {
     let sigma = Sigma::new(a0, a1, pattern, seed);
     let sim = pool.acquire(fig6_processes(pattern.n()), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run(&mut sched, &sigma, max_steps);
+    sim.drive(Driver::Fair { seed, max_steps }, &sigma, |_| false, None);
     sim.trace()
 }
 
@@ -218,10 +199,7 @@ pub fn run_stack_fig3_fig2_pooled<'a>(
         .map(|(lower, upper)| Stacked::new(lower, upper, FdOutput::Bot))
         .collect();
     let sim = pool.acquire(procs, pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run_until(&mut sched, &det, max_steps, |s| {
-        s.pattern().correct().is_subset(s.trace().decided())
-    });
+    sim.drive(Driver::Fair { seed, max_steps }, &det, Simulation::all_correct_decided, None);
     sim.trace()
 }
 
@@ -260,10 +238,7 @@ pub fn run_stack_fig5_fig4_pooled<'a>(
         .map(|(lower, upper)| Stacked::new(lower, upper, FdOutput::Bot))
         .collect();
     let sim = pool.acquire(procs, pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run_until(&mut sched, &det, max_steps, |s| {
-        s.pattern().correct().is_subset(s.trace().decided())
-    });
+    sim.drive(Driver::Fair { seed, max_steps }, &det, Simulation::all_correct_decided, None);
     sim.trace()
 }
 
@@ -294,10 +269,10 @@ pub fn run_register_workload_pooled<'a>(
     let n = pattern.n();
     let det = SigmaS::new(s, pattern, seed);
     let sim = pool.acquire(abd_processes(s, n, scripts), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run_until(&mut sched, &det, max_steps, |sim| {
+    let done = |sim: &Simulation<AbdRegister>| {
         sim.pattern().correct().iter().all(|p| sim.process(p).script_finished())
-    });
+    };
+    sim.drive(Driver::Fair { seed, max_steps }, &det, done, None);
     sim.trace()
 }
 
@@ -317,248 +292,6 @@ pub fn run_register_workload(
     (trace, ops)
 }
 
-/// Runs Figure 2 over faulty links — every process wrapped in a
-/// [`Stubborn`] retransmission layer, the network injecting the given
-/// [`LinkFaultPlan`] — in a pooled simulation. Returns the trace and the
-/// run's [`RunOutcome`] (stop reason + network counters), which the
-/// degraded checkers need to excuse starvation.
-pub fn run_fig2_faulty_pooled<'a>(
-    pool: &'a mut FaultyFig2Pool,
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    a0: ProcessId,
-    a1: ProcessId,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let sigma = Sigma::new(a0, a1, pattern, seed);
-    let sim = pool.acquire(stubborn_processes(fig2_processes(&distinct_proposals(n))), pattern);
-    sim.set_link_faults(plan.clone());
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &sigma, max_steps, |s| {
-        s.pattern().correct().is_subset(s.trace().decided())
-    });
-    (sim.trace(), outcome)
-}
-
-/// Runs Figure 2 over faulty links once; see [`run_fig2_faulty_pooled`].
-pub fn run_fig2_faulty(
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    a0: ProcessId,
-    a1: ProcessId,
-    seed: u64,
-    max_steps: u64,
-) -> (Trace, RunOutcome) {
-    let mut pool = FaultyFig2Pool::new();
-    let (_, outcome) = run_fig2_faulty_pooled(&mut pool, pattern, plan, a0, a1, seed, max_steps);
-    (pool.take_trace().expect("pool just ran"), outcome)
-}
-
-/// Runs Figure 4 over faulty links ([`Stubborn`]-wrapped, plan-injected)
-/// in a pooled simulation; see [`run_fig2_faulty_pooled`].
-pub fn run_fig4_faulty_pooled<'a>(
-    pool: &'a mut FaultyFig4Pool,
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    active: ProcessSet,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let det = SigmaK::new(active, pattern, seed);
-    let sim = pool.acquire(stubborn_processes(fig4_processes(&distinct_proposals(n))), pattern);
-    sim.set_link_faults(plan.clone());
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &det, max_steps, |s| {
-        s.pattern().correct().is_subset(s.trace().decided())
-    });
-    (sim.trace(), outcome)
-}
-
-/// Runs Figure 4 over faulty links once; see [`run_fig4_faulty_pooled`].
-pub fn run_fig4_faulty(
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    active: ProcessSet,
-    seed: u64,
-    max_steps: u64,
-) -> (Trace, RunOutcome) {
-    let mut pool = FaultyFig4Pool::new();
-    let (_, outcome) = run_fig4_faulty_pooled(&mut pool, pattern, plan, active, seed, max_steps);
-    (pool.take_trace().expect("pool just ran"), outcome)
-}
-
-/// Runs an ABD `S`-register workload over faulty links
-/// ([`Stubborn`]-wrapped, plan-injected) in a pooled simulation.
-pub fn run_register_workload_faulty_pooled<'a>(
-    pool: &'a mut FaultyRegisterPool,
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    s: ProcessSet,
-    scripts: Vec<Vec<OpKind>>,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let det = SigmaS::new(s, pattern, seed);
-    let sim = pool.acquire(stubborn_processes(abd_processes(s, n, scripts)), pattern);
-    sim.set_link_faults(plan.clone());
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &det, max_steps, |sim| {
-        sim.pattern().correct().iter().all(|p| sim.process(p).inner().script_finished())
-    });
-    (sim.trace(), outcome)
-}
-
-/// Runs an ABD `S`-register workload over faulty links once; returns the
-/// trace, the operation records and the run's outcome.
-pub fn run_register_workload_faulty(
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    s: ProcessSet,
-    scripts: Vec<Vec<OpKind>>,
-    seed: u64,
-    max_steps: u64,
-) -> (Trace, Vec<OpRecord>, RunOutcome) {
-    let mut pool = FaultyRegisterPool::new();
-    let (_, outcome) =
-        run_register_workload_faulty_pooled(&mut pool, pattern, plan, s, scripts, seed, max_steps);
-    let trace = pool.take_trace().expect("pool just ran");
-    let ops = trace.op_records();
-    (trace, ops, outcome)
-}
-
-/// Runs an ABD `S`-register workload over faulty links **without** the
-/// stubborn layer — the raw quorum protocol against the bare plan. Under
-/// a partition that never heals this is the canonical starvation
-/// witness: the run stops [`Starved`](sih_runtime::StopReason::Starved)
-/// in O(n) steps instead of spinning to the budget.
-pub fn run_register_workload_raw_faulty_pooled<'a>(
-    pool: &'a mut RegisterPool,
-    pattern: &FailurePattern,
-    plan: &LinkFaultPlan,
-    s: ProcessSet,
-    scripts: Vec<Vec<OpKind>>,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let det = SigmaS::new(s, pattern, seed);
-    let sim = pool.acquire(abd_processes(s, n, scripts), pattern);
-    sim.set_link_faults(plan.clone());
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &det, max_steps, |sim| {
-        sim.pattern().correct().iter().all(|p| sim.process(p).script_finished())
-    });
-    (sim.trace(), outcome)
-}
-
-/// Runs Figure 2 under a Byzantine adversary: a network-level
-/// [`AdversaryPlan`] mutating in-flight messages, an optional scripted
-/// equivocation attack at `a0`, and an [`Armor`] rung deciding which
-/// attack classes the honest side validates away.
-///
-/// Runs on the **raw** automata (no [`Stubborn`] layer): the adversary
-/// consumes and replaces envelopes at the network, and this tier studies
-/// the bare protocol's degradation; the stubborn-retransmission interplay
-/// is covered separately by the runtime's invariant tests.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fig2_byz_pooled<'a>(
-    pool: &'a mut ByzFig2Pool,
-    pattern: &FailurePattern,
-    adv: &AdversaryPlan,
-    attack: Option<AttackSpec>,
-    armor: Armor,
-    a0: ProcessId,
-    a1: ProcessId,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let sigma = Sigma::new(a0, a1, pattern, seed);
-    let equivocating = matches!(attack, Some(AttackSpec { kind: AttackKind::Equivocate, .. }));
-    let x = attack.map(|a| a.x).unwrap_or(0);
-    let procs = fig2_processes(&distinct_proposals(n))
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Equivocator::new(p, equivocating && i == a0.index(), x, armor))
-        .collect();
-    let sim = pool.acquire(procs, pattern);
-    if !adv.is_honest() {
-        sim.set_adversary(adv.clone(), armor);
-    }
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &sigma, max_steps, |s| {
-        s.pattern().correct().is_subset(s.trace().decided())
-    });
-    (sim.trace(), outcome)
-}
-
-/// Runs Figure 4 under a Byzantine adversary; see
-/// [`run_fig2_byz_pooled`]. Figure 4 has no scripted attack (its
-/// fan-outs are already relay-tagged), so only the network-level plan
-/// applies.
-pub fn run_fig4_byz_pooled<'a>(
-    pool: &'a mut ByzFig4Pool,
-    pattern: &FailurePattern,
-    adv: &AdversaryPlan,
-    armor: Armor,
-    active: ProcessSet,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let det = SigmaK::new(active, pattern, seed);
-    let sim = pool.acquire(fig4_processes(&distinct_proposals(n)), pattern);
-    if !adv.is_honest() {
-        sim.set_adversary(adv.clone(), armor);
-    }
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &det, max_steps, |s| {
-        s.pattern().correct().is_subset(s.trace().decided())
-    });
-    (sim.trace(), outcome)
-}
-
-/// Runs an ABD `S`-register workload under a Byzantine adversary: a
-/// network-level [`AdversaryPlan`], an optional scripted split-ack
-/// forgery at `attacker`, and an [`Armor`] rung; see
-/// [`run_fig2_byz_pooled`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_register_workload_byz_pooled<'a>(
-    pool: &'a mut ByzRegisterPool,
-    pattern: &FailurePattern,
-    adv: &AdversaryPlan,
-    attack: Option<AttackSpec>,
-    armor: Armor,
-    attacker: ProcessId,
-    s: ProcessSet,
-    scripts: Vec<Vec<OpKind>>,
-    seed: u64,
-    max_steps: u64,
-) -> (&'a Trace, RunOutcome) {
-    let n = pattern.n();
-    let det = SigmaS::new(s, pattern, seed);
-    let forging = matches!(attack, Some(AttackSpec { kind: AttackKind::SplitAck, .. }));
-    let x = attack.map(|a| a.x).unwrap_or(0);
-    let procs = abd_processes(s, n, scripts)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| SplitAckForger::new(p, forging && i == attacker.index(), x, armor))
-        .collect();
-    let sim = pool.acquire(procs, pattern);
-    if !adv.is_honest() {
-        sim.set_adversary(adv.clone(), armor);
-    }
-    let mut sched = FairScheduler::new(seed);
-    let outcome = sim.run_until(&mut sched, &det, max_steps, |sim| {
-        s.iter().all(|p| sim.process(p).inner().script_finished())
-    });
-    (sim.trace(), outcome)
-}
-
 /// Runs the Paxos consensus baseline (`Ω` + majority) in a pooled
 /// simulation.
 pub fn run_paxos_pooled<'a>(
@@ -570,8 +303,7 @@ pub fn run_paxos_pooled<'a>(
     let n = pattern.n();
     let omega = Omega::new(pattern, seed);
     let sim = pool.acquire(paxos_processes(&distinct_proposals(n)), pattern);
-    let mut sched = FairScheduler::new(seed);
-    sim.run(&mut sched, &omega, max_steps);
+    sim.drive(Driver::Fair { seed, max_steps }, &omega, |_| false, None);
     sim.trace()
 }
 
@@ -585,26 +317,10 @@ pub fn run_paxos(pattern: &FailurePattern, seed: u64, max_steps: u64) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sih_agreement::{check_k_set_agreement, check_k_set_agreement_degraded};
+    use sih_agreement::check_k_set_agreement;
     use sih_detectors::{check_anti_omega, check_sigma, check_sigma_k};
-    use sih_model::{Time, Value};
-    use sih_registers::{check_linearizable, check_linearizable_degraded};
-    use sih_runtime::{LivenessVerdict, StopReason, TraceLevel};
-
-    /// A plan applying `fault` to every directed link over `[from, until)`.
-    fn all_links_plan(n: usize, duplicate: bool, until: Time) -> LinkFaultPlan {
-        let mut b = LinkFaultPlan::builder(n);
-        for src in 0..n as u32 {
-            for dst in 0..n as u32 {
-                b = if duplicate {
-                    b.duplicate_every(ProcessId(src), ProcessId(dst), 2, 1, Time::ZERO, Some(until))
-                } else {
-                    b.drop_every(ProcessId(src), ProcessId(dst), 2, 0, Time::ZERO, Some(until))
-                };
-            }
-        }
-        b.build()
-    }
+    use sih_registers::{check_linearizable, two_writer_workload};
+    use sih_runtime::TraceLevel;
 
     #[test]
     fn stack_fig3_fig2_solves_set_agreement_end_to_end() {
@@ -655,84 +371,11 @@ mod tests {
 
     #[test]
     fn register_pipeline_is_linearizable() {
-        let s = ProcessSet::from_iter([0, 1].map(ProcessId));
         let f = FailurePattern::all_correct(4);
-        let scripts = vec![
-            vec![OpKind::Write(Value(1)), OpKind::Read],
-            vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
-        ];
+        let (s, scripts) = two_writer_workload();
         let (_, ops) = run_register_workload(&f, s, scripts, 3, 200_000);
         assert_eq!(ops.iter().filter(|o| o.is_complete()).count(), 5);
         check_linearizable(&ops, None).unwrap();
-    }
-
-    #[test]
-    fn faulty_fig2_is_safe_and_live_once_the_losses_quiesce() {
-        let n = 4;
-        let f = FailurePattern::all_correct(n);
-        let plan = all_links_plan(n, false, Time(400));
-        for seed in 0..3 {
-            let (tr, outcome) =
-                run_fig2_faulty(&f, &plan, ProcessId(0), ProcessId(1), seed, 400_000);
-            let verdict = check_k_set_agreement_degraded(
-                &tr,
-                &f,
-                &distinct_proposals(n),
-                n - 1,
-                outcome.reason,
-            )
-            .unwrap();
-            assert_eq!(verdict, LivenessVerdict::Live, "seed {seed}");
-            assert!(outcome.dropped > 0, "the lossy window saw traffic");
-            assert_eq!(outcome.sent, outcome.delivered + outcome.dropped + outcome.in_flight);
-        }
-    }
-
-    #[test]
-    fn faulty_fig4_is_safe_and_live_under_duplication() {
-        let n = 4;
-        let f = FailurePattern::all_correct(n);
-        let plan = all_links_plan(n, true, Time(300));
-        let active = ProcessSet::from_iter([0, 1].map(ProcessId));
-        let (tr, outcome) = run_fig4_faulty(&f, &plan, active, 7, 400_000);
-        let verdict =
-            check_k_set_agreement_degraded(&tr, &f, &distinct_proposals(n), n - 1, outcome.reason)
-                .unwrap();
-        assert_eq!(verdict, LivenessVerdict::Live);
-        assert!(outcome.duplicated > 0, "the duplicate window saw traffic");
-    }
-
-    #[test]
-    fn faulty_register_workload_is_linearizable_and_live() {
-        let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-        let f = FailurePattern::all_correct(4);
-        let plan = all_links_plan(4, true, Time(300));
-        let scripts = vec![
-            vec![OpKind::Write(Value(1)), OpKind::Read],
-            vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
-        ];
-        let (_, ops, outcome) = run_register_workload_faulty(&f, &plan, s, scripts, 3, 400_000);
-        let verdict = check_linearizable_degraded(&ops, None, &f, outcome.reason).unwrap();
-        assert_eq!(verdict, LivenessVerdict::Live);
-        assert!(outcome.duplicated > 0);
-    }
-
-    #[test]
-    fn raw_register_under_permanent_blackout_starves_safely() {
-        let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-        let f = FailurePattern::all_correct(3);
-        let plan = LinkFaultPlan::builder(3).blackout(Time::ZERO, None).build();
-        let scripts = vec![vec![OpKind::Write(Value(1))], vec![OpKind::Read]];
-        let mut pool = RegisterPool::new();
-        let (tr, outcome) =
-            run_register_workload_raw_faulty_pooled(&mut pool, &f, &plan, s, scripts, 1, 1_000_000);
-        // The quorum protocol cannot make progress, and the engine proves
-        // it long before the million-step budget.
-        assert_eq!(outcome.reason, StopReason::Starved);
-        assert!(outcome.steps < 100, "stopped after {} steps", outcome.steps);
-        let verdict =
-            check_linearizable_degraded(&tr.op_records(), None, &f, outcome.reason).unwrap();
-        assert_eq!(verdict, LivenessVerdict::SafeButNotLive);
     }
 
     #[test]

@@ -23,15 +23,21 @@
 
 use crate::json::{ObjectBuilder, Value};
 use crate::repro::quiet_catch;
-use sih::pipeline;
-use sih_agreement::{check_k_set_agreement_degraded, distinct_proposals};
+use sih_agreement::{
+    check_k_set_agreement_degraded, distinct_proposals, equivocator_processes, fig2_processes,
+    fig4_processes, Equivocator, Fig2SetAgreement, Fig4SetAgreement,
+};
+use sih_detectors::{Sigma, SigmaK, SigmaS};
 use sih_model::{
     AdversaryPlan, Armor, AttackClass, AttackKind, AttackSpec, FailurePattern, MutationKind,
-    OpKind, ProcessId, ProcessSet, Time,
+    ProcessId, ProcessSet, Time,
 };
-use sih_registers::check_linearizable_degraded;
+use sih_registers::{
+    abd_processes, check_linearizable_degraded, split_ack_processes, two_writer_workload,
+    SplitAckForger,
+};
 use sih_runtime::sweep::Sweep;
-use sih_runtime::{LivenessVerdict, RunOutcome, TraceLevel};
+use sih_runtime::{Driver, LivenessVerdict, RunOutcome, SimPool, Simulation, Trace, TraceLevel};
 use std::fmt;
 use std::time::Instant;
 
@@ -384,73 +390,72 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
     let samples: Vec<Sample> = Sweep::new(cfg.threads).run(grid, || {
         let pattern = pattern.clone();
         let proposals = proposals.clone();
-        let mut fig2 = pipeline::ByzFig2Pool::with_trace_level(TraceLevel::Light);
-        let mut fig4 = pipeline::ByzFig4Pool::with_trace_level(TraceLevel::Light);
-        let mut abd = pipeline::ByzRegisterPool::with_trace_level(TraceLevel::Light);
+        let mut fig2 =
+            SimPool::<Equivocator<Fig2SetAgreement>>::with_trace_level(TraceLevel::Light);
+        let mut fig4 = SimPool::<Fig4SetAgreement>::with_trace_level(TraceLevel::Light);
+        let mut abd = SimPool::<SplitAckForger>::with_trace_level(TraceLevel::Light);
         move |_idx, (leg, seed): (usize, u64)| {
             let spec = &CELLS[leg / ladder];
             let armor = Armor::LADDER[leg % ladder];
             let (plan, attack) = cell_adversary(spec, n);
+            let fair = Driver::Fair { seed, max_steps };
+            let agreement = |tr: &Trace, reason| {
+                check_k_set_agreement_degraded(tr, &pattern, &proposals, n - 1, reason)
+            };
+            // Runs on the raw automata (no stubborn layer): the adversary
+            // consumes and replaces envelopes at the network, and this
+            // tier studies the bare protocol's degradation.
+            //
             // A mutated value can trip an automaton invariant (e.g.
             // Fig. 2's validity `expect`); that is a violation-grade
             // outcome of its own, not a harness crash. The pool resets
             // fully on the next acquire.
             let ran = quiet_catch(std::panic::AssertUnwindSafe(|| match spec.workload {
                 "fig2" => {
-                    let (tr, outcome) = pipeline::run_fig2_byz_pooled(
-                        &mut fig2,
-                        &pattern,
-                        &plan,
+                    let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, seed);
+                    let procs = equivocator_processes(
+                        fig2_processes(&proposals),
+                        ProcessId(0),
                         attack,
                         armor,
-                        ProcessId(0),
-                        ProcessId(1),
-                        seed,
-                        max_steps,
                     );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
+                    let sim = fig2.acquire(procs, &pattern);
+                    if !plan.is_honest() {
+                        sim.set_adversary(plan.clone(), armor);
+                    }
+                    let outcome = sim.drive(fair, &sigma, Simulation::all_correct_decided, None);
+                    let v = agreement(sim.trace(), outcome.reason);
                     (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
                 }
                 "fig4" => {
+                    // Figure 4 has no scripted attack (its fan-outs are
+                    // already relay-tagged): only the network plan applies.
                     let active = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let (tr, outcome) = pipeline::run_fig4_byz_pooled(
-                        &mut fig4, &pattern, &plan, armor, active, seed, max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
+                    let det = SigmaK::new(active, &pattern, seed);
+                    let sim = fig4.acquire(fig4_processes(&proposals), &pattern);
+                    if !plan.is_honest() {
+                        sim.set_adversary(plan.clone(), armor);
+                    }
+                    let outcome = sim.drive(fair, &det, Simulation::all_correct_decided, None);
+                    let v = agreement(sim.trace(), outcome.reason);
                     (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
                 }
                 "abd" => {
-                    let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let scripts = vec![
-                        vec![OpKind::Write(sih_model::Value(1)), OpKind::Read],
-                        vec![OpKind::Read, OpKind::Write(sih_model::Value(2)), OpKind::Read],
-                    ];
-                    let (tr, outcome) = pipeline::run_register_workload_byz_pooled(
-                        &mut abd,
-                        &pattern,
-                        &plan,
-                        attack,
-                        armor,
-                        ProcessId(n as u32 - 1),
-                        s,
-                        scripts,
-                        seed,
-                        max_steps,
-                    );
+                    let (s, scripts) = two_writer_workload();
+                    let det = SigmaS::new(s, &pattern, seed);
+                    let attacker = ProcessId(n as u32 - 1);
+                    let procs =
+                        split_ack_processes(abd_processes(s, n, scripts), attacker, attack, armor);
+                    let sim = abd.acquire(procs, &pattern);
+                    if !plan.is_honest() {
+                        sim.set_adversary(plan.clone(), armor);
+                    }
+                    let done = |sim: &Simulation<SplitAckForger>| {
+                        s.iter().all(|p| sim.process(p).inner().script_finished())
+                    };
+                    let outcome = sim.drive(fair, &det, done, None);
                     let v = check_linearizable_degraded(
-                        &tr.op_records(),
+                        &sim.trace().op_records(),
                         None,
                         &pattern,
                         outcome.reason,

@@ -16,9 +16,9 @@ use sih_reductions::{
     AntiOmegaAgreementCandidate, GossipPairCandidate, Lemma15Verdict, MirrorPairCandidate,
     MirrorXCandidate,
 };
-use sih_registers::{check_linearizable, WorkloadSpec};
+use sih_registers::{check_linearizable, AbdRegister, SigmaExtractor, WorkloadSpec};
 use sih_runtime::sweep::{with_seeds, Sweep};
-use sih_runtime::{FairScheduler, SimPool, Simulation, TraceLevel};
+use sih_runtime::{Driver, SimPool, Simulation, TraceLevel};
 
 /// Lab configuration (a serializable [`ClaimConfig`] superset).
 #[derive(Clone, Copy, Debug)]
@@ -432,8 +432,7 @@ fn e10_quorum(cfg: &LabConfig) -> ExperimentReport {
         move |pattern: &FailurePattern, seed| {
             let procs = (0..n).map(|_| QuorumSigma::full(n)).collect();
             let sim = pool.acquire(procs, pattern);
-            let mut sched = FairScheduler::new(seed);
-            sim.run(&mut sched, &NoDetector, 10_000);
+            sim.drive(Driver::Fair { seed, max_steps: 10_000 }, &NoDetector, |_| false, None);
             let tr = sim.trace();
             let violated =
                 check_sigma_s(tr.emulated_history(), pattern, ProcessSet::full(n)).is_err();
@@ -559,11 +558,9 @@ fn e13_sharedmem(cfg: &LabConfig) -> ExperimentReport {
         let det = sih_detectors::SigmaS::new(ProcessSet::full(n), &pattern, seed);
         let procs = bridged_processes(CollectMin::processes(&proposals, f), n);
         let mut sim = Simulation::new(procs, pattern.clone());
-        let mut sched = FairScheduler::new(seed);
-        sim.run_until(&mut sched, &det, cfg.max_steps * 3, |s| {
-            s.pattern().correct().iter().all(|p| s.trace().decision_of(p).is_some())
-        });
-        let done = pattern.correct().iter().all(|p| sim.trace().decision_of(p).is_some());
+        let fair = Driver::Fair { seed, max_steps: cfg.max_steps * 3 };
+        sim.drive(fair, &det, Simulation::all_correct_decided, None);
+        let done = sim.all_correct_decided();
         let violated = !done || sim.trace().distinct_decisions().len() > f + 1;
         stats.record(sim.trace().total_steps(), sim.trace().messages_sent(), violated);
     }
@@ -609,10 +606,10 @@ fn e15_extraction(cfg: &LabConfig) -> ExperimentReport {
                 .collect();
             let procs = extracting(sih_registers::abd_processes(s, n, scripts));
             let sim = pool.acquire(procs, &pattern);
-            let mut sched = FairScheduler::new(seed);
-            sim.run_until(&mut sched, &det, max_steps * 2, |sim| {
+            let done = |sim: &Simulation<SigmaExtractor<AbdRegister>>| {
                 sim.pattern().correct().iter().all(|p| sim.process(p).inner().script_finished())
-            });
+            };
+            sim.drive(Driver::Fair { seed, max_steps: max_steps * 2 }, &det, done, None);
             let tr = sim.trace();
             let violated = check_sigma_s(tr.emulated_history(), &pattern, s).is_err();
             (tr.total_steps(), tr.messages_sent(), violated)

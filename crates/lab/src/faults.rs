@@ -10,12 +10,18 @@
 //! so the JSON is bitwise identical for any `--threads`.
 
 use crate::json::{ObjectBuilder, Value};
-use sih::pipeline;
-use sih_agreement::{check_k_set_agreement_degraded, distinct_proposals};
+use sih_agreement::{
+    check_k_set_agreement_degraded, distinct_proposals, fig2_processes, fig4_processes,
+    Fig2SetAgreement, Fig4SetAgreement,
+};
+use sih_detectors::{Sigma, SigmaK, SigmaS};
 use sih_model::{FailurePattern, LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time};
-use sih_registers::check_linearizable_degraded;
+use sih_registers::{abd_processes, check_linearizable_degraded, two_writer_workload, AbdRegister};
 use sih_runtime::sweep::Sweep;
-use sih_runtime::{LivenessVerdict, StopReason, TraceLevel};
+use sih_runtime::{
+    stubborn_processes, Driver, LivenessVerdict, RunOutcome, SimPool, Simulation, StopReason,
+    Stubborn, Trace, TraceLevel,
+};
 use std::fmt;
 use std::time::Instant;
 
@@ -257,9 +263,117 @@ impl fmt::Display for FaultsBenchReport {
     }
 }
 
+/// Reusable simulations of the matrix workloads, one set per sweep
+/// worker. Every process is wrapped in a [`Stubborn`] retransmission
+/// layer.
+#[derive(Debug)]
+pub struct FaultPools {
+    fig2: SimPool<Stubborn<Fig2SetAgreement>>,
+    fig4: SimPool<Stubborn<Fig4SetAgreement>>,
+    abd: SimPool<Stubborn<AbdRegister>>,
+}
+
+impl FaultPools {
+    /// Empty pools recording at `level`.
+    pub fn with_trace_level(level: TraceLevel) -> Self {
+        FaultPools {
+            fig2: SimPool::with_trace_level(level),
+            fig4: SimPool::with_trace_level(level),
+            abd: SimPool::with_trace_level(level),
+        }
+    }
+}
+
+/// One run of a matrix workload (`"fig2"`, `"fig4"` or `"abd"`) over
+/// `plan`, judged by the workload's degraded checker — exactly what a
+/// matrix cell runs per seed. Figure 4 runs with `k = 1` (actives
+/// `{p0, p1}`); ABD runs the two-writer workload. The outcome carries the
+/// stop reason and network counters the degraded checkers need.
+///
+/// # Panics
+///
+/// Panics on an unknown workload name.
+pub fn run_fault_cell(
+    pools: &mut FaultPools,
+    workload: &str,
+    pattern: &FailurePattern,
+    plan: &LinkFaultPlan,
+    seed: u64,
+    max_steps: u64,
+) -> (Result<LivenessVerdict, String>, RunOutcome) {
+    let n = pattern.n();
+    let proposals = distinct_proposals(n);
+    let fair = Driver::Fair { seed, max_steps };
+    let pair = ProcessSet::from_iter([0, 1].map(ProcessId));
+    let agreement = |tr: &Trace, reason| {
+        check_k_set_agreement_degraded(tr, pattern, &proposals, n - 1, reason)
+            .map_err(|e| e.to_string())
+    };
+    match workload {
+        "fig2" => {
+            let sigma = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
+            let sim = pools.fig2.acquire(stubborn_processes(fig2_processes(&proposals)), pattern);
+            sim.set_link_faults(plan.clone());
+            let outcome = sim.drive(fair, &sigma, Simulation::all_correct_decided, None);
+            (agreement(sim.trace(), outcome.reason), outcome)
+        }
+        "fig4" => {
+            let det = SigmaK::new(pair, pattern, seed);
+            let sim = pools.fig4.acquire(stubborn_processes(fig4_processes(&proposals)), pattern);
+            sim.set_link_faults(plan.clone());
+            let outcome = sim.drive(fair, &det, Simulation::all_correct_decided, None);
+            (agreement(sim.trace(), outcome.reason), outcome)
+        }
+        "abd" => {
+            let (s, scripts) = two_writer_workload();
+            let det = SigmaS::new(s, pattern, seed);
+            let sim = pools.abd.acquire(stubborn_processes(abd_processes(s, n, scripts)), pattern);
+            sim.set_link_faults(plan.clone());
+            let done = |sim: &Simulation<Stubborn<AbdRegister>>| {
+                sim.pattern().correct().iter().all(|p| sim.process(p).inner().script_finished())
+            };
+            let outcome = sim.drive(fair, &det, done, None);
+            let v = check_linearizable_degraded(
+                &sim.trace().op_records(),
+                None,
+                pattern,
+                outcome.reason,
+            );
+            (v.map_err(|e| e.to_string()), outcome)
+        }
+        other => panic!("unknown fault workload {other:?}"),
+    }
+}
+
+/// The permanent-partition starvation witness: the raw (stubborn-less)
+/// ABD register under a blackout that never heals.
+fn starved_leg(pattern: &FailurePattern, budget: u64) -> StarvedLeg {
+    let n = pattern.n();
+    let blackout = LinkFaultPlan::builder(n).blackout(Time::ZERO, None).build();
+    let s = ProcessSet::from_iter([0, 1].map(ProcessId));
+    let scripts = vec![vec![OpKind::Write(sih_model::Value(1))], vec![OpKind::Read]];
+    let det = SigmaS::new(s, pattern, 0);
+    let mut sim = Simulation::new(abd_processes(s, n, scripts), pattern.clone())
+        .with_trace_level(TraceLevel::Light)
+        .with_link_faults(blackout);
+    let done = |sim: &Simulation<AbdRegister>| {
+        sim.pattern().correct().iter().all(|p| sim.process(p).script_finished())
+    };
+    let outcome = sim.drive(Driver::Fair { seed: 0, max_steps: budget }, &det, done, None);
+    let verdict =
+        check_linearizable_degraded(&sim.trace().op_records(), None, pattern, outcome.reason);
+    StarvedLeg {
+        steps: outcome.steps,
+        budget,
+        starved: outcome.reason == StopReason::Starved,
+        safe_not_live: verdict == Ok(LivenessVerdict::SafeButNotLive),
+        dropped: outcome.dropped,
+    }
+}
+
 /// One run's contribution to its cell: `(verdict, outcome)` folded
 /// serially in canonical grid order.
-type CellSample = (usize, Result<LivenessVerdict, String>, sih_runtime::RunOutcome);
+type CellSample = (usize, Result<LivenessVerdict, String>, RunOutcome);
 
 /// Runs the full robustness matrix and the starvation leg.
 ///
@@ -272,7 +386,6 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     let t0 = Instant::now();
     let n = cfg.n;
     let pattern = FailurePattern::all_correct(n);
-    let proposals = distinct_proposals(n);
 
     // The canonical grid: every (workload, scenario) cell × every seed.
     let mut grid: Vec<(usize, u64)> = Vec::new();
@@ -285,66 +398,12 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     let max_steps = cfg.max_steps;
     let samples: Vec<CellSample> = Sweep::new(cfg.threads).run(grid, || {
         let pattern = pattern.clone();
-        let proposals = proposals.clone();
-        let mut fig2 = pipeline::FaultyFig2Pool::with_trace_level(TraceLevel::Light);
-        let mut fig4 = pipeline::FaultyFig4Pool::with_trace_level(TraceLevel::Light);
-        let mut abd = pipeline::FaultyRegisterPool::with_trace_level(TraceLevel::Light);
+        let mut pools = FaultPools::with_trace_level(TraceLevel::Light);
         move |_idx, (cell, seed): (usize, u64)| {
             let workload = WORKLOADS[cell / SCENARIOS.len()];
             let plan = scenario_plan(SCENARIOS[cell % SCENARIOS.len()], n);
-            let (verdict, outcome) = match workload {
-                "fig2" => {
-                    let (tr, outcome) = pipeline::run_fig2_faulty_pooled(
-                        &mut fig2,
-                        &pattern,
-                        &plan,
-                        ProcessId(0),
-                        ProcessId(1),
-                        seed,
-                        max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
-                    (v.map_err(|e| e.to_string()), outcome)
-                }
-                "fig4" => {
-                    let active = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let (tr, outcome) = pipeline::run_fig4_faulty_pooled(
-                        &mut fig4, &pattern, &plan, active, seed, max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
-                    (v.map_err(|e| e.to_string()), outcome)
-                }
-                "abd" => {
-                    let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let scripts = vec![
-                        vec![OpKind::Write(sih_model::Value(1)), OpKind::Read],
-                        vec![OpKind::Read, OpKind::Write(sih_model::Value(2)), OpKind::Read],
-                    ];
-                    let (tr, outcome) = pipeline::run_register_workload_faulty_pooled(
-                        &mut abd, &pattern, &plan, s, scripts, seed, max_steps,
-                    );
-                    let v = check_linearizable_degraded(
-                        &tr.op_records(),
-                        None,
-                        &pattern,
-                        outcome.reason,
-                    );
-                    (v.map_err(|e| e.to_string()), outcome)
-                }
-                other => unreachable!("workload {other}"),
-            };
+            let (verdict, outcome) =
+                run_fault_cell(&mut pools, workload, &pattern, &plan, seed, max_steps);
             (cell, verdict, outcome)
         }
     });
@@ -352,8 +411,8 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     // Fold in canonical grid order (the sweep returns results in item
     // order, and the sums are order-independent anyway).
     let mut cells: Vec<FaultCell> = Vec::new();
-    for (w, workload) in WORKLOADS.iter().enumerate() {
-        for (s, scenario) in SCENARIOS.iter().enumerate() {
+    for workload in WORKLOADS {
+        for scenario in SCENARIOS {
             let quiescence = scenario_plan(scenario, n)
                 .quiescence_time()
                 .expect("matrix scenarios all have finite quiescence")
@@ -373,7 +432,6 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
                 duplicated: 0,
                 in_flight: 0,
             });
-            let _ = (w, s);
         }
     }
     for (cell, verdict, outcome) in samples {
@@ -392,23 +450,7 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
         c.in_flight += outcome.in_flight;
     }
 
-    // The starvation witness: raw ABD under a blackout that never heals.
-    let blackout = LinkFaultPlan::builder(n).blackout(Time::ZERO, None).build();
-    let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-    let scripts = vec![vec![OpKind::Write(sih_model::Value(1))], vec![OpKind::Read]];
-    let mut pool = pipeline::RegisterPool::with_trace_level(TraceLevel::Light);
-    let budget = cfg.max_steps.max(1_000_000);
-    let (tr, outcome) = pipeline::run_register_workload_raw_faulty_pooled(
-        &mut pool, &pattern, &blackout, s, scripts, 0, budget,
-    );
-    let verdict = check_linearizable_degraded(&tr.op_records(), None, &pattern, outcome.reason);
-    let starved = StarvedLeg {
-        steps: outcome.steps,
-        budget,
-        starved: outcome.reason == StopReason::Starved,
-        safe_not_live: verdict == Ok(LivenessVerdict::SafeButNotLive),
-        dropped: outcome.dropped,
-    };
+    let starved = starved_leg(&pattern, cfg.max_steps.max(1_000_000));
 
     let workers = match cfg.threads {
         0 => std::thread::available_parallelism().map_or(1, usize::from),
@@ -442,12 +484,34 @@ mod tests {
             }
         }
         assert!(report.starved.starved);
-        assert!(report.starved.steps < report.starved.budget / 100);
+        // The quorum protocol cannot make progress, and the engine proves
+        // it long before the million-step budget.
+        assert!(report.starved.steps < 100, "{:?}", report.starved);
         let json = report.to_json().to_string_pretty();
         let parsed = crate::json::parse(&json).expect("round-trips");
         assert_eq!(parsed.get("ok").as_bool(), Some(true));
         assert_eq!(parsed.get("bench").as_str(), Some("faults_matrix"));
         assert_eq!(parsed.get("starved").get("starved").as_bool(), Some(true));
+    }
+
+    #[test]
+    fn each_workload_is_safe_and_live_once_its_faults_quiesce() {
+        let n = 4;
+        let pattern = FailurePattern::all_correct(n);
+        let mut pools = FaultPools::with_trace_level(TraceLevel::Full);
+        for (workload, scenario, seeds) in
+            [("fig2", "lossy", 0..3), ("fig4", "duplicating", 7..8), ("abd", "duplicating", 3..4)]
+        {
+            let plan = scenario_plan(scenario, n);
+            for seed in seeds {
+                let (verdict, outcome) =
+                    run_fault_cell(&mut pools, workload, &pattern, &plan, seed, 400_000);
+                let cell = format!("{workload} × {scenario}, seed {seed}");
+                assert_eq!(verdict, Ok(LivenessVerdict::Live), "{cell}");
+                assert!(outcome.dropped + outcome.duplicated > 0, "{cell}: faults saw no traffic");
+                assert_eq!(outcome.sent, outcome.delivered + outcome.dropped + outcome.in_flight);
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! checker. A schedule names its workload (`checker:` line), so replaying
 //! it needs nothing but the schedule file: the registry rebuilds the
 //! automata and detector from `n`, `k` and `seed`, installs the recorded
-//! crash pattern and link-fault plan, and re-executes the exact choice
-//! sequence through a strict [`ScriptedScheduler`].
+//! crash pattern, link-fault plan and adversary, and re-executes the
+//! choice sequence through [`Simulation::drive`] with a
+//! [`Driver::Replay`] — the run loop every fair pipeline and matrix cell
+//! also uses.
 //!
 //! Workloads come in sound/weakened pairs: the sound detector satisfies
 //! its specification and the run verdict is `ok`; the weakened twin (from
@@ -16,19 +18,22 @@
 //! committed under `tests/corpus/` — is a *negative witness* for the
 //! paper's R1/R4/R10 hypotheses.
 //!
-//! Replays run in two modes. **Strict** (corpus verification): the script
-//! must execute exactly — exhaustion is a typed stop, an illegal choice
-//! is an engine panic, and the verdict plus the executed script must both
-//! match the schedule. **Lenient** (shrink candidates): scripted choices
-//! that are illegal in the mutated run are *skipped*; because skipping
-//! executes nothing, the surviving legal subsequence is itself a valid
-//! schedule that replays identically — the canonical form the shrinker
-//! keeps. Panics (e.g. Fig. 2's validity `expect` under a broken σ) are
-//! caught and mapped to the stable verdict token `panic`, making
-//! panic-witnessing schedules first-class shrinkable artifacts.
+//! Replays run in two modes ([`ReplayMode`]). **Strict** (corpus
+//! verification): the script must execute exactly — an illegal choice is
+//! an engine panic, and the verdict plus the executed script must both
+//! match the schedule. **Lenient** (shrink and fuzz candidates): scripted
+//! choices that are illegal in the mutated run are *skipped*. Both modes
+//! end at the engine's halt and starvation stops (DESIGN.md §7.1), and
+//! skipping executes nothing, so the executed subsequence of a lenient
+//! replay is itself a schedule that strict-replays identically — the
+//! canonical form the shrinker and the fuzzer keep. Panics (e.g. Fig. 2's
+//! validity `expect` under a broken σ) are caught and mapped to the
+//! stable verdict token `panic`, making panic-witnessing schedules
+//! first-class shrinkable artifacts.
 
 use sih_agreement::{
-    check_k_agreement_safety, distinct_proposals, fig2_processes, fig4_processes, Equivocator,
+    check_k_agreement_safety, distinct_proposals, equivocator_processes, fig2_processes,
+    fig4_processes,
 };
 use sih_detectors::{check_anti_omega, Sigma, SigmaK, SigmaS, WeakSigma, WeakSigmaK, WeakSigmaS};
 use sih_model::{
@@ -36,11 +41,15 @@ use sih_model::{
     LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time, Value,
 };
 use sih_reductions::Fig6WithoutChange;
-use sih_registers::{abd_processes, check_linearizable, LinearizabilityViolation, SplitAckForger};
+use sih_registers::{
+    abd_processes, check_linearizable, split_ack_processes, two_writer_workload,
+    LinearizabilityViolation, SplitAckForger,
+};
 use sih_runtime::sweep::Sweep;
+pub use sih_runtime::ReplayMode;
 use sih_runtime::{
-    shrink_schedule, Automaton, Choice, Corruptible, FairScheduler, Schedule, ScriptedScheduler,
-    ShrinkOptions, ShrinkReport, Simulation,
+    shrink_schedule, Automaton, Choice, Corruptible, Driver, Schedule, ShrinkOptions, ShrinkReport,
+    Simulation,
 };
 use std::fmt;
 
@@ -214,27 +223,10 @@ impl fmt::Display for ReproError {
 
 impl std::error::Error for ReproError {}
 
-/// How a workload run is driven.
-enum Driver<'a> {
-    /// A fresh recording run under [`FairScheduler`].
-    Fair { seed: u64, max_steps: u64 },
-    /// Exact strict replay of a script.
-    Strict { choices: &'a [Choice] },
-    /// Lenient replay: skip choices illegal in the (mutated) run.
-    Lenient { choices: &'a [Choice] },
-    /// Replay (strict or lenient semantics) that additionally records
-    /// the per-step state fingerprint after every executed step — the
-    /// schedule fuzzer's coverage probe.
-    Coverage { choices: &'a [Choice], strict: bool },
-}
-
 /// What a driven run produced.
 struct RunResult {
     verdict: String,
     executed: Vec<Choice>,
-    /// Per-step state fingerprints (only [`Driver::Coverage`] fills
-    /// this; empty otherwise).
-    fingerprints: Vec<u64>,
 }
 
 // ---- quiet panic capture ------------------------------------------------
@@ -265,44 +257,20 @@ pub(crate) fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
 
 // ---- the generic driver -------------------------------------------------
 
-/// Builds the simulation, drives it per `driver`, and computes the
-/// verdict. Panics anywhere in the stepped region (illegal strict choice,
+/// Builds the simulation under the schedule's crash pattern, link-fault
+/// plan and adversary, drives it per `driver` (pushing per-step
+/// fingerprints into `fingerprints`, if given), and computes the verdict.
+/// Panics anywhere in the stepped region (illegal strict choice,
 /// automaton `expect`, checker assertion) become [`PANIC_VERDICT`]; the
 /// executed script is still meaningful because the engine records each
 /// choice *before* stepping the automaton.
 fn drive<A, D>(
+    s: &Schedule,
     procs: Vec<A>,
-    pattern: &FailurePattern,
-    faults: &LinkFaultPlan,
     fd: &D,
-    driver: &Driver<'_>,
-    done: impl FnMut(&Simulation<A>) -> bool,
-    verdict: impl FnOnce(&Simulation<A>) -> String,
-) -> RunResult
-where
-    A: Automaton + fmt::Debug,
-    D: FailureDetector + ?Sized,
-{
-    let mut sim = Simulation::new(procs, pattern.clone());
-    if !faults.is_reliable() {
-        sim.set_link_faults(faults.clone());
-    }
-    finish(sim, fd, driver, done, verdict)
-}
-
-/// [`drive`] with the schedule's mutation adversary installed — the
-/// byzantine workloads' variant (their message types carry the
-/// [`Corruptible`] mutation algebra; the honest workloads' need not).
-#[allow(clippy::too_many_arguments)]
-fn drive_byz<A, D>(
-    procs: Vec<A>,
-    pattern: &FailurePattern,
-    faults: &LinkFaultPlan,
-    adversary: &AdversaryPlan,
-    armor: Armor,
-    fd: &D,
-    driver: &Driver<'_>,
-    done: impl FnMut(&Simulation<A>) -> bool,
+    driver: Driver<'_>,
+    fingerprints: Option<&mut Vec<u64>>,
+    stop: impl FnMut(&Simulation<A>) -> bool,
     verdict: impl FnOnce(&Simulation<A>) -> String,
 ) -> RunResult
 where
@@ -310,94 +278,21 @@ where
     A::Msg: Corruptible,
     D: FailureDetector + ?Sized,
 {
-    let mut sim = Simulation::new(procs, pattern.clone());
-    if !faults.is_reliable() {
-        sim.set_link_faults(faults.clone());
+    let mut sim = Simulation::new(procs, s.pattern.clone());
+    if !s.faults.is_reliable() {
+        sim.set_link_faults(s.faults.clone());
     }
-    if !adversary.is_honest() {
-        sim.set_adversary(adversary.clone(), armor);
+    if !s.adversary.is_honest() {
+        sim.set_adversary(s.adversary.clone(), s.armor);
     }
-    finish(sim, fd, driver, done, verdict)
-}
-
-/// The shared driving tail: steps `sim` per `driver` under quiet panic
-/// capture and computes the verdict.
-fn finish<A, D>(
-    mut sim: Simulation<A>,
-    fd: &D,
-    driver: &Driver<'_>,
-    mut done: impl FnMut(&Simulation<A>) -> bool,
-    verdict: impl FnOnce(&Simulation<A>) -> String,
-) -> RunResult
-where
-    A: Automaton + fmt::Debug,
-    D: FailureDetector + ?Sized,
-{
-    let mut fps: Vec<u64> = Vec::new();
     let stepped = quiet_catch(std::panic::AssertUnwindSafe(|| {
-        match driver {
-            Driver::Fair { seed, max_steps } => {
-                let mut sched = FairScheduler::new(*seed);
-                sim.run_until(&mut sched, fd, *max_steps, |s| done(s));
-            }
-            Driver::Strict { choices } => {
-                let mut sched = ScriptedScheduler::new(choices.iter().copied()).strict();
-                sim.run(&mut sched, fd, choices.len() as u64);
-            }
-            Driver::Lenient { choices } => {
-                for &c in choices.iter() {
-                    let legal = sim.schedulable_set().contains(c.p)
-                        && c.deliver.is_none_or(|i| i < sim.network().pending_count(c.p));
-                    if legal {
-                        sim.step(c, fd);
-                    }
-                }
-            }
-            Driver::Coverage { choices, strict } => {
-                if *strict {
-                    // Exactly the strict trajectory, one engine-checked
-                    // step at a time: each `run` call re-evaluates the
-                    // halt/starvation stops before stepping, so the
-                    // fingerprint stream follows the same path (and
-                    // panics in the same places) as `Driver::Strict`.
-                    let mut sched = ScriptedScheduler::new(choices.iter().copied()).strict();
-                    loop {
-                        let before = sim.now();
-                        sim.run(&mut sched, fd, 1);
-                        if sim.now() == before {
-                            break; // no step taken: halted, starved or exhausted
-                        }
-                        fps.push(sim.fingerprint());
-                    }
-                } else {
-                    // Lenient legality, but with the engine's halt and
-                    // starvation stops mirrored: plain lenient replay
-                    // happily executes legal no-op steps past the point
-                    // where every strict runner would have stopped, and
-                    // such trailing steps make the executed script
-                    // non-strict-replayable. Cutting at the same stops
-                    // keeps the canonical form (executed script +
-                    // observed verdict) a strict-replaying schedule.
-                    for &c in choices.iter() {
-                        if sim.all_correct_halted() || sim.sched_state().starved() {
-                            break;
-                        }
-                        let legal = sim.schedulable_set().contains(c.p)
-                            && c.deliver.is_none_or(|i| i < sim.network().pending_count(c.p));
-                        if legal {
-                            sim.step(c, fd);
-                            fps.push(sim.fingerprint());
-                        }
-                    }
-                }
-            }
-        };
+        sim.drive(driver, fd, stop, fingerprints);
     }));
     let verdict = match stepped {
         Ok(()) => verdict(&sim),
         Err(()) => PANIC_VERDICT.to_string(),
     };
-    RunResult { verdict, executed: sim.script().to_vec(), fingerprints: fps }
+    RunResult { verdict, executed: sim.script().to_vec() }
 }
 
 fn agreement_verdict<A: Automaton>(sim: &Simulation<A>, n: usize, k: usize) -> String {
@@ -435,69 +330,57 @@ fn abd_scripts() -> (ProcessSet, Vec<Vec<OpKind>>) {
     (s, scripts)
 }
 
-/// The two-writer register workload used by the tamper-class Byzantine
-/// witnesses: perturbing timestamps can flip the apparent write order,
-/// which a single-writer script could never expose.
-fn byz_abd_scripts() -> (ProcessSet, Vec<Vec<OpKind>>) {
-    let s: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
-    let scripts = vec![
-        vec![OpKind::Write(Value(1)), OpKind::Read],
-        vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
-    ];
-    (s, scripts)
-}
-
 fn first_ids(count: usize) -> ProcessSet {
     (0..count as u32).map(ProcessId).collect()
 }
 
-/// Reconstructs the named workload and drives it. Everything a schedule
-/// records — `n`, `k`, `seed`, pattern, faults, adversary plan, attack,
-/// armor — plus a driver fully determines the run.
-#[allow(clippy::too_many_arguments)]
+/// Reconstructs the workload a schedule header names and drives it.
+/// Everything the header records — `n`, `k`, `seed`, pattern, faults,
+/// adversary plan, attack, armor — plus a driver fully determines the
+/// run; the header's own `choices` and `verdict` are not read.
 fn run_workload(
-    name: &str,
-    n: usize,
-    k: usize,
-    seed: u64,
-    pattern: &FailurePattern,
-    faults: &LinkFaultPlan,
-    adversary: &AdversaryPlan,
-    attack: Option<AttackSpec>,
-    armor: Armor,
-    driver: &Driver<'_>,
+    s: &Schedule,
+    driver: Driver<'_>,
+    fps: Option<&mut Vec<u64>>,
 ) -> Result<RunResult, ReproError> {
-    if pattern.n() != n || faults.n() != n || adversary.n() != n {
+    let (name, n, k, seed, pattern) = (s.checker.as_str(), s.n, s.k, s.seed, &s.pattern);
+    if pattern.n() != n || s.faults.n() != n || s.adversary.n() != n {
         return Err(ReproError::BadParams(format!(
             "n mismatch: n={n}, pattern over {}, faults over {}, adversary over {}",
             pattern.n(),
-            faults.n(),
-            adversary.n()
+            s.faults.n(),
+            s.adversary.n()
         )));
     }
-    if !BYZ_WORKLOADS.contains(&name)
-        && (!adversary.is_honest() || attack.is_some() || armor != Armor::NONE)
-    {
+    if !BYZ_WORKLOADS.contains(&name) && !s.adversary_free() {
         return Err(ReproError::BadParams(format!(
             "workload `{name}` does not honor adversary fields; only {BYZ_WORKLOADS:?} do"
         )));
     }
     match name {
-        "fig2-sigma" | "fig2-weak-sigma" => {
+        "fig2-sigma" | "fig2-weak-sigma" | "fig2-byz-perturb" | "fig2-byz-equivocate" => {
             if n < 2 {
                 return Err(ReproError::BadParams(format!("fig2 needs n >= 2, got {n}")));
             }
-            let procs = fig2_processes(&distinct_proposals(n));
+            // Every process is wrapped in an `Equivocator`; p0 equivocates
+            // iff the schedule carries the attack (the shrinker may have
+            // dropped it), otherwise every wrapper is an inert shim.
+            let procs = equivocator_processes(
+                fig2_processes(&distinct_proposals(n)),
+                ProcessId(0),
+                s.attack,
+                s.armor,
+            );
             let verdict = |sim: &Simulation<_>| agreement_verdict(sim, n, n - 1);
-            if name == "fig2-sigma" {
-                let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
-            } else {
+            if name == "fig2-weak-sigma" {
                 let fd = WeakSigma::new(ProcessId(0), ProcessId(1));
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
+                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
+            } else {
+                let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
+                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
             }
         }
-        "fig4-sigma-k" | "fig4-weak-sigma-k" => {
+        "fig4-sigma-k" | "fig4-weak-sigma-k" | "fig4-byz-perturb" => {
             if k < 1 || 2 * k > n {
                 return Err(ReproError::BadParams(format!(
                     "fig4 needs 1 <= k and 2k <= n, got k={k}, n={n}"
@@ -506,86 +389,43 @@ fn run_workload(
             let active = first_ids(2 * k);
             let procs = fig4_processes(&distinct_proposals(n));
             let verdict = move |sim: &Simulation<_>| agreement_verdict(sim, n, n - k);
-            if name == "fig4-sigma-k" {
-                let fd = SigmaK::new(active, pattern, seed);
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
-            } else {
+            if name == "fig4-weak-sigma-k" {
                 let fd = WeakSigmaK::new(active);
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
+                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
+            } else {
+                let fd = SigmaK::new(active, pattern, seed);
+                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
             }
         }
-        "abd-sigma-s" | "abd-weak-quorum" => {
+        "abd-sigma-s" | "abd-weak-quorum" | "abd-byz-perturb" | "abd-byz-forge-ack"
+        | "abd-byz-split-ack" => {
             if n < 2 {
                 return Err(ReproError::BadParams(format!("abd needs n >= 2, got {n}")));
             }
-            let (s, scripts) = abd_scripts();
-            let procs = abd_processes(s, n, scripts);
+            let (clients, scripts) =
+                if name == "abd-byz-perturb" { two_writer_workload() } else { abd_scripts() };
+            // Every process is wrapped in a `SplitAckForger`, inert unless
+            // the schedule carries the split-ack attack. The forger is the
+            // last replica — never one of the clients.
+            let procs = split_ack_processes(
+                abd_processes(clients, n, scripts),
+                ProcessId(n as u32 - 1),
+                s.attack,
+                s.armor,
+            );
             // A register emulation never halts; a recording run is done
             // once both clients drained their scripts.
-            let done = move |sim: &Simulation<sih_registers::AbdRegister>| {
-                s.iter().all(|p| sim.process(p).script_finished())
-            };
-            let verdict = |sim: &Simulation<_>| linearizability_verdict(sim);
-            if name == "abd-sigma-s" {
-                let fd = SigmaS::new(s, pattern, seed);
-                Ok(drive(procs, pattern, faults, &fd, driver, done, verdict))
-            } else {
-                let fd = WeakSigmaS::new(s);
-                Ok(drive(procs, pattern, faults, &fd, driver, done, verdict))
-            }
-        }
-        "fig2-byz-perturb" | "fig2-byz-equivocate" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("fig2 needs n >= 2, got {n}")));
-            }
-            // All processes wrapped so the system type is uniform; p0 is
-            // the equivocator iff the schedule carries the attack (the
-            // shrinker may have dropped it).
-            let equivocating =
-                matches!(attack, Some(AttackSpec { kind: AttackKind::Equivocate, .. }));
-            let x = attack.map(|a| a.x).unwrap_or(0);
-            let procs: Vec<_> = fig2_processes(&distinct_proposals(n))
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| Equivocator::new(p, equivocating && i == 0, x, armor))
-                .collect();
-            let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-            let verdict = |sim: &Simulation<_>| agreement_verdict(sim, n, n - 1);
-            Ok(drive_byz(procs, pattern, faults, adversary, armor, &fd, driver, |_| false, verdict))
-        }
-        "fig4-byz-perturb" => {
-            if k < 1 || 2 * k > n {
-                return Err(ReproError::BadParams(format!(
-                    "fig4 needs 1 <= k and 2k <= n, got k={k}, n={n}"
-                )));
-            }
-            let active = first_ids(2 * k);
-            let procs = fig4_processes(&distinct_proposals(n));
-            let fd = SigmaK::new(active, pattern, seed);
-            let verdict = move |sim: &Simulation<_>| agreement_verdict(sim, n, n - k);
-            Ok(drive_byz(procs, pattern, faults, adversary, armor, &fd, driver, |_| false, verdict))
-        }
-        "abd-byz-perturb" | "abd-byz-forge-ack" | "abd-byz-split-ack" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("abd needs n >= 2, got {n}")));
-            }
-            let (s, scripts) =
-                if name == "abd-byz-perturb" { byz_abd_scripts() } else { abd_scripts() };
-            let forging = matches!(attack, Some(AttackSpec { kind: AttackKind::SplitAck, .. }));
-            let x = attack.map(|a| a.x).unwrap_or(0);
-            // The forger is the last replica — never one of the clients.
-            let attacker = n - 1;
-            let procs: Vec<_> = abd_processes(s, n, scripts)
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| SplitAckForger::new(p, forging && i == attacker, x, armor))
-                .collect();
             let done = move |sim: &Simulation<SplitAckForger>| {
-                s.iter().all(|p| sim.process(p).inner().script_finished())
+                clients.iter().all(|p| sim.process(p).inner().script_finished())
             };
-            let fd = SigmaS::new(s, pattern, seed);
             let verdict = |sim: &Simulation<_>| linearizability_verdict(sim);
-            Ok(drive_byz(procs, pattern, faults, adversary, armor, &fd, driver, done, verdict))
+            if name == "abd-weak-quorum" {
+                let fd = WeakSigmaS::new(clients);
+                Ok(drive(s, procs, &fd, driver, fps, done, verdict))
+            } else {
+                let fd = SigmaS::new(clients, pattern, seed);
+                Ok(drive(s, procs, &fd, driver, fps, done, verdict))
+            }
         }
         "fig6-without-change" => {
             if n < 2 {
@@ -601,7 +441,7 @@ fn run_workload(
                     && h.timeline(ProcessId(1)).final_output() == FdOutput::Leader(ProcessId(0))
             };
             let verdict = |sim: &Simulation<_>| anti_omega_verdict(sim, pattern);
-            Ok(drive(procs, pattern, faults, &fd, driver, done, verdict))
+            Ok(drive(s, procs, &fd, driver, fps, done, verdict))
         }
         other => Err(ReproError::UnknownWorkload(other.to_string())),
     }
@@ -720,42 +560,7 @@ impl RecordRequest {
 /// [`Schedule`] iff the checker failed (or the run panicked); `Ok(None)`
 /// means the run was clean — nothing to reproduce.
 pub fn record(req: &RecordRequest) -> Result<Option<Schedule>, ReproError> {
-    let w =
-        workload(&req.workload).ok_or_else(|| ReproError::UnknownWorkload(req.workload.clone()))?;
-    let n = req.n.unwrap_or(w.default_n);
-    let max_steps = req.max_steps.unwrap_or(w.default_steps);
-    let pattern = default_pattern(w.name, n);
-    let faults = default_faults(w.name, n);
-    let (adversary, attack, armor) = default_adversary(w.name, n);
-    let rr = run_workload(
-        w.name,
-        n,
-        req.k,
-        req.seed,
-        &pattern,
-        &faults,
-        &adversary,
-        attack,
-        armor,
-        &Driver::Fair { seed: req.seed, max_steps },
-    )?;
-    if rr.verdict == "ok" {
-        return Ok(None);
-    }
-    Ok(Some(Schedule {
-        checker: w.name.to_string(),
-        n,
-        k: req.k,
-        seed: req.seed,
-        max_steps,
-        pattern,
-        faults,
-        adversary,
-        attack,
-        armor,
-        choices: rr.executed,
-        verdict: rr.verdict,
-    }))
+    Ok(Some(record_any(req)?).filter(|s| s.verdict != "ok"))
 }
 
 /// Like [`record`] but captures the schedule **unconditionally** — an
@@ -768,35 +573,25 @@ pub fn record_any(req: &RecordRequest) -> Result<Schedule, ReproError> {
         workload(&req.workload).ok_or_else(|| ReproError::UnknownWorkload(req.workload.clone()))?;
     let n = req.n.unwrap_or(w.default_n);
     let max_steps = req.max_steps.unwrap_or(w.default_steps);
-    let pattern = default_pattern(w.name, n);
-    let faults = default_faults(w.name, n);
     let (adversary, attack, armor) = default_adversary(w.name, n);
-    let rr = run_workload(
-        w.name,
-        n,
-        req.k,
-        req.seed,
-        &pattern,
-        &faults,
-        &adversary,
-        attack,
-        armor,
-        &Driver::Fair { seed: req.seed, max_steps },
-    )?;
-    Ok(Schedule {
+    let mut s = Schedule {
         checker: w.name.to_string(),
         n,
         k: req.k,
         seed: req.seed,
         max_steps,
-        pattern,
-        faults,
+        pattern: default_pattern(w.name, n),
+        faults: default_faults(w.name, n),
         adversary,
         attack,
         armor,
-        choices: rr.executed,
-        verdict: rr.verdict,
-    })
+        choices: Vec::new(),
+        verdict: String::new(),
+    };
+    let rr = run_workload(&s, Driver::Fair { seed: req.seed, max_steps }, None)?;
+    s.choices = rr.executed;
+    s.verdict = rr.verdict;
+    Ok(s)
 }
 
 /// [`record`] over seeds `0..seed_tries`, returning the first capture.
@@ -833,42 +628,26 @@ pub fn capture_from_script(
 ) -> Result<Schedule, ReproError> {
     // The exhaustive explorer runs adversary-free; captures from it are
     // honest-plan schedules by construction.
-    let adversary = AdversaryPlan::honest(n);
-    let rr = run_workload(
-        name,
-        n,
-        k,
-        seed,
-        &pattern,
-        &faults,
-        &adversary,
-        None,
-        Armor::NONE,
-        &Driver::Strict { choices: &script },
-    )?;
-    Ok(Schedule {
+    let mut s = Schedule {
         checker: name.to_string(),
         n,
         k,
         seed,
-        max_steps: rr.executed.len() as u64,
+        max_steps: 0,
         pattern,
         faults,
-        adversary,
+        adversary: AdversaryPlan::honest(n),
         attack: None,
         armor: Armor::NONE,
-        choices: rr.executed,
-        verdict: rr.verdict,
-    })
-}
-
-/// Replay fidelity mode.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplayMode {
-    /// The script must execute exactly (corpus verification).
-    Strict,
-    /// Skip choices that are illegal in the mutated run (shrinking).
-    Lenient,
+        choices: script,
+        verdict: String::new(),
+    };
+    let rr =
+        run_workload(&s, Driver::Replay { choices: &s.choices, mode: ReplayMode::Strict }, None)?;
+    s.max_steps = rr.executed.len() as u64;
+    s.choices = rr.executed;
+    s.verdict = rr.verdict;
+    Ok(s)
 }
 
 /// The outcome of replaying a schedule.
@@ -885,27 +664,9 @@ pub struct ReplayReport {
 
 /// Replays a schedule through its registered workload.
 pub fn replay(s: &Schedule, mode: ReplayMode) -> Result<ReplayReport, ReproError> {
-    let driver = match mode {
-        ReplayMode::Strict => Driver::Strict { choices: &s.choices },
-        ReplayMode::Lenient => Driver::Lenient { choices: &s.choices },
-    };
-    let rr = run_workload(
-        &s.checker,
-        s.n,
-        s.k,
-        s.seed,
-        &s.pattern,
-        &s.faults,
-        &s.adversary,
-        s.attack,
-        s.armor,
-        &driver,
-    )?;
-    let matches = rr.verdict == s.verdict
-        && match mode {
-            ReplayMode::Strict => rr.executed == s.choices,
-            ReplayMode::Lenient => true,
-        };
+    let rr = run_workload(s, Driver::Replay { choices: &s.choices, mode }, None)?;
+    let matches =
+        rr.verdict == s.verdict && (mode == ReplayMode::Lenient || rr.executed == s.choices);
     Ok(ReplayReport { verdict: rr.verdict, executed: rr.executed, matches })
 }
 
@@ -923,34 +684,16 @@ pub struct FingerprintReplay {
 }
 
 /// Replays a schedule and records the state fingerprint after every
-/// executed step — the schedule fuzzer's evaluation probe. `Strict`
-/// follows exactly the [`ReplayMode::Strict`] trajectory. `Lenient`
-/// follows the [`ReplayMode::Lenient`] one but additionally stops at
-/// the engine's halt/starvation stops, so the executed script is always
-/// a strict-replayable canonical form (plain lenient replay may tack on
-/// legal no-op steps a strict runner would never reach).
+/// executed step — the schedule fuzzer's evaluation probe. It follows
+/// exactly the trajectory of [`replay`] in the same mode.
 pub fn replay_with_fingerprints(
     s: &Schedule,
     mode: ReplayMode,
 ) -> Result<FingerprintReplay, ReproError> {
-    let driver = Driver::Coverage { choices: &s.choices, strict: mode == ReplayMode::Strict };
-    let rr = run_workload(
-        &s.checker,
-        s.n,
-        s.k,
-        s.seed,
-        &s.pattern,
-        &s.faults,
-        &s.adversary,
-        s.attack,
-        s.armor,
-        &driver,
-    )?;
-    Ok(FingerprintReplay {
-        verdict: rr.verdict,
-        executed: rr.executed,
-        fingerprints: rr.fingerprints,
-    })
+    let mut fingerprints = Vec::new();
+    let rr =
+        run_workload(s, Driver::Replay { choices: &s.choices, mode }, Some(&mut fingerprints))?;
+    Ok(FingerprintReplay { verdict: rr.verdict, executed: rr.executed, fingerprints })
 }
 
 /// Shrinks a failing schedule with the delta-debugging engine, using a
@@ -1082,13 +825,29 @@ mod tests {
         assert!(replay(&s, ReplayMode::Strict).unwrap().matches);
     }
 
+    /// The shrinker's lenient replays and the strict corpus replay share
+    /// one stop semantics, so every shrunk witness strict-replays.
     #[test]
     fn shrunk_schedules_keep_their_verdict_and_get_small() {
-        let s = record_first_violation("abd-weak-quorum", 1, 16).unwrap().unwrap();
-        let (min, rep) = shrink(&s).unwrap();
-        assert_eq!(min.verdict, s.verdict);
-        assert!(rep.final_len <= rep.original_len / 4, "{rep:?}");
-        assert!(replay(&min, ReplayMode::Strict).unwrap().matches);
+        for w in WORKLOADS.iter().filter(|w| !w.expect_ok) {
+            let captures: Vec<Schedule> = (0..64)
+                .filter_map(|seed| {
+                    record(&RecordRequest { seed, ..RecordRequest::new(w.name) }).unwrap()
+                })
+                .take(3)
+                .collect();
+            assert!(!captures.is_empty(), "{}: no violation in 64 seeds", w.name);
+            for s in captures {
+                let at = format!("{} seed {}", w.name, s.seed);
+                let (min, rep) = shrink(&s).unwrap();
+                assert_eq!(min.verdict, s.verdict, "{at}");
+                assert!(rep.final_len <= rep.original_len, "{at}: {rep:?}");
+                if w.name == "abd-weak-quorum" {
+                    assert!(rep.final_len <= rep.original_len / 4, "{at}: {rep:?}");
+                }
+                assert!(replay(&min, ReplayMode::Strict).unwrap().matches, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the original Figure 6 through the identical setup as a control.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
 
 /// Figure 6 with the CHANGE handshake deleted (an intentionally broken
 /// variant). Message type matches [`Fig6Msg`](crate::Fig6Msg) minus the
@@ -39,6 +39,11 @@ pub enum AblatedFig6Msg {
     /// `(ACTIVE, p)`.
     Active(ProcessId),
 }
+
+/// Opts in to the mutation algebra with no mutations: every adversary
+/// send crosses untouched. This lets the ablation run through the same
+/// adversary-aware replay path as the Byzantine workloads.
+impl Corruptible for AblatedFig6Msg {}
 
 impl Fig6WithoutChange {
     /// A process of the ablated emulation in a system of `n` processes.

@@ -14,7 +14,7 @@
 //! the forgery, so the attack is never emitted at all.
 
 use crate::abd::{AbdMsg, AbdRegister, Timestamp};
-use sih_model::{Armor, AttackClass, MutationKind, ProcessId, Value};
+use sih_model::{Armor, AttackClass, AttackKind, AttackSpec, MutationKind, ProcessId, Value};
 use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
 
 impl Corruptible for AbdMsg {
@@ -133,18 +133,22 @@ impl Automaton for SplitAckForger {
     }
 }
 
-/// Wraps a whole ABD system, making process `attacker` forge split acks
-/// parameterized by `x` (subject to `armor`).
+/// Wraps a whole ABD system. Process `attacker` forges split acks
+/// parameterized by the attack's value iff `attack` is an
+/// [`AttackKind::SplitAck`] spec (subject to `armor`); with any other
+/// attack, or none, every wrapper is an inert shim.
 pub fn split_ack_processes(
     procs: Vec<AbdRegister>,
     attacker: ProcessId,
-    x: u64,
+    attack: Option<AttackSpec>,
     armor: Armor,
 ) -> Vec<SplitAckForger> {
+    let forging = matches!(attack, Some(AttackSpec { kind: AttackKind::SplitAck, .. }));
+    let x = attack.map_or(0, |a| a.x);
     procs
         .into_iter()
         .enumerate()
-        .map(|(i, a)| SplitAckForger::new(a, i == attacker.index(), x, armor))
+        .map(|(i, a)| SplitAckForger::new(a, forging && i == attacker.index(), x, armor))
         .collect()
 }
 
@@ -185,15 +189,17 @@ mod tests {
         assert_eq!(AbdMsg::UpdateAck { tag: 2 }.corrupt(MutationKind::Flip, 0), None);
     }
 
+    const SPLIT_ACK: Option<AttackSpec> = Some(AttackSpec { kind: AttackKind::SplitAck, x: 42 });
+
     #[test]
     fn armor_defeats_the_forger() {
         use sih_model::{OpKind, ProcessSet};
         let s = ProcessSet::from_iter([0, 1, 2].map(ProcessId));
         let procs = crate::abd::abd_processes(s, 3, vec![vec![OpKind::Read], vec![], vec![]]);
-        let wrapped = split_ack_processes(procs, ProcessId(2), 42, Armor::PROVENANCE);
+        let wrapped = split_ack_processes(procs, ProcessId(2), SPLIT_ACK, Armor::PROVENANCE);
         assert!(wrapped.iter().all(|w| w.defeated));
         let procs = crate::abd::abd_processes(s, 3, vec![vec![OpKind::Read], vec![], vec![]]);
-        let wrapped = split_ack_processes(procs, ProcessId(2), 42, Armor::DIGEST);
+        let wrapped = split_ack_processes(procs, ProcessId(2), SPLIT_ACK, Armor::DIGEST);
         assert!(wrapped[2].active && !wrapped[2].defeated);
     }
 }

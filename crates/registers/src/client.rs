@@ -7,7 +7,21 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sih_model::{OpKind, ProcessSet, Value};
+use sih_model::{OpKind, ProcessId, ProcessSet, Value};
+
+/// The fixed two-writer workload of the fault and Byzantine tiers: `p0`
+/// writes 1 then reads, `p1` reads, writes 2 and reads again. Two writers
+/// let a tampered timestamp flip the apparent write order, which a
+/// single-writer script could never expose. Returns the client set `S`
+/// and one script per client.
+pub fn two_writer_workload() -> (ProcessSet, Vec<Vec<OpKind>>) {
+    let s = ProcessSet::from_iter([ProcessId(0), ProcessId(1)]);
+    let scripts = vec![
+        vec![OpKind::Write(Value(1)), OpKind::Read],
+        vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
+    ];
+    (s, scripts)
+}
 
 /// A reproducible register workload specification.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -36,7 +36,7 @@ mod linearizability;
 
 pub use abd::{abd_processes, abd_processes_with_rule, AbdMsg, AbdRegister, QuorumRule, Timestamp};
 pub use byzantine::{split_ack_processes, SplitAckForger};
-pub use client::WorkloadSpec;
+pub use client::{two_writer_workload, WorkloadSpec};
 pub use extraction::{extracting, SigmaExtractor};
 pub use linearizability::{
     check_linearizable, check_linearizable_brute_force, check_linearizable_degraded,

@@ -7,7 +7,7 @@
 
 use crate::automaton::{Automaton, Effects, StepInput};
 use crate::scheduler::{Choice, FairScheduler, RoundRobinScheduler, ScriptedScheduler};
-use crate::sim::Simulation;
+use crate::sim::{Driver, ReplayMode, Simulation, StopReason};
 use proptest::prelude::*;
 use sih_model::{FailurePattern, NoDetector, ProcessId, Time};
 
@@ -270,4 +270,60 @@ proptest! {
         sim.run(&mut sched, &NoDetector, 2_000);
         prop_assert!(sim.trace().total_steps() == 2_000);
     }
+}
+
+/// Sends one message to the other process on its first step, then is
+/// quiescent for good.
+#[derive(Clone, Debug, Default)]
+struct OneShot {
+    sent: bool,
+}
+
+impl Automaton for OneShot {
+    type Msg = u8;
+    fn step(&mut self, input: StepInput<u8>, eff: &mut Effects<u8>) {
+        if !self.sent {
+            self.sent = true;
+            eff.send(ProcessId(1 - input.me.0), 1);
+        }
+    }
+    fn quiescent(&self) -> bool {
+        self.sent
+    }
+}
+
+#[test]
+fn lenient_replay_executes_nothing_past_starvation() {
+    let (p0, p1) = (ProcessId(0), ProcessId(1));
+    // The leading delivery is illegal (nothing is pending yet) and is
+    // skipped. After both sends and both deliveries the system is starved,
+    // so the three trailing choices — each legal on its own — must not run.
+    let script = [
+        Choice::deliver_oldest(p0),
+        Choice::compute(p0),
+        Choice::compute(p1),
+        Choice::deliver_oldest(p0),
+        Choice::deliver_oldest(p1),
+        Choice::compute(p0),
+        Choice::compute(p1),
+        Choice::compute(p0),
+    ];
+    let replay = |choices: &[Choice], mode: ReplayMode| {
+        let mut sim = Simulation::new(vec![OneShot::default(); 2], FailurePattern::all_correct(2));
+        let mut fps = Vec::new();
+        // A replay ignores the stop predicate: the script is the run.
+        let outcome =
+            sim.drive(Driver::Replay { choices, mode }, &NoDetector, |_| true, Some(&mut fps));
+        (outcome.reason, sim.script().to_vec(), fps)
+    };
+    let (reason, executed, fps) = replay(&script, ReplayMode::Lenient);
+    assert_eq!(reason, StopReason::Starved);
+    assert_eq!(executed, script[1..5]);
+    assert_eq!(fps.len(), 4);
+    // The executed subsequence is the canonical form: it strict-replays
+    // through the same states.
+    let (strict_reason, strict_executed, strict_fps) = replay(&executed, ReplayMode::Strict);
+    assert_eq!(strict_reason, StopReason::Starved);
+    assert_eq!(strict_executed, executed);
+    assert_eq!(strict_fps, fps);
 }

@@ -12,6 +12,8 @@
 //!   [`ScriptedScheduler`] — the adversary that resolves asynchrony;
 //! * [`Simulation`] — the engine: owns the automata, pattern and network,
 //!   executes steps, records a replayable [`Trace`];
+//!   [`Simulation::drive`] runs it under a [`Driver`] — a fair run or a
+//!   strict/lenient replay of a recorded script;
 //! * [`Stacked`] — layering a consumer algorithm on top of a
 //!   failure-detector emulation (the paper's reduction mechanism);
 //! * [`explore`] — bounded exhaustive schedule enumeration.
@@ -89,7 +91,8 @@ pub use scheduler::{
     Choice, FairScheduler, RoundRobinScheduler, Scheduler, ScriptExhausted, ScriptedScheduler,
 };
 pub use sim::{
-    LivenessVerdict, RunOutcome, SchedState, SimPool, Simulation, StepReport, StopReason,
+    Driver, LivenessVerdict, ReplayMode, RunOutcome, SchedState, SimPool, Simulation, StepReport,
+    StopReason,
 };
 pub use stack::{
     stubborn_processes, Layered, ReportLayer, Stacked, Stubborn, StubbornMsg, STUBBORN_PERIOD,

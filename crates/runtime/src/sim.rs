@@ -13,7 +13,7 @@
 use crate::automaton::{Automaton, Effects, SendOp, StepInput};
 use crate::fingerprint::Fnv64;
 use crate::network::{Corruptible, Network};
-use crate::scheduler::{Choice, Scheduler};
+use crate::scheduler::{Choice, FairScheduler, Scheduler};
 use crate::trace::{Trace, TraceLevel};
 use sih_model::{
     AdversaryPlan, Armor, FailureDetector, FailurePattern, FdOutput, LinkFaultPlan, ProcSet,
@@ -89,6 +89,56 @@ pub enum StopReason {
     /// permanent partition starved every quorum. Detected eagerly so such
     /// runs stop in O(1) steps instead of spinning to `MaxSteps`.
     Starved,
+}
+
+/// How [`Simulation::drive`] chooses the steps of a run.
+#[derive(Clone, Copy, Debug)]
+pub enum Driver<'a> {
+    /// A fresh run under a [`FairScheduler`] seeded with `seed`, for at
+    /// most `max_steps` steps.
+    Fair {
+        /// Scheduler seed.
+        seed: u64,
+        /// Step budget.
+        max_steps: u64,
+    },
+    /// A replay of a recorded choice script.
+    Replay {
+        /// The script, in step order.
+        choices: &'a [Choice],
+        /// What happens to a choice that is illegal when its turn comes.
+        mode: ReplayMode,
+    },
+}
+
+/// Replay fidelity of a [`Driver::Replay`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReplayMode {
+    /// Every choice executes as recorded; an illegal one is an engine
+    /// panic (corpus verification).
+    Strict,
+    /// Choices illegal in the run so far are skipped (shrink and fuzz
+    /// candidates). Skipping executes nothing, so the executed
+    /// subsequence is itself a schedule that strict-replays identically.
+    Lenient,
+}
+
+/// The scheduler of a [`Driver::Replay`]: hands out the script in order,
+/// skipping illegal choices under [`ReplayMode::Lenient`].
+struct Replayer<'a> {
+    rest: std::slice::Iter<'a, Choice>,
+    lenient: bool,
+}
+
+impl Scheduler for Replayer<'_> {
+    fn choose(&mut self, view: &SchedState<'_>) -> Option<Choice> {
+        let lenient = self.lenient;
+        self.rest.by_ref().copied().find(|c| {
+            !lenient
+                || (view.is_schedulable(c.p)
+                    && c.deliver.is_none_or(|i| i < view.pending_count(c.p)))
+        })
+    }
 }
 
 /// Statistics of a finished [`Simulation::run`].
@@ -645,12 +695,31 @@ impl<A: Automaton> Simulation<A> {
         sched: &mut S,
         fd: &D,
         max_steps: u64,
-        mut done: F,
+        done: F,
     ) -> RunOutcome
     where
         S: Scheduler + ?Sized,
         D: FailureDetector + ?Sized,
         F: FnMut(&Simulation<A>) -> bool,
+    {
+        self.run_loop(sched, fd, max_steps, done, |_| {})
+    }
+
+    /// The run loop of [`Simulation::run_until`], calling `on_step` after
+    /// every executed step.
+    fn run_loop<S, D, F, G>(
+        &mut self,
+        sched: &mut S,
+        fd: &D,
+        max_steps: u64,
+        mut done: F,
+        mut on_step: G,
+    ) -> RunOutcome
+    where
+        S: Scheduler + ?Sized,
+        D: FailureDetector + ?Sized,
+        F: FnMut(&Simulation<A>) -> bool,
+        G: FnMut(&Simulation<A>),
     {
         let mut steps = 0;
         loop {
@@ -669,6 +738,7 @@ impl<A: Automaton> Simulation<A> {
             };
             self.step(choice, fd);
             steps += 1;
+            on_step(self);
         }
     }
 
@@ -756,6 +826,49 @@ impl<A: Automaton> Simulation<A> {
 }
 
 impl<A: Automaton + fmt::Debug> Simulation<A> {
+    /// Runs under `driver` and `fd`: the one way pipelines, matrix cells,
+    /// recordings and replays drive a run. Install link-fault and
+    /// adversary plans first ([`Simulation::set_link_faults`],
+    /// [`Simulation::set_adversary`]).
+    ///
+    /// Every run stops once every correct process has halted, or when the
+    /// system is [starved](SchedState::starved). A [`Driver::Fair`] run
+    /// also stops when `stop` returns true or after `max_steps` steps. A
+    /// [`Driver::Replay`] ignores `stop` — the script *is* the run — and
+    /// ends with its script unless an engine stop comes first. Lenient
+    /// mode honors the same engine stops as strict mode, so the choices a
+    /// lenient replay executes strict-replay through the same states
+    /// (DESIGN.md §7.1). With a `fingerprints` sink, the
+    /// [fingerprint](Simulation::fingerprint) after every executed step
+    /// is pushed to it — the schedule fuzzer's coverage probe.
+    pub fn drive<D, F>(
+        &mut self,
+        driver: Driver<'_>,
+        fd: &D,
+        stop: F,
+        mut fingerprints: Option<&mut Vec<u64>>,
+    ) -> RunOutcome
+    where
+        D: FailureDetector + ?Sized,
+        F: FnMut(&Simulation<A>) -> bool,
+    {
+        let on_step = |sim: &Self| {
+            if let Some(fps) = fingerprints.as_deref_mut() {
+                fps.push(sim.fingerprint());
+            }
+        };
+        match driver {
+            Driver::Fair { seed, max_steps } => {
+                self.run_loop(&mut FairScheduler::new(seed), fd, max_steps, stop, on_step)
+            }
+            Driver::Replay { choices, mode } => {
+                let mut replayer =
+                    Replayer { rest: choices.iter(), lenient: mode == ReplayMode::Lenient };
+                self.run_loop(&mut replayer, fd, u64::MAX, |_| false, on_step)
+            }
+        }
+    }
+
     /// A canonical 64-bit fingerprint of the **checker-visible** state.
     ///
     /// Two simulations with equal fingerprints are *check-equivalent*:

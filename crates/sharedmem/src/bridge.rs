@@ -284,12 +284,8 @@ mod tests {
         let procs = bridged_processes(programs, n);
         let mut sim = Simulation::new(procs, pattern.clone());
         let mut sched = FairScheduler::new(seed);
-        sim.run_until(&mut sched, &det, max_steps, |s| {
-            s.pattern().correct().iter().all(|p| s.trace().decision_of(p).is_some())
-        });
-        let all_decided =
-            sim.pattern().correct().iter().all(|p| sim.trace().decision_of(p).is_some());
-        (sim.trace().distinct_decisions(), all_decided)
+        sim.run_until(&mut sched, &det, max_steps, Simulation::all_correct_decided);
+        (sim.trace().distinct_decisions(), sim.all_correct_decided())
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //! // Message passing, registers emulated from Σ:
 //! let det = SigmaS::new(ProcessSet::full(3), &pattern, 7);
 //! let mut sim = Simulation::new(bridged_processes(CollectMin::processes(&proposals, 1), 3), pattern);
-//! sim.run_until(&mut FairScheduler::new(7), &det, 400_000,
-//!     |s| s.pattern().correct().iter().all(|p| s.trace().decision_of(p).is_some()));
+//! sim.run_until(&mut FairScheduler::new(7), &det, 400_000, Simulation::all_correct_decided);
 //! assert!(sim.trace().distinct_decisions().len() <= 2);
 //! ```
 

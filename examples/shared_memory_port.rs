@@ -37,14 +37,9 @@ fn main() {
     let det = SigmaS::new(ProcessSet::full(n), &pattern, 7);
     let procs = bridged_processes(CollectMin::processes(&proposals, f), n);
     let mut sim = Simulation::new(procs, pattern.clone());
-    sim.run_until(&mut FairScheduler::new(7), &det, 1_000_000, |s| {
-        s.pattern().correct().iter().all(|p| s.trace().decision_of(p).is_some())
-    });
+    sim.run_until(&mut FairScheduler::new(7), &det, 1_000_000, Simulation::all_correct_decided);
     let distinct = sim.trace().distinct_decisions();
-    assert!(
-        pattern.correct().iter().all(|p| sim.trace().decision_of(p).is_some()),
-        "all correct processes decide over the emulation too"
-    );
+    assert!(sim.all_correct_decided(), "all correct processes decide over the emulation too");
     println!(
         "same program, ported: {} distinct decisions (bound {}), {} steps, {} messages",
         distinct.len(),

@@ -13,14 +13,17 @@ use sih::agreement::{
 use sih::detectors::{Sigma, SigmaK, SigmaS};
 use sih::model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, MutationKind, MutationWindow,
-    OpKind, ProcessId, ProcessSet, Time, Value,
+    ProcessId, ProcessSet, Time,
 };
-use sih::registers::{abd_processes, check_linearizable, split_ack_processes};
+use sih::registers::{abd_processes, check_linearizable, split_ack_processes, two_writer_workload};
 use sih::runtime::sweep::Sweep;
 use sih::runtime::{FairScheduler, Schedule, ScriptedScheduler, Simulation};
 use sih_lab::repro::{record_first_violation, replay, shrink, verify_corpus_dir, ReplayMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+
+const EQUIVOCATE: Option<AttackSpec> = Some(AttackSpec { kind: AttackKind::Equivocate, x: 99 });
+const SPLIT_ACK: Option<AttackSpec> = Some(AttackSpec { kind: AttackKind::SplitAck, x: 55 });
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -60,7 +63,7 @@ fn fig2_byz_run(seed: u64, armor: Armor) -> (String, u64) {
     let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, seed);
     catch_unwind(AssertUnwindSafe(|| {
         let mut sim = Simulation::new(
-            equivocator_processes(fig2_processes(&proposals), ProcessId(0), 99, armor),
+            equivocator_processes(fig2_processes(&proposals), ProcessId(0), EQUIVOCATE, armor),
             pattern.clone(),
         )
         .with_adversary(all_links(n, MutationKind::Perturb, 100), armor);
@@ -190,7 +193,7 @@ fn full_armor_fig2_is_bit_identical_to_honest_baseline() {
         let base_check = check_k_agreement_safety(base.trace(), &proposals, n - 1).is_ok();
 
         let mut armored = Simulation::new(
-            equivocator_processes(fig2_processes(&proposals), ProcessId(0), 99, Armor::MAX),
+            equivocator_processes(fig2_processes(&proposals), ProcessId(0), EQUIVOCATE, Armor::MAX),
             pattern.clone(),
         )
         .with_adversary(all_links(n, MutationKind::Perturb, 100), Armor::MAX);
@@ -246,11 +249,7 @@ fn full_armor_fig4_is_bit_identical_to_honest_baseline() {
 fn full_armor_abd_is_bit_identical_to_honest_baseline() {
     let n = 4;
     let pattern = FailurePattern::all_correct(n);
-    let s: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
-    let scripts = vec![
-        vec![OpKind::Write(Value(1)), OpKind::Read],
-        vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
-    ];
+    let (s, scripts) = two_writer_workload();
     for seed in 0..8 {
         let fd = SigmaS::new(s, &pattern, seed);
         let mut base = Simulation::new(abd_processes(s, n, scripts.clone()), pattern.clone());
@@ -258,7 +257,12 @@ fn full_armor_abd_is_bit_identical_to_honest_baseline() {
         let base_check = check_linearizable(&base.trace().op_records(), None).is_ok();
 
         let mut armored = Simulation::new(
-            split_ack_processes(abd_processes(s, n, scripts.clone()), ProcessId(3), 55, Armor::MAX),
+            split_ack_processes(
+                abd_processes(s, n, scripts.clone()),
+                ProcessId(3),
+                SPLIT_ACK,
+                Armor::MAX,
+            ),
             pattern.clone(),
         )
         .with_adversary(all_links(n, MutationKind::ForgeAck, 77), Armor::MAX);

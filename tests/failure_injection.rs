@@ -2,11 +2,12 @@
 //! process at **every** early time and check the paper's algorithms
 //! survive — a denser sweep than random patterns can give.
 
-use sih::agreement::{check_k_set_agreement, check_k_set_agreement_degraded, distinct_proposals};
+use sih::agreement::{check_k_set_agreement, distinct_proposals};
 use sih::detectors::{check_anti_omega, check_sigma};
 use sih::model::{FailurePattern, LinkFaultPlan, ProcessId, ProcessSet, Time};
 use sih::pipeline;
-use sih::runtime::LivenessVerdict;
+use sih::runtime::{LivenessVerdict, TraceLevel};
+use sih_lab::{run_fault_cell, FaultPools};
 
 #[test]
 fn fig2_survives_every_single_crash_time() {
@@ -61,8 +62,9 @@ fn fig2_survives_every_crash_x_partition_product() {
     // The crash × link-fault product: every victim crashed early, crossed
     // with a healing drop window on every directed link. The stubborn
     // layer must re-deliver what the window ate, so every run is not just
-    // safe but Live.
+    // safe but Live. Each run goes through the fault matrix's cell runner.
     let n = 4;
+    let mut pools = FaultPools::with_trace_level(TraceLevel::Full);
     for victim in 0..n as u32 {
         let pattern = FailurePattern::builder(n).crash_at(ProcessId(victim), Time(5)).build();
         for src in 0..n as u32 {
@@ -73,22 +75,11 @@ fn fig2_survives_every_crash_x_partition_product() {
                 let plan = LinkFaultPlan::builder(n)
                     .drop_link(ProcessId(src), ProcessId(dst), Time::ZERO, Some(Time(300)))
                     .build();
-                let (tr, outcome) = pipeline::run_fig2_faulty(
-                    &pattern,
-                    &plan,
-                    ProcessId(0),
-                    ProcessId(1),
-                    u64::from(victim * 16 + src * 4 + dst),
-                    400_000,
-                );
-                let verdict = check_k_set_agreement_degraded(
-                    &tr,
-                    &pattern,
-                    &distinct_proposals(n),
-                    n - 1,
-                    outcome.reason,
-                )
-                .unwrap_or_else(|e| panic!("victim p{victim}, drop p{src}→p{dst}: {e}"));
+                let seed = u64::from(victim * 16 + src * 4 + dst);
+                let (verdict, _) =
+                    run_fault_cell(&mut pools, "fig2", &pattern, &plan, seed, 400_000);
+                let verdict =
+                    verdict.unwrap_or_else(|e| panic!("victim p{victim}, drop p{src}→p{dst}: {e}"));
                 assert_eq!(
                     verdict,
                     LivenessVerdict::Live,
@@ -101,9 +92,9 @@ fn fig2_survives_every_crash_x_partition_product() {
 
 #[test]
 fn fig4_survives_every_crash_x_partition_product() {
+    // The fault matrix's fig4 cell: k = 1, actives {p0, p1}.
     let n = 4;
-    let k = 1;
-    let active: ProcessSet = (0..2 * k as u32).map(ProcessId).collect();
+    let mut pools = FaultPools::with_trace_level(TraceLevel::Full);
     for victim in 0..n as u32 {
         let pattern = FailurePattern::builder(n).crash_at(ProcessId(victim), Time(5)).build();
         for src in 0..n as u32 {
@@ -114,21 +105,11 @@ fn fig4_survives_every_crash_x_partition_product() {
                 let plan = LinkFaultPlan::builder(n)
                     .drop_link(ProcessId(src), ProcessId(dst), Time::ZERO, Some(Time(300)))
                     .build();
-                let (tr, outcome) = pipeline::run_fig4_faulty(
-                    &pattern,
-                    &plan,
-                    active,
-                    u64::from(victim * 16 + src * 4 + dst),
-                    400_000,
-                );
-                let verdict = check_k_set_agreement_degraded(
-                    &tr,
-                    &pattern,
-                    &distinct_proposals(n),
-                    n - k,
-                    outcome.reason,
-                )
-                .unwrap_or_else(|e| panic!("victim p{victim}, drop p{src}→p{dst}: {e}"));
+                let seed = u64::from(victim * 16 + src * 4 + dst);
+                let (verdict, _) =
+                    run_fault_cell(&mut pools, "fig4", &pattern, &plan, seed, 400_000);
+                let verdict =
+                    verdict.unwrap_or_else(|e| panic!("victim p{victim}, drop p{src}→p{dst}: {e}"));
                 assert_eq!(
                     verdict,
                     LivenessVerdict::Live,
