@@ -43,7 +43,13 @@
 //! delta-debugging engine, `replay` re-runs one schedule file, and
 //! `corpus DIR` strict-replays every committed `*.schedule` (add
 //! `--fresh DIR` to also re-record each planted violation from scratch).
+//!
+//! `lab gate BASELINE FRESH` compares a fresh bench JSON record with a
+//! committed baseline and exits 1 naming the first differing JSON path
+//! (wall clock, rates, speedups, `peak_rss_kb`, `workers` and `threads`
+//! are ignored).
 
+use sih_lab::json::{self, Value};
 use sih_lab::{
     load_seed_schedules, render_figure1, repro, run_byzantine_bench, run_experiment,
     run_explore_bench, run_faults_bench, run_fuzz_bench, run_scale_bench, ByzantineLabConfig,
@@ -58,16 +64,20 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | all> [--n N] [--k K] [--seeds S] [--steps M] [--depth D] [--threads T] [--frontier-depth K] [--max-n N] [--sample D] [--huge] [--seed S] [--budget-schedules N] [--budget-ms MS] [--batch B] [--corpus DIR] [--witness-dir DIR] [--json PATH]"
+            "usage: lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | gate | all> [--n N] [--k K] [--seeds S] [--steps M] [--depth D] [--threads T] [--frontier-depth K] [--max-n N] [--sample D] [--huge] [--seed S] [--budget-schedules N] [--budget-ms MS] [--batch B] [--corpus DIR] [--witness-dir DIR] [--json PATH]"
         );
         eprintln!("experiments: {}", EXPERIMENT_IDS.join(", "));
         eprintln!(
             "repro: lab repro <record --workload W | shrink FILE | replay FILE | corpus DIR> …"
         );
+        eprintln!("gate: lab gate BASELINE FRESH");
         return ExitCode::FAILURE;
     }
     if args[0] == "repro" {
         return repro_cli(&args[1..]);
+    }
+    if args[0] == "gate" {
+        return gate_cli(&args[1..]);
     }
     let command = args[0].clone();
     let mut cfg = LabConfig::default();
@@ -147,18 +157,7 @@ fn main() -> ExitCode {
     if command == "scale" {
         let report = run_scale_bench(&scale_cfg);
         print!("{report}");
-        let ok = report.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote scale bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED scale outcome");
-            ExitCode::FAILURE
-        };
+        return finish_bench("scale", report.ok(), report.to_json(), json_path);
     }
 
     if command == "fuzz" {
@@ -174,7 +173,6 @@ fn main() -> ExitCode {
         };
         let report = run_fuzz_bench(&fuzz_cfg, &extra);
         println!("{report}");
-        let ok = report.ok();
         if let Some(dir) = witness_dir {
             std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
             // One file per workload: the first (deterministically
@@ -202,51 +200,19 @@ fn main() -> ExitCode {
                 println!("wrote witness {path} (`{}`)", w.verdict);
             }
         }
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote fuzz bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED fuzz outcome");
-            ExitCode::FAILURE
-        };
+        return finish_bench("fuzz", report.ok(), report.to_json(), json_path);
     }
 
     if command == "byzantine" {
         let report = run_byzantine_bench(&byz_cfg);
         print!("{report}");
-        let ok = report.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote byzantine bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED byzantine outcome");
-            ExitCode::FAILURE
-        };
+        return finish_bench("byzantine", report.ok(), report.to_json(), json_path);
     }
 
     if command == "faults" {
         let report = run_faults_bench(&faults_cfg);
         print!("{report}");
-        let ok = report.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote faults bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED faults outcome");
-            ExitCode::FAILURE
-        };
+        return finish_bench("faults", report.ok(), report.to_json(), json_path);
     }
 
     if command == "explore" {
@@ -260,17 +226,7 @@ fn main() -> ExitCode {
             );
         }
         let ok = report.verdicts_agree() && report.reduced.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote explore bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED explore outcome");
-            ExitCode::FAILURE
-        };
+        return finish_bench("explore", ok, report.to_json(), json_path);
     }
 
     let timed_run = |id: &str| -> (ExperimentReport, Duration) {
@@ -290,7 +246,7 @@ fn main() -> ExitCode {
         id if EXPERIMENT_IDS.contains(&id) => vec![timed_run(id)],
         other => {
             eprintln!(
-                "unknown command {other}; expected e1..e15, explore, faults, byzantine, scale, fuzz, figure1 or all"
+                "unknown command {other}; expected e1..e15, explore, faults, byzantine, scale, fuzz, repro, gate, figure1 or all"
             );
             return ExitCode::FAILURE;
         }
@@ -307,6 +263,51 @@ fn main() -> ExitCode {
     } else {
         eprintln!("UNEXPECTED outcomes present");
         ExitCode::FAILURE
+    }
+}
+
+/// The tail every bench verb shares once its report is printed: writes
+/// the JSON record to `json_path` (if given) and maps `ok` to the exit
+/// code.
+fn finish_bench(bench: &str, ok: bool, json: Value, json_path: Option<String>) -> ExitCode {
+    if let Some(path) = json_path {
+        let text = json.to_string_pretty();
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("wrote {bench} bench to {path}");
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("UNEXPECTED {bench} outcome");
+        ExitCode::FAILURE
+    }
+}
+
+/// The `lab gate BASELINE FRESH` verb: exits 1 naming the first JSON path
+/// at which the fresh bench record differs from the committed baseline
+/// (see [`json::first_difference`] for the ignored fields).
+fn gate_cli(args: &[String]) -> ExitCode {
+    let [baseline, fresh] = args else {
+        eprintln!("usage: lab gate BASELINE FRESH");
+        return ExitCode::FAILURE;
+    };
+    let load = |path: &String| -> Result<Value, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    match load(baseline).and_then(|a| Ok(json::first_difference(&a, &load(fresh)?))) {
+        Ok(None) => {
+            println!("gate: {fresh} matches {baseline}");
+            ExitCode::SUCCESS
+        }
+        Ok(Some(path)) => {
+            eprintln!("gate: {fresh} differs from {baseline} at {path}");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("gate: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -387,6 +388,24 @@ fn repro_cli(args: &[String]) -> ExitCode {
             None => print!("{text}"),
         }
     };
+    let shrink_and_write = |s: &Schedule| match repro::shrink(s) {
+        Ok((small, report)) => {
+            eprintln!(
+                "shrunk {} -> {} choices ({} candidates tried, {} accepted, {} rounds)",
+                report.original_len,
+                report.final_len,
+                report.candidates_tried,
+                report.candidates_accepted,
+                report.rounds
+            );
+            write_or_print(&small, &out);
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("shrink: {e}");
+            ExitCode::FAILURE
+        }
+    };
     let load = |path: &str| -> Result<Schedule, ExitCode> {
         let text = std::fs::read_to_string(path).map_err(|e| {
             eprintln!("reading {path}: {e}");
@@ -416,25 +435,8 @@ fn repro_cli(args: &[String]) -> ExitCode {
                 }
             };
             match captured {
-                Ok(Some(mut s)) => {
-                    if do_shrink {
-                        let (small, report) = match repro::shrink(&s) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                eprintln!("shrink: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        eprintln!(
-                            "shrunk {} -> {} choices ({} candidates tried, {} accepted, {} rounds)",
-                            report.original_len,
-                            report.final_len,
-                            report.candidates_tried,
-                            report.candidates_accepted,
-                            report.rounds
-                        );
-                        s = small;
-                    }
+                Ok(Some(s)) if do_shrink => shrink_and_write(&s),
+                Ok(Some(s)) => {
                     write_or_print(&s, &out);
                     ExitCode::SUCCESS
                 }
@@ -457,24 +459,7 @@ fn repro_cli(args: &[String]) -> ExitCode {
                 Ok(s) => s,
                 Err(code) => return code,
             };
-            match repro::shrink(&s) {
-                Ok((small, report)) => {
-                    eprintln!(
-                        "shrunk {} -> {} choices ({} candidates tried, {} accepted, {} rounds)",
-                        report.original_len,
-                        report.final_len,
-                        report.candidates_tried,
-                        report.candidates_accepted,
-                        report.rounds
-                    );
-                    write_or_print(&small, &out);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            shrink_and_write(&s)
         }
         "replay" => {
             let Some(path) = positional.first() else {

@@ -17,27 +17,19 @@
 //! witness for them (`tests/corpus/*-byz-*.schedule`, checked by
 //! `sih-analysis` and CI).
 //!
+//! Every cell run is built by the workload registry's one constructor
+//! (`repro::Spec::run`, bare, with panic capture) and judged here by the
+//! algorithm's degraded checker.
+//!
 //! Every counter in the artifact comes from runs whose schedule depends
 //! only on `(cell, rung, seed)`, so the JSON is bitwise identical for
 //! any `--threads`.
 
 use crate::json::{ObjectBuilder, Value};
-use crate::repro::quiet_catch;
-use sih_agreement::{
-    check_k_set_agreement_degraded, distinct_proposals, equivocator_processes, fig2_processes,
-    fig4_processes, Equivocator, Fig2SetAgreement, Fig4SetAgreement,
-};
-use sih_detectors::{Sigma, SigmaK, SigmaS};
-use sih_model::{
-    AdversaryPlan, Armor, AttackClass, AttackKind, AttackSpec, FailurePattern, MutationKind,
-    ProcessId, ProcessSet, Time,
-};
-use sih_registers::{
-    abd_processes, check_linearizable_degraded, split_ack_processes, two_writer_workload,
-    SplitAckForger,
-};
+use crate::repro::{every_link, Algo, Layer, Pools, Ran, Spec, EQUIVOCATE, HONEST, SPLIT_ACK};
+use sih_model::{AdversaryPlan, Armor, AttackClass, AttackSpec, MutationKind};
 use sih_runtime::sweep::Sweep;
-use sih_runtime::{Driver, LivenessVerdict, RunOutcome, SimPool, Simulation, Trace, TraceLevel};
+use sih_runtime::{Driver, LivenessVerdict, RunOutcome, Schedule, TraceLevel};
 use std::fmt;
 use std::time::Instant;
 
@@ -64,7 +56,7 @@ impl Default for ByzantineLabConfig {
 /// One (workload, attack) cell of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CellSpec {
-    workload: &'static str,
+    algo: Algo,
     attack: &'static str,
 }
 
@@ -72,21 +64,21 @@ struct CellSpec {
 /// workload's messages, plus the workload's scripted attack if it has
 /// one.
 const CELLS: [CellSpec; 15] = [
-    CellSpec { workload: "fig2", attack: "flip" },
-    CellSpec { workload: "fig2", attack: "perturb" },
-    CellSpec { workload: "fig2", attack: "replay" },
-    CellSpec { workload: "fig2", attack: "forge-sender" },
-    CellSpec { workload: "fig2", attack: "equivocate" },
-    CellSpec { workload: "fig4", attack: "flip" },
-    CellSpec { workload: "fig4", attack: "perturb" },
-    CellSpec { workload: "fig4", attack: "replay" },
-    CellSpec { workload: "fig4", attack: "forge-sender" },
-    CellSpec { workload: "abd", attack: "flip" },
-    CellSpec { workload: "abd", attack: "perturb" },
-    CellSpec { workload: "abd", attack: "replay" },
-    CellSpec { workload: "abd", attack: "forge-sender" },
-    CellSpec { workload: "abd", attack: "forge-ack" },
-    CellSpec { workload: "abd", attack: "split-ack" },
+    CellSpec { algo: Algo::Fig2, attack: "flip" },
+    CellSpec { algo: Algo::Fig2, attack: "perturb" },
+    CellSpec { algo: Algo::Fig2, attack: "replay" },
+    CellSpec { algo: Algo::Fig2, attack: "forge-sender" },
+    CellSpec { algo: Algo::Fig2, attack: "equivocate" },
+    CellSpec { algo: Algo::Fig4, attack: "flip" },
+    CellSpec { algo: Algo::Fig4, attack: "perturb" },
+    CellSpec { algo: Algo::Fig4, attack: "replay" },
+    CellSpec { algo: Algo::Fig4, attack: "forge-sender" },
+    CellSpec { algo: Algo::Abd, attack: "flip" },
+    CellSpec { algo: Algo::Abd, attack: "perturb" },
+    CellSpec { algo: Algo::Abd, attack: "replay" },
+    CellSpec { algo: Algo::Abd, attack: "forge-sender" },
+    CellSpec { algo: Algo::Abd, attack: "forge-ack" },
+    CellSpec { algo: Algo::Abd, attack: "split-ack" },
 ];
 
 /// The attack class a cell's attack belongs to (decides which armor rung
@@ -123,10 +115,9 @@ pub fn cell_witness(workload: &str, attack: &str) -> Option<&'static str> {
 /// processes: the mutation plan (honest for scripted attacks) and the
 /// attack spec (for the two scripted attacks).
 fn cell_adversary(spec: &CellSpec, n: usize) -> (AdversaryPlan, Option<AttackSpec>) {
-    let honest = AdversaryPlan::honest(n);
     match spec.attack {
-        "equivocate" => (honest, Some(AttackSpec { kind: AttackKind::Equivocate, x: 99 })),
-        "split-ack" => (honest, Some(AttackSpec { kind: AttackKind::SplitAck, x: 55 })),
+        "equivocate" => (AdversaryPlan::honest(n), Some(EQUIVOCATE)),
+        "split-ack" => (AdversaryPlan::honest(n), Some(SPLIT_ACK)),
         name => {
             let kind = MutationKind::from_name(name).expect("cell names a mutation kind");
             let x = match kind {
@@ -135,27 +126,11 @@ fn cell_adversary(spec: &CellSpec, n: usize) -> (AdversaryPlan, Option<AttackSpe
                 MutationKind::ForgeAck => 77,
                 MutationKind::Flip | MutationKind::Replay => 0,
             };
-            // The kind on every directed link from t=0, unbounded: the
-            // matrix charts worst-case degradation per mutation class,
-            // not a lucky schedule's near-miss, so the pressure must not
-            // depend on which link the scheduler happens to exercise.
-            let mut b = AdversaryPlan::builder(n);
-            for src in 0..n as u32 {
-                for dst in 0..n as u32 {
-                    if src == dst {
-                        continue;
-                    }
-                    let (s, d) = (ProcessId(src), ProcessId(dst));
-                    b = match kind {
-                        MutationKind::Flip => b.flip(s, d, Time::ZERO, None),
-                        MutationKind::Perturb => b.perturb(s, d, x, Time::ZERO, None),
-                        MutationKind::Replay => b.replay(s, d, Time::ZERO, None),
-                        MutationKind::ForgeSender => b.forge_sender(s, d, x, Time::ZERO, None),
-                        MutationKind::ForgeAck => b.forge_ack(s, d, x, Time::ZERO, None),
-                    };
-                }
-            }
-            (b.build(), None)
+            // The kind on every directed link: the matrix charts
+            // worst-case degradation per mutation class, not a lucky
+            // schedule's near-miss, so the pressure must not depend on
+            // which link the scheduler happens to exercise.
+            (every_link(n, kind, x), None)
         }
     }
 }
@@ -374,8 +349,6 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
     assert!(cfg.n >= 3, "the byzantine matrix needs n >= 3");
     let t0 = Instant::now();
     let n = cfg.n;
-    let pattern = FailurePattern::all_correct(n);
-    let proposals = distinct_proposals(n);
     let ladder = Armor::LADDER.len();
 
     // The canonical grid: every (cell, rung) leg × every seed.
@@ -387,95 +360,35 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
     }
 
     let max_steps = cfg.max_steps;
-    let samples: Vec<Sample> = Sweep::new(cfg.threads).run(grid, || {
-        let pattern = pattern.clone();
-        let proposals = proposals.clone();
-        let mut fig2 =
-            SimPool::<Equivocator<Fig2SetAgreement>>::with_trace_level(TraceLevel::Light);
-        let mut fig4 = SimPool::<Fig4SetAgreement>::with_trace_level(TraceLevel::Light);
-        let mut abd = SimPool::<SplitAckForger>::with_trace_level(TraceLevel::Light);
+    let sweep = Sweep::new(cfg.threads);
+    let workers = sweep.effective_threads(grid.len());
+    let samples: Vec<Sample> = sweep.run(grid, || {
+        let mut pools = Pools::new(TraceLevel::Light);
         move |_idx, (leg, seed): (usize, u64)| {
             let spec = &CELLS[leg / ladder];
             let armor = Armor::LADDER[leg % ladder];
             let (plan, attack) = cell_adversary(spec, n);
-            let fair = Driver::Fair { seed, max_steps };
-            let agreement = |tr: &Trace, reason| {
-                check_k_set_agreement_degraded(tr, &pattern, &proposals, n - 1, reason)
-            };
-            // Runs on the raw automata (no stubborn layer): the adversary
+            // Runs on the bare automata (no stubborn layer): the adversary
             // consumes and replaces envelopes at the network, and this
-            // tier studies the bare protocol's degradation.
-            //
-            // A mutated value can trip an automaton invariant (e.g.
-            // Fig. 2's validity `expect`); that is a violation-grade
-            // outcome of its own, not a harness crash. The pool resets
-            // fully on the next acquire.
-            let ran = quiet_catch(std::panic::AssertUnwindSafe(|| match spec.workload {
-                "fig2" => {
-                    let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, seed);
-                    let procs = equivocator_processes(
-                        fig2_processes(&proposals),
-                        ProcessId(0),
-                        attack,
-                        armor,
-                    );
-                    let sim = fig2.acquire(procs, &pattern);
-                    if !plan.is_honest() {
-                        sim.set_adversary(plan.clone(), armor);
-                    }
-                    let outcome = sim.drive(fair, &sigma, Simulation::all_correct_decided, None);
-                    let v = agreement(sim.trace(), outcome.reason);
-                    (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
-                }
-                "fig4" => {
-                    // Figure 4 has no scripted attack (its fan-outs are
-                    // already relay-tagged): only the network plan applies.
-                    let active = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let det = SigmaK::new(active, &pattern, seed);
-                    let sim = fig4.acquire(fig4_processes(&proposals), &pattern);
-                    if !plan.is_honest() {
-                        sim.set_adversary(plan.clone(), armor);
-                    }
-                    let outcome = sim.drive(fair, &det, Simulation::all_correct_decided, None);
-                    let v = agreement(sim.trace(), outcome.reason);
-                    (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
-                }
-                "abd" => {
-                    let (s, scripts) = two_writer_workload();
-                    let det = SigmaS::new(s, &pattern, seed);
-                    let attacker = ProcessId(n as u32 - 1);
-                    let procs =
-                        split_ack_processes(abd_processes(s, n, scripts), attacker, attack, armor);
-                    let sim = abd.acquire(procs, &pattern);
-                    if !plan.is_honest() {
-                        sim.set_adversary(plan.clone(), armor);
-                    }
-                    let done = |sim: &Simulation<SplitAckForger>| {
-                        s.iter().all(|p| sim.process(p).inner().script_finished())
+            // tier studies the bare protocol's degradation. A mutated
+            // value can trip an automaton invariant (e.g. Fig. 2's
+            // validity `expect`); that is a violation-grade outcome of its
+            // own, not a harness crash.
+            let s =
+                Schedule { adversary: plan, attack, armor, ..HONEST.header(n, 1, seed, max_steps) };
+            let fair = Driver::Fair { seed, max_steps };
+            match Spec::matrix(spec.algo).run(&s, &mut pools, Layer::Bare, fair, None) {
+                Ok(Ran { outcome: Some(o), trace, check, .. }) => {
+                    let verdict = match check.degraded(trace, &s.pattern, o.reason) {
+                        Ok(LivenessVerdict::Live) => RunVerdict::Live,
+                        Ok(LivenessVerdict::SafeButNotLive) => RunVerdict::SafeNotLive,
+                        Err(_) => RunVerdict::Violation,
                     };
-                    let outcome = sim.drive(fair, &det, done, None);
-                    let v = check_linearizable_degraded(
-                        &sim.trace().op_records(),
-                        None,
-                        &pattern,
-                        outcome.reason,
-                    );
-                    (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
+                    (leg, verdict, Some(o))
                 }
-                other => unreachable!("workload {other}"),
-            }));
-            match ran {
-                Ok((safe, live, outcome)) => {
-                    let verdict = if !safe {
-                        RunVerdict::Violation
-                    } else if live {
-                        RunVerdict::Live
-                    } else {
-                        RunVerdict::SafeNotLive
-                    };
-                    (leg, verdict, Some(outcome))
-                }
-                Err(()) => (leg, RunVerdict::Panic, None),
+                // A panicked run (or, impossibly at n >= 3, a rejected
+                // setup) left no counters.
+                _ => (leg, RunVerdict::Panic, None),
             }
         }
     });
@@ -490,12 +403,12 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
                 .position(|a| a.defeats(class))
                 .expect("the full ladder defeats every class") as u8;
             ByzantineCell {
-                workload: spec.workload,
+                workload: spec.algo.label(),
                 attack: spec.attack,
                 class_rung,
                 rungs: vec![RungStats::default(); ladder],
                 defeating_rung: None,
-                witness: cell_witness(spec.workload, spec.attack),
+                witness: cell_witness(spec.algo.label(), spec.attack),
             }
         })
         .collect();
@@ -521,10 +434,6 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
         c.defeating_rung = c.rungs.iter().position(|s| s.fully_live() && s.safe()).map(|r| r as u8);
     }
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     ByzantineBenchReport { cfg: *cfg, workers, cells, wall_ms }
 }

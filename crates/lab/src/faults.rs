@@ -4,23 +4,23 @@
 //! permanent-partition starvation witness. Emits the `BENCH_faults.json`
 //! artifact CI archives per revision.
 //!
+//! Every cell run is built by the workload registry's one constructor
+//! (`repro::Spec::run`, inside its `Stubborn` layer) and judged here by
+//! the algorithm's degraded checker.
+//!
 //! Safety must hold under *every* plan; liveness is asserted only for
 //! plans with a finite `quiescence_time()`. Every counter in the artifact
 //! comes from runs whose schedule depends only on `(pattern, plan, seed)`,
 //! so the JSON is bitwise identical for any `--threads`.
 
 use crate::json::{ObjectBuilder, Value};
-use sih_agreement::{
-    check_k_set_agreement_degraded, distinct_proposals, fig2_processes, fig4_processes,
-    Fig2SetAgreement, Fig4SetAgreement,
-};
-use sih_detectors::{Sigma, SigmaK, SigmaS};
+use crate::repro::{Algo, Layer, Pools, Ran, Spec, HONEST, PANIC_VERDICT};
+use sih_detectors::SigmaS;
 use sih_model::{FailurePattern, LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time};
-use sih_registers::{abd_processes, check_linearizable_degraded, two_writer_workload, AbdRegister};
+use sih_registers::{abd_processes, check_linearizable_degraded, AbdRegister};
 use sih_runtime::sweep::Sweep;
 use sih_runtime::{
-    stubborn_processes, Driver, LivenessVerdict, RunOutcome, SimPool, Simulation, StopReason,
-    Stubborn, Trace, TraceLevel,
+    Driver, LivenessVerdict, RunOutcome, Schedule, Simulation, StopReason, TraceLevel,
 };
 use std::fmt;
 use std::time::Instant;
@@ -45,8 +45,8 @@ impl Default for FaultsLabConfig {
     }
 }
 
-/// The three workloads of the matrix.
-const WORKLOADS: [&str; 3] = ["fig2", "fig4", "abd"];
+/// The three algorithms of the matrix.
+const ALGOS: [Algo; 3] = [Algo::Fig2, Algo::Fig4, Algo::Abd];
 
 /// The three fault scenarios of the matrix (all with finite quiescence).
 const SCENARIOS: [&str; 3] = ["lossy", "duplicating", "partition-healed"];
@@ -93,7 +93,7 @@ fn scenario_plan(scenario: &str, n: usize) -> LinkFaultPlan {
 }
 
 /// Accumulated result of one (workload, scenario) cell of the matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultCell {
     /// Which algorithm ran (`"fig2"`, `"fig4"`, `"abd"`).
     pub workload: &'static str,
@@ -263,85 +263,29 @@ impl fmt::Display for FaultsBenchReport {
     }
 }
 
-/// Reusable simulations of the matrix workloads, one set per sweep
-/// worker. Every process is wrapped in a [`Stubborn`] retransmission
-/// layer.
-#[derive(Debug)]
-pub struct FaultPools {
-    fig2: SimPool<Stubborn<Fig2SetAgreement>>,
-    fig4: SimPool<Stubborn<Fig4SetAgreement>>,
-    abd: SimPool<Stubborn<AbdRegister>>,
-}
-
-impl FaultPools {
-    /// Empty pools recording at `level`.
-    pub fn with_trace_level(level: TraceLevel) -> Self {
-        FaultPools {
-            fig2: SimPool::with_trace_level(level),
-            fig4: SimPool::with_trace_level(level),
-            abd: SimPool::with_trace_level(level),
-        }
-    }
-}
-
-/// One run of a matrix workload (`"fig2"`, `"fig4"` or `"abd"`) over
-/// `plan`, judged by the workload's degraded checker — exactly what a
-/// matrix cell runs per seed. Figure 4 runs with `k = 1` (actives
-/// `{p0, p1}`); ABD runs the two-writer workload. The outcome carries the
-/// stop reason and network counters the degraded checkers need.
-///
-/// # Panics
-///
-/// Panics on an unknown workload name.
+/// One run of a matrix cell: `algo` over `plan`, judged by its degraded
+/// checker — exactly what a matrix cell runs per seed. Figure 4 runs with
+/// `k = 1` (actives `{p0, p1}`); ABD runs the two-writer workload. The
+/// outcome carries the stop reason and network counters the degraded
+/// checkers need; it is `None` (and the verdict an error) if the run
+/// panicked.
 pub fn run_fault_cell(
-    pools: &mut FaultPools,
-    workload: &str,
+    pools: &mut Pools,
+    algo: Algo,
     pattern: &FailurePattern,
     plan: &LinkFaultPlan,
     seed: u64,
     max_steps: u64,
-) -> (Result<LivenessVerdict, String>, RunOutcome) {
-    let n = pattern.n();
-    let proposals = distinct_proposals(n);
-    let fair = Driver::Fair { seed, max_steps };
-    let pair = ProcessSet::from_iter([0, 1].map(ProcessId));
-    let agreement = |tr: &Trace, reason| {
-        check_k_set_agreement_degraded(tr, pattern, &proposals, n - 1, reason)
-            .map_err(|e| e.to_string())
-    };
-    match workload {
-        "fig2" => {
-            let sigma = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-            let sim = pools.fig2.acquire(stubborn_processes(fig2_processes(&proposals)), pattern);
-            sim.set_link_faults(plan.clone());
-            let outcome = sim.drive(fair, &sigma, Simulation::all_correct_decided, None);
-            (agreement(sim.trace(), outcome.reason), outcome)
+) -> (Result<LivenessVerdict, String>, Option<RunOutcome>) {
+    let (n, fair) = (pattern.n(), Driver::Fair { seed, max_steps });
+    let (pattern, faults) = (pattern.clone(), plan.clone());
+    let s = Schedule { pattern, faults, ..HONEST.header(n, 1, seed, max_steps) };
+    match Spec::matrix(algo).run(&s, pools, Layer::Stubborn, fair, None) {
+        Ok(Ran { outcome: Some(o), trace, check, .. }) => {
+            (check.degraded(trace, &s.pattern, o.reason), Some(o))
         }
-        "fig4" => {
-            let det = SigmaK::new(pair, pattern, seed);
-            let sim = pools.fig4.acquire(stubborn_processes(fig4_processes(&proposals)), pattern);
-            sim.set_link_faults(plan.clone());
-            let outcome = sim.drive(fair, &det, Simulation::all_correct_decided, None);
-            (agreement(sim.trace(), outcome.reason), outcome)
-        }
-        "abd" => {
-            let (s, scripts) = two_writer_workload();
-            let det = SigmaS::new(s, pattern, seed);
-            let sim = pools.abd.acquire(stubborn_processes(abd_processes(s, n, scripts)), pattern);
-            sim.set_link_faults(plan.clone());
-            let done = |sim: &Simulation<Stubborn<AbdRegister>>| {
-                sim.pattern().correct().iter().all(|p| sim.process(p).inner().script_finished())
-            };
-            let outcome = sim.drive(fair, &det, done, None);
-            let v = check_linearizable_degraded(
-                &sim.trace().op_records(),
-                None,
-                pattern,
-                outcome.reason,
-            );
-            (v.map_err(|e| e.to_string()), outcome)
-        }
-        other => panic!("unknown fault workload {other:?}"),
+        Ok(_) => (Err(PANIC_VERDICT.to_string()), None),
+        Err(e) => (Err(e.to_string()), None),
     }
 }
 
@@ -373,7 +317,7 @@ fn starved_leg(pattern: &FailurePattern, budget: u64) -> StarvedLeg {
 
 /// One run's contribution to its cell: `(verdict, outcome)` folded
 /// serially in canonical grid order.
-type CellSample = (usize, Result<LivenessVerdict, String>, RunOutcome);
+type CellSample = (usize, Result<LivenessVerdict, String>, Option<RunOutcome>);
 
 /// Runs the full robustness matrix and the starvation leg.
 ///
@@ -389,21 +333,23 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
 
     // The canonical grid: every (workload, scenario) cell × every seed.
     let mut grid: Vec<(usize, u64)> = Vec::new();
-    for cell in 0..WORKLOADS.len() * SCENARIOS.len() {
+    for cell in 0..ALGOS.len() * SCENARIOS.len() {
         for seed in 0..cfg.seeds {
             grid.push((cell, seed));
         }
     }
 
     let max_steps = cfg.max_steps;
-    let samples: Vec<CellSample> = Sweep::new(cfg.threads).run(grid, || {
+    let sweep = Sweep::new(cfg.threads);
+    let workers = sweep.effective_threads(grid.len());
+    let samples: Vec<CellSample> = sweep.run(grid, || {
         let pattern = pattern.clone();
-        let mut pools = FaultPools::with_trace_level(TraceLevel::Light);
+        let mut pools = Pools::new(TraceLevel::Light);
         move |_idx, (cell, seed): (usize, u64)| {
-            let workload = WORKLOADS[cell / SCENARIOS.len()];
+            let algo = ALGOS[cell / SCENARIOS.len()];
             let plan = scenario_plan(SCENARIOS[cell % SCENARIOS.len()], n);
             let (verdict, outcome) =
-                run_fault_cell(&mut pools, workload, &pattern, &plan, seed, max_steps);
+                run_fault_cell(&mut pools, algo, &pattern, &plan, seed, max_steps);
             (cell, verdict, outcome)
         }
     });
@@ -411,27 +357,14 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     // Fold in canonical grid order (the sweep returns results in item
     // order, and the sums are order-independent anyway).
     let mut cells: Vec<FaultCell> = Vec::new();
-    for workload in WORKLOADS {
+    for algo in ALGOS {
         for scenario in SCENARIOS {
             let quiescence = scenario_plan(scenario, n)
                 .quiescence_time()
                 .expect("matrix scenarios all have finite quiescence")
                 .0;
-            cells.push(FaultCell {
-                workload,
-                scenario,
-                quiescence,
-                runs: 0,
-                live: 0,
-                safe_not_live: 0,
-                violations: 0,
-                steps: 0,
-                sent: 0,
-                delivered: 0,
-                dropped: 0,
-                duplicated: 0,
-                in_flight: 0,
-            });
+            let workload = algo.label();
+            cells.push(FaultCell { workload, scenario, quiescence, ..FaultCell::default() });
         }
     }
     for (cell, verdict, outcome) in samples {
@@ -442,20 +375,18 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
             Ok(LivenessVerdict::SafeButNotLive) => c.safe_not_live += 1,
             Err(_) => c.violations += 1,
         }
-        c.steps += outcome.steps;
-        c.sent += outcome.sent;
-        c.delivered += outcome.delivered;
-        c.dropped += outcome.dropped;
-        c.duplicated += outcome.duplicated;
-        c.in_flight += outcome.in_flight;
+        if let Some(o) = outcome {
+            c.steps += o.steps;
+            c.sent += o.sent;
+            c.delivered += o.delivered;
+            c.dropped += o.dropped;
+            c.duplicated += o.duplicated;
+            c.in_flight += o.in_flight;
+        }
     }
 
     let starved = starved_leg(&pattern, cfg.max_steps.max(1_000_000));
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     FaultsBenchReport { cfg: *cfg, workers, cells, starved, wall_ms }
 }
@@ -498,15 +429,18 @@ mod tests {
     fn each_workload_is_safe_and_live_once_its_faults_quiesce() {
         let n = 4;
         let pattern = FailurePattern::all_correct(n);
-        let mut pools = FaultPools::with_trace_level(TraceLevel::Full);
-        for (workload, scenario, seeds) in
-            [("fig2", "lossy", 0..3), ("fig4", "duplicating", 7..8), ("abd", "duplicating", 3..4)]
-        {
+        let mut pools = Pools::new(TraceLevel::Full);
+        for (algo, scenario, seeds) in [
+            (Algo::Fig2, "lossy", 0..3),
+            (Algo::Fig4, "duplicating", 7..8),
+            (Algo::Abd, "duplicating", 3..4),
+        ] {
             let plan = scenario_plan(scenario, n);
             for seed in seeds {
                 let (verdict, outcome) =
-                    run_fault_cell(&mut pools, workload, &pattern, &plan, seed, 400_000);
-                let cell = format!("{workload} × {scenario}, seed {seed}");
+                    run_fault_cell(&mut pools, algo, &pattern, &plan, seed, 400_000);
+                let cell = format!("{algo:?} × {scenario}, seed {seed}");
+                let outcome = outcome.expect("no panic");
                 assert_eq!(verdict, Ok(LivenessVerdict::Live), "{cell}");
                 assert!(outcome.dropped + outcome.duplicated > 0, "{cell}: faults saw no traffic");
                 assert_eq!(outcome.sent, outcome.delivered + outcome.dropped + outcome.in_flight);

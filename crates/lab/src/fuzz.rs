@@ -416,10 +416,8 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
         })
         .collect();
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
+    // The widest evaluation: the base corpus or one full batch.
+    let workers = sweep.effective_threads((seeds_loaded as usize).max(cfg.batch));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     FuzzBenchReport {
         cfg: *cfg,

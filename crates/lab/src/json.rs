@@ -279,6 +279,42 @@ impl ObjectBuilder {
     }
 }
 
+/// Whether the baseline gate ignores `key`: wall clock and the rates and
+/// speedups derived from it, plus the runner-dependent fields.
+fn gate_ignores(key: &str) -> bool {
+    matches!(key, "wall_ms" | "frontier_regressed" | "peak_rss_kb" | "workers" | "threads")
+        || key.ends_with("_per_sec")
+        || key.ends_with("speedup")
+}
+
+/// The path (`$.cells[3].live`) of the first difference between a
+/// committed bench `baseline` and a `fresh` run, or `None` if they agree.
+/// Keys [`gate_ignores`] are skipped at every depth; a key present on one
+/// side only is a difference. `lab gate` and the tier-1 baseline tests
+/// share this comparison.
+pub fn first_difference(baseline: &Value, fresh: &Value) -> Option<String> {
+    fn walk(a: &Value, b: &Value, path: String) -> Option<String> {
+        match (a, b) {
+            (Value::Object(x), Value::Object(y)) => {
+                let keys: std::collections::BTreeSet<&String> =
+                    x.keys().chain(y.keys()).filter(|k| !gate_ignores(k)).collect();
+                keys.into_iter().find_map(|k| match (x.get(k), y.get(k)) {
+                    (Some(u), Some(v)) => walk(u, v, format!("{path}.{k}")),
+                    _ => Some(format!("{path}.{k}")),
+                })
+            }
+            (Value::Array(x), Value::Array(y)) => {
+                (0..x.len().max(y.len())).find_map(|i| match (x.get(i), y.get(i)) {
+                    (Some(u), Some(v)) => walk(u, v, format!("{path}[{i}]")),
+                    _ => Some(format!("{path}[{i}]")),
+                })
+            }
+            _ => (a != b).then_some(path),
+        }
+    }
+    walk(baseline, fresh, "$".to_string())
+}
+
 /// Parses a JSON document.
 ///
 /// # Errors
@@ -606,5 +642,20 @@ mod tests {
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Object(BTreeMap::new()));
         assert_eq!(Value::Null.to_string_compact(), "null");
+    }
+
+    #[test]
+    fn gate_names_the_first_difference_and_ignores_wall_clock() {
+        let base = parse(r#"{"a": 1, "cells": [{"x": 2, "wall_ms": 3}], "workers": 4}"#).unwrap();
+        let same = parse(r#"{"a": 1, "cells": [{"x": 2, "wall_ms": 9}], "workers": 1}"#).unwrap();
+        assert_eq!(first_difference(&base, &same), None);
+        let moved = parse(r#"{"a": 1, "cells": [{"x": 5, "wall_ms": 3}], "workers": 4}"#).unwrap();
+        assert_eq!(first_difference(&base, &moved).as_deref(), Some("$.cells[0].x"));
+        let extra = parse(r#"{"a": 1, "b": 0, "cells": [{"x": 2}]}"#).unwrap();
+        assert_eq!(first_difference(&base, &extra).as_deref(), Some("$.b"));
+        let short = parse(r#"{"a": 1, "cells": []}"#).unwrap();
+        assert_eq!(first_difference(&base, &short).as_deref(), Some("$.cells[0]"));
+        let rates = parse(r#"{"runs_per_sec": 1, "speedup": 2, "peak_rss_kb": 3}"#).unwrap();
+        assert_eq!(first_difference(&rates, &parse("{}").unwrap()), None);
     }
 }

@@ -40,8 +40,7 @@ pub use byzantine::{
 pub use experiments::{run_experiment, LabConfig, EXPERIMENT_IDS};
 pub use explore::{run_explore_bench, ExploreBenchReport, ExploreLabConfig};
 pub use faults::{
-    run_fault_cell, run_faults_bench, FaultCell, FaultPools, FaultsBenchReport, FaultsLabConfig,
-    StarvedLeg,
+    run_fault_cell, run_faults_bench, FaultCell, FaultsBenchReport, FaultsLabConfig, StarvedLeg,
 };
 pub use fuzz::{
     load_seed_schedules, run_fuzz_bench, FuzzBenchReport, FuzzLabConfig, FuzzWitness,

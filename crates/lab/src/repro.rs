@@ -1,10 +1,20 @@
-//! Counterexample harness: record, shrink, replay (`lab repro`).
+//! The workload registry and the counterexample harness (`lab repro`).
 //!
-//! This module binds the serializable [`Schedule`] artifact of
-//! `sih_runtime::repro` to concrete **workloads** — named, fully
-//! reconstructible configurations of one algorithm + one detector + one
-//! checker. A schedule names its workload (`checker:` line), so replaying
-//! it needs nothing but the schedule file: the registry rebuilds the
+//! **The registry.** A [`Workload`] row is one named, fully
+//! reconstructible run description: its algorithm ([`Algo`]), its
+//! detector twin ([`Twin`]), its ABD client scripts and its default
+//! environment ([`Env`]: crash pattern, link-fault plan, adversary plan,
+//! attack). `Spec::run` is the one constructor behind every run the lab
+//! drives: given a schedule header (the environment), a dispatch on
+//! [`Algo`] builds the automata and the detector, fixes the stop
+//! predicate and the checker (with its `k`), and drives the run bare or
+//! inside the `Stubborn` retransmission layer.
+//! Its three callers — this module's record/replay driver, the `lab
+//! faults` matrix and the `lab byzantine` matrix — each receive the
+//! finished trace and outcome and judge them themselves.
+//!
+//! **The harness.** A schedule names its workload (`checker:` line), so
+//! replaying it needs nothing but the schedule file: the row rebuilds the
 //! automata and detector from `n`, `k` and `seed`, installs the recorded
 //! crash pattern, link-fault plan and adversary, and re-executes the
 //! choice sequence through [`Simulation::drive`] with a
@@ -32,29 +42,169 @@
 //! first-class shrinkable artifacts.
 
 use sih_agreement::{
-    check_k_agreement_safety, distinct_proposals, equivocator_processes, fig2_processes,
-    fig4_processes,
+    check_k_agreement_safety, check_k_set_agreement_degraded, distinct_proposals,
+    equivocator_processes, fig2_processes, fig4_processes, Equivocator, Fig2SetAgreement,
+    Fig4SetAgreement,
 };
 use sih_detectors::{check_anti_omega, Sigma, SigmaK, SigmaS, WeakSigma, WeakSigmaK, WeakSigmaS};
 use sih_model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, FdOutput,
-    LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time, Value,
+    LinkFaultPlan, MutationKind, MutationWindow, OpKind, ProcessId, ProcessSet, Time, Value,
 };
 use sih_reductions::Fig6WithoutChange;
 use sih_registers::{
-    abd_processes, check_linearizable, split_ack_processes, two_writer_workload,
-    LinearizabilityViolation, SplitAckForger,
+    abd_processes, check_linearizable, check_linearizable_degraded, split_ack_processes,
+    two_writer_workload, LinearizabilityViolation, SplitAckForger,
 };
 use sih_runtime::sweep::Sweep;
 pub use sih_runtime::ReplayMode;
 use sih_runtime::{
-    shrink_schedule, Automaton, Choice, Corruptible, Driver, Schedule, ShrinkOptions, ShrinkReport,
-    Simulation,
+    shrink_schedule, stubborn_processes, Automaton, Choice, Corruptible, Driver, LivenessVerdict,
+    RunOutcome, Schedule, ShrinkOptions, ShrinkReport, SimPool, Simulation, StopReason, Stubborn,
+    Trace, TraceLevel,
 };
 use std::fmt;
 
 /// The verdict token of a run that tripped an engine or automaton panic.
 pub const PANIC_VERDICT: &str = "panic";
+
+/// The algorithm a run executes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Algo {
+    /// Figure 2: `(n−1)`-set agreement from σ (R1).
+    Fig2,
+    /// Figure 4: `(n−k)`-set agreement from σ_2k, actives `{p0 … p(2k−1)}`
+    /// (R4).
+    Fig4,
+    /// The ABD register for its clients, quorums from Σ_S (Prop. 1 route).
+    Abd,
+    /// Figure 6 minus the CHANGE handshake, over σ (R10 witness).
+    Fig6WithoutChange,
+}
+
+impl Algo {
+    /// The matrix label (`fig2`, `fig4`, `abd`, `fig6`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Algo::Fig2 => "fig2",
+            Algo::Fig4 => "fig4",
+            Algo::Abd => "abd",
+            Algo::Fig6WithoutChange => "fig6",
+        }
+    }
+
+    /// The smallest `n` a run at parameter `k` can be built with — also
+    /// the shrinker's `n`-reduction floor.
+    pub fn min_n(self, k: usize) -> usize {
+        match self {
+            Algo::Fig4 => k.saturating_mul(2).max(2),
+            _ => 2,
+        }
+    }
+
+    /// Rejects parameters outside the constructible range.
+    fn check(self, n: usize, k: usize) -> Result<(), ReproError> {
+        let (label, min) = (self.label(), self.min_n(k));
+        if n < min || (self == Algo::Fig4 && k < 1) {
+            return Err(ReproError::BadParams(format!(
+                "{label} at k={k} needs n >= {min} (fig4: k >= 1), got n={n}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Default system size for `record`.
+    fn default_n(self) -> usize {
+        match self {
+            Algo::Fig2 => 3,
+            _ => 4,
+        }
+    }
+
+    /// Default step bound for `record`.
+    fn default_steps(self) -> u64 {
+        match self {
+            Algo::Fig2 | Algo::Fig4 => 4_000,
+            Algo::Abd => 6_000,
+            Algo::Fig6WithoutChange => 60_000,
+        }
+    }
+}
+
+/// Which detector a run queries: the sound one its algorithm assumes
+/// (σ, σ_2k or Σ_S), or the `sih_detectors::weak` twin with the
+/// intersection/quorum hypothesis disabled.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Twin {
+    /// The sound detector.
+    Sound,
+    /// Its weakened twin.
+    Weak,
+}
+
+/// ABD client scripts: the clients `S` and one script per member.
+pub type Clients = fn() -> (ProcessSet, Vec<Vec<OpKind>>);
+
+/// What a run executes: an algorithm, the detector twin it queries and
+/// (read by [`Algo::Abd`] only) its client scripts.
+#[derive(Clone, Copy, Debug)]
+pub struct Spec {
+    /// The algorithm.
+    pub algo: Algo,
+    /// The detector twin.
+    pub twin: Twin,
+    /// The ABD client scripts.
+    pub clients: Clients,
+}
+
+/// A workload's default environment — what a fresh `record` run uses.
+#[derive(Clone, Copy, Debug)]
+pub struct Env {
+    /// The crash pattern at system size `n`.
+    pub pattern: fn(usize) -> FailurePattern,
+    /// The link-fault plan at system size `n`.
+    pub faults: fn(usize) -> LinkFaultPlan,
+    /// The mutation adversary at system size `n`.
+    pub adversary: fn(usize) -> AdversaryPlan,
+    /// The scripted protocol attack.
+    pub attack: Option<AttackSpec>,
+}
+
+impl Env {
+    /// An anonymous header in this environment at system size `n` (no
+    /// checker, choices or verdict).
+    pub(crate) fn header(&self, n: usize, k: usize, seed: u64, max_steps: u64) -> Schedule {
+        Schedule {
+            checker: String::new(),
+            n,
+            k,
+            seed,
+            max_steps,
+            pattern: (self.pattern)(n),
+            faults: (self.faults)(n),
+            adversary: (self.adversary)(n),
+            attack: self.attack,
+            armor: Armor::NONE,
+            choices: Vec::new(),
+            verdict: String::new(),
+        }
+    }
+}
+
+/// Everyone correct, reliable links, no adversary.
+pub(crate) const HONEST: Env = Env {
+    pattern: FailurePattern::all_correct,
+    faults: LinkFaultPlan::reliable,
+    adversary: AdversaryPlan::honest,
+    attack: None,
+};
+
+/// The Fig. 2 equivocation attack: p0 tells odd peers the story `x = 99`.
+pub(crate) const EQUIVOCATE: AttackSpec = AttackSpec { kind: AttackKind::Equivocate, x: 99 };
+
+/// The ABD split-ack attack: the last replica answers odd clients with an
+/// invented view.
+pub(crate) const SPLIT_ACK: AttackSpec = AttackSpec { kind: AttackKind::SplitAck, x: 55 };
 
 /// One registered workload: a named, reconstructible configuration the
 /// schedule format can reference.
@@ -64,13 +214,13 @@ pub struct Workload {
     pub name: &'static str,
     /// One-line description.
     pub summary: &'static str,
+    /// What it runs.
+    pub spec: Spec,
+    /// The environment of a fresh `record` run.
+    pub env: Env,
     /// Whether a fresh fair-scheduler run is expected to end `ok`
     /// (sound detector) or to witness a violation (weakened twin).
     pub expect_ok: bool,
-    /// Default system size for `record`.
-    pub default_n: usize,
-    /// Default step bound for `record`.
-    pub default_steps: u64,
 }
 
 /// The workload registry. Names here are the only valid `checker:`
@@ -80,99 +230,101 @@ pub const WORKLOADS: &[Workload] = &[
     Workload {
         name: "fig2-sigma",
         summary: "Fig. 2 (n-1)-set agreement from sound σ (R1, holds)",
+        spec: Spec { algo: Algo::Fig2, twin: Twin::Sound, clients: one_writer },
+        env: HONEST,
         expect_ok: true,
-        default_n: 3,
-        default_steps: 4_000,
     },
     Workload {
         name: "fig2-weak-sigma",
         summary: "Fig. 2 under σ with intersection disabled (R1 negative witness)",
+        spec: Spec { algo: Algo::Fig2, twin: Twin::Weak, clients: one_writer },
+        env: HONEST,
         expect_ok: false,
-        default_n: 3,
-        default_steps: 4_000,
     },
     Workload {
         name: "fig4-sigma-k",
         summary: "Fig. 4 (n-k)-set agreement from sound σ_2k (R4, holds)",
+        spec: Spec { algo: Algo::Fig4, twin: Twin::Sound, clients: one_writer },
+        env: HONEST,
         expect_ok: true,
-        default_n: 4,
-        default_steps: 4_000,
     },
     Workload {
         name: "fig4-weak-sigma-k",
         summary: "Fig. 4 under σ_2k with intersection disabled (R4 negative witness)",
+        spec: Spec { algo: Algo::Fig4, twin: Twin::Weak, clients: one_writer },
+        env: HONEST,
         expect_ok: false,
-        default_n: 4,
-        default_steps: 4_000,
     },
     Workload {
         name: "abd-sigma-s",
         summary: "ABD register in S from sound Σ_S (Prop. 1 route, holds)",
+        spec: Spec { algo: Algo::Abd, twin: Twin::Sound, clients: one_writer },
+        env: HONEST,
         expect_ok: true,
-        default_n: 4,
-        default_steps: 6_000,
     },
     Workload {
         name: "abd-weak-quorum",
         summary: "ABD register with quorum intersection disabled (stale read)",
+        spec: Spec { algo: Algo::Abd, twin: Twin::Weak, clients: one_writer },
+        env: Env { faults: cut_writeback, ..HONEST },
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
     },
     Workload {
         name: "fig6-without-change",
         summary: "Fig. 6 minus the CHANGE handshake: anti-Ω breaks (R10 witness)",
+        spec: Spec { algo: Algo::Fig6WithoutChange, twin: Twin::Sound, clients: one_writer },
+        env: Env { pattern: non_actives_crash, ..HONEST },
         expect_ok: false,
-        default_n: 4,
-        default_steps: 60_000,
     },
     Workload {
         name: "fig2-byz-perturb",
         summary: "Fig. 2 under a value-perturbing network adversary (validity attack)",
+        spec: Spec { algo: Algo::Fig2, twin: Twin::Sound, clients: one_writer },
+        env: Env { adversary: perturb_p0_to_p1, ..HONEST },
         expect_ok: false,
-        default_n: 3,
-        default_steps: 4_000,
     },
     Workload {
         name: "fig2-byz-equivocate",
         summary: "Fig. 2 with p0 equivocating per recipient (agreement/validity attack)",
+        spec: Spec { algo: Algo::Fig2, twin: Twin::Sound, clients: one_writer },
+        env: Env { attack: Some(EQUIVOCATE), ..HONEST },
         expect_ok: false,
-        default_n: 3,
-        default_steps: 4_000,
     },
     Workload {
         name: "fig4-byz-perturb",
         summary: "Fig. 4 under a value-perturbing network adversary (validity attack)",
+        spec: Spec { algo: Algo::Fig4, twin: Twin::Sound, clients: one_writer },
+        env: Env { adversary: perturb_p0_to_p1, ..HONEST },
         expect_ok: false,
-        default_n: 4,
-        default_steps: 4_000,
     },
     Workload {
         name: "abd-byz-perturb",
         summary: "ABD under timestamp-perturbing links (write order scrambled)",
+        spec: Spec { algo: Algo::Abd, twin: Twin::Sound, clients: two_writer_workload },
+        env: Env { adversary: perturb_every_link, ..HONEST },
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
     },
     Workload {
         name: "abd-byz-forge-ack",
         summary: "ABD under fabricated quorum acks in flight (stale-future read)",
+        spec: Spec { algo: Algo::Abd, twin: Twin::Sound, clients: one_writer },
+        env: Env { adversary: forge_ack_to_reader, ..HONEST },
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
     },
     Workload {
         name: "abd-byz-split-ack",
         summary: "ABD with one replica forging split acks per client (atomicity attack)",
+        spec: Spec { algo: Algo::Abd, twin: Twin::Sound, clients: one_writer },
+        env: Env { attack: Some(SPLIT_ACK), ..HONEST },
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
     },
 ];
 
 /// The workloads whose reconstruction honors the schedule's adversary
-/// fields. Every other workload rejects a non-default adversary plan,
-/// attack or armor rung instead of silently ignoring it.
+/// fields — exactly the rows whose default environment carries an
+/// adversary plan or an attack. Every other workload rejects a
+/// non-default adversary plan, attack or armor rung instead of silently
+/// ignoring it.
 pub const BYZ_WORKLOADS: &[&str] = &[
     "fig2-byz-perturb",
     "fig2-byz-equivocate",
@@ -182,17 +334,81 @@ pub const BYZ_WORKLOADS: &[&str] = &[
     "abd-byz-split-ack",
 ];
 
+/// The one-writer register workload: `p0` writes once, `p1` reads
+/// repeatedly (long enough that late reads start after the write
+/// returned).
+fn one_writer() -> (ProcessSet, Vec<Vec<OpKind>>) {
+    let s: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
+    let scripts = vec![vec![OpKind::Write(Value(7))], vec![OpKind::Read; 6]];
+    (s, scripts)
+}
+
+/// Fig. 6's crossed pair needs the non-actives to announce and crash; σ
+/// then stabilizes to {p0} at p0.
+fn non_actives_crash(n: usize) -> FailurePattern {
+    if n < 4 {
+        return FailurePattern::all_correct(n);
+    }
+    FailurePattern::builder(n)
+        .crash_at(ProcessId(2), Time(40))
+        .crash_at(ProcessId(3), Time(40))
+        .build()
+}
+
+/// The planted quorum violation: p0's writeback traffic never reaches the
+/// other replicas, so a singleton-quorum read at p1 is guaranteed stale
+/// (with sound Σ_S the write could not have completed without a real
+/// quorum, so this plan is harmless to the sound twin).
+fn cut_writeback(n: usize) -> LinkFaultPlan {
+    let mut b = LinkFaultPlan::builder(n);
+    for q in 1..n as u32 {
+        b = b.drop_link(ProcessId(0), ProcessId(q), Time::ZERO, None);
+    }
+    b.build()
+}
+
+/// Perturbing p0's traffic to p1 injects a never-proposed value into the
+/// decision flood: a validity violation at p1.
+fn perturb_p0_to_p1(n: usize) -> AdversaryPlan {
+    AdversaryPlan::builder(n).perturb(ProcessId(0), ProcessId(1), 100, Time::ZERO, None).build()
+}
+
+/// Timestamp perturbation on every link scrambles the apparent order of
+/// the two writes; some seed's read observes the flip.
+fn perturb_every_link(n: usize) -> AdversaryPlan {
+    every_link(n, MutationKind::Perturb, 100)
+}
+
+/// A fabricated quorum ack from the last replica to the reader carries a
+/// future timestamp; its value wins the read's max.
+fn forge_ack_to_reader(n: usize) -> AdversaryPlan {
+    AdversaryPlan::builder(n)
+        .forge_ack(ProcessId(n as u32 - 1), ProcessId(1), 77, Time::ZERO, None)
+        .build()
+}
+
+/// `kind` (parameter `x`) on every directed link from t=0, unbounded.
+pub(crate) fn every_link(n: usize, kind: MutationKind, x: u64) -> AdversaryPlan {
+    let mut b = AdversaryPlan::builder(n);
+    for src in (0..n as u32).map(ProcessId) {
+        for dst in (0..n as u32).map(ProcessId).filter(|&dst| dst != src) {
+            let (stride, offset, from, until) = (1, 0, Time::ZERO, None);
+            b = b.mutate(MutationWindow { src, dst, kind, x, stride, offset, from, until });
+        }
+    }
+    b.build()
+}
+
 /// Looks up a workload by name.
 pub fn workload(name: &str) -> Option<&'static Workload> {
     WORKLOADS.iter().find(|w| w.name == name)
 }
 
-/// The smallest `n` the workload's claim still covers — the shrinker's
-/// `n`-reduction floor.
-pub fn min_n(name: &str, k: usize) -> usize {
-    match name {
-        "fig4-sigma-k" | "fig4-weak-sigma-k" => (2 * k).max(2),
-        _ => 2,
+impl Workload {
+    /// Whether the row honors a schedule's adversary fields (its default
+    /// environment carries an adversary plan or an attack).
+    pub(crate) fn honors_adversary(&self) -> bool {
+        self.env.attack.is_some() || !(self.env.adversary)(self.spec.algo.default_n()).is_honest()
     }
 }
 
@@ -223,12 +439,6 @@ impl fmt::Display for ReproError {
 
 impl std::error::Error for ReproError {}
 
-/// What a driven run produced.
-struct RunResult {
-    verdict: String,
-    executed: Vec<Choice>,
-}
-
 // ---- quiet panic capture ------------------------------------------------
 
 thread_local! {
@@ -240,7 +450,7 @@ static INSTALL_HOOK: std::sync::Once = std::sync::Once::new();
 /// stderr. The replacement hook is installed once and delegates to the
 /// previous hook for every thread that is not inside `quiet_catch`, so
 /// unrelated panics keep their backtraces.
-pub(crate) fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
+fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
     INSTALL_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -255,83 +465,296 @@ pub(crate) fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
     r.map_err(|_| ())
 }
 
-// ---- the generic driver -------------------------------------------------
+// ---- the one constructor ------------------------------------------------
 
-/// Builds the simulation under the schedule's crash pattern, link-fault
-/// plan and adversary, drives it per `driver` (pushing per-step
-/// fingerprints into `fingerprints`, if given), and computes the verdict.
-/// Panics anywhere in the stepped region (illegal strict choice,
-/// automaton `expect`, checker assertion) become [`PANIC_VERDICT`]; the
-/// executed script is still meaningful because the engine records each
-/// choice *before* stepping the automaton.
-fn drive<A, D>(
-    s: &Schedule,
-    procs: Vec<A>,
-    fd: &D,
-    driver: Driver<'_>,
-    fingerprints: Option<&mut Vec<u64>>,
-    stop: impl FnMut(&Simulation<A>) -> bool,
-    verdict: impl FnOnce(&Simulation<A>) -> String,
-) -> RunResult
-where
-    A: Automaton + fmt::Debug,
-    A::Msg: Corruptible,
-    D: FailureDetector + ?Sized,
-{
-    let mut sim = Simulation::new(procs, s.pattern.clone());
-    if !s.faults.is_reliable() {
-        sim.set_link_faults(s.faults.clone());
-    }
-    if !s.adversary.is_honest() {
-        sim.set_adversary(s.adversary.clone(), s.armor);
-    }
-    let stepped = quiet_catch(std::panic::AssertUnwindSafe(|| {
-        sim.drive(driver, fd, stop, fingerprints);
-    }));
-    let verdict = match stepped {
-        Ok(()) => verdict(&sim),
-        Err(()) => PANIC_VERDICT.to_string(),
-    };
-    RunResult { verdict, executed: sim.script().to_vec() }
+/// Whether processes run bare or inside the [`Stubborn`]
+/// retransmission layer (the fault matrix's lossy-link repair).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Layer {
+    Bare,
+    Stubborn,
 }
 
-fn agreement_verdict<A: Automaton>(sim: &Simulation<A>, n: usize, k: usize) -> String {
-    match check_k_agreement_safety(sim.trace(), &distinct_proposals(n), k) {
-        Ok(()) => "ok".to_string(),
-        Err(v) => format!("violation:{}", v.property),
-    }
+/// Reusable simulations, one slot per process type `Spec::run` can
+/// build — one set per sweep worker.
+#[derive(Debug)]
+pub struct Pools {
+    fig2: SimPool<Equivocator<Fig2SetAgreement>>,
+    fig4: SimPool<Fig4SetAgreement>,
+    abd: SimPool<SplitAckForger>,
+    fig6: SimPool<Fig6WithoutChange>,
+    stubborn_fig2: SimPool<Stubborn<Equivocator<Fig2SetAgreement>>>,
+    stubborn_fig4: SimPool<Stubborn<Fig4SetAgreement>>,
+    stubborn_abd: SimPool<Stubborn<SplitAckForger>>,
 }
 
-fn linearizability_verdict<A: Automaton>(sim: &Simulation<A>) -> String {
-    match check_linearizable(&sim.trace().op_records(), None) {
-        Ok(()) => "ok".to_string(),
-        Err(LinearizabilityViolation::NotLinearizable { .. }) => {
-            "violation:not-linearizable".to_string()
+impl Pools {
+    /// Empty pools recording at `level`.
+    pub fn new(level: TraceLevel) -> Self {
+        Pools {
+            fig2: SimPool::with_trace_level(level),
+            fig4: SimPool::with_trace_level(level),
+            abd: SimPool::with_trace_level(level),
+            fig6: SimPool::with_trace_level(level),
+            stubborn_fig2: SimPool::with_trace_level(level),
+            stubborn_fig4: SimPool::with_trace_level(level),
+            stubborn_abd: SimPool::with_trace_level(level),
         }
-        Err(LinearizabilityViolation::HistoryTooLarge { .. }) => {
-            "violation:history-too-large".to_string()
+    }
+}
+
+/// The checker an algorithm's runs are judged by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Check {
+    /// `k`-set agreement over the distinct proposals.
+    Agreement { k: usize },
+    /// Linearizability of the register operations.
+    Linearizable,
+    /// Anti-Ω over the emulated history.
+    AntiOmega,
+}
+
+impl Check {
+    /// The strict verdict token: `ok` or `violation:<property>`.
+    fn verdict(self, tr: &Trace, pattern: &FailurePattern) -> String {
+        let violated = match self {
+            Check::Agreement { k } => {
+                check_k_agreement_safety(tr, &distinct_proposals(pattern.n()), k)
+                    .map_err(|v| v.property)
+            }
+            Check::Linearizable => {
+                check_linearizable(&tr.op_records(), None).map_err(|e| match e {
+                    LinearizabilityViolation::NotLinearizable { .. } => "not-linearizable",
+                    LinearizabilityViolation::HistoryTooLarge { .. } => "history-too-large",
+                    LinearizabilityViolation::Incomplete { .. } => "incomplete",
+                })
+            }
+            Check::AntiOmega => {
+                check_anti_omega(tr.emulated_history(), pattern).map_err(|v| v.property)
+            }
+        };
+        match violated {
+            Ok(()) => "ok".to_string(),
+            Err(property) => format!("violation:{property}"),
         }
-        Err(LinearizabilityViolation::Incomplete { .. }) => "violation:incomplete".to_string(),
+    }
+
+    /// The degraded verdict: safety is never excused, a liveness miss is
+    /// [`LivenessVerdict::SafeButNotLive`] when `reason` excuses it.
+    pub(crate) fn degraded(
+        self,
+        tr: &Trace,
+        pattern: &FailurePattern,
+        reason: StopReason,
+    ) -> Result<LivenessVerdict, String> {
+        match self {
+            Check::Agreement { k } => {
+                let proposals = distinct_proposals(pattern.n());
+                check_k_set_agreement_degraded(tr, pattern, &proposals, k, reason)
+                    .map_err(|e| e.to_string())
+            }
+            Check::Linearizable => {
+                check_linearizable_degraded(&tr.op_records(), None, pattern, reason)
+                    .map_err(|e| e.to_string())
+            }
+            Check::AntiOmega => check_anti_omega(tr.emulated_history(), pattern)
+                .map(|()| LivenessVerdict::Live)
+                .map_err(|v| v.to_string()),
+        }
     }
 }
 
-fn anti_omega_verdict<A: Automaton>(sim: &Simulation<A>, pattern: &FailurePattern) -> String {
-    match check_anti_omega(sim.trace().emulated_history(), pattern) {
-        Ok(()) => "ok".to_string(),
-        Err(v) => format!("violation:{}", v.property),
+/// What a run left behind for its caller to judge.
+pub(crate) struct Ran<'p> {
+    /// Stop reason and counters; `None` if the run panicked.
+    pub outcome: Option<RunOutcome>,
+    /// The recorded trace (up to the panicking step, if any).
+    pub trace: &'p Trace,
+    /// The executed choices (including a panicking one).
+    pub script: &'p [Choice],
+    /// The checker the algorithm is judged by.
+    pub check: Check,
+}
+
+impl Spec {
+    /// A matrix cell's spec: `algo` with its sound detector (the ABD
+    /// cells run the two-writer workload).
+    pub(crate) fn matrix(algo: Algo) -> Spec {
+        Spec { algo, twin: Twin::Sound, clients: two_writer_workload }
+    }
+
+    /// The one constructor: builds the run header `s` describes under this
+    /// spec — automata, detector, stop predicate and checker, from `n`,
+    /// `k` and `seed` — installs its crash pattern, link faults and
+    /// adversary, and drives it per `driver` (pushing per-step
+    /// fingerprints into `fps`, if given). The header's own `choices`,
+    /// `verdict` and `max_steps` are not read. Panics anywhere in the
+    /// stepped region (illegal strict choice, automaton `expect`) are
+    /// caught; the executed script stays meaningful because the engine
+    /// records each choice *before* stepping the automaton.
+    pub(crate) fn run<'p>(
+        &self,
+        s: &Schedule,
+        pools: &'p mut Pools,
+        layer: Layer,
+        driver: Driver<'_>,
+        fps: Option<&mut Vec<u64>>,
+    ) -> Result<Ran<'p>, ReproError> {
+        let (n, k, pattern, seed) = (s.n, s.k, &s.pattern, s.seed);
+        if pattern.n() != n || s.faults.n() != n || s.adversary.n() != n {
+            return Err(ReproError::BadParams(format!(
+                "n mismatch: n={n}, pattern over {}, faults over {}, adversary over {}",
+                pattern.n(),
+                s.faults.n(),
+                s.adversary.n()
+            )));
+        }
+        let Spec { algo, twin, clients } = *self;
+        algo.check(n, k)?;
+        if algo == Algo::Fig6WithoutChange && layer == Layer::Stubborn {
+            return Err(ReproError::BadParams("Fig. 6 runs bare only".to_string()));
+        }
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        let (clients, scripts) = clients();
+        let active = || (0..2 * k as u32).map(ProcessId).collect::<ProcessSet>();
+        let fd: Box<dyn FailureDetector> = match (algo, twin) {
+            (Algo::Fig2 | Algo::Fig6WithoutChange, Twin::Sound) => {
+                Box::new(Sigma::new(p0, p1, pattern, seed))
+            }
+            (Algo::Fig2 | Algo::Fig6WithoutChange, Twin::Weak) => Box::new(WeakSigma::new(p0, p1)),
+            (Algo::Fig4, Twin::Sound) => Box::new(SigmaK::new(active(), pattern, seed)),
+            (Algo::Fig4, Twin::Weak) => Box::new(WeakSigmaK::new(active())),
+            (Algo::Abd, Twin::Sound) => Box::new(SigmaS::new(clients, pattern, seed)),
+            (Algo::Abd, Twin::Weak) => Box::new(WeakSigmaS::new(clients)),
+        };
+        let job = Job { s, fd, driver, fps };
+        Ok(match algo {
+            Algo::Fig2 => {
+                // Every process is wrapped in an `Equivocator`; p0
+                // equivocates iff the header carries the attack, otherwise
+                // every wrapper is an inert shim.
+                let procs = fig2_processes(&distinct_proposals(n));
+                let procs = equivocator_processes(procs, p0, s.attack, s.armor);
+                let check = Check::Agreement { k: n - 1 };
+                match layer {
+                    Layer::Bare => {
+                        job.run(&mut pools.fig2, procs, Simulation::all_correct_decided, check)
+                    }
+                    Layer::Stubborn => {
+                        let procs = stubborn_processes(procs);
+                        job.run(
+                            &mut pools.stubborn_fig2,
+                            procs,
+                            Simulation::all_correct_decided,
+                            check,
+                        )
+                    }
+                }
+            }
+            Algo::Fig4 => {
+                // Figure 4 has no scripted attack (its fan-outs are already
+                // relay-tagged): only the network plan applies.
+                let procs = fig4_processes(&distinct_proposals(n));
+                let check = Check::Agreement { k: n - k };
+                match layer {
+                    Layer::Bare => {
+                        job.run(&mut pools.fig4, procs, Simulation::all_correct_decided, check)
+                    }
+                    Layer::Stubborn => {
+                        let procs = stubborn_processes(procs);
+                        job.run(
+                            &mut pools.stubborn_fig4,
+                            procs,
+                            Simulation::all_correct_decided,
+                            check,
+                        )
+                    }
+                }
+            }
+            Algo::Abd => {
+                // Every process is wrapped in a `SplitAckForger`, inert
+                // unless the header carries the split-ack attack. The forger
+                // is the last replica.
+                let procs = abd_processes(clients, n, scripts);
+                let last = ProcessId(n as u32 - 1);
+                let procs = split_ack_processes(procs, last, s.attack, s.armor);
+                // A register emulation never halts; a run is done once every
+                // correct client drained its script.
+                let done = move |finished: &dyn Fn(ProcessId) -> bool| {
+                    clients.iter().all(|p| !pattern.is_correct(p) || finished(p))
+                };
+                let check = Check::Linearizable;
+                match layer {
+                    Layer::Bare => {
+                        let stop = |sim: &Simulation<SplitAckForger>| {
+                            done(&|p| sim.process(p).inner().script_finished())
+                        };
+                        job.run(&mut pools.abd, procs, stop, check)
+                    }
+                    Layer::Stubborn => {
+                        let stop = |sim: &Simulation<Stubborn<SplitAckForger>>| {
+                            done(&|p| sim.process(p).inner().inner().script_finished())
+                        };
+                        job.run(&mut pools.stubborn_abd, stubborn_processes(procs), stop, check)
+                    }
+                }
+            }
+            Algo::Fig6WithoutChange => {
+                let procs = (0..n).map(|_| Fig6WithoutChange::new(n)).collect();
+                // A recording stops once the crossed leader pair has formed
+                // — the stable state that violates anti-Ω's finiteness.
+                let crossed = |sim: &Simulation<_>| {
+                    let h = sim.trace().emulated_history();
+                    h.timeline(p0).final_output() == FdOutput::Leader(p1)
+                        && h.timeline(p1).final_output() == FdOutput::Leader(p0)
+                };
+                job.run(&mut pools.fig6, procs, crossed, Check::AntiOmega)
+            }
+        })
     }
 }
 
-/// The fixed register workload: `p0` writes once, `p1` reads repeatedly
-/// (long enough that late reads start after the write returned).
-fn abd_scripts() -> (ProcessSet, Vec<Vec<OpKind>>) {
-    let s: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
-    let scripts = vec![vec![OpKind::Write(Value(7))], vec![OpKind::Read; 6]];
-    (s, scripts)
+/// A built detector plus how to drive it — the part of a run every
+/// process type shares.
+struct Job<'s, 'd, 'f> {
+    s: &'s Schedule,
+    fd: Box<dyn FailureDetector>,
+    driver: Driver<'d>,
+    fps: Option<&'f mut Vec<u64>>,
 }
 
-fn first_ids(count: usize) -> ProcessSet {
-    (0..count as u32).map(ProcessId).collect()
+impl Job<'_, '_, '_> {
+    fn run<'p, A>(
+        self,
+        pool: &'p mut SimPool<A>,
+        procs: Vec<A>,
+        stop: impl FnMut(&Simulation<A>) -> bool,
+        check: Check,
+    ) -> Ran<'p>
+    where
+        A: Automaton + fmt::Debug,
+        A::Msg: Corruptible,
+    {
+        let Job { s, fd, driver, fps } = self;
+        let sim = pool.acquire(procs, &s.pattern);
+        if !s.faults.is_reliable() {
+            sim.set_link_faults(s.faults.clone());
+        }
+        if !s.adversary.is_honest() {
+            sim.set_adversary(s.adversary.clone(), s.armor);
+        }
+        let outcome = quiet_catch(|| sim.drive(driver, &*fd, stop, fps)).ok();
+        let sim: &'p Simulation<A> = sim;
+        Ran { outcome, trace: sim.trace(), script: sim.script(), check }
+    }
+}
+
+// ---- the record / replay driver -----------------------------------------
+
+/// What a driven run produced.
+struct RunResult {
+    verdict: String,
+    executed: Vec<Choice>,
 }
 
 /// Reconstructs the workload a schedule header names and drives it.
@@ -343,195 +766,20 @@ fn run_workload(
     driver: Driver<'_>,
     fps: Option<&mut Vec<u64>>,
 ) -> Result<RunResult, ReproError> {
-    let (name, n, k, seed, pattern) = (s.checker.as_str(), s.n, s.k, s.seed, &s.pattern);
-    if pattern.n() != n || s.faults.n() != n || s.adversary.n() != n {
+    let w = workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
+    if !w.honors_adversary() && !s.adversary_free() {
         return Err(ReproError::BadParams(format!(
-            "n mismatch: n={n}, pattern over {}, faults over {}, adversary over {}",
-            pattern.n(),
-            s.faults.n(),
-            s.adversary.n()
+            "workload `{}` does not honor adversary fields; only {BYZ_WORKLOADS:?} do",
+            w.name
         )));
     }
-    if !BYZ_WORKLOADS.contains(&name) && !s.adversary_free() {
-        return Err(ReproError::BadParams(format!(
-            "workload `{name}` does not honor adversary fields; only {BYZ_WORKLOADS:?} do"
-        )));
-    }
-    match name {
-        "fig2-sigma" | "fig2-weak-sigma" | "fig2-byz-perturb" | "fig2-byz-equivocate" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("fig2 needs n >= 2, got {n}")));
-            }
-            // Every process is wrapped in an `Equivocator`; p0 equivocates
-            // iff the schedule carries the attack (the shrinker may have
-            // dropped it), otherwise every wrapper is an inert shim.
-            let procs = equivocator_processes(
-                fig2_processes(&distinct_proposals(n)),
-                ProcessId(0),
-                s.attack,
-                s.armor,
-            );
-            let verdict = |sim: &Simulation<_>| agreement_verdict(sim, n, n - 1);
-            if name == "fig2-weak-sigma" {
-                let fd = WeakSigma::new(ProcessId(0), ProcessId(1));
-                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
-            } else {
-                let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
-            }
-        }
-        "fig4-sigma-k" | "fig4-weak-sigma-k" | "fig4-byz-perturb" => {
-            if k < 1 || 2 * k > n {
-                return Err(ReproError::BadParams(format!(
-                    "fig4 needs 1 <= k and 2k <= n, got k={k}, n={n}"
-                )));
-            }
-            let active = first_ids(2 * k);
-            let procs = fig4_processes(&distinct_proposals(n));
-            let verdict = move |sim: &Simulation<_>| agreement_verdict(sim, n, n - k);
-            if name == "fig4-weak-sigma-k" {
-                let fd = WeakSigmaK::new(active);
-                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
-            } else {
-                let fd = SigmaK::new(active, pattern, seed);
-                Ok(drive(s, procs, &fd, driver, fps, |_| false, verdict))
-            }
-        }
-        "abd-sigma-s" | "abd-weak-quorum" | "abd-byz-perturb" | "abd-byz-forge-ack"
-        | "abd-byz-split-ack" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("abd needs n >= 2, got {n}")));
-            }
-            let (clients, scripts) =
-                if name == "abd-byz-perturb" { two_writer_workload() } else { abd_scripts() };
-            // Every process is wrapped in a `SplitAckForger`, inert unless
-            // the schedule carries the split-ack attack. The forger is the
-            // last replica — never one of the clients.
-            let procs = split_ack_processes(
-                abd_processes(clients, n, scripts),
-                ProcessId(n as u32 - 1),
-                s.attack,
-                s.armor,
-            );
-            // A register emulation never halts; a recording run is done
-            // once both clients drained their scripts.
-            let done = move |sim: &Simulation<SplitAckForger>| {
-                clients.iter().all(|p| sim.process(p).inner().script_finished())
-            };
-            let verdict = |sim: &Simulation<_>| linearizability_verdict(sim);
-            if name == "abd-weak-quorum" {
-                let fd = WeakSigmaS::new(clients);
-                Ok(drive(s, procs, &fd, driver, fps, done, verdict))
-            } else {
-                let fd = SigmaS::new(clients, pattern, seed);
-                Ok(drive(s, procs, &fd, driver, fps, done, verdict))
-            }
-        }
-        "fig6-without-change" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("fig6 needs n >= 2, got {n}")));
-            }
-            let procs = (0..n).map(|_| Fig6WithoutChange::new(n)).collect();
-            let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-            // Recording stops once the crossed leader pair has formed —
-            // the stable state that violates anti-Ω's finiteness.
-            let done = |sim: &Simulation<_>| {
-                let h = sim.trace().emulated_history();
-                h.timeline(ProcessId(0)).final_output() == FdOutput::Leader(ProcessId(1))
-                    && h.timeline(ProcessId(1)).final_output() == FdOutput::Leader(ProcessId(0))
-            };
-            let verdict = |sim: &Simulation<_>| anti_omega_verdict(sim, pattern);
-            Ok(drive(s, procs, &fd, driver, fps, done, verdict))
-        }
-        other => Err(ReproError::UnknownWorkload(other.to_string())),
-    }
-}
-
-/// The crash pattern a fresh `record` run of the workload uses.
-pub fn default_pattern(name: &str, n: usize) -> FailurePattern {
-    match name {
-        // Fig. 6's crossed pair needs the non-actives to announce and
-        // crash; σ then stabilizes to {p0} at p0.
-        "fig6-without-change" if n >= 4 => FailurePattern::builder(n)
-            .crash_at(ProcessId(2), Time(40))
-            .crash_at(ProcessId(3), Time(40))
-            .build(),
-        _ => FailurePattern::all_correct(n),
-    }
-}
-
-/// The link-fault plan a fresh `record` run of the workload uses.
-pub fn default_faults(name: &str, n: usize) -> LinkFaultPlan {
-    match name {
-        // The planted quorum violation: p0's writeback traffic never
-        // reaches the other replicas, so a singleton-quorum read at p1 is
-        // guaranteed stale (with sound Σ_S the write could not have
-        // completed without a real quorum, so this plan is harmless to
-        // the sound twin).
-        "abd-weak-quorum" => {
-            let mut b = LinkFaultPlan::builder(n);
-            for q in 1..n as u32 {
-                b = b.drop_link(ProcessId(0), ProcessId(q), Time::ZERO, None);
-            }
-            b.build()
-        }
-        _ => LinkFaultPlan::reliable(n),
-    }
-}
-
-/// The adversary configuration — mutation plan, scripted attack, armor —
-/// a fresh `record` run of the workload uses. Honest workloads get the
-/// honest plan; the byzantine workloads get their canonical attack at
-/// armor rung 0, so the violation they exist to witness actually lands.
-pub fn default_adversary(name: &str, n: usize) -> (AdversaryPlan, Option<AttackSpec>, Armor) {
-    let honest = (AdversaryPlan::honest(n), None, Armor::NONE);
-    match name {
-        // Perturbing p0's traffic to p1 injects a never-proposed value
-        // into the decision flood: a validity violation at p1.
-        "fig2-byz-perturb" | "fig4-byz-perturb" => (
-            AdversaryPlan::builder(n)
-                .perturb(ProcessId(0), ProcessId(1), 100, Time::ZERO, None)
-                .build(),
-            None,
-            Armor::NONE,
-        ),
-        // p0 tells odd peers the story `x = 99`: a decision flood with a
-        // value nobody proposed.
-        "fig2-byz-equivocate" => (
-            AdversaryPlan::honest(n),
-            Some(AttackSpec { kind: AttackKind::Equivocate, x: 99 }),
-            Armor::NONE,
-        ),
-        // Timestamp perturbation on every link scrambles the apparent
-        // order of the two writes; some seed's read observes the flip.
-        "abd-byz-perturb" => {
-            let mut b = AdversaryPlan::builder(n);
-            for src in 0..n as u32 {
-                for dst in 0..n as u32 {
-                    if src != dst {
-                        b = b.perturb(ProcessId(src), ProcessId(dst), 100, Time::ZERO, None);
-                    }
-                }
-            }
-            (b.build(), None, Armor::NONE)
-        }
-        // A fabricated quorum ack from the last replica to the reader
-        // carries a future timestamp; its value wins the read's max.
-        "abd-byz-forge-ack" if n >= 2 => (
-            AdversaryPlan::builder(n)
-                .forge_ack(ProcessId(n as u32 - 1), ProcessId(1), 77, Time::ZERO, None)
-                .build(),
-            None,
-            Armor::NONE,
-        ),
-        // The last replica answers odd clients with an invented view.
-        "abd-byz-split-ack" => (
-            AdversaryPlan::honest(n),
-            Some(AttackSpec { kind: AttackKind::SplitAck, x: 55 }),
-            Armor::NONE,
-        ),
-        _ => honest,
-    }
+    let mut pools = Pools::new(TraceLevel::Full);
+    let ran = w.spec.run(s, &mut pools, Layer::Bare, driver, fps)?;
+    let verdict = match ran.outcome {
+        Some(_) => ran.check.verdict(ran.trace, &s.pattern),
+        None => PANIC_VERDICT.to_string(),
+    };
+    Ok(RunResult { verdict, executed: ran.script.to_vec() })
 }
 
 /// Parameters of a fresh recording run.
@@ -571,23 +819,11 @@ pub fn record(req: &RecordRequest) -> Result<Option<Schedule>, ReproError> {
 pub fn record_any(req: &RecordRequest) -> Result<Schedule, ReproError> {
     let w =
         workload(&req.workload).ok_or_else(|| ReproError::UnknownWorkload(req.workload.clone()))?;
-    let n = req.n.unwrap_or(w.default_n);
-    let max_steps = req.max_steps.unwrap_or(w.default_steps);
-    let (adversary, attack, armor) = default_adversary(w.name, n);
-    let mut s = Schedule {
-        checker: w.name.to_string(),
-        n,
-        k: req.k,
-        seed: req.seed,
-        max_steps,
-        pattern: default_pattern(w.name, n),
-        faults: default_faults(w.name, n),
-        adversary,
-        attack,
-        armor,
-        choices: Vec::new(),
-        verdict: String::new(),
-    };
+    let n = req.n.unwrap_or(w.spec.algo.default_n());
+    let max_steps = req.max_steps.unwrap_or(w.spec.algo.default_steps());
+    w.spec.algo.check(n, req.k)?;
+    let checker = w.name.to_string();
+    let mut s = Schedule { checker, ..w.env.header(n, req.k, req.seed, max_steps) };
     let rr = run_workload(&s, Driver::Fair { seed: req.seed, max_steps }, None)?;
     s.choices = rr.executed;
     s.verdict = rr.verdict;
@@ -628,20 +864,9 @@ pub fn capture_from_script(
 ) -> Result<Schedule, ReproError> {
     // The exhaustive explorer runs adversary-free; captures from it are
     // honest-plan schedules by construction.
-    let mut s = Schedule {
-        checker: name.to_string(),
-        n,
-        k,
-        seed,
-        max_steps: 0,
-        pattern,
-        faults,
-        adversary: AdversaryPlan::honest(n),
-        attack: None,
-        armor: Armor::NONE,
-        choices: script,
-        verdict: String::new(),
-    };
+    let checker = name.to_string();
+    let mut s =
+        Schedule { checker, pattern, faults, choices: script, ..HONEST.header(n, k, seed, 0) };
     let rr =
         run_workload(&s, Driver::Replay { choices: &s.choices, mode: ReplayMode::Strict }, None)?;
     s.max_steps = rr.executed.len() as u64;
@@ -702,8 +927,8 @@ pub fn replay_with_fingerprints(
 /// actually-executed choice sequence, so the final schedule strict-replays
 /// exactly. Serial and deterministic — thread count never enters.
 pub fn shrink(s: &Schedule) -> Result<(Schedule, ShrinkReport), ReproError> {
-    workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
-    let opts = ShrinkOptions { min_n: min_n(&s.checker, s.k), ..ShrinkOptions::default() };
+    let w = workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
+    let opts = ShrinkOptions { min_n: w.spec.algo.min_n(s.k), ..ShrinkOptions::default() };
     let target = s.verdict.clone();
     let mut eval = |cand: &Schedule| -> Option<Schedule> {
         let rep = replay(cand, ReplayMode::Lenient).ok()?;
@@ -763,12 +988,9 @@ fn verify_one(file: &str, text: &str) -> CorpusEntry {
 /// replays over the deterministic [`Sweep`] engine: the report is
 /// bitwise identical for every `threads` value (including 0 = all cores).
 pub fn verify_corpus(entries: &[(String, String)], threads: usize) -> Vec<CorpusEntry> {
-    verify_corpus_entries(entries.to_vec(), threads)
-}
-
-fn verify_corpus_entries(entries: Vec<(String, String)>, threads: usize) -> Vec<CorpusEntry> {
-    Sweep::new(threads)
-        .run(entries, || |_idx: usize, (file, text): (String, String)| verify_one(&file, &text))
+    Sweep::new(threads).run(entries.to_vec(), || {
+        |_idx: usize, (file, text): (String, String)| verify_one(&file, &text)
+    })
 }
 
 /// Reads every `*.schedule` file under `dir` (sorted by name) and
@@ -790,24 +1012,33 @@ pub fn verify_corpus_dir(
             .unwrap_or_else(|| path.display().to_string());
         entries.push((name, std::fs::read_to_string(&path)?));
     }
-    Ok(verify_corpus_entries(entries, threads))
+    Ok(verify_corpus(&entries, threads))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rows(pred: impl Fn(&Workload) -> bool) -> impl Iterator<Item = &'static Workload> {
+        WORKLOADS.iter().filter(move |w| pred(w))
+    }
+
+    fn first_weak(algo: Algo) -> &'static Workload {
+        rows(|w| w.spec.algo == algo && w.spec.twin == Twin::Weak).next().expect("a weak twin")
+    }
+
     #[test]
     fn sound_workloads_record_nothing() {
-        for name in ["fig2-sigma", "fig4-sigma-k", "abd-sigma-s"] {
-            let captured = record(&RecordRequest::new(name)).unwrap();
-            assert!(captured.is_none(), "{name} captured {captured:?}");
+        for w in rows(|w| w.expect_ok) {
+            let captured = record(&RecordRequest::new(w.name)).unwrap();
+            assert!(captured.is_none(), "{} captured {captured:?}", w.name);
         }
     }
 
     #[test]
     fn weak_workloads_capture_and_replay_bit_identically() {
-        for name in ["fig2-weak-sigma", "fig4-weak-sigma-k", "abd-weak-quorum"] {
+        for w in rows(|w| w.spec.twin == Twin::Weak) {
+            let name = w.name;
             let s = record_first_violation(name, 1, 64)
                 .unwrap()
                 .unwrap_or_else(|| panic!("{name}: no violation in 64 seeds"));
@@ -820,7 +1051,8 @@ mod tests {
 
     #[test]
     fn fig6_without_change_captures_the_finiteness_violation() {
-        let s = record_first_violation("fig6-without-change", 1, 8).unwrap().unwrap();
+        let w = rows(|w| w.spec.algo == Algo::Fig6WithoutChange).next().unwrap();
+        let s = record_first_violation(w.name, 1, 8).unwrap().unwrap();
         assert_eq!(s.verdict, "violation:finiteness");
         assert!(replay(&s, ReplayMode::Strict).unwrap().matches);
     }
@@ -829,7 +1061,7 @@ mod tests {
     /// one stop semantics, so every shrunk witness strict-replays.
     #[test]
     fn shrunk_schedules_keep_their_verdict_and_get_small() {
-        for w in WORKLOADS.iter().filter(|w| !w.expect_ok) {
+        for w in rows(|w| !w.expect_ok) {
             let captures: Vec<Schedule> = (0..64)
                 .filter_map(|seed| {
                     record(&RecordRequest { seed, ..RecordRequest::new(w.name) }).unwrap()
@@ -842,7 +1074,7 @@ mod tests {
                 let (min, rep) = shrink(&s).unwrap();
                 assert_eq!(min.verdict, s.verdict, "{at}");
                 assert!(rep.final_len <= rep.original_len, "{at}: {rep:?}");
-                if w.name == "abd-weak-quorum" {
+                if w.spec.algo == Algo::Abd && w.spec.twin == Twin::Weak {
                     assert!(rep.final_len <= rep.original_len / 4, "{at}: {rep:?}");
                 }
                 assert!(replay(&min, ReplayMode::Strict).unwrap().matches, "{at}");
@@ -853,14 +1085,46 @@ mod tests {
     #[test]
     fn unknown_workloads_and_bad_params_are_typed() {
         assert!(matches!(record(&RecordRequest::new("nope")), Err(ReproError::UnknownWorkload(_))));
-        let mut req = RecordRequest::new("fig4-weak-sigma-k");
+        let mut req = RecordRequest::new(first_weak(Algo::Fig4).name);
         req.k = 5; // 2k > default n
         assert!(matches!(record(&req), Err(ReproError::BadParams(_))));
     }
 
+    /// `min_n` is exactly the construction floor: the shrinker never
+    /// spends candidates on headers the row cannot build.
+    #[test]
+    fn min_n_is_the_smallest_buildable_size_of_every_row() {
+        for w in WORKLOADS {
+            for k in [1, 2] {
+                let min = w.spec.algo.min_n(k);
+                let at = |n: usize| RecordRequest {
+                    n: Some(n),
+                    k,
+                    max_steps: Some(64),
+                    ..RecordRequest::new(w.name)
+                };
+                let built = record_any(&at(min));
+                assert!(built.is_ok(), "{} k={k} n={min}: {built:?}", w.name);
+                let below = record_any(&at(min - 1));
+                assert!(
+                    matches!(below, Err(ReproError::BadParams(_))),
+                    "{} k={k} n={}: {below:?}",
+                    w.name,
+                    min - 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn byz_workloads_are_exactly_the_adversarial_rows() {
+        let adversarial: Vec<&str> = rows(Workload::honors_adversary).map(|w| w.name).collect();
+        assert_eq!(adversarial, BYZ_WORKLOADS);
+    }
+
     #[test]
     fn corpus_verifier_flags_tampered_entries() {
-        let s = record_first_violation("fig2-weak-sigma", 1, 16).unwrap().unwrap();
+        let s = record_first_violation(first_weak(Algo::Fig2).name, 1, 16).unwrap().unwrap();
         let good = ("good.schedule".to_string(), s.to_text());
         let mut tampered = s.clone();
         tampered.verdict = "ok".to_string();
@@ -874,7 +1138,7 @@ mod tests {
 
     #[test]
     fn corpus_verification_is_thread_count_independent() {
-        let s = record_first_violation("fig2-weak-sigma", 1, 16).unwrap().unwrap();
+        let s = record_first_violation(first_weak(Algo::Fig2).name, 1, 16).unwrap().unwrap();
         let entries: Vec<(String, String)> =
             (0..6).map(|i| (format!("e{i}.schedule"), s.to_text())).collect();
         let one = verify_corpus(&entries, 1);

@@ -337,7 +337,9 @@ pub fn run_scale_bench(cfg: &ScaleLabConfig) -> ScaleBenchReport {
         }
     }
 
-    let cells: Vec<ScaleCell> = Sweep::new(cfg.threads).run(grid, || {
+    let sweep = Sweep::new(cfg.threads);
+    let workers = sweep.effective_threads(grid.len());
+    let cells: Vec<ScaleCell> = sweep.run(grid, || {
         move |_idx, (w, n): (usize, usize)| match WORKLOADS[w] {
             "abd" => run_abd_cell(n, sample),
             wl @ ("fig2" | "fig4") => run_agreement_cell(wl, n, sample),
@@ -345,10 +347,6 @@ pub fn run_scale_bench(cfg: &ScaleLabConfig) -> ScaleBenchReport {
         }
     });
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
     ScaleBenchReport {
         cfg: *cfg,
         workers,
@@ -399,6 +397,14 @@ mod tests {
             let strip = |c: &ScaleCell| ScaleCell { wall_ms: 0.0, ..c.clone() };
             assert_eq!(strip(a), strip(b));
         }
+    }
+
+    #[test]
+    fn workers_are_clamped_to_the_cell_count() {
+        let report = run_scale_bench(&ScaleLabConfig { threads: 8, ..tiny() });
+        assert_eq!(report.cells.len(), 3);
+        assert_eq!(report.workers, Sweep::new(8).effective_threads(3));
+        assert!(report.workers <= 3, "{} workers for 3 cells", report.workers);
     }
 
     #[test]

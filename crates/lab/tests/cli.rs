@@ -109,3 +109,28 @@ fn figure1_renders_the_matrix() {
     assert!(text.contains("HOLDS"), "{text}");
     assert!(!text.contains("REFUTED"), "{text}");
 }
+
+#[test]
+fn gate_names_the_first_differing_path_and_exits_one() {
+    let dir = std::env::temp_dir().join(format!("lab-cli-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+    let base = write("base.json", r#"{"cells": [{"live": 3, "wall_ms": 1.5}], "workers": 1}"#);
+    let same = write("same.json", r#"{"cells": [{"live": 3, "wall_ms": 9.0}], "workers": 8}"#);
+    let moved = write("moved.json", r#"{"cells": [{"live": 2, "wall_ms": 1.5}], "workers": 1}"#);
+
+    let out = lab().arg("gate").arg(&base).arg(&same).output().expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = lab().arg("gate").arg(&base).arg(&moved).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("$.cells[0].live"));
+
+    let out = lab().args(["gate", "--threads", "1"]).arg(&base).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "the gate takes exactly two paths");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,7 +7,8 @@ use sih::detectors::{check_anti_omega, check_sigma};
 use sih::model::{FailurePattern, LinkFaultPlan, ProcessId, ProcessSet, Time};
 use sih::pipeline;
 use sih::runtime::{LivenessVerdict, TraceLevel};
-use sih_lab::{run_fault_cell, FaultPools};
+use sih_lab::repro::{Algo, Pools};
+use sih_lab::run_fault_cell;
 
 #[test]
 fn fig2_survives_every_single_crash_time() {
@@ -64,7 +65,7 @@ fn fig2_survives_every_crash_x_partition_product() {
     // layer must re-deliver what the window ate, so every run is not just
     // safe but Live. Each run goes through the fault matrix's cell runner.
     let n = 4;
-    let mut pools = FaultPools::with_trace_level(TraceLevel::Full);
+    let mut pools = Pools::new(TraceLevel::Full);
     for victim in 0..n as u32 {
         let pattern = FailurePattern::builder(n).crash_at(ProcessId(victim), Time(5)).build();
         for src in 0..n as u32 {
@@ -77,7 +78,7 @@ fn fig2_survives_every_crash_x_partition_product() {
                     .build();
                 let seed = u64::from(victim * 16 + src * 4 + dst);
                 let (verdict, _) =
-                    run_fault_cell(&mut pools, "fig2", &pattern, &plan, seed, 400_000);
+                    run_fault_cell(&mut pools, Algo::Fig2, &pattern, &plan, seed, 400_000);
                 let verdict =
                     verdict.unwrap_or_else(|e| panic!("victim p{victim}, drop p{src}→p{dst}: {e}"));
                 assert_eq!(
@@ -94,7 +95,7 @@ fn fig2_survives_every_crash_x_partition_product() {
 fn fig4_survives_every_crash_x_partition_product() {
     // The fault matrix's fig4 cell: k = 1, actives {p0, p1}.
     let n = 4;
-    let mut pools = FaultPools::with_trace_level(TraceLevel::Full);
+    let mut pools = Pools::new(TraceLevel::Full);
     for victim in 0..n as u32 {
         let pattern = FailurePattern::builder(n).crash_at(ProcessId(victim), Time(5)).build();
         for src in 0..n as u32 {
@@ -107,7 +108,7 @@ fn fig4_survives_every_crash_x_partition_product() {
                     .build();
                 let seed = u64::from(victim * 16 + src * 4 + dst);
                 let (verdict, _) =
-                    run_fault_cell(&mut pools, "fig4", &pattern, &plan, seed, 400_000);
+                    run_fault_cell(&mut pools, Algo::Fig4, &pattern, &plan, seed, 400_000);
                 let verdict =
                     verdict.unwrap_or_else(|e| panic!("victim p{victim}, drop p{src}→p{dst}: {e}"));
                 assert_eq!(
