@@ -9,19 +9,26 @@
 //! * for a *negative* claim (no algorithm exists) it runs the paper's
 //!   adversary construction against the candidate library and reports the
 //!   exhibited violations.
+//!
+//! This module is the only code that runs and judges a Figure 1 result:
+//! the lab's experiments re-run the same relations at more sizes through
+//! [`positive_runs`] and the candidate rosters ([`defeat_lemma7_candidates`],
+//! [`defeat_lemma11_outsider`], [`defeat_lemma11_full_system`],
+//! [`defeat_lemma15_candidate`]), keeping only their sweep shape and
+//! report formatting.
 
 use crate::patterns::pattern_suite;
 use crate::pipeline;
 use sih_agreement::{check_k_set_agreement, distinct_proposals};
 use sih_detectors::{check_anti_omega, check_sigma, check_sigma_k};
-use sih_model::{FailurePattern, ProcessId, ProcessSet};
+use sih_model::{FailurePattern, ProcessId, ProcessSet, Value};
 use sih_reductions::{
     fig2_tightness, fig4_tightness, lemma11_defeat, lemma15_defeat, lemma7_defeat, theorem13_demo,
-    AntiOmegaAgreementCandidate, GossipPairCandidate, Lemma15Verdict, MirrorPairCandidate,
-    MirrorXCandidate,
+    AntiOmegaAgreementCandidate, Defeat, GossipPairCandidate, Lemma15Report, Lemma15Verdict,
+    MirrorPairCandidate, MirrorXCandidate,
 };
 use sih_runtime::sweep::{with_seeds, Sweep};
-use sih_runtime::TraceLevel;
+use sih_runtime::{Trace, TraceLevel};
 use std::fmt;
 
 /// One row of the paper's Figure 1 (plus the appendix results).
@@ -114,6 +121,18 @@ impl Claim {
                 | Claim::SigmaStrictlyStrongerThanAntiOmega
         )
     }
+
+    /// The processes the claim's detector is parameterised by, which its
+    /// pattern suites keep in focus: `X = {p0 … p2k−1}` for the `σ_2k` /
+    /// `Σ_X` claims (R4–R6), the pair `{p0, p1}` otherwise.
+    pub fn focus(&self, k: usize) -> ProcessSet {
+        match self {
+            Claim::Sigma2kImplementsNMinusKAgreement
+            | Claim::XRegisterHarderThanNMinusKAgreement
+            | Claim::NMinusKAgreementNotHarderThanX2kRegister => active_2k(k),
+            _ => ProcessSet::from_iter([ProcessId(0), ProcessId(1)]),
+        }
+    }
 }
 
 impl fmt::Display for Claim {
@@ -140,9 +159,38 @@ pub struct ClaimConfig {
 
 impl Default for ClaimConfig {
     fn default() -> Self {
-        ClaimConfig { n: 6, k: 2, seeds: 5, max_steps: 150_000, threads: 0 }
+        ClaimConfig { n: 6, k: 2, seeds: 5, max_steps: 200_000, threads: 0 }
     }
 }
+
+impl ClaimConfig {
+    /// Checks the sizes every claim needs: `n ≥ 3` and `1 ≤ k ≤ n/2`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.n >= 3 && self.k >= 1 && 2 * self.k <= self.n {
+            Ok(())
+        } else {
+            Err(ConfigError { n: self.n, k: self.k })
+        }
+    }
+}
+
+/// A [`ClaimConfig`] whose `n` or `k` is outside the range the claims are
+/// stated for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The rejected system size.
+    pub n: usize,
+    /// The rejected `k`.
+    pub k: usize,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "need n ≥ 3, 1 ≤ k ≤ n/2 (got n = {}, k = {})", self.n, self.k)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// The verdict of one claim check.
 #[derive(Clone, Debug)]
@@ -186,8 +234,14 @@ pub struct ClaimOutcome {
 }
 
 /// Checks one claim under the given configuration.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`ClaimConfig::validate`].
 pub fn check_claim(claim: Claim, cfg: &ClaimConfig) -> ClaimOutcome {
-    assert!(cfg.n >= 3 && cfg.k >= 1 && 2 * cfg.k <= cfg.n, "need n ≥ 3, 1 ≤ k ≤ n/2");
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     match claim {
         Claim::SigmaImplementsSetAgreement => check_r1(cfg),
         Claim::TwoRegisterHarderThanSetAgreement => check_r2(cfg),
@@ -206,200 +260,254 @@ fn pair() -> (ProcessId, ProcessId) {
     (ProcessId(0), ProcessId(1))
 }
 
-/// Fans a positive claim's `(pattern, seed)` grid across the sweep
-/// engine. `make_job` builds one worker-local job (typically holding
-/// pooled simulations); each job returns the number of runs it checked
-/// or the detail of the violation it found. The fold walks results in
-/// canonical grid order, so the verdict — including *which* violation is
-/// reported first — is identical for every thread count.
-fn positive_sweep<W, F>(
-    cfg: &ClaimConfig,
-    patterns: Vec<FailurePattern>,
-    make_job: W,
-) -> Result<usize, String>
-where
-    W: Fn() -> F + Sync,
-    F: FnMut(&FailurePattern, u64) -> Result<usize, String>,
-{
-    let grid = with_seeds(&patterns, cfg.seeds);
-    let results = Sweep::new(cfg.threads).run(grid, || {
-        let mut job = make_job();
-        move |_idx, (pattern, seed): (FailurePattern, u64)| job(&pattern, seed)
-    });
-    let mut runs = 0;
-    for result in results {
-        runs += result?;
-    }
-    Ok(runs)
-}
-
 fn active_2k(k: usize) -> ProcessSet {
     (0..2 * k as u32).map(ProcessId).collect()
 }
 
-fn check_r1(cfg: &ClaimConfig) -> ClaimOutcome {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
-    let (n, max_steps) = (cfg.n, cfg.max_steps);
-    let swept = positive_sweep(cfg, pattern_suite(n, focus, 4, 11), || {
-        let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig2_pooled(&mut pool, pattern, p, q, seed, max_steps);
-            check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1)
-                .map_err(|e| e.to_string())?;
-            Ok(1)
+/// One checked run of a positive claim's sweep.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunSample {
+    /// Steps the run took.
+    pub steps: u64,
+    /// Messages the run sent.
+    pub messages: u64,
+    /// The checker's complaint, if the run broke the target specification.
+    pub violation: Option<String>,
+}
+
+impl RunSample {
+    fn judge<E: fmt::Display>(trace: &Trace, checked: Result<(), E>) -> Self {
+        RunSample {
+            steps: trace.total_steps(),
+            messages: trace.messages_sent(),
+            violation: checked.err().map(|e| e.to_string()),
         }
-    });
-    match swept {
-        Err(detail) => refuted(Claim::SigmaImplementsSetAgreement, detail),
-        Ok(runs) => ClaimOutcome {
-            claim: Claim::SigmaImplementsSetAgreement,
-            verdict: Verdict::Holds { runs },
-            notes: vec![format!("n={}, Figure 2 under sampled σ histories", cfg.n)],
-        },
     }
+}
+
+/// Runs a positive claim's algorithm on every `(pattern, seed)` cell of
+/// `patterns × 0..seeds` and checks each run against the claim's target
+/// specification:
+///
+/// * R1: Figure 2 from `σ_{p0,p1}`, `(n−1)`-set agreement;
+/// * R2: Figure 3 from `Σ_{p0,p1}` (legal `σ`, Definition 3), then Figure 2
+///   stacked on it (`(n−1)`-set agreement);
+/// * R4: Figure 4 from `σ_2k` on `X = {p0 … p2k−1}`, `(n−k)`-set agreement;
+/// * R5: Figure 5 from `Σ_X` (legal `σ_|X|`, Definition 9), then Figure 4
+///   stacked on it with twice the step budget (`(n−k)`-set agreement);
+/// * R10: Figure 6 from `σ_{p0,p1}`, a legal `anti-Ω`.
+///
+/// The emulations of R2 and R5 run 6 000 steps; every other run gets
+/// `max_steps`. The stacked claims return two samples per cell, emulation
+/// first. Samples come back in canonical grid order, so any fold over
+/// them is identical for every thread count.
+///
+/// # Panics
+///
+/// Panics if `claim` is negative (it has no algorithm to run).
+pub fn positive_runs(
+    claim: Claim,
+    n: usize,
+    k: usize,
+    patterns: &[FailurePattern],
+    seeds: u64,
+    max_steps: u64,
+    threads: usize,
+) -> Vec<RunSample> {
+    let (p, q) = pair();
+    let focus = claim.focus(k);
+    let proposals = distinct_proposals(n);
+    let agreement = |tr: &Trace, pattern: &FailurePattern, budget: usize| {
+        RunSample::judge(tr, check_k_set_agreement(tr, pattern, &proposals, budget))
+    };
+    let light = TraceLevel::Light;
+    let sweep = Sweep::new(threads);
+    let grid = with_seeds(patterns, seeds);
+    let cells: Vec<Vec<RunSample>> = match claim {
+        Claim::SigmaImplementsSetAgreement => sweep.run(grid, || {
+            let mut pool = pipeline::Fig2Pool::with_trace_level(light);
+            move |_, (pattern, seed): (FailurePattern, u64)| {
+                let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, max_steps);
+                vec![agreement(tr, &pattern, n - 1)]
+            }
+        }),
+        Claim::TwoRegisterHarderThanSetAgreement => sweep.run(grid, || {
+            let mut fig3 = pipeline::Fig3Pool::with_trace_level(light);
+            let mut stack = pipeline::StackFig3Fig2Pool::with_trace_level(light);
+            move |_, (pattern, seed): (FailurePattern, u64)| {
+                // Lemma 6: the Figure 3 emulation yields a legal σ history.
+                let tr = pipeline::run_fig3_pooled(&mut fig3, &pattern, p, q, seed, 6_000);
+                let emulation =
+                    RunSample::judge(tr, check_sigma(tr.emulated_history(), &pattern, focus));
+                // End to end (Theorem 2 direction 1): Figure 2 stacked on
+                // Figure 3 solves set agreement from Σ_{p,q}.
+                let tr = pipeline::run_stack_fig3_fig2_pooled(
+                    &mut stack, &pattern, p, q, seed, max_steps,
+                );
+                vec![emulation, agreement(tr, &pattern, n - 1)]
+            }
+        }),
+        Claim::Sigma2kImplementsNMinusKAgreement => sweep.run(grid, || {
+            let mut pool = pipeline::Fig4Pool::with_trace_level(light);
+            move |_, (pattern, seed): (FailurePattern, u64)| {
+                let tr = pipeline::run_fig4_pooled(&mut pool, &pattern, focus, seed, max_steps);
+                vec![agreement(tr, &pattern, n - k)]
+            }
+        }),
+        Claim::XRegisterHarderThanNMinusKAgreement => sweep.run(grid, || {
+            let mut fig5 = pipeline::Fig5Pool::with_trace_level(light);
+            let mut stack = pipeline::StackFig5Fig4Pool::with_trace_level(light);
+            move |_, (pattern, seed): (FailurePattern, u64)| {
+                let tr = pipeline::run_fig5_pooled(&mut fig5, &pattern, focus, seed, 6_000);
+                let emulation =
+                    RunSample::judge(tr, check_sigma_k(tr.emulated_history(), &pattern, focus));
+                let tr = pipeline::run_stack_fig5_fig4_pooled(
+                    &mut stack,
+                    &pattern,
+                    focus,
+                    seed,
+                    max_steps * 2,
+                );
+                vec![emulation, agreement(tr, &pattern, n - k)]
+            }
+        }),
+        Claim::SigmaStrictlyStrongerThanAntiOmega => sweep.run(grid, || {
+            let mut pool = pipeline::Fig6Pool::with_trace_level(light);
+            move |_, (pattern, seed): (FailurePattern, u64)| {
+                let tr = pipeline::run_fig6_pooled(&mut pool, &pattern, p, q, seed, max_steps);
+                vec![RunSample::judge(tr, check_anti_omega(tr.emulated_history(), &pattern))]
+            }
+        }),
+        negative => panic!("{negative} is a negative claim: it has no algorithm to run"),
+    };
+    cells.into_iter().flatten().collect()
+}
+
+/// Judges a positive claim on its pattern suite (`extra_random` sampled
+/// patterns from `suite_seed`, see [`pattern_suite`]): the first violation
+/// in grid order refutes it, otherwise it holds on every sample.
+fn check_positive(
+    claim: Claim,
+    cfg: &ClaimConfig,
+    (extra_random, suite_seed): (usize, u64),
+    max_steps: u64,
+    notes: Vec<String>,
+) -> ClaimOutcome {
+    let patterns = pattern_suite(cfg.n, claim.focus(cfg.k), extra_random, suite_seed);
+    let samples = positive_runs(claim, cfg.n, cfg.k, &patterns, cfg.seeds, max_steps, cfg.threads);
+    match samples.iter().find_map(|s| s.violation.clone()) {
+        Some(detail) => refuted(claim, detail),
+        None => ClaimOutcome { claim, verdict: Verdict::Holds { runs: samples.len() }, notes },
+    }
+}
+
+/// Lemma 7's two-run construction against both candidate `σ`-from-`Σ_{p,q}`
+/// emulations on `n` processes (`p = p0`, `q = p1`, `a = p2`): the mirror
+/// candidate (seed 17, `max_steps`) and the gossip(16) candidate (seed 19,
+/// twice the budget). Returns `[mirror, gossip]`.
+pub fn defeat_lemma7_candidates(n: usize, max_steps: u64) -> [Defeat; 2] {
+    let (p, q) = pair();
+    let a = ProcessId(2);
+    [
+        lemma7_defeat(
+            &|| (0..n).map(|_| MirrorPairCandidate::new(p, q)).collect::<Vec<_>>(),
+            n,
+            p,
+            q,
+            a,
+            17,
+            max_steps,
+        ),
+        lemma7_defeat(
+            &|| (0..n).map(|_| GossipPairCandidate::new(p, q, 16)).collect::<Vec<_>>(),
+            n,
+            p,
+            q,
+            a,
+            19,
+            2 * max_steps,
+        ),
+    ]
+}
+
+/// Lemma 11's outsider construction (`n > 2k`) against the mirror-X
+/// candidate on `X = {p0 … p2k−1}` (seed 31).
+pub fn defeat_lemma11_outsider(n: usize, k: usize, max_steps: u64) -> Defeat {
+    let x = active_2k(k);
+    lemma11_defeat(
+        &|| (0..n).map(|_| MirrorXCandidate::new(x)).collect::<Vec<_>>(),
+        n,
+        x,
+        31,
+        max_steps,
+    )
+}
+
+/// Lemma 11's `n = 2k` construction against the mirror-X candidate, on
+/// its own system of `m = 2·max(k, 2)` processes (seed 37). Returns `m`
+/// and the defeat.
+pub fn defeat_lemma11_full_system(k: usize, max_steps: u64) -> (usize, Defeat) {
+    let m = 2 * k.max(2);
+    let full = ProcessSet::full(m);
+    let mk = || (0..m).map(|_| MirrorXCandidate::new(full)).collect::<Vec<_>>();
+    (m, lemma11_defeat(&mk, m, full, 37, max_steps))
+}
+
+/// Lemma 15's chain construction against the 5-round
+/// [`AntiOmegaAgreementCandidate`] on `n` processes (20 000 steps per
+/// segment).
+pub fn defeat_lemma15_candidate(n: usize) -> Lemma15Report {
+    lemma15_defeat(&|props: &[Value]| AntiOmegaAgreementCandidate::processes(props, 5), n, 20_000)
+}
+
+fn check_r1(cfg: &ClaimConfig) -> ClaimOutcome {
+    let notes = vec![format!("n={}, Figure 2 under sampled σ histories", cfg.n)];
+    check_positive(Claim::SigmaImplementsSetAgreement, cfg, (4, 11), cfg.max_steps, notes)
 }
 
 fn check_r2(cfg: &ClaimConfig) -> ClaimOutcome {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
-    let (n, max_steps) = (cfg.n, cfg.max_steps);
-    let swept = positive_sweep(cfg, pattern_suite(n, focus, 3, 13), || {
-        let mut fig3 = pipeline::Fig3Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig3Fig2Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            // Lemma 6: the Figure 3 emulation yields a legal σ history.
-            let tr = pipeline::run_fig3_pooled(&mut fig3, pattern, p, q, seed, 6_000);
-            check_sigma(tr.emulated_history(), pattern, focus).map_err(|e| e.to_string())?;
-            // End to end (Theorem 2 direction 1): Figure 2 stacked on
-            // Figure 3 solves set agreement from Σ_{p,q}.
-            let tr =
-                pipeline::run_stack_fig3_fig2_pooled(&mut stack, pattern, p, q, seed, max_steps);
-            check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1)
-                .map_err(|e| e.to_string())?;
-            Ok(2)
-        }
-    });
-    match swept {
-        Err(detail) => refuted(Claim::TwoRegisterHarderThanSetAgreement, detail),
-        Ok(runs) => ClaimOutcome {
-            claim: Claim::TwoRegisterHarderThanSetAgreement,
-            verdict: Verdict::Holds { runs },
-            notes: vec![
-                "Figure 3 output validated against Definition 3".into(),
-                "stacked Fig3→Fig2 pipeline solves set agreement from Σ_{p,q}".into(),
-            ],
-        },
-    }
+    let notes = vec![
+        "Figure 3 output validated against Definition 3".into(),
+        "stacked Fig3→Fig2 pipeline solves set agreement from Σ_{p,q}".into(),
+    ];
+    check_positive(Claim::TwoRegisterHarderThanSetAgreement, cfg, (3, 13), cfg.max_steps, notes)
 }
 
 fn check_r3(cfg: &ClaimConfig) -> ClaimOutcome {
-    let (p, q) = pair();
-    let a = ProcessId(2);
-    let n = cfg.n;
-    let mut defeats = Vec::new();
-    let d1 = lemma7_defeat(
-        &|| (0..n).map(|_| MirrorPairCandidate::new(p, q)).collect::<Vec<_>>(),
-        n,
-        p,
-        q,
-        a,
-        17,
-        30_000,
-    );
-    defeats.push(format!("mirror candidate: {d1}"));
-    let d2 = lemma7_defeat(
-        &|| (0..n).map(|_| GossipPairCandidate::new(p, q, 16)).collect::<Vec<_>>(),
-        n,
-        p,
-        q,
-        a,
-        19,
-        60_000,
-    );
-    defeats.push(format!("gossip candidate: {d2}"));
+    let [mirror, gossip] = defeat_lemma7_candidates(cfg.n, 30_000);
     ClaimOutcome {
         claim: Claim::SetAgreementNotHarderThanTwoRegister,
-        verdict: Verdict::CounterexampleExhibited { defeats },
+        verdict: Verdict::CounterexampleExhibited {
+            defeats: vec![
+                format!("mirror candidate: {mirror}"),
+                format!("gossip candidate: {gossip}"),
+            ],
+        },
         notes: vec!["Lemma 7 two-run indistinguishability construction".into()],
     }
 }
 
 fn check_r4(cfg: &ClaimConfig) -> ClaimOutcome {
-    let active = active_2k(cfg.k);
-    let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
-    let swept = positive_sweep(cfg, pattern_suite(n, active, 4, 23), || {
-        let mut pool = pipeline::Fig4Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig4_pooled(&mut pool, pattern, active, seed, max_steps);
-            check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k)
-                .map_err(|e| e.to_string())?;
-            Ok(1)
-        }
-    });
-    match swept {
-        Err(detail) => refuted(Claim::Sigma2kImplementsNMinusKAgreement, detail),
-        Ok(runs) => ClaimOutcome {
-            claim: Claim::Sigma2kImplementsNMinusKAgreement,
-            verdict: Verdict::Holds { runs },
-            notes: vec![format!("n={}, k={}, Figure 4 under sampled σ_2k histories", cfg.n, cfg.k)],
-        },
-    }
+    let notes = vec![format!("n={}, k={}, Figure 4 under sampled σ_2k histories", cfg.n, cfg.k)];
+    check_positive(Claim::Sigma2kImplementsNMinusKAgreement, cfg, (4, 23), cfg.max_steps, notes)
 }
 
 fn check_r5(cfg: &ClaimConfig) -> ClaimOutcome {
-    let x = active_2k(cfg.k);
-    let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
-    let swept = positive_sweep(cfg, pattern_suite(n, x, 3, 29), || {
-        let mut fig5 = pipeline::Fig5Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig5Fig4Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig5_pooled(&mut fig5, pattern, x, seed, 6_000);
-            check_sigma_k(tr.emulated_history(), pattern, x).map_err(|e| e.to_string())?;
-            let tr =
-                pipeline::run_stack_fig5_fig4_pooled(&mut stack, pattern, x, seed, max_steps * 2);
-            check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k)
-                .map_err(|e| e.to_string())?;
-            Ok(2)
-        }
-    });
-    match swept {
-        Err(detail) => refuted(Claim::XRegisterHarderThanNMinusKAgreement, detail),
-        Ok(runs) => ClaimOutcome {
-            claim: Claim::XRegisterHarderThanNMinusKAgreement,
-            verdict: Verdict::Holds { runs },
-            notes: vec![
-                "Figure 5 output validated against Definition 9".into(),
-                "stacked Fig5→Fig4 pipeline solves (n−k)-set agreement from Σ_X2k".into(),
-            ],
-        },
-    }
+    let notes = vec![
+        "Figure 5 output validated against Definition 9".into(),
+        "stacked Fig5→Fig4 pipeline solves (n−k)-set agreement from Σ_X2k".into(),
+    ];
+    check_positive(Claim::XRegisterHarderThanNMinusKAgreement, cfg, (3, 29), cfg.max_steps, notes)
 }
 
 fn check_r6(cfg: &ClaimConfig) -> ClaimOutcome {
-    let n = cfg.n;
-    let x = active_2k(cfg.k);
-    let mut defeats = Vec::new();
-    let d1 = lemma11_defeat(
-        &|| (0..n).map(|_| MirrorXCandidate::new(x)).collect::<Vec<_>>(),
-        n,
-        x,
-        31,
-        30_000,
-    );
-    defeats.push(format!("mirror-X candidate (n>2k): {d1}"));
-    // The special n = 2k case, on its own system size.
-    if n >= 4 {
-        let m = 2 * cfg.k.max(2);
-        let full = ProcessSet::full(m);
-        let d2 = lemma11_defeat(
-            &|| (0..m).map(|_| MirrorXCandidate::new(full)).collect::<Vec<_>>(),
-            m,
-            full,
-            37,
-            30_000,
-        );
-        defeats.push(format!("mirror-X candidate (n=2k={m}): {d2}"));
+    let mut defeats = vec![format!(
+        "mirror-X candidate (n>2k): {}",
+        defeat_lemma11_outsider(cfg.n, cfg.k, 30_000)
+    )];
+    if cfg.n >= 4 {
+        let (m, d) = defeat_lemma11_full_system(cfg.k, 30_000);
+        defeats.push(format!("mirror-X candidate (n=2k={m}): {d}"));
     }
     ClaimOutcome {
         claim: Claim::NMinusKAgreementNotHarderThanX2kRegister,
@@ -448,11 +556,7 @@ fn check_r8(cfg: &ClaimConfig) -> ClaimOutcome {
 }
 
 fn check_r9(cfg: &ClaimConfig) -> ClaimOutcome {
-    let report = lemma15_defeat(
-        &|props: &[sih_model::Value]| AntiOmegaAgreementCandidate::processes(props, 5),
-        cfg.n,
-        20_000,
-    );
+    let report = defeat_lemma15_candidate(cfg.n);
     match &report.verdict {
         Lemma15Verdict::AgreementViolation { distinct } => ClaimOutcome {
             claim: Claim::AntiOmegaInsufficientInMessagePassing,
@@ -476,27 +580,11 @@ fn check_r9(cfg: &ClaimConfig) -> ClaimOutcome {
 }
 
 fn check_r10(cfg: &ClaimConfig) -> ClaimOutcome {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
-    let swept = positive_sweep(cfg, pattern_suite(cfg.n, focus, 4, 53), || {
-        let mut pool = pipeline::Fig6Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig6_pooled(&mut pool, pattern, p, q, seed, 20_000);
-            check_anti_omega(tr.emulated_history(), pattern).map_err(|e| e.to_string())?;
-            Ok(1)
-        }
-    });
-    match swept {
-        Err(detail) => refuted(Claim::SigmaStrictlyStrongerThanAntiOmega, detail),
-        Ok(runs) => ClaimOutcome {
-            claim: Claim::SigmaStrictlyStrongerThanAntiOmega,
-            verdict: Verdict::Holds { runs },
-            notes: vec![
-                "Figure 6 emulation validated against the anti-Ω specification".into(),
-                "strictness follows from Lemma 15 (σ solves set agreement, anti-Ω cannot)".into(),
-            ],
-        },
-    }
+    let notes = vec![
+        "Figure 6 emulation validated against the anti-Ω specification".into(),
+        "strictness follows from Lemma 15 (σ solves set agreement, anti-Ω cannot)".into(),
+    ];
+    check_positive(Claim::SigmaStrictlyStrongerThanAntiOmega, cfg, (4, 53), 20_000, notes)
 }
 
 fn refuted(claim: Claim, detail: String) -> ClaimOutcome {
@@ -532,6 +620,42 @@ mod tests {
         titles.dedup();
         assert_eq!(titles.len(), Claim::ALL.len());
         assert!(Claim::ALL.iter().all(|c| !c.paper_ref().is_empty()));
+    }
+
+    #[test]
+    fn validate_enforces_the_size_rule() {
+        let cfg = |n, k| ClaimConfig { n, k, ..small() };
+        assert_eq!(cfg(3, 1).validate(), Ok(()));
+        assert_eq!(cfg(6, 3).validate(), Ok(()));
+        for (n, k) in [(2, 1), (6, 0), (6, 4), (3, 2)] {
+            assert_eq!(cfg(n, k).validate(), Err(ConfigError { n, k }), "n={n}, k={k}");
+        }
+    }
+
+    #[test]
+    fn positive_runs_are_one_sample_per_run_in_grid_order() {
+        // The deterministic part of the suite: three patterns, one seed each.
+        let patterns = pattern_suite(4, Claim::SigmaImplementsSetAgreement.focus(1), 0, 7);
+        let cells = patterns.len();
+        let runs = |claim, threads| positive_runs(claim, 4, 1, &patterns, 1, 150_000, threads);
+        for claim in Claim::ALL.into_iter().filter(Claim::is_positive) {
+            let samples = runs(claim, 1);
+            // The stacked claims (R2, R5) add the emulation's own run.
+            let per_cell = match claim {
+                Claim::TwoRegisterHarderThanSetAgreement
+                | Claim::XRegisterHarderThanNMinusKAgreement => 2,
+                _ => 1,
+            };
+            assert_eq!(samples.len(), per_cell * cells, "{claim}");
+            assert!(samples.iter().all(|s| s.violation.is_none()), "{claim}: {samples:?}");
+            assert_eq!(samples, runs(claim, 3), "{claim}: thread count changed the samples");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative claim")]
+    fn positive_runs_reject_negative_claims() {
+        let _ = positive_runs(Claim::DecisionBudgetsAreTight, 4, 1, &[], 1, 10, 1);
     }
 
     #[test]

@@ -53,8 +53,8 @@ use sih_lab::json::{self, Value};
 use sih_lab::{
     load_seed_schedules, render_figure1, repro, run_byzantine_bench, run_experiment,
     run_explore_bench, run_faults_bench, run_fuzz_bench, run_scale_bench, ByzantineLabConfig,
-    ExperimentReport, ExploreLabConfig, FaultsLabConfig, FuzzLabConfig, LabConfig, ScaleLabConfig,
-    EXPERIMENT_IDS,
+    ClaimConfig, ExperimentReport, ExploreLabConfig, FaultsLabConfig, FuzzLabConfig,
+    ScaleLabConfig, EXPERIMENT_IDS,
 };
 use sih_runtime::Schedule;
 use std::process::ExitCode;
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
         return gate_cli(&args[1..]);
     }
     let command = args[0].clone();
-    let mut cfg = LabConfig::default();
+    let mut cfg = ClaimConfig::default();
     let mut explore_cfg = ExploreLabConfig::default();
     let mut faults_cfg = FaultsLabConfig::default();
     let mut byz_cfg = ByzantineLabConfig::default();
@@ -227,6 +227,13 @@ fn main() -> ExitCode {
         }
         let ok = report.verdicts_agree() && report.reduced.ok();
         return finish_bench("explore", ok, report.to_json(), json_path);
+    }
+
+    if matches!(command.as_str(), "figure1" | "all") || EXPERIMENT_IDS.contains(&command.as_str()) {
+        if let Err(e) = cfg.validate() {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     let timed_run = |id: &str| -> (ExperimentReport, Duration) {

@@ -5,48 +5,18 @@
 use crate::report::{ExperimentReport, RunStats};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sih::claims::{check_claim, Claim, ClaimConfig, Verdict};
+use sih::claims::{
+    check_claim, defeat_lemma11_full_system, defeat_lemma11_outsider, defeat_lemma15_candidate,
+    defeat_lemma7_candidates, positive_runs, Claim, ClaimConfig, Verdict,
+};
 use sih::patterns::{pattern_suite, random_majority_pattern};
 use sih::pipeline;
-use sih_agreement::{check_k_set_agreement, distinct_proposals};
-use sih_detectors::{check_anti_omega, check_sigma, check_sigma_k, check_sigma_s, QuorumSigma};
+use sih_detectors::{check_sigma_s, QuorumSigma};
 use sih_model::{FailurePattern, NoDetector, ProcessId, ProcessSet, Value};
-use sih_reductions::{
-    fig2_tightness, fig4_tightness, lemma11_defeat, lemma15_defeat, lemma7_defeat, theorem13_demo,
-    AntiOmegaAgreementCandidate, GossipPairCandidate, Lemma15Verdict, MirrorPairCandidate,
-    MirrorXCandidate,
-};
+use sih_reductions::{fig2_tightness, fig4_tightness, theorem13_demo, Lemma15Verdict};
 use sih_registers::{check_linearizable, AbdRegister, SigmaExtractor, WorkloadSpec};
 use sih_runtime::sweep::{with_seeds, Sweep};
 use sih_runtime::{Driver, SimPool, Simulation, TraceLevel};
-
-/// Lab configuration (a serializable [`ClaimConfig`] superset).
-#[derive(Clone, Copy, Debug)]
-pub struct LabConfig {
-    /// System size `n`.
-    pub n: usize,
-    /// The `k` of the generalized claims.
-    pub k: usize,
-    /// Seeds per pattern.
-    pub seeds: u64,
-    /// Step budget per run.
-    pub max_steps: u64,
-    /// Worker threads for sweeps (`0` = one per available core).
-    /// Results are identical for every thread count.
-    pub threads: usize,
-}
-
-impl Default for LabConfig {
-    fn default() -> Self {
-        LabConfig { n: 6, k: 2, seeds: 5, max_steps: 200_000, threads: 0 }
-    }
-}
-
-impl From<LabConfig> for ClaimConfig {
-    fn from(c: LabConfig) -> ClaimConfig {
-        ClaimConfig { n: c.n, k: c.k, seeds: c.seeds, max_steps: c.max_steps, threads: c.threads }
-    }
-}
 
 /// All experiment ids, in DESIGN.md order.
 pub const EXPERIMENT_IDS: [&str; 18] = [
@@ -76,7 +46,7 @@ pub const EXPERIMENT_IDS: [&str; 18] = [
 /// # Panics
 ///
 /// Panics on an unknown id.
-pub fn run_experiment(id: &str, cfg: &LabConfig) -> ExperimentReport {
+pub fn run_experiment(id: &str, cfg: &ClaimConfig) -> ExperimentReport {
     match id {
         "e1" => e1_fig2(cfg),
         "e2" => e2_fig3(cfg),
@@ -102,62 +72,45 @@ pub fn run_experiment(id: &str, cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn pair() -> (ProcessId, ProcessId) {
-    (ProcessId(0), ProcessId(1))
+/// Folds `(steps, messages, violated)` samples into `total` and returns
+/// their own stats. The running means are order-sensitive, so samples
+/// must come in canonical grid order, never in worker-finish order.
+fn fold(total: &mut RunStats, samples: impl IntoIterator<Item = (u64, u64, bool)>) -> RunStats {
+    let mut sub = RunStats::default();
+    for (steps, messages, violated) in samples {
+        sub.record(steps, messages, violated);
+        total.record(steps, messages, violated);
+    }
+    sub
 }
 
-/// One simulated run's contribution to a [`RunStats`] fold:
-/// `(steps, messages, violated)`.
-type RunSample = (u64, u64, bool);
-
-/// Fans a `(pattern, seed)` grid across the sweep engine and returns the
-/// per-run samples flattened in canonical grid order. Callers fold the
-/// samples into [`RunStats`] serially — the running means are
-/// order-sensitive, so the fold must not depend on which worker finished
-/// first.
-fn sweep_runs<W, F>(
-    threads: usize,
-    seeds: u64,
-    patterns: Vec<FailurePattern>,
-    make_job: W,
-) -> Vec<RunSample>
-where
-    W: Fn() -> F + Sync,
-    F: FnMut(&FailurePattern, u64) -> Vec<RunSample>,
-{
-    let grid = with_seeds(&patterns, seeds);
-    Sweep::new(threads)
-        .run(grid, || {
-            let mut job = make_job();
-            move |_idx, (pattern, seed): (FailurePattern, u64)| job(&pattern, seed)
-        })
+/// A positive claim's runs on `n` processes over its `(extra_random,
+/// suite_seed)` pattern suite, as `(steps, messages, violated)` samples.
+fn claim_runs(
+    claim: Claim,
+    cfg: &ClaimConfig,
+    (n, k): (usize, usize),
+    (extra_random, suite_seed): (usize, u64),
+    max_steps: u64,
+) -> impl Iterator<Item = (u64, u64, bool)> {
+    let patterns = pattern_suite(n, claim.focus(k), extra_random, suite_seed);
+    positive_runs(claim, n, k, &patterns, cfg.seeds, max_steps, cfg.threads)
         .into_iter()
-        .flatten()
-        .collect()
+        .map(|s| (s.steps, s.messages, s.violation.is_some()))
 }
 
-fn e1_fig2(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
+fn e1_fig2(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
     let mut details = Vec::new();
-    let max_steps = cfg.max_steps;
     for n in [3usize, 4, cfg.n.max(5)] {
-        let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, focus, 3, 101), || {
-            let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
-            move |pattern: &FailurePattern, seed| {
-                let tr = pipeline::run_fig2_pooled(&mut pool, pattern, p, q, seed, max_steps);
-                let violated =
-                    check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1).is_err();
-                vec![(tr.total_steps(), tr.messages_sent(), violated)]
-            }
-        });
-        let mut sub = RunStats::default();
-        for (steps, messages, violated) in samples {
-            sub.record(steps, messages, violated);
-            stats.record(steps, messages, violated);
-        }
-        details.push(format!("n={n}: {sub}"));
+        let samples = claim_runs(
+            Claim::SigmaImplementsSetAgreement,
+            cfg,
+            (n, cfg.k),
+            (3, 101),
+            cfg.max_steps,
+        );
+        details.push(format!("n={n}: {}", fold(&mut stats, samples)));
     }
     ExperimentReport {
         id: "e1".into(),
@@ -170,27 +123,10 @@ fn e1_fig2(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e2_fig3(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
+fn e2_fig3(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
-    let (n, max_steps) = (cfg.n, cfg.max_steps);
-    let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, focus, 4, 103), || {
-        let mut fig3 = pipeline::Fig3Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig3Fig2Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig3_pooled(&mut fig3, pattern, p, q, seed, 6_000);
-            let v1 = check_sigma(tr.emulated_history(), pattern, focus).is_err();
-            let s1 = (tr.total_steps(), tr.messages_sent(), v1);
-            let tr =
-                pipeline::run_stack_fig3_fig2_pooled(&mut stack, pattern, p, q, seed, max_steps);
-            let v2 = check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1).is_err();
-            vec![s1, (tr.total_steps(), tr.messages_sent(), v2)]
-        }
-    });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
+    let claim = Claim::TwoRegisterHarderThanSetAgreement;
+    fold(&mut stats, claim_runs(claim, cfg, (cfg.n, cfg.k), (4, 103), cfg.max_steps));
     ExperimentReport {
         id: "e2".into(),
         title: "Σ_{p,q} ⪰ σ (2-register harder than set agreement)".into(),
@@ -203,61 +139,26 @@ fn e2_fig3(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e3_lemma7(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let a = ProcessId(2);
-    let n = cfg.n;
-    let d1 = lemma7_defeat(
-        &|| (0..n).map(|_| MirrorPairCandidate::new(p, q)).collect::<Vec<_>>(),
-        n,
-        p,
-        q,
-        a,
-        17,
-        40_000,
-    );
-    let d2 = lemma7_defeat(
-        &|| (0..n).map(|_| GossipPairCandidate::new(p, q, 16)).collect::<Vec<_>>(),
-        n,
-        p,
-        q,
-        a,
-        19,
-        80_000,
-    );
+fn e3_lemma7(cfg: &ClaimConfig) -> ExperimentReport {
+    let [mirror, gossip] = defeat_lemma7_candidates(cfg.n, 40_000);
     ExperimentReport {
         id: "e3".into(),
         title: "Σ_{p,q} ⋠ σ (set agreement NOT harder than 2-register)".into(),
         paper_ref: "Lemma 7".into(),
         ok: true,
         outcome: "every candidate emulation defeated by the two-run construction".into(),
-        details: vec![format!("mirror: {d1}"), format!("gossip: {d2}")],
+        details: vec![format!("mirror: {mirror}"), format!("gossip: {gossip}")],
         stats: None,
     }
 }
 
-fn e4_fig4(cfg: &LabConfig) -> ExperimentReport {
+fn e4_fig4(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
     let mut details = Vec::new();
-    let (n, max_steps) = (cfg.n, cfg.max_steps);
     for k in 1..=cfg.n / 2 {
-        let active: ProcessSet = (0..2 * k as u32).map(ProcessId).collect();
-        let suite = pattern_suite(n, active, 3, 107 + k as u64);
-        let samples = sweep_runs(cfg.threads, cfg.seeds, suite, || {
-            let mut pool = pipeline::Fig4Pool::with_trace_level(TraceLevel::Light);
-            move |pattern: &FailurePattern, seed| {
-                let tr = pipeline::run_fig4_pooled(&mut pool, pattern, active, seed, max_steps);
-                let violated =
-                    check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k).is_err();
-                vec![(tr.total_steps(), tr.messages_sent(), violated)]
-            }
-        });
-        let mut sub = RunStats::default();
-        for (steps, messages, violated) in samples {
-            sub.record(steps, messages, violated);
-            stats.record(steps, messages, violated);
-        }
-        details.push(format!("k={k}: {sub}"));
+        let claim = Claim::Sigma2kImplementsNMinusKAgreement;
+        let samples = claim_runs(claim, cfg, (cfg.n, k), (3, 107 + k as u64), cfg.max_steps);
+        details.push(format!("k={k}: {}", fold(&mut stats, samples)));
     }
     ExperimentReport {
         id: "e4".into(),
@@ -270,26 +171,10 @@ fn e4_fig4(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e5_fig5(cfg: &LabConfig) -> ExperimentReport {
-    let x: ProcessSet = (0..2 * cfg.k as u32).map(ProcessId).collect();
+fn e5_fig5(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
-    let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
-    let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, x, 4, 109), || {
-        let mut fig5 = pipeline::Fig5Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig5Fig4Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig5_pooled(&mut fig5, pattern, x, seed, 6_000);
-            let v1 = check_sigma_k(tr.emulated_history(), pattern, x).is_err();
-            let s1 = (tr.total_steps(), tr.messages_sent(), v1);
-            let tr =
-                pipeline::run_stack_fig5_fig4_pooled(&mut stack, pattern, x, seed, max_steps * 2);
-            let v2 = check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k).is_err();
-            vec![s1, (tr.total_steps(), tr.messages_sent(), v2)]
-        }
-    });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
+    let claim = Claim::XRegisterHarderThanNMinusKAgreement;
+    fold(&mut stats, claim_runs(claim, cfg, (cfg.n, cfg.k), (4, 109), cfg.max_steps));
     ExperimentReport {
         id: "e5".into(),
         title: "Σ_X ⪰ σ_|X| (2k-register harder than (n−k)-set agreement)".into(),
@@ -303,37 +188,21 @@ fn e5_fig5(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e6_lemma11(cfg: &LabConfig) -> ExperimentReport {
-    let n = cfg.n;
-    let x: ProcessSet = (0..2 * cfg.k as u32).map(ProcessId).collect();
-    let d1 = lemma11_defeat(
-        &|| (0..n).map(|_| MirrorXCandidate::new(x)).collect::<Vec<_>>(),
-        n,
-        x,
-        31,
-        40_000,
-    );
-    let m = (2 * cfg.k).max(4);
-    let full = ProcessSet::full(m);
-    let d2 = lemma11_defeat(
-        &|| (0..m).map(|_| MirrorXCandidate::new(full)).collect::<Vec<_>>(),
-        m,
-        full,
-        37,
-        40_000,
-    );
+fn e6_lemma11(cfg: &ClaimConfig) -> ExperimentReport {
+    let outsider = defeat_lemma11_outsider(cfg.n, cfg.k, 40_000);
+    let (m, full) = defeat_lemma11_full_system(cfg.k, 40_000);
     ExperimentReport {
         id: "e6".into(),
         title: "Σ_X2k ⋠ σ_2k ((n−k)-set agreement NOT harder than 2k-register)".into(),
         paper_ref: "Lemma 11".into(),
         ok: true,
         outcome: "candidates defeated in both the outsider and n=2k constructions".into(),
-        details: vec![format!("n>2k: {d1}"), format!("n=2k={m}: {d2}")],
+        details: vec![format!("n>2k: {outsider}"), format!("n=2k={m}: {full}")],
         stats: None,
     }
 }
 
-fn e7_tightness(cfg: &LabConfig) -> ExperimentReport {
+fn e7_tightness(cfg: &ClaimConfig) -> ExperimentReport {
     let mut details = Vec::new();
     let mut ok = true;
     for n in [3usize, 4, cfg.n.max(5)] {
@@ -366,7 +235,7 @@ fn e7_tightness(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e8_theorem13(cfg: &LabConfig) -> ExperimentReport {
+fn e8_theorem13(cfg: &ClaimConfig) -> ExperimentReport {
     let mut details = Vec::new();
     let mut ok = true;
     for k in 1..=cfg.k.max(3) {
@@ -385,27 +254,12 @@ fn e8_theorem13(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e9_fig6(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
+fn e9_fig6(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
-    let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(cfg.n, focus, 4, 113), || {
-        let mut pool = pipeline::Fig6Pool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig6_pooled(&mut pool, pattern, p, q, seed, 25_000);
-            let violated = check_anti_omega(tr.emulated_history(), pattern).is_err();
-            vec![(tr.total_steps(), tr.messages_sent(), violated)]
-        }
-    });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
+    let claim = Claim::SigmaStrictlyStrongerThanAntiOmega;
+    fold(&mut stats, claim_runs(claim, cfg, (cfg.n, cfg.k), (4, 113), 25_000));
     // Lemma 15 gives the strictness half.
-    let report = lemma15_defeat(
-        &|props: &[Value]| AntiOmegaAgreementCandidate::processes(props, 5),
-        cfg.n,
-        20_000,
-    );
+    let report = defeat_lemma15_candidate(cfg.n);
     let strict = matches!(report.verdict, Lemma15Verdict::AgreementViolation { .. });
     ExperimentReport {
         id: "e9".into(),
@@ -419,7 +273,7 @@ fn e9_fig6(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e10_quorum(cfg: &LabConfig) -> ExperimentReport {
+fn e10_quorum(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
     let mut rng = ChaCha8Rng::seed_from_u64(127);
     let mut patterns = vec![FailurePattern::all_correct(cfg.n)];
@@ -427,21 +281,19 @@ fn e10_quorum(cfg: &LabConfig) -> ExperimentReport {
         patterns.push(random_majority_pattern(cfg.n, &mut rng));
     }
     let n = cfg.n;
-    let samples = sweep_runs(cfg.threads, cfg.seeds, patterns, || {
+    let samples = Sweep::new(cfg.threads).run(with_seeds(&patterns, cfg.seeds), || {
         let mut pool = SimPool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
+        move |_idx, (pattern, seed): (FailurePattern, u64)| {
             let procs = (0..n).map(|_| QuorumSigma::full(n)).collect();
-            let sim = pool.acquire(procs, pattern);
+            let sim = pool.acquire(procs, &pattern);
             sim.drive(Driver::Fair { seed, max_steps: 10_000 }, &NoDetector, |_| false, None);
             let tr = sim.trace();
             let violated =
-                check_sigma_s(tr.emulated_history(), pattern, ProcessSet::full(n)).is_err();
-            vec![(tr.total_steps(), tr.messages_sent(), violated)]
+                check_sigma_s(tr.emulated_history(), &pattern, ProcessSet::full(n)).is_err();
+            (tr.total_steps(), tr.messages_sent(), violated)
         }
     });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
+    fold(&mut stats, samples);
     ExperimentReport {
         id: "e10".into(),
         title: "quorum implementation of Σ in majority-correct environments".into(),
@@ -453,7 +305,7 @@ fn e10_quorum(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e11_abd(cfg: &LabConfig) -> ExperimentReport {
+fn e11_abd(cfg: &ClaimConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
     let mut details = Vec::new();
     let mut rng = ChaCha8Rng::seed_from_u64(131);
@@ -481,12 +333,7 @@ fn e11_abd(cfg: &LabConfig) -> ExperimentReport {
                 (tr.total_steps(), tr.messages_sent(), violated)
             }
         });
-        let mut sub = RunStats::default();
-        for (steps, messages, violated) in samples {
-            sub.record(steps, messages, violated);
-            stats.record(steps, messages, violated);
-        }
-        details.push(format!("|S|={s_size}: {sub}"));
+        details.push(format!("|S|={s_size}: {}", fold(&mut stats, samples)));
     }
     ExperimentReport {
         id: "e11".into(),
@@ -499,12 +346,11 @@ fn e11_abd(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e12_figure1(cfg: &LabConfig) -> ExperimentReport {
-    let claim_cfg: ClaimConfig = (*cfg).into();
+fn e12_figure1(cfg: &ClaimConfig) -> ExperimentReport {
     let mut details = Vec::new();
     let mut ok = true;
     for claim in Claim::ALL {
-        let outcome = check_claim(claim, &claim_cfg);
+        let outcome = check_claim(claim, cfg);
         let confirmed = outcome.verdict.confirmed();
         ok &= confirmed;
         let line = match &outcome.verdict {
@@ -527,7 +373,7 @@ fn e12_figure1(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e13_sharedmem(cfg: &LabConfig) -> ExperimentReport {
+fn e13_sharedmem(cfg: &ClaimConfig) -> ExperimentReport {
     use sih_sharedmem::{bridged_processes, CollectMin, LocalSharedSim};
     let n = cfg.n;
     let proposals: Vec<Value> = (0..n as u64).map(Value).collect();
@@ -577,7 +423,7 @@ fn e13_sharedmem(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e15_extraction(cfg: &LabConfig) -> ExperimentReport {
+fn e15_extraction(cfg: &ClaimConfig) -> ExperimentReport {
     use sih_registers::extracting;
     let mut stats = RunStats::default();
     let mut rng = ChaCha8Rng::seed_from_u64(137);
@@ -615,9 +461,7 @@ fn e15_extraction(cfg: &LabConfig) -> ExperimentReport {
             (tr.total_steps(), tr.messages_sent(), violated)
         }
     });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
+    fold(&mut stats, samples);
     ExperimentReport {
         id: "e15".into(),
         title: "Σ extracted from the register's own message flow".into(),
@@ -629,9 +473,9 @@ fn e15_extraction(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn faults_matrix(cfg: &LabConfig) -> ExperimentReport {
+fn faults_matrix(cfg: &ClaimConfig) -> ExperimentReport {
     let fcfg = crate::FaultsLabConfig {
-        n: cfg.n.max(3),
+        n: cfg.n,
         seeds: cfg.seeds,
         max_steps: cfg.max_steps.max(400_000),
         threads: cfg.threads,
@@ -668,9 +512,9 @@ fn faults_matrix(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn byzantine_matrix(cfg: &LabConfig) -> ExperimentReport {
+fn byzantine_matrix(cfg: &ClaimConfig) -> ExperimentReport {
     let bcfg = crate::ByzantineLabConfig {
-        n: cfg.n.max(3),
+        n: cfg.n,
         seeds: cfg.seeds,
         max_steps: cfg.max_steps.clamp(10_000, 50_000),
         threads: cfg.threads,
@@ -709,7 +553,7 @@ fn byzantine_matrix(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn fuzz_smoke(cfg: &LabConfig) -> ExperimentReport {
+fn fuzz_smoke(cfg: &ClaimConfig) -> ExperimentReport {
     let fcfg = crate::FuzzLabConfig {
         seed: 0,
         budget_schedules: (cfg.seeds * 96).clamp(96, 1024),
@@ -756,7 +600,7 @@ fn fuzz_smoke(cfg: &LabConfig) -> ExperimentReport {
     }
 }
 
-fn e14_footnote(cfg: &LabConfig) -> ExperimentReport {
+fn e14_footnote(cfg: &ClaimConfig) -> ExperimentReport {
     let report = sih_reductions::two_process_equivalence(cfg.seeds.max(3));
     ExperimentReport {
         id: "e14".into(),
@@ -776,8 +620,8 @@ fn e14_footnote(cfg: &LabConfig) -> ExperimentReport {
 mod tests {
     use super::*;
 
-    fn tiny() -> LabConfig {
-        LabConfig { n: 4, k: 1, seeds: 1, max_steps: 150_000, ..LabConfig::default() }
+    fn tiny() -> ClaimConfig {
+        ClaimConfig { n: 4, k: 1, seeds: 1, max_steps: 150_000, ..ClaimConfig::default() }
     }
 
     #[test]
@@ -801,15 +645,5 @@ mod tests {
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_id_panics() {
         let _ = run_experiment("e99", &tiny());
-    }
-
-    #[test]
-    fn lab_config_converts_to_claim_config() {
-        let lab = LabConfig { n: 5, k: 2, seeds: 3, max_steps: 9, threads: 1 };
-        let claim: ClaimConfig = lab.into();
-        assert_eq!(claim.n, 5);
-        assert_eq!(claim.k, 2);
-        assert_eq!(claim.seeds, 3);
-        assert_eq!(claim.max_steps, 9);
     }
 }

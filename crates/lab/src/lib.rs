@@ -1,6 +1,9 @@
 //! Experiment harness for the *Sharing is Harder than Agreeing*
 //! reproduction: every figure and claim of the paper regenerated by a
-//! runnable experiment (`E1…E12`), with JSON records for bookkeeping.
+//! runnable experiment (`E1…E15`), with JSON records for bookkeeping.
+//! Every experiment takes a [`ClaimConfig`]; E1–E9 run and judge their
+//! Figure 1 relations through `sih::claims`, keeping only their own
+//! sweep shape and report formatting here.
 //!
 //! Run from the CLI:
 //!
@@ -13,9 +16,9 @@
 //! # Example (library use)
 //!
 //! ```
-//! use sih_lab::{run_experiment, LabConfig};
+//! use sih_lab::{run_experiment, ClaimConfig};
 //!
-//! let cfg = LabConfig { n: 4, k: 1, seeds: 1, ..LabConfig::default() };
+//! let cfg = ClaimConfig { n: 4, k: 1, seeds: 1, ..ClaimConfig::default() };
 //! let report = run_experiment("e3", &cfg);
 //! assert!(report.ok);
 //! ```
@@ -37,7 +40,7 @@ pub use byzantine::{
     cell_witness, run_byzantine_bench, ByzantineBenchReport, ByzantineCell, ByzantineLabConfig,
     RungStats,
 };
-pub use experiments::{run_experiment, LabConfig, EXPERIMENT_IDS};
+pub use experiments::{run_experiment, EXPERIMENT_IDS};
 pub use explore::{run_explore_bench, ExploreBenchReport, ExploreLabConfig};
 pub use faults::{
     run_fault_cell, run_faults_bench, FaultCell, FaultsBenchReport, FaultsLabConfig, StarvedLeg,
@@ -48,19 +51,22 @@ pub use fuzz::{
 };
 pub use report::{ExperimentReport, RunStats};
 pub use scale::{run_scale_bench, ScaleBenchReport, ScaleCell, ScaleLabConfig};
+pub use sih::claims::ClaimConfig;
 
 /// Renders the paper's Figure 1 (the results summary) with this
-/// reproduction's verdicts, as preformatted text.
-pub fn render_figure1(cfg: &LabConfig) -> String {
+/// reproduction's verdicts, as preformatted text in a frame as wide as
+/// its widest row.
+pub fn render_figure1(cfg: &ClaimConfig) -> String {
     let report = run_experiment("e12", cfg);
-    let mut out = String::new();
-    out.push_str("┌──────────────────────────────────────────────────────────────────────────────────────────────────┐\n");
-    out.push_str("│ Figure 1 — Sharing is Harder than Agreeing (PODC'08): results, machine-checked                  │\n");
-    out.push_str("├──────────────────────────────────────────────────────────────────────────────────────────────────┤\n");
+    let title = "Figure 1 — Sharing is Harder than Agreeing (PODC'08): results, machine-checked";
+    let width =
+        report.details.iter().map(|l| l.chars().count()).fold(title.chars().count(), usize::max);
+    let rule = "─".repeat(width + 2);
+    let mut out = format!("┌{rule}┐\n│ {title:<width$} │\n├{rule}┤\n");
     for line in &report.details {
-        out.push_str(&format!("│ {line:<96} │\n"));
+        out.push_str(&format!("│ {line:<width$} │\n"));
     }
-    out.push_str("└──────────────────────────────────────────────────────────────────────────────────────────────────┘\n");
+    out.push_str(&format!("└{rule}┘\n"));
     out
 }
 
@@ -70,11 +76,19 @@ mod tests {
 
     #[test]
     fn figure1_renders_every_claim_row() {
-        let cfg = LabConfig { n: 4, k: 1, seeds: 1, ..LabConfig::default() };
+        let cfg = ClaimConfig { n: 4, k: 1, seeds: 1, ..ClaimConfig::default() };
         let text = render_figure1(&cfg);
         assert!(text.contains("σ → (n−1)-set agreement"));
         assert!(text.contains("anti-Ω ≺ σ"));
         assert!(text.contains("HOLDS") || text.contains("COUNTEREXAMPLE"));
         assert!(!text.contains("REFUTED"));
+    }
+
+    #[test]
+    fn figure1_frame_fits_its_widest_row() {
+        let cfg = ClaimConfig { n: 6, k: 2, seeds: 1, ..ClaimConfig::default() };
+        let text = render_figure1(&cfg);
+        let widths: Vec<usize> = text.lines().map(|l| l.chars().count()).collect();
+        assert!(widths.iter().all(|w| *w == widths[0]), "ragged frame: {widths:?}\n{text}");
     }
 }

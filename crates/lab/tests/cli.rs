@@ -110,6 +110,28 @@ fn figure1_renders_the_matrix() {
     assert!(!text.contains("REFUTED"), "{text}");
 }
 
+/// Out-of-range sizes are rejected before anything runs: no report, no
+/// panic, exit 1.
+fn assert_rejected(args: &[&str]) {
+    let out = lab().args(args).output().expect("binary runs");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(!out.status.success(), "{args:?} succeeded: {stdout}");
+    assert!(stdout.is_empty(), "{args:?} printed a report: {stdout}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    assert!(stderr.contains("need n ≥ 3, 1 ≤ k ≤ n/2"), "{stderr}");
+}
+
+#[test]
+fn experiment_with_k_beyond_half_of_n_is_rejected() {
+    assert_rejected(&["e5", "--n", "6", "--k", "4", "--seeds", "1"]);
+}
+
+#[test]
+fn figure1_with_too_few_processes_is_rejected() {
+    assert_rejected(&["figure1", "--n", "2", "--seeds", "1"]);
+}
+
 #[test]
 fn gate_names_the_first_differing_path_and_exits_one() {
     let dir = std::env::temp_dir().join(format!("lab-cli-gate-{}", std::process::id()));

@@ -1,12 +1,17 @@
-//! Tier-1 guard on the committed matrix baselines.
+//! Tier-1 guard on the committed baselines.
 //!
 //! `BENCH_faults.json` and `BENCH_byzantine.json` are regenerated
 //! single-threaded, at the `n`, seed count and step budget the committed
 //! files record, and must agree with them in every field `lab gate`
 //! compares (everything but wall clock and runner-dependent fields).
+//! `tests/golden/experiments.json` pins every experiment report the same
+//! way.
 
 use sih_lab::json::{first_difference, parse, Value};
-use sih_lab::{run_byzantine_bench, run_faults_bench, ByzantineLabConfig, FaultsLabConfig};
+use sih_lab::{
+    run_byzantine_bench, run_experiment, run_faults_bench, ByzantineLabConfig, ClaimConfig,
+    FaultsLabConfig, EXPERIMENT_IDS,
+};
 use std::path::Path;
 
 fn committed(file: &str) -> Value {
@@ -49,4 +54,14 @@ fn byzantine_matrix_reproduces_its_committed_baseline() {
         threads: 1,
     };
     assert_matches("BENCH_byzantine.json", &base, run_byzantine_bench(&cfg).to_json());
+}
+
+/// The golden file is the output of
+/// `lab all --n 4 --k 1 --seeds 1 --threads 1 --json tests/golden/experiments.json`.
+#[test]
+fn experiment_reports_reproduce_their_golden_file() {
+    let golden = committed("tests/golden/experiments.json");
+    let cfg = ClaimConfig { n: 4, k: 1, seeds: 1, threads: 1, ..ClaimConfig::default() };
+    let fresh = EXPERIMENT_IDS.iter().map(|id| run_experiment(id, &cfg).to_json()).collect();
+    assert_matches("tests/golden/experiments.json", &golden, Value::Array(fresh));
 }

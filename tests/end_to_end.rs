@@ -5,7 +5,7 @@ use sih::claims::{check_claim, Claim, ClaimConfig};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
 use sih::pipeline;
 use sih::prelude::*;
-use sih_lab::{run_experiment, LabConfig};
+use sih_lab::run_experiment;
 
 #[test]
 fn theorem2_positive_direction_end_to_end() {
@@ -53,7 +53,7 @@ fn figure1_all_claims_confirm() {
 
 #[test]
 fn lab_experiments_smoke() {
-    let cfg = LabConfig { n: 4, k: 1, seeds: 1, max_steps: 150_000, ..LabConfig::default() };
+    let cfg = ClaimConfig { n: 4, k: 1, seeds: 1, max_steps: 150_000, ..ClaimConfig::default() };
     for id in ["e1", "e3", "e7", "e10", "e11"] {
         let report = run_experiment(id, &cfg);
         assert!(report.ok, "{id}: {report}");
