@@ -19,7 +19,7 @@ use crate::fig2::Fig2Msg;
 use crate::spec::distinct_proposals;
 use sih_detectors::Sigma;
 use sih_model::{FailurePattern, FdOutput, ProcessId, ProcessSet, Time, Value};
-use sih_runtime::{Automaton, Choice, Effects, Simulation, StepInput};
+use sih_runtime::{Automaton, Choice, Effects, Simulation, StateHasher, StepInput};
 
 /// Figure 2 with Phase 2 deleted (an intentionally broken variant).
 #[derive(Clone, Debug)]
@@ -90,6 +90,14 @@ impl Automaton for Fig2WithoutPhase2 {
 
     fn halted(&self) -> bool {
         self.decided
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write(&self.you);
+        h.write(&self.started);
+        h.write(&self.got_phase1);
+        h.write(&self.decided);
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::fig2::Fig2Msg;
 use crate::fig4::Fig4Msg;
 use sih_model::{Armor, AttackClass, AttackKind, AttackSpec, MutationKind, Value};
-use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StateHasher, StepInput};
 
 impl Corruptible for Fig2Msg {
     /// * `Flip` — flips the message *tag*: a Phase 1 announcement becomes
@@ -88,9 +88,9 @@ pub struct Equivocator<A> {
 }
 
 /// Debug forwards to the wrapped automaton: the wrapper's own fields are
-/// plan-derived configuration, not run state, and explorer/differential
-/// fingerprints hash automata through Debug — an inactive or defeated
-/// wrapper must fingerprint identically to the honest process it shims.
+/// plan-derived configuration, not run state. `hash_state` forwards the
+/// same way, so an inactive or defeated wrapper renders and fingerprints
+/// identically to the honest process it shims.
 impl<A: std::fmt::Debug> std::fmt::Debug for Equivocator<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.fmt(f)
@@ -119,7 +119,7 @@ fn equivocate(m: Fig2Msg, x: u64) -> Fig2Msg {
     }
 }
 
-impl<A: Automaton<Msg = Fig2Msg>> Automaton for Equivocator<A> {
+impl<A: Automaton<Msg = Fig2Msg> + std::fmt::Debug> Automaton for Equivocator<A> {
     type Msg = Fig2Msg;
 
     fn step(&mut self, input: StepInput<Fig2Msg>, eff: &mut Effects<Fig2Msg>) {
@@ -140,6 +140,12 @@ impl<A: Automaton<Msg = Fig2Msg>> Automaton for Equivocator<A> {
 
     fn halted(&self) -> bool {
         self.inner.halted()
+    }
+
+    /// Forwards, like `Debug`: an inactive or defeated attacker hashes
+    /// exactly as the honest process it wraps.
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.inner.hash_state(h);
     }
 }
 

@@ -11,7 +11,7 @@
 //! spectrum.
 
 use sih_model::{ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// Protocol messages of the Paxos baseline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -212,6 +212,22 @@ impl Automaton for PaxosConsensus {
 
     fn halted(&self) -> bool {
         self.done
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write(&self.n);
+        h.write(&self.promised);
+        h.write(&self.accepted);
+        h.write_u64(self.phase as u64);
+        h.write(&self.ballot);
+        h.write(&self.attempt);
+        h.write(&self.promises);
+        h.write(&self.promisers);
+        h.write(&self.acceptors);
+        h.write(&self.proposal);
+        h.write(&self.decided);
+        h.write(&self.done);
     }
 }
 

@@ -38,7 +38,7 @@
 //! (Theorem 4).
 
 use sih_model::{FdOutput, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// Protocol messages of Figure 2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -185,6 +185,16 @@ impl Automaton for Fig2SetAgreement {
 
     fn halted(&self) -> bool {
         self.stage == Stage::Done
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write(&self.me);
+        h.write(&self.you);
+        h.write_u64(self.stage as u64);
+        h.write(&self.got_phase1);
+        h.write(&self.got_phase2);
+        h.write(&self.decided);
     }
 }
 

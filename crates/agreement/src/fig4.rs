@@ -44,7 +44,7 @@
 //! decisions this yields `(n−k)`-set agreement (Theorem 8(a)).
 
 use sih_model::{FdOutput, ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// Protocol messages of Figure 4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,7 +76,7 @@ pub struct Fig4SetAgreement {
     /// holds at most `2k` entries regardless of `n`; the dense
     /// `Vec<Option<Value>>` it replaces cost O(n) heap per process —
     /// O(n²) across a large-`n` run. Sorted order keeps the `Debug`
-    /// rendering (and hence state fingerprints) canonical.
+    /// rendering and the state hash canonical.
     t: Vec<(ProcessId, Value)>,
     /// Indices already relayed once (Task 1's "for the first time").
     seen_tags: ProcessSet,
@@ -223,6 +223,17 @@ impl Automaton for Fig4SetAgreement {
 
     fn halted(&self) -> bool {
         self.stage == Stage::Done
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write_u64(self.stage as u64);
+        h.write(&self.t);
+        h.write(&self.seen_tags);
+        h.write(&self.active);
+        h.write(&self.low);
+        h.write(&self.high);
+        h.write(&self.decided);
     }
 }
 

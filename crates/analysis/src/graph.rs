@@ -29,7 +29,10 @@ pub struct FileSource {
 /// Hot-path roots: methods of these traits/types (and these free-fn
 /// names) are where the determinism contract bites, so reachability
 /// starts from them. See DESIGN.md §6.
-const ROOT_TRAIT_METHODS: [(&str, &str); 1] = [("Automaton", "step")];
+// `hash_state` feeds every explorer and fuzzer fingerprint: a
+// nondeterministic structural hash (say, over `HashMap` iteration order)
+// would silently change dedup and coverage.
+const ROOT_TRAIT_METHODS: [(&str, &str); 2] = [("Automaton", "step"), ("Automaton", "hash_state")];
 const ROOT_OWNER_METHODS: [(&str, &[&str]); 4] = [
     ("Simulation", &["step", "run", "run_until", "drive"]),
     ("LinkFaultPlan", &["fate", "active_at"]),
@@ -567,6 +570,12 @@ mod tests {
             impl LinkFaultPlan { fn fate(&self) {} }
             fn fingerprint() {}
             impl Net { fn fingerprint_into(&self) {} }
+            impl Automaton for P {
+                fn step(&mut self) {}
+                fn hash_state(&self, h: &mut StateHasher) {}
+                fn halted(&self) -> bool { false }
+            }
+            impl Q { fn hash_state(&self) {} }
             "#,
         )];
         let graph = CallGraph::build(&files);
@@ -578,7 +587,9 @@ mod tests {
                 "Simulation::run_until",
                 "LinkFaultPlan::fate",
                 "fingerprint",
-                "Net::fingerprint_into"
+                "Net::fingerprint_into",
+                "P::step",
+                "P::hash_state"
             ]
         );
     }

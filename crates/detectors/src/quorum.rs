@@ -15,7 +15,7 @@
 //! majority is correct" — the substrate Theorem 12's argument runs on.
 
 use sih_model::{FdOutput, ProcSet, ProcessSet};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// Protocol messages of the quorum `Σ` emulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,9 +38,8 @@ pub struct QuorumSigma {
     n: usize,
     round: u64,
     // Bitset ack accumulator with an O(1) cached count — the majority
-    // test on every ack is a compare, not a popcount. `ProcSet` renders
-    // `Debug` identically to `ProcessSet`, so explorer fingerprints of
-    // this automaton's state survived the migration bit-for-bit.
+    // test on every ack is a compare, not a popcount. Fingerprints hash
+    // its trimmed words, never its capacity or cached count.
     acks: ProcSet,
     started: bool,
 }
@@ -100,6 +99,14 @@ impl Automaton for QuorumSigma {
                 }
             }
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.s);
+        h.write(&self.n);
+        h.write(&self.round);
+        h.write(&self.acks);
+        h.write(&self.started);
     }
 }
 

@@ -8,7 +8,7 @@
 //! subset of the operator alphabet), (3) fans the lenient coverage
 //! replays over the deterministic [`Sweep`] engine, and (4) merges the
 //! results serially in job order. A mutant that visits a state
-//! fingerprint never seen before — the same FNV-1a/64 per-step
+//! fingerprint never seen before — the same per-step state
 //! fingerprints the explorer dedups on, mixed with a workload key — is
 //! kept in canonical form (its actually-executed choice script, which
 //! strict-replays identically), and its parent's selection energy is

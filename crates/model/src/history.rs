@@ -97,6 +97,16 @@ impl OutputTimeline {
         }
     }
 
+    /// The output before the first recorded change.
+    pub fn initial(&self) -> FdOutput {
+        self.initial
+    }
+
+    /// The recorded changes `(time, output)`, in time order.
+    pub fn changes(&self) -> &[(Time, FdOutput)] {
+        &self.changes
+    }
+
     /// The output after all recorded changes.
     pub fn final_output(&self) -> FdOutput {
         self.changes.last().map_or(self.initial, |&(_, o)| o)

@@ -8,10 +8,10 @@
 //! `ProcessSet`), and membership/intersect/subset/count are word-parallel.
 //!
 //! The `Debug` rendering is byte-identical to `ProcessSet`'s (`{p0,p2}`)
-//! so automata that migrate an internal field from `ProcessSet` to
-//! `ProcSet` keep the same canonical `Debug` encoding — the explorer's
-//! state fingerprints hash that encoding, and equal sets must keep equal
-//! fingerprints across the migration.
+//! and shows members only, never capacity. Automaton state hashes must
+//! agree with `Debug` equality (the `Automaton::hash_state` contract in
+//! `sih-runtime`), so equal sets must render, and hash, equally however
+//! they were grown.
 //!
 //! Equality, ordering and hashing are representation-independent: trailing
 //! zero words are ignored, so a set that grew and shrank compares equal to

@@ -16,7 +16,7 @@
 //! the original Figure 6 through the identical setup as a control.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StateHasher, StepInput};
 
 /// Figure 6 with the CHANGE handshake deleted (an intentionally broken
 /// variant). Message type matches [`Fig6Msg`](crate::Fig6Msg) minus the
@@ -115,6 +115,15 @@ impl Automaton for Fig6WithoutChange {
         } else {
             self.emit(FdOutput::Leader(min), eff);
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.n);
+        h.write(&self.nonactive);
+        h.write(&self.active);
+        h.write(&self.announced);
+        h.write(&self.settled);
+        h.write(&self.last_output);
     }
 }
 

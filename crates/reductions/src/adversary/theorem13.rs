@@ -19,7 +19,7 @@
 //! exactly where the theorem says every candidate must.
 
 use sih_model::{FailurePattern, FdOutput, ProcessId, ProcessSet, RecordedHistory, Value};
-use sih_runtime::{Automaton, Effects, FairScheduler, Simulation, StepInput};
+use sih_runtime::{Automaton, Effects, FairScheduler, Simulation, StateHasher, StepInput};
 use std::fmt;
 
 /// The `B`-from-`A` wrapper: runs one big-system automaton (`A`'s code
@@ -75,7 +75,7 @@ impl<A: Automaton> Theorem13Transform<A> {
     }
 }
 
-impl<A: Automaton> Automaton for Theorem13Transform<A> {
+impl<A: Automaton + fmt::Debug> Automaton for Theorem13Transform<A> {
     type Msg = A::Msg;
 
     fn step(&mut self, input: StepInput<A::Msg>, eff: &mut Effects<A::Msg>) {
@@ -124,6 +124,12 @@ impl<A: Automaton> Automaton for Theorem13Transform<A> {
 
     fn halted(&self) -> bool {
         self.inner.halted()
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.inner.hash_state(h);
+        h.write(&self.members);
+        h.write(&self.big_n);
     }
 }
 

@@ -10,7 +10,7 @@
 //! algorithm must break.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// Candidate `Σ_{p,q}`-from-`σ` emulation #1: **mirror** — output `σ`'s
 /// trusted set when it is nonempty, otherwise trust the whole pair.
@@ -43,6 +43,10 @@ impl Automaton for MirrorPairCandidate {
             Some(s) if !s.is_empty() => eff.set_output(FdOutput::Trust(s)),
             _ => eff.set_output(FdOutput::Trust(self.pair)),
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.pair);
     }
 }
 
@@ -121,6 +125,14 @@ impl Automaton for GossipPairCandidate {
         };
         eff.set_output(FdOutput::Trust(trusted));
     }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.pair);
+        h.write(&self.heard);
+        h.write(&self.pings);
+        h.write(&self.silence);
+        h.write(&self.patience);
+    }
 }
 
 /// Candidate `Σ_X`-from-`σ_|X|` emulation (Lemma 11 prey): mirror the
@@ -150,6 +162,10 @@ impl Automaton for MirrorXCandidate {
             Some(s) if !s.is_empty() => eff.set_output(FdOutput::Trust(s)),
             _ => eff.set_output(FdOutput::Trust(self.x)),
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.x);
     }
 }
 
@@ -235,6 +251,15 @@ impl Automaton for AntiOmegaAgreementCandidate {
     fn halted(&self) -> bool {
         self.done
     }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write(&self.named);
+        h.write(&self.best_other);
+        h.write(&self.sent);
+        h.write(&self.done);
+        h.write(&self.patience);
+    }
 }
 
 /// Candidate set-agreement-from-`anti-Ω` algorithm #2 (Lemma 15 prey):
@@ -306,6 +331,15 @@ impl Automaton for SelfQuietCandidate {
 
     fn halted(&self) -> bool {
         self.done
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write(&self.quiet);
+        h.write(&self.best_other);
+        h.write(&self.sent);
+        h.write(&self.done);
+        h.write(&self.patience);
     }
 }
 
@@ -388,6 +422,14 @@ impl Automaton for QuorumMinXCandidate {
 
     fn halted(&self) -> bool {
         self.done
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.x);
+        h.write(&self.v);
+        h.write(&self.received);
+        h.write(&self.sent);
+        h.write(&self.done);
     }
 }
 

@@ -17,7 +17,7 @@
 //! for set agreement, Figure 2).
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// One process of the Figure 3 emulation.
 #[derive(Clone, Debug)]
@@ -54,6 +54,10 @@ impl Automaton for Fig3SigmaFromSigmaPair {
         } else {
             eff.set_output(FdOutput::Bot);
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.pair);
     }
 }
 

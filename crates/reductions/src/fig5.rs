@@ -16,7 +16,7 @@
 //! `2k`-register is harder than `(n−k)`-set agreement (Theorem 8).
 
 use sih_model::{FdOutput, ProcessSet};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// One process of the Figure 5 emulation.
 #[derive(Clone, Debug)]
@@ -56,6 +56,10 @@ impl Automaton for Fig5SigmaKFromSigmaX {
         } else {
             eff.set_output(FdOutput::Bot);
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.x);
     }
 }
 

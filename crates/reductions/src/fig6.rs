@@ -35,7 +35,7 @@
 //! simply stays `min`, which the case analysis absorbs.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
 
 /// Protocol messages of the Figure 6 emulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -171,6 +171,15 @@ impl Automaton for Fig6AntiOmegaFromSigma {
             }
             Stage::Settled => {}
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.n);
+        h.write(&self.nonactive);
+        h.write(&self.active);
+        h.write_u64(self.stage as u64);
+        h.write(&self.change_received);
+        h.write(&self.last_output);
     }
 }
 

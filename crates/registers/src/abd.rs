@@ -23,7 +23,7 @@
 //! [`OpRecord`]: sih_model::OpRecord
 
 use sih_model::{OpId, OpKind, ProcSet, ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 use std::collections::VecDeque;
 
 /// A logical timestamp: Lamport pair ordered lexicographically.
@@ -81,9 +81,42 @@ struct ActiveOp {
     tag: u64,
     phase: OpPhase,
     // A `ProcSet` rather than a `ProcessSet` so the emulation scales past
-    // 64 replicas; the Debug rendering is identical, so explorer state
-    // fingerprints are unchanged for small n.
+    // 64 replicas. It hashes its trimmed words (never its capacity), so
+    // equal ack sets fingerprint equally however they were grown.
     acks: ProcSet,
+}
+
+impl StateHash for Timestamp {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write(&self.num);
+        h.write(&self.pid);
+    }
+}
+
+impl StateHash for OpPhase {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            OpPhase::Query { best_ts, best_v } => {
+                h.write_u64(0);
+                h.write(best_ts);
+                h.write(best_v);
+            }
+            OpPhase::Update { result } => {
+                h.write_u64(1);
+                h.write(result);
+            }
+        }
+    }
+}
+
+impl StateHash for ActiveOp {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write(&self.id);
+        h.write(&self.kind);
+        h.write(&self.tag);
+        h.write(&self.phase);
+        h.write(&self.acks);
+    }
 }
 
 /// How a phase decides that enough replicas have answered.
@@ -97,6 +130,18 @@ pub enum QuorumRule {
     /// no detector, works at any `n`, and is sound whenever a majority of
     /// replicas is correct.
     Majority(usize),
+}
+
+impl StateHash for QuorumRule {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            QuorumRule::Sigma => h.write_u64(0),
+            QuorumRule::Majority(m) => {
+                h.write_u64(1);
+                h.write(m);
+            }
+        }
+    }
 }
 
 /// One process of the ABD register emulation: a replica at every process,
@@ -296,6 +341,18 @@ impl Automaton for AbdRegister {
             None => self.script.is_empty(),
             Some(op) => op.acks.is_empty(),
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.s);
+        h.write(&self.n);
+        h.write(&self.replica_ts);
+        h.write(&self.replica_v);
+        h.write(&self.script);
+        h.write(&self.current);
+        h.write(&self.next_tag);
+        h.write(&self.ops_done);
+        h.write(&self.rule);
     }
 }
 

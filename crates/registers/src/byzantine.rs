@@ -15,7 +15,7 @@
 
 use crate::abd::{AbdMsg, AbdRegister, Timestamp};
 use sih_model::{Armor, AttackClass, AttackKind, AttackSpec, MutationKind, ProcessId, Value};
-use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StateHasher, StepInput};
 
 impl Corruptible for AbdMsg {
     /// * `Flip` — flips a message to the wrong *phase*: queries and
@@ -81,9 +81,9 @@ pub struct SplitAckForger {
 }
 
 /// Debug forwards to the wrapped register process: the wrapper's fields
-/// are plan-derived configuration, not run state, and fingerprints hash
-/// automata through Debug — an inactive or defeated forger must
-/// fingerprint identically to the honest process it shims.
+/// are plan-derived configuration, not run state. `hash_state` forwards
+/// the same way, so an inactive or defeated forger renders and
+/// fingerprints identically to the honest process it shims.
 impl std::fmt::Debug for SplitAckForger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.fmt(f)
@@ -130,6 +130,12 @@ impl Automaton for SplitAckForger {
 
     fn halted(&self) -> bool {
         self.inner.halted()
+    }
+
+    /// Forwards, like `Debug`: an inactive or defeated forger hashes
+    /// exactly as the honest replica it wraps.
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.inner.hash_state(h);
     }
 }
 

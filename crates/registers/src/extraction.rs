@@ -21,7 +21,7 @@
 //! comes from the register protocol's message flow.
 
 use sih_model::{FdOutput, ProcessSet};
-use sih_runtime::{Automaton, Effects, OpEvent, StepInput};
+use sih_runtime::{Automaton, Effects, OpEvent, StateHasher, StepInput};
 
 /// Wraps a register-implementing automaton and emulates `Σ` from the
 /// message traffic of its client operations.
@@ -47,7 +47,7 @@ impl<A: Automaton> SigmaExtractor<A> {
     }
 }
 
-impl<A: Automaton> Automaton for SigmaExtractor<A> {
+impl<A: Automaton + std::fmt::Debug> Automaton for SigmaExtractor<A> {
     type Msg = A::Msg;
 
     fn step(&mut self, input: StepInput<A::Msg>, eff: &mut Effects<A::Msg>) {
@@ -106,6 +106,13 @@ impl<A: Automaton> Automaton for SigmaExtractor<A> {
 
     fn halted(&self) -> bool {
         self.inner.halted()
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.inner.hash_state(h);
+        h.write(&self.heard);
+        h.write(&self.in_op);
+        h.write(&self.emitted_initial);
     }
 }
 

@@ -9,6 +9,7 @@
 //! cares about (decisions, emulated failure-detector outputs, register
 //! operation events, halting).
 
+use crate::fingerprint::StateHasher;
 use sih_model::{FdOutput, OpId, OpKind, ProcessId, Time, Value};
 
 /// Unique identifier of a message within a run (assigned at send time, in
@@ -370,6 +371,39 @@ pub trait Automaton {
     /// may stop a live run early.
     fn quiescent(&self) -> bool {
         false
+    }
+
+    /// Feeds this process's state into a state fingerprint
+    /// ([`Simulation::fingerprint`](crate::Simulation::fingerprint)).
+    ///
+    /// **Contract.** Two automata must feed equal word sequences exactly
+    /// when their `Debug` renderings are equal: the explorer's dedup and
+    /// the fuzzer's coverage consume nothing but fingerprint equality,
+    /// so a finer hash would split states they merge and a coarser one
+    /// would merge states that behave differently.
+    ///
+    /// * **Hash** every field the `Debug` rendering shows, in any fixed
+    ///   order, through [`StateHasher::write`] (see [`StateHash`] for the
+    ///   plain-data encodings). Write a tag word before an enum's payload
+    ///   and a length before variable-size data, so the encoding stays
+    ///   injective. Protocol messages held in state, which implement
+    ///   only `Debug`, go through [`StateHasher::write_debug`].
+    /// * **Skip** what `Debug` does not show: caches, capacities, and the
+    ///   configuration of wrappers whose `Debug` forwards to the wrapped
+    ///   automaton. A wrapper forwards to its inner automaton's
+    ///   `hash_state` wherever its `Debug` forwards to the inner `Debug`.
+    ///
+    /// The default hashes the `Debug` rendering itself, which meets the
+    /// contract trivially but costs a formatter pass per call. It exists
+    /// for wrappers outside this workspace (timing or logging shims whose
+    /// `Debug` forwards); every automaton in this workspace overrides it.
+    ///
+    /// [`StateHash`]: crate::StateHash
+    fn hash_state(&self, h: &mut StateHasher)
+    where
+        Self: std::fmt::Debug,
+    {
+        h.write_debug(self);
     }
 }
 

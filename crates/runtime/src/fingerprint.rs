@@ -1,20 +1,36 @@
-//! In-repo FNV-1a/64 streaming hasher for canonical state fingerprints.
+//! Deterministic hashers for state fingerprints.
 //!
 //! The reduced exhaustive explorer ([`crate::explore`]) dedups revisited
-//! states by a 64-bit fingerprint of the simulation's canonical state.
-//! The hash must be identical across processes, platforms and runs —
-//! `std`'s `DefaultHasher` is seeded per process and its algorithm is
-//! explicitly unstable, so the determinism contract (DESIGN.md §6) rules
-//! it out. FNV-1a is tiny, dependency-free and fully specified; the
-//! fingerprint is a pure function of the bytes fed to it.
+//! states by a 64-bit fingerprint of the simulation's canonical state,
+//! and the schedule fuzzer counts distinct fingerprints as coverage.
+//! Every hash here must be identical across processes, platforms and
+//! runs — `std`'s `DefaultHasher` is seeded per process and its algorithm
+//! is explicitly unstable, so the determinism contract (DESIGN.md §6)
+//! rules it out. Two hashers, both fully specified and dependency-free:
 //!
-//! [`Fnv64`] also implements [`std::fmt::Write`], so canonical *byte
-//! encodings* of compound state can be produced by streaming a value's
-//! `Debug` rendering straight into the hasher without allocating:
-//! derived `Debug` output is a pure function of the data (field values in
-//! declaration order — no addresses, no hash-seeded iteration), which
-//! makes it a convenient canonical encoding for plain-data state.
+//! * [`StateHasher`] folds whole `u64` words through the splitmix64
+//!   finalizer. [`Simulation::fingerprint`](crate::Simulation::fingerprint)
+//!   uses it: automata feed their fields word by word through
+//!   [`Automaton::hash_state`](crate::Automaton::hash_state), and plain
+//!   data types feed themselves through [`StateHash`].
+//! * [`Fnv64`] is FNV-1a/64 over bytes. It hashes `Debug` renderings
+//!   (message payloads, the [`Automaton::hash_state`](crate::Automaton::hash_state)
+//!   default for wrappers outside this workspace), sleep-set contexts and
+//!   schedule/corpus digests. Envelope fingerprints stay on FNV because
+//!   they order the explorer's delivery menu: changing them would change
+//!   exploration order.
+//!
+//! [`Fnv64`] implements [`std::fmt::Write`], so a value's `Debug`
+//! rendering streams straight into it without allocating. Derived `Debug`
+//! output is a pure function of the data (field values in declaration
+//! order — no addresses, no hash-seeded iteration), which makes it a
+//! canonical, if slow, encoding of plain-data state.
 
+use sih_model::{
+    FdOutput, OpId, OpKind, OutputTimeline, ProcSet, ProcessId, ProcessSet, RecordedHistory, Time,
+    Value,
+};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// A streaming FNV-1a/64 hasher.
@@ -61,11 +77,6 @@ impl Fnv64 {
         self.0 = h;
     }
 
-    /// Feeds one byte (domain-separation tags between sections).
-    pub fn write_u8(&mut self, b: u8) {
-        self.write(&[b]);
-    }
-
     /// Feeds a `u64` in little-endian byte order.
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
@@ -77,7 +88,7 @@ impl Fnv64 {
     }
 
     /// Feeds a value's `Debug` rendering as the canonical byte encoding.
-    pub fn write_debug<T: fmt::Debug>(&mut self, value: &T) {
+    pub fn write_debug<T: fmt::Debug + ?Sized>(&mut self, value: &T) {
         // Formatting into a hasher cannot fail; the sink is infallible.
         let _ = fmt::write(self, format_args!("{value:?}"));
     }
@@ -101,6 +112,277 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write(bytes);
     h.finish()
+}
+
+/// FNV-1a/64 of a value's `Debug` rendering.
+pub(crate) fn debug_fp<T: fmt::Debug + ?Sized>(v: &T) -> u64 {
+    let mut f = Fnv64::new();
+    f.write_debug(v);
+    f.finish()
+}
+
+/// The splitmix64 finalizer: a full-avalanche bijection on `u64` (every
+/// input bit flips each output bit with probability about ½).
+#[inline]
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The splitmix64 increment (⌊2⁶⁴/φ⌋), added before each fold so that a
+/// run of zero words still moves the state.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A word-at-a-time hasher for state fingerprints.
+///
+/// Each [`StateHasher::write_u64`] folds one word into the state through
+/// [`mix64`]: `state ← mix64((state + γ) ⊕ word)`. For a fixed state
+/// this is a bijection in the word, so two word sequences of the same
+/// length that differ in one word always hash differently, and unequal
+/// sequences collide with probability about 2⁻⁶⁴.
+///
+/// Equal fingerprints must mean equal states, so every encoding fed to a
+/// `StateHasher` must be *injective*: variable-length data is preceded
+/// by its length (see the [`StateHash`] impls), so no two distinct
+/// values produce the same word sequence.
+///
+/// # Example
+///
+/// ```
+/// use sih_runtime::StateHasher;
+/// let mut a = StateHasher::new();
+/// a.write(&Some(3u64));
+/// let mut b = StateHasher::new();
+/// b.write(&None::<u64>);
+/// b.write_u64(3);
+/// assert_ne!(a.finish(), b.finish()); // tags keep encodings injective
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StateHasher(u64);
+
+impl StateHasher {
+    /// A fresh hasher.
+    pub const fn new() -> Self {
+        StateHasher(0)
+    }
+
+    /// Folds one word.
+    #[inline]
+    pub fn write_u64(&mut self, word: u64) {
+        self.0 = mix64(self.0.wrapping_add(GAMMA) ^ word);
+    }
+
+    /// Folds a `usize` widened to `u64` (so 32- and 64-bit hosts agree).
+    #[inline]
+    pub fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// Folds a value through its [`StateHash`] encoding.
+    #[inline]
+    pub fn write<T: StateHash + ?Sized>(&mut self, v: &T) {
+        v.hash_into(self);
+    }
+
+    /// Folds a value's `Debug` rendering as one word: the FNV-1a/64 hash
+    /// of the rendered bytes. For values that only implement `Debug`
+    /// (protocol messages held in automaton state, automata outside this
+    /// workspace); equal renderings give equal words.
+    pub fn write_debug<T: fmt::Debug + ?Sized>(&mut self, v: &T) {
+        self.write_u64(debug_fp(v));
+    }
+
+    /// The current hash value.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Plain data that feeds itself into a [`StateHasher`] word by word.
+///
+/// The encoding must be injective over the values a state can hold and
+/// must agree with `Debug` equality: two values get the same word
+/// sequence exactly when their `Debug` renderings are equal. (Derived
+/// `Debug` renders every field, so for plain data that is field-wise
+/// equality; caches and capacities, which `Debug` does not show, are not
+/// hashed.) Enums write a tag word before their payload, and collections
+/// write their length before their elements.
+pub trait StateHash {
+    /// Feeds `self` into `h`.
+    fn hash_into(&self, h: &mut StateHasher);
+}
+
+macro_rules! state_hash_as_u64 {
+    ($($t:ty),*) => {$(
+        impl StateHash for $t {
+            #[inline]
+            fn hash_into(&self, h: &mut StateHasher) {
+                h.write_u64(*self as u64);
+            }
+        }
+    )*};
+}
+
+state_hash_as_u64!(u32, u64, usize, bool);
+
+impl<T: StateHash> StateHash for Option<T> {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            None => h.write_u64(0),
+            Some(v) => {
+                h.write_u64(1);
+                v.hash_into(h);
+            }
+        }
+    }
+}
+
+impl<A: StateHash, B: StateHash> StateHash for (A, B) {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        self.0.hash_into(h);
+        self.1.hash_into(h);
+    }
+}
+
+impl<T: StateHash> StateHash for [T] {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_usize(self.len());
+        for v in self {
+            v.hash_into(h);
+        }
+    }
+}
+
+impl<T: StateHash> StateHash for Vec<T> {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        self.as_slice().hash_into(h);
+    }
+}
+
+/// Length plus elements in queue order — never the ring-buffer layout,
+/// which depends on the push/pop history.
+impl<T: StateHash> StateHash for VecDeque<T> {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_usize(self.len());
+        for v in self {
+            v.hash_into(h);
+        }
+    }
+}
+
+impl<T: StateHash> StateHash for BTreeSet<T> {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_usize(self.len());
+        for v in self {
+            v.hash_into(h);
+        }
+    }
+}
+
+impl StateHash for ProcessId {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(u64::from(self.0));
+    }
+}
+
+impl StateHash for Value {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(self.0);
+    }
+}
+
+impl StateHash for Time {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(self.0);
+    }
+}
+
+impl StateHash for OpId {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(self.0);
+    }
+}
+
+impl StateHash for OpKind {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            OpKind::Read => h.write_u64(0),
+            OpKind::Write(v) => {
+                h.write_u64(1);
+                h.write(v);
+            }
+        }
+    }
+}
+
+impl StateHash for ProcessSet {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(self.bits());
+    }
+}
+
+/// The trimmed words (no trailing zero words), so a set that grew and
+/// shrank hashes like one that never grew; the capacity and the cached
+/// count are not hashed.
+impl StateHash for ProcSet {
+    fn hash_into(&self, h: &mut StateHasher) {
+        let words = self.words();
+        h.write_usize(words.len());
+        for &w in words {
+            h.write_u64(w);
+        }
+    }
+}
+
+impl StateHash for FdOutput {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            FdOutput::Bot => h.write_u64(0),
+            FdOutput::Trust(s) => {
+                h.write_u64(1);
+                h.write(s);
+            }
+            FdOutput::TrustActive { trust, active } => {
+                h.write_u64(2);
+                h.write(trust);
+                h.write(active);
+            }
+            FdOutput::Leader(p) => {
+                h.write_u64(3);
+                h.write(p);
+            }
+        }
+    }
+}
+
+impl StateHash for OutputTimeline {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write(&self.initial());
+        h.write(self.changes());
+    }
+}
+
+/// The per-process timelines. The display label is not hashed: it is
+/// report metadata, fixed for the histories a trace records.
+impl StateHash for RecordedHistory {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_usize(self.n());
+        for (_, tl) in self.iter() {
+            h.write(tl);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +419,61 @@ mod tests {
         let mut streamed = Fnv64::new();
         streamed.write_debug(&v);
         assert_eq!(streamed.finish(), fnv1a_64(format!("{v:?}").as_bytes()));
+    }
+
+    fn state_fp<T: StateHash + ?Sized>(v: &T) -> u64 {
+        let mut h = StateHasher::new();
+        h.write(v);
+        h.finish()
+    }
+
+    #[test]
+    fn state_hash_keeps_tags_and_lengths_apart() {
+        // Zero words still move the state, so lengths are visible…
+        assert_ne!(state_fp(&Vec::<u64>::new()), state_fp(&vec![0u64]));
+        assert_ne!(state_fp(&vec![0u64]), state_fp(&vec![0u64, 0]));
+        // …and tags separate variants that carry equal payload words.
+        assert_ne!(state_fp(&None::<Value>), state_fp(&Some(Value(0))));
+        assert_ne!(state_fp(&Some(None::<Value>)), state_fp(&None::<Option<Value>>));
+        assert_ne!(
+            state_fp(&FdOutput::Trust(ProcessSet::EMPTY)),
+            state_fp(&FdOutput::Leader(ProcessId(0)))
+        );
+        assert_ne!(state_fp(&OpKind::Read), state_fp(&OpKind::Write(Value(0))));
+        // Nested sequences: [[1], []] vs [[], [1]].
+        assert_ne!(state_fp(&vec![vec![1u64], vec![]]), state_fp(&vec![vec![], vec![1u64]]));
+    }
+
+    #[test]
+    fn state_hash_ignores_representation_history() {
+        // A set that grew past 64 and shrank back hashes like one that
+        // never grew; capacity is invisible too.
+        let mut grown = ProcSet::with_capacity(512);
+        grown.insert(ProcessId(3));
+        grown.insert(ProcessId(300));
+        grown.remove(ProcessId(300));
+        assert_eq!(state_fp(&grown), state_fp(&ProcSet::singleton(ProcessId(3))));
+        // A ring buffer hashes its queue order, not its layout.
+        let mut rotated: VecDeque<u64> = VecDeque::with_capacity(4);
+        for v in [9, 9, 1, 2] {
+            rotated.push_back(v);
+        }
+        rotated.pop_front();
+        rotated.pop_front();
+        rotated.push_back(3);
+        let fresh: VecDeque<u64> = [1, 2, 3].into_iter().collect();
+        assert_eq!(state_fp(&rotated), state_fp(&fresh));
+        assert_eq!(state_fp(&rotated), state_fp(&vec![1u64, 2, 3]));
+    }
+
+    #[test]
+    fn write_debug_folds_the_fnv_of_the_rendering() {
+        let v = (ProcessId(2), Some(Value(7)));
+        let mut a = StateHasher::new();
+        a.write_debug(&v);
+        let mut b = StateHasher::new();
+        b.write_u64(fnv1a_64(format!("{v:?}").as_bytes()));
+        assert_eq!(a, b);
     }
 
     #[test]

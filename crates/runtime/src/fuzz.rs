@@ -24,6 +24,7 @@
 //! use ordered containers only, per the determinism contract
 //! (DESIGN.md §6).
 
+use crate::fingerprint::mix64;
 use crate::repro::{
     adversary_from_windows, crash_list, pattern_from_crashes, plan_from_windows, Schedule,
 };
@@ -53,10 +54,7 @@ impl FuzzRng {
     /// The next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// A draw in `0..bound` (`0` when `bound == 0`).
@@ -546,8 +544,9 @@ fn flip_attack(s: &Schedule, rng: &mut FuzzRng) -> Option<Schedule> {
 // ---- coverage map --------------------------------------------------------
 
 /// The fuzzer's coverage map: the set of distinct per-step state
-/// fingerprints (the explorer's FNV-1a/64 fingerprints, mixed with a
-/// workload key by the driver) any evaluated schedule has ever visited.
+/// fingerprints ([`Simulation::fingerprint`](crate::Simulation::fingerprint),
+/// as the explorer dedups on, mixed with a workload key by `lab fuzz`)
+/// any evaluated schedule has ever visited.
 /// Ordered container, so merging observations in canonical order is
 /// bitwise identical across thread counts.
 #[derive(Clone, Debug, Default)]

@@ -78,7 +78,7 @@ pub use automaton::{Automaton, Effects, Envelope, MsgId, OpEvent, StepInput};
 pub use diagram::{column_time, render_diagram, render_summary, MAX_COLUMNS};
 pub use dpor::{wake_process, wake_races, SleepKey, SleepSet};
 pub use explore::{explore, explore_par, explore_with, ExploreConfig, ExploreResult};
-pub use fingerprint::{fnv1a_64, Fnv64};
+pub use fingerprint::{fnv1a_64, Fnv64, StateHash, StateHasher};
 pub use fuzz::{
     crossover, mutate, Coverage, FuzzCorpus, FuzzRng, MutOp, MutatorConfig, PowerEntry,
 };

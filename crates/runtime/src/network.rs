@@ -25,7 +25,7 @@
 // indexed by ProcessId and link ids validated at construction; Fenwick offsets stay in range
 // by the tree's size invariant (see ArrivalQueue docs).
 use crate::automaton::{Envelope, MsgId};
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::{debug_fp, Fnv64, StateHasher};
 use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
 use std::cell::Cell;
 use std::fmt;
@@ -330,9 +330,13 @@ impl<M> ArrivalQueue<M> {
 ///
 /// Boxed and optional on [`Network`] so the reliable (default) case pays
 /// one pointer of space and a null check per send.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct LinkFaultState {
     plan: LinkFaultPlan,
+    /// Fingerprint of `plan`, memoized on the first state fingerprint
+    /// (plans are read-only once installed, and runs that never
+    /// fingerprint never pay for it).
+    plan_fp: Cell<Option<u64>>,
     /// `sends[src * n + dst]`: messages sent so far on that directed link
     /// (counting every attempt, delivered or dropped).
     sends: Vec<u64>,
@@ -340,11 +344,16 @@ struct LinkFaultState {
 
 impl Clone for LinkFaultState {
     fn clone(&self) -> Self {
-        LinkFaultState { plan: self.plan.clone(), sends: self.sends.clone() }
+        LinkFaultState {
+            plan: self.plan.clone(),
+            plan_fp: self.plan_fp.clone(),
+            sends: self.sends.clone(),
+        }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.plan.clone_from(&source.plan);
+        self.plan_fp.set(source.plan_fp.get());
         self.sends.clone_from(&source.sends);
     }
 }
@@ -357,6 +366,8 @@ impl Clone for LinkFaultState {
 /// (default) case pays one pointer of space and a null check per send.
 struct AdversaryState<M> {
     plan: AdversaryPlan,
+    /// Fingerprint of `plan`, memoized like [`LinkFaultState`]'s.
+    plan_fp: Cell<Option<u64>>,
     armor: Armor,
     /// `sends[src * n + dst]`: sends consulted so far on that directed
     /// link (independent of the link-fault counters; only sends that
@@ -379,6 +390,7 @@ impl<M: Clone> Clone for AdversaryState<M> {
     fn clone(&self) -> Self {
         AdversaryState {
             plan: self.plan.clone(),
+            plan_fp: self.plan_fp.clone(),
             armor: self.armor,
             sends: self.sends.clone(),
             stash: self.stash.clone(),
@@ -389,6 +401,7 @@ impl<M: Clone> Clone for AdversaryState<M> {
 
     fn clone_from(&mut self, source: &Self) {
         self.plan.clone_from(&source.plan);
+        self.plan_fp.set(source.plan_fp.get());
         self.armor = source.armor;
         self.sends.clone_from(&source.sends);
         self.stash.clone_from(&source.stash);
@@ -487,7 +500,7 @@ impl<M: fmt::Debug> Network<M> {
     /// samples a content-order prefix the multiset determines. An
     /// order-sensitive sibling, [`Network::fingerprint_ordered_into`],
     /// exists for callers that distinguish arrival order.
-    pub(crate) fn fingerprint_into(&self, h: &mut Fnv64) {
+    pub(crate) fn fingerprint_into(&self, h: &mut StateHasher) {
         for q in &self.queues {
             h.write_usize(q.len());
             h.write_u64(q.multiset_fingerprint());
@@ -501,7 +514,7 @@ impl<M: fmt::Debug> Network<M> {
     /// fingerprints mean the queues agree envelope-for-envelope. Uses
     /// the same memoized per-[`Slot`] hashes as the multiset view, so
     /// the per-send hashing cost is shared.
-    pub(crate) fn fingerprint_ordered_into(&self, h: &mut Fnv64) {
+    pub(crate) fn fingerprint_ordered_into(&self, h: &mut StateHasher) {
         for q in &self.queues {
             h.write_usize(q.len());
             for s in q.iter() {
@@ -523,12 +536,12 @@ impl<M: fmt::Debug> Network<M> {
 
     /// The global-counter and fault-state tail both fingerprint flavors
     /// share.
-    fn counters_into(&self, h: &mut Fnv64) {
+    fn counters_into(&self, h: &mut StateHasher) {
         h.write_u64(self.sent_count);
         h.write_u64(self.delivered_count);
-        // Fault state is hashed only when an adversary is installed, so
-        // reliable-network fingerprints are bit-identical to what they
-        // were before link faults existed.
+        // Fault state is hashed only when a plan is installed, so
+        // reliable-network fingerprints do not depend on the fault
+        // machinery.
         if let Some(state) = &self.faults {
             h.write_u64(0x4C46); // "LF" tag separating the fault section
             h.write_u64(self.dropped_count);
@@ -536,10 +549,10 @@ impl<M: fmt::Debug> Network<M> {
             for &k in &state.sends {
                 h.write_u64(k);
             }
-            h.write_debug(&state.plan);
+            h.write_u64(memoized(&state.plan_fp, || debug_fp(&state.plan)));
         }
         // Mirror: adversary state is hashed only when installed, so both
-        // reliable and faulty-but-honest fingerprints are unchanged.
+        // reliable and faulty-but-honest fingerprints ignore it.
         if let Some(adv) = &self.adversary {
             h.write_u64(0x425A); // "BZ" tag separating the adversary section
             h.write_u64(self.mutated_count);
@@ -557,10 +570,19 @@ impl<M: fmt::Debug> Network<M> {
                     }
                 }
             }
-            h.write_debug(&adv.plan);
+            h.write_u64(memoized(&adv.plan_fp, || debug_fp(&adv.plan)));
             h.write_u64(u64::from(adv.armor.rung()));
         }
     }
+}
+
+/// The value in `cell`, computing and storing it with `f` on first use.
+fn memoized(cell: &Cell<Option<u64>>, f: impl FnOnce() -> u64) -> u64 {
+    cell.get().unwrap_or_else(|| {
+        let v = f();
+        cell.set(Some(v));
+        v
+    })
 }
 
 impl<M: fmt::Debug> Slot<M> {
@@ -570,13 +592,11 @@ impl<M: fmt::Debug> Slot<M> {
     /// inline ones, so the batched representation leaves every
     /// fingerprint bit-identical.
     fn envelope_fp(&self) -> u64 {
-        self.fp.get().unwrap_or_else(|| {
+        memoized(&self.fp, || {
             let mut eh = Fnv64::new();
             eh.write_u64(u64::from(self.from.0));
             eh.write_debug(self.payload.get());
-            let fp = eh.finish();
-            self.fp.set(Some(fp));
-            fp
+            eh.finish()
         })
     }
 }
@@ -645,7 +665,11 @@ impl<M: Clone> Network<M> {
     pub fn set_link_faults(&mut self, plan: LinkFaultPlan) {
         assert_eq!(plan.n(), self.n(), "plan size must match the network");
         let links = self.n() * self.n();
-        self.faults = Some(Box::new(LinkFaultState { plan, sends: vec![0; links] }));
+        self.faults = Some(Box::new(LinkFaultState {
+            plan,
+            plan_fp: Cell::new(None),
+            sends: vec![0; links],
+        }));
     }
 
     /// The installed link-fault plan, if any.
@@ -675,6 +699,7 @@ impl<M: Clone> Network<M> {
         }
         self.adversary = Some(Box::new(AdversaryState {
             plan,
+            plan_fp: Cell::new(None),
             armor,
             sends: vec![0; links],
             stash: (0..links).map(|_| None).collect(),
@@ -1236,10 +1261,10 @@ mod tests {
 
     #[test]
     fn fault_free_fingerprints_ignore_the_fault_machinery() {
-        use crate::fingerprint::Fnv64;
+        use crate::fingerprint::StateHasher;
         use sih_model::LinkFaultPlan;
         let fp = |net: &Network<u8>| {
-            let mut h = Fnv64::new();
+            let mut h = StateHasher::new();
             net.fingerprint_into(&mut h);
             h.finish()
         };
@@ -1375,10 +1400,10 @@ mod tests {
 
     #[test]
     fn adversary_free_fingerprints_ignore_the_adversary_machinery() {
-        use crate::fingerprint::Fnv64;
+        use crate::fingerprint::StateHasher;
         use sih_model::AdversaryPlan;
         let fp = |net: &Network<u8>| {
-            let mut h = Fnv64::new();
+            let mut h = StateHasher::new();
             net.fingerprint_into(&mut h);
             h.finish()
         };

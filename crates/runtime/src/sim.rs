@@ -11,7 +11,7 @@
 // sih-analysis: allow(index-reachable) — procs/pending/decisions are n-sized arrays indexed
 // by ProcessId from the scheduler's own choice set, which is bounded by n at construction.
 use crate::automaton::{Automaton, Effects, SendOp, StepInput};
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::StateHasher;
 use crate::network::{Corruptible, Network};
 use crate::scheduler::{Choice, FairScheduler, Scheduler};
 use crate::trace::{Trace, TraceLevel};
@@ -879,17 +879,23 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// states (collisions of the 64-bit hash are possible in principle;
     /// see DESIGN.md for the trade-off discussion).
     ///
-    /// **What is hashed** (via in-repo FNV-1a/64 — no `std` hashers, per
-    /// the determinism contract):
+    /// **What is hashed**, word by word through a [`StateHasher`] (an
+    /// in-repo splitmix64 fold — no `std` hashers, per the determinism
+    /// contract):
     ///
     /// * the current time (`now`) and the halted set;
     /// * the failure pattern;
-    /// * every automaton's state (canonical `Debug` encoding — derived
-    ///   `Debug` is a pure function of field values);
+    /// * every automaton's state, through [`Automaton::hash_state`],
+    ///   whose contract makes equal hashes mean equal `Debug` renderings
+    ///   (a wrapper without an override hashes that rendering itself);
     /// * each network queue as a **multiset** of `(from, payload)`
-    ///   pairs plus its length, and the global sent/delivered counters;
+    ///   pairs plus its length (per-envelope FNV-1a/64 hashes of the
+    ///   payload `Debug`, memoized per send), the global sent/delivered
+    ///   counters, and any installed link-fault or adversary state (each
+    ///   plan hashed once, on the first fingerprint after install);
     /// * the trace's checker inputs: decisions (with times), the
-    ///   emulated failure-detector history, register-operation events,
+    ///   emulated failure-detector history, a running hash of the
+    ///   register-operation events (kept as they are recorded),
     ///   per-process step counts and the sent-message count.
     ///
     /// **What is deliberately excluded** — harness metadata no checker
@@ -935,40 +941,21 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     }
 
     fn fingerprint_impl(&self, ordered: bool) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u8(b'T');
-        h.write_u64(self.now.0);
-        h.write_u8(b'H');
-        // Word 0 first, unconditionally, then any higher trimmed words:
-        // for n ≤ 64 this hashes exactly the single u64 the ProcessSet
-        // representation hashed, so fingerprints survive the migration.
-        h.write_u64(self.halted.word(0));
-        for &w in self.halted.words().iter().skip(1) {
-            h.write_u64(w);
-        }
-        h.write_u8(b'F');
+        let mut h = StateHasher::new();
+        h.write(&self.now);
+        h.write(&self.halted);
         h.write_usize(self.pattern.n());
         for p in (0..self.pattern.n() as u32).map(ProcessId) {
-            match self.pattern.crash_time(p) {
-                None => h.write_u8(0),
-                Some(t) => {
-                    h.write_u8(1);
-                    h.write_u64(t.0);
-                }
-            }
+            h.write(&self.pattern.crash_time(p));
         }
-        for (i, a) in self.procs.iter().enumerate() {
-            h.write_u8(b'P');
-            h.write_usize(i);
-            h.write_debug(a);
+        for a in &self.procs {
+            a.hash_state(&mut h);
         }
-        h.write_u8(b'N');
         if ordered {
             self.net.fingerprint_ordered_into(&mut h);
         } else {
             self.net.fingerprint_into(&mut h);
         }
-        h.write_u8(b'R');
         self.trace.fingerprint_into(&mut h);
         h.finish()
     }

@@ -24,9 +24,11 @@
 // sih-analysis: allow(index-reachable) — Stubborn's per-link seq/ack tables are n²-sized at
 // construction and indexed by link ids derived from validated ProcessIds.
 use crate::automaton::{Automaton, Effects, Envelope, StepInput};
+use crate::fingerprint::StateHasher;
 use crate::network::Corruptible;
 use sih_model::{FdOutput, MutationKind, ProcessId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// A message of a two-layer protocol stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,7 +91,7 @@ impl<L: Automaton, U: Automaton> Stacked<L, U> {
     }
 }
 
-impl<L: Automaton, U: Automaton> Automaton for Stacked<L, U> {
+impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked<L, U> {
     type Msg = Layered<L::Msg, U::Msg>;
 
     fn step(&mut self, input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>) {
@@ -190,6 +192,13 @@ impl<L: Automaton, U: Automaton> Automaton for Stacked<L, U> {
 
     fn halted(&self) -> bool {
         self.lower.halted() && self.upper.halted()
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.lower.hash_state(h);
+        self.upper.hash_state(h);
+        h.write(&self.emulated);
+        h.write_u64(self.report as u64);
     }
 }
 
@@ -349,7 +358,7 @@ impl<A: Automaton> Stubborn<A> {
     }
 }
 
-impl<A: Automaton> Automaton for Stubborn<A> {
+impl<A: Automaton + fmt::Debug> Automaton for Stubborn<A> {
     type Msg = StubbornMsg<A::Msg>;
 
     fn step(&mut self, input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>) {
@@ -445,6 +454,21 @@ impl<A: Automaton> Automaton for Stubborn<A> {
         // own on null steps, so quiescence reduces to the inner's (a
         // halted inner is vacuously quiescent).
         (self.inner.halted() || self.inner.quiescent()) && self.unacked.is_empty()
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.inner.hash_state(h);
+        h.write_u64(self.period);
+        h.write_u64(self.ticks);
+        h.write(&self.next_seq);
+        h.write_usize(self.unacked.len());
+        for (&(dst, seq), m) in &self.unacked {
+            h.write_u64(u64::from(dst));
+            h.write_u64(seq);
+            h.write_debug(m);
+        }
+        h.write(&self.recv_next);
+        h.write(&self.recv_ooo);
     }
 }
 

@@ -9,7 +9,7 @@
 // sih-analysis: allow(index-reachable) — per-process trace lanes are n-sized at construction
 // and indexed by the stepping process's own id.
 use crate::automaton::{MsgId, OpEvent};
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::StateHasher;
 use sih_model::{
     FdOutput, OpId, OpKind, OpRecord, ProcessId, ProcessSet, RecordedHistory, Time, Value,
 };
@@ -114,6 +114,9 @@ pub struct Trace {
     sent: u64,
     decided_count: usize,
     last_step_time: Time,
+    /// Running hash of the `OpInvoke`/`OpReturn` events, folded in as
+    /// they are recorded, so fingerprints never re-scan the event log.
+    op_fp: StateHasher,
 }
 
 // Manual Clone so `clone_from` reuses the event log, decision table and
@@ -131,6 +134,7 @@ impl Clone for Trace {
             sent: self.sent,
             decided_count: self.decided_count,
             last_step_time: self.last_step_time,
+            op_fp: self.op_fp,
         }
     }
 
@@ -144,6 +148,7 @@ impl Clone for Trace {
         self.sent = source.sent;
         self.decided_count = source.decided_count;
         self.last_step_time = source.last_step_time;
+        self.op_fp = source.op_fp;
     }
 }
 
@@ -163,6 +168,7 @@ impl Trace {
             sent: 0,
             decided_count: 0,
             last_step_time: Time::ZERO,
+            op_fp: StateHasher::new(),
         }
     }
 
@@ -194,6 +200,7 @@ impl Trace {
         self.sent = 0;
         self.decided_count = 0;
         self.last_step_time = Time::ZERO;
+        self.op_fp = StateHasher::new();
     }
 
     pub(crate) fn push_step(
@@ -262,10 +269,22 @@ impl Trace {
     }
 
     pub(crate) fn push_op_event(&mut self, t: Time, p: ProcessId, ev: OpEvent) {
+        let h = &mut self.op_fp;
+        h.write(&t);
+        h.write(&p);
         match ev {
-            OpEvent::Invoke { id, kind } => self.events.push(Event::OpInvoke { t, p, id, kind }),
+            OpEvent::Invoke { id, kind } => {
+                h.write_u64(0);
+                h.write(&id);
+                h.write(&kind);
+                self.events.push(Event::OpInvoke { t, p, id, kind });
+            }
             OpEvent::Return { id, kind, read_value } => {
-                self.events.push(Event::OpReturn { t, p, id, kind, read_value })
+                h.write_u64(1);
+                h.write(&id);
+                h.write(&kind);
+                h.write(&read_value);
+                self.events.push(Event::OpReturn { t, p, id, kind, read_value });
             }
         }
     }
@@ -393,34 +412,19 @@ impl Trace {
 
     /// Feeds the trace's **checker inputs** into a state fingerprint:
     /// decisions with their times, the emulated failure-detector history,
-    /// register-operation events in order, per-process step counts and
-    /// the sent counter. Per-step `Step`/`Send` events are *excluded* —
-    /// they carry harness metadata (message ids, step-by-step schedules)
-    /// that no property checker may read, and hashing them would make
-    /// every interleaving unique, defeating dedup. The same fingerprint
-    /// therefore results at [`TraceLevel::Full`] and [`TraceLevel::Light`].
-    pub(crate) fn fingerprint_into(&self, h: &mut Fnv64) {
-        // Structurally simple fields hash as raw integers (an order of
-        // magnitude cheaper than streaming their Debug rendering).
-        for d in &self.decisions {
-            match d {
-                None => h.write_u8(0),
-                Some((t, v)) => {
-                    h.write_u8(1);
-                    h.write_u64(t.0);
-                    h.write_u64(v.0);
-                }
-            }
-        }
-        h.write_debug(&self.emulated);
-        for ev in &self.events {
-            if matches!(ev, Event::OpInvoke { .. } | Event::OpReturn { .. }) {
-                h.write_debug(ev);
-            }
-        }
-        for s in &self.steps_taken {
-            h.write_u64(*s);
-        }
+    /// register-operation events in order (as their running hash), the
+    /// per-process step counts and the sent counter. Per-step
+    /// `Step`/`Send` events are *excluded* — they carry harness metadata
+    /// (message ids, step-by-step schedules) that no property checker may
+    /// read, and hashing them would make every interleaving unique,
+    /// defeating dedup. Op events are recorded at every level, so the
+    /// same fingerprint results at [`TraceLevel::Full`] and
+    /// [`TraceLevel::Light`].
+    pub(crate) fn fingerprint_into(&self, h: &mut StateHasher) {
+        h.write(&self.decisions);
+        h.write(&self.emulated);
+        h.write_u64(self.op_fp.finish());
+        h.write(&self.steps_taken);
         h.write_u64(self.sent);
     }
 }

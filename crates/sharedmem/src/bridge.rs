@@ -19,7 +19,7 @@
 
 use crate::shared::{RegisterId, SharedAction, SharedAlgorithm};
 use sih_model::{ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Lamport timestamp for one register cell.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -83,6 +83,37 @@ struct ActiveOp {
     acks: ProcessSet,
 }
 
+impl StateHash for Ts {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write(&self.num);
+        h.write(&self.pid);
+    }
+}
+
+impl StateHash for OpPhase {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            OpPhase::Query { best } => {
+                h.write_u64(0);
+                h.write(best);
+            }
+            OpPhase::Update { read_result } => {
+                h.write_u64(1);
+                h.write(read_result);
+            }
+        }
+    }
+}
+
+impl StateHash for ActiveOp {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write(&self.action);
+        h.write(&self.tag);
+        h.write(&self.phase);
+        h.write(&self.acks);
+    }
+}
+
 /// One process: a register-array replica plus the embedded program.
 #[derive(Clone, Debug)]
 pub struct SharedOverAbd<A: SharedAlgorithm> {
@@ -140,7 +171,7 @@ impl<A: SharedAlgorithm> SharedOverAbd<A> {
 
 // sih-analysis: allow(index-reachable) — pending_read/decisions are n-sized arrays indexed by
 // the stepping process's own id.
-impl<A: SharedAlgorithm> Automaton for SharedOverAbd<A> {
+impl<A: SharedAlgorithm + std::fmt::Debug> Automaton for SharedOverAbd<A> {
     type Msg = BridgeMsg;
 
     fn step(&mut self, input: StepInput<BridgeMsg>, eff: &mut Effects<BridgeMsg>) {
@@ -248,6 +279,17 @@ impl<A: SharedAlgorithm> Automaton for SharedOverAbd<A> {
                 self.begin_op(action, input.me, eff);
             }
         }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        self.program.hash_state(h);
+        h.write(&self.n);
+        h.write(&self.cells);
+        h.write(&self.current);
+        h.write(&self.pending_read);
+        h.write(&self.next_tag);
+        h.write(&self.started);
+        h.write(&self.decided);
     }
 }
 

@@ -21,6 +21,7 @@
 
 use crate::shared::{RegisterId, SharedAction, SharedAlgorithm};
 use sih_model::Value;
+use sih_runtime::StateHasher;
 
 /// One process of the collect-min algorithm. Register layout: slot `i`
 /// (register `R_i`) is written only by process `i`.
@@ -104,6 +105,15 @@ impl SharedAlgorithm for CollectMin {
 
     fn done(&self) -> bool {
         self.done
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.v);
+        h.write(&self.f);
+        h.write_u64(self.phase as u64);
+        h.write(&self.cursor);
+        h.write(&self.seen);
+        h.write(&self.done);
     }
 }
 

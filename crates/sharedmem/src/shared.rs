@@ -9,6 +9,7 @@
 //! atomic-access granularity).
 
 use sih_model::Value;
+use sih_runtime::{StateHash, StateHasher};
 use std::fmt;
 
 /// Identifies one register of the shared memory.
@@ -61,6 +62,45 @@ pub trait SharedAlgorithm {
     /// Whether the program has decided (and stopped).
     fn done(&self) -> bool {
         false
+    }
+
+    /// Feeds the program's state into a state fingerprint, under the
+    /// contract of [`Automaton::hash_state`](sih_runtime::Automaton::hash_state):
+    /// equal word sequences exactly when the `Debug` renderings are
+    /// equal. The default hashes the rendering itself; the programs in
+    /// this crate override it field by field.
+    fn hash_state(&self, h: &mut StateHasher)
+    where
+        Self: fmt::Debug,
+    {
+        h.write_debug(self);
+    }
+}
+
+impl StateHash for RegisterId {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write(&self.0);
+    }
+}
+
+impl StateHash for SharedAction {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            SharedAction::Read(r) => {
+                h.write_u64(0);
+                h.write(r);
+            }
+            SharedAction::Write(r, v) => {
+                h.write_u64(1);
+                h.write(r);
+                h.write(v);
+            }
+            SharedAction::Decide(v) => {
+                h.write_u64(2);
+                h.write(v);
+            }
+            SharedAction::Pause => h.write_u64(3),
+        }
     }
 }
 

@@ -2,15 +2,19 @@
 //!
 //! `BENCH_faults.json` and `BENCH_byzantine.json` are regenerated
 //! single-threaded, at the `n`, seed count and step budget the committed
-//! files record, and must agree with them in every field `lab gate`
-//! compares (everything but wall clock and runner-dependent fields).
+//! files record, and `BENCH_fuzz.json` at its committed seed, schedule
+//! budget and batch size. Each must agree with its committed file in
+//! every field `lab gate` compares (everything but wall clock and
+//! runner-dependent fields) — for the fuzzer that includes the distinct
+//! fingerprint count and the corpus digest, so any change to what equal
+//! state fingerprints mean fails here.
 //! `tests/golden/experiments.json` pins every experiment report the same
 //! way.
 
 use sih_lab::json::{first_difference, parse, Value};
 use sih_lab::{
-    run_byzantine_bench, run_experiment, run_faults_bench, ByzantineLabConfig, ClaimConfig,
-    FaultsLabConfig, EXPERIMENT_IDS,
+    run_byzantine_bench, run_experiment, run_faults_bench, run_fuzz_bench, ByzantineLabConfig,
+    ClaimConfig, FaultsLabConfig, FuzzLabConfig, EXPERIMENT_IDS,
 };
 use std::path::Path;
 
@@ -54,6 +58,22 @@ fn byzantine_matrix_reproduces_its_committed_baseline() {
         threads: 1,
     };
     assert_matches("BENCH_byzantine.json", &base, run_byzantine_bench(&cfg).to_json());
+}
+
+/// The committed file is the output of `lab fuzz --seed 0
+/// --budget-schedules 1024 --batch 64 --threads 1 --json BENCH_fuzz.json`
+/// (no `--corpus`, so no extra seed schedules).
+#[test]
+fn fuzz_campaign_reproduces_its_committed_baseline() {
+    let base = committed("BENCH_fuzz.json");
+    let cfg = FuzzLabConfig {
+        seed: field(&base, "seed"),
+        budget_schedules: field(&base, "budget_schedules"),
+        budget_ms: field(&base, "budget_ms"),
+        batch: field(&base, "batch") as usize,
+        threads: 1,
+    };
+    assert_matches("BENCH_fuzz.json", &base, run_fuzz_bench(&cfg, &[]).to_json());
 }
 
 /// The golden file is the output of
