@@ -1,5 +1,7 @@
 //! Bench: the linearizability checker — cost vs history length and
-//! contention (the E11 verification-side series).
+//! contention (the E11 verification-side series). ABD histories write
+//! unique values, so every size takes the cluster check; the largest
+//! (≥10³ operations) is far past the fallback search's `MAX_OPS`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
@@ -10,7 +12,7 @@ use std::hint::black_box;
 fn bench_checker(c: &mut Criterion) {
     let mut group = c.benchmark_group("linearizability_checker");
     group.sample_size(10);
-    for ops_per in [2usize, 4, 8] {
+    for ops_per in [2usize, 4, 8, 340] {
         // Pre-generate one history per size, then bench only the checker.
         let s: ProcessSet = (0..3u32).map(ProcessId).collect();
         let f = FailurePattern::all_correct(4);

@@ -3,8 +3,10 @@
 //!
 //! * [`AbdRegister`] — ABD-style two-phase quorum emulation driven by
 //!   `Σ_S` trusted sets; the substrate of Proposition 1.
-//! * [`check_linearizable`] — Wing–Gong search deciding atomicity of a
-//!   recorded operation history.
+//! * [`check_linearizable`] — decides atomicity of a recorded operation
+//!   history: by write clusters in O(n log n) when written values are
+//!   unique, with a violation certificate; otherwise by the memoized
+//!   Wing–Gong search [`check_linearizable_search`].
 //! * [`WorkloadSpec`] — reproducible random read/write workloads.
 //!
 //! # Example: a register shared by two processes, checked atomic
@@ -40,5 +42,5 @@ pub use client::{two_writer_workload, WorkloadSpec};
 pub use extraction::{extracting, SigmaExtractor};
 pub use linearizability::{
     check_linearizable, check_linearizable_brute_force, check_linearizable_degraded,
-    LinearizabilityViolation, MAX_OPS,
+    check_linearizable_search, LinearizabilityViolation, MAX_OPS,
 };

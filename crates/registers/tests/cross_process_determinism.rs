@@ -1,8 +1,9 @@
 //! Cross-process determinism of record assembly and linearizability
 //! checking.
 //!
-//! `Trace::op_records` (BTreeMap-backed) and `check_linearizable`
-//! (BTreeSet-memoized) must produce identical output in *distinct
+//! `Trace::op_records` (BTreeMap-backed) and `check_linearizable` (a
+//! sort-based cluster check, with a BTreeSet-memoized fallback search for
+//! repeated written values) must produce identical output in *distinct
 //! processes* — different ASLR layouts and different `RandomState` hash
 //! seeds. A same-process repeat cannot catch a hash-order dependency,
 //! so the test re-executes its own binary twice as child processes and
@@ -42,12 +43,24 @@ fn digest() -> u64 {
         transcript.push_str(&format!("lin={:?}\n", check_linearizable(&ops, None)));
     }
     // A non-linearizable history too, so the violation path (and its
-    // memoized search) is part of the digest.
+    // certificate) is part of the digest.
     let bad = [
         rec(0, 0, OpKind::Write(Value(1)), 0, Some(10), None),
         rec(1, 1, OpKind::Read, 20, Some(30), Some(Value(9))),
     ];
     transcript.push_str(&format!("bad={:?}\n", check_linearizable(&bad, None)));
+    // Repeated written values take the memoized fallback search: one
+    // history it accepts, one it rejects.
+    let repeated = [
+        rec(0, 0, OpKind::Write(Value(1)), 0, Some(10), None),
+        rec(1, 1, OpKind::Write(Value(1)), 5, Some(15), None),
+        rec(2, 2, OpKind::Write(Value(2)), 5, Some(15), None),
+        rec(3, 0, OpKind::Read, 20, Some(30), Some(Value(1))),
+    ];
+    transcript.push_str(&format!("repeated={:?}\n", check_linearizable(&repeated, None)));
+    let repeated_bad =
+        [repeated[0], repeated[1], repeated[2], rec(3, 0, OpKind::Read, 20, Some(30), None)];
+    transcript.push_str(&format!("repeated_bad={:?}\n", check_linearizable(&repeated_bad, None)));
     fnv1a(&transcript)
 }
 

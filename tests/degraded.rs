@@ -295,8 +295,9 @@ fn linearizable_degraded_table() {
         },
         Case {
             name: "oversized history is a capacity error, not an excuse",
+            // Repeated written values force the capped fallback search.
             ops: (0..129)
-                .map(|i| op(i, 0, OpKind::Write(Value(i)), 2 * i, Some(2 * i + 1), None))
+                .map(|i| op(i, 0, OpKind::Write(Value(i % 2)), 2 * i, Some(2 * i + 1), None))
                 .collect(),
             pattern: all_correct.clone(),
             reason: StopReason::Starved,
