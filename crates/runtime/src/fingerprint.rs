@@ -20,6 +20,36 @@
 //!   they order the explorer's delivery menu: changing them would change
 //!   exploration order.
 //!
+//! # Incremental state fingerprints
+//!
+//! [`Simulation::fingerprint`](crate::Simulation::fingerprint) is kept
+//! up to date rather than recomputed, because a step changes one
+//! automaton and a few queues:
+//!
+//! * **One cached word per process**, keyed by its id: its
+//!   `hash_state`, halted bit, trace slots (step count, decision,
+//!   emulated timeline) and, under installed plans, its outgoing send
+//!   counters and stash row. The words are combined as a wrapping sum
+//!   (Zobrist-style), so replacing one is O(1). A step of `p` dirties
+//!   `p`'s word; installing or removing a link-fault plan or adversary
+//!   dirties every word; `reset` invalidates the cache; `clone` and
+//!   `clone_from` carry it.
+//! * **Run constants** — the failure pattern and the installed plans —
+//!   are hashed once per run (again after a plan change).
+//! * **The queue multiset** is a running sum of per-envelope terms the
+//!   network adds on enqueue and subtracts on removal. The first
+//!   fingerprint of a run switches it on; until then sends do no
+//!   fingerprint work.
+//!
+//! A call then costs the dirty words plus a dozen global words (time,
+//! network counters, the running op-event hash), at any `n`. Only the
+//! equality classes are contractual — two states get equal fingerprints
+//! exactly when their checker-visible projections are equal — not the
+//! values themselves. `tests/state_hash.rs` checks the cached value
+//! against the from-scratch `Simulation::fingerprint_uncached` after
+//! every step of fair runs, `clone_from` chains, pooled runs and runs
+//! that change plans mid-way.
+//!
 //! [`Fnv64`] implements [`std::fmt::Write`], so a value's `Debug`
 //! rendering streams straight into it without allocating. Derived `Debug`
 //! output is a pure function of the data (field values in declaration
@@ -27,8 +57,7 @@
 //! canonical, if slow, encoding of plain-data state.
 
 use sih_model::{
-    FdOutput, OpId, OpKind, OutputTimeline, ProcSet, ProcessId, ProcessSet, RecordedHistory, Time,
-    Value,
+    FdOutput, OpId, OpKind, OutputTimeline, ProcSet, ProcessId, ProcessSet, Time, Value,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -371,17 +400,6 @@ impl StateHash for OutputTimeline {
     fn hash_into(&self, h: &mut StateHasher) {
         h.write(&self.initial());
         h.write(self.changes());
-    }
-}
-
-/// The per-process timelines. The display label is not hashed: it is
-/// report metadata, fixed for the histories a trace records.
-impl StateHash for RecordedHistory {
-    fn hash_into(&self, h: &mut StateHasher) {
-        h.write_usize(self.n());
-        for (_, tl) in self.iter() {
-            h.write(tl);
-        }
     }
 }
 

@@ -20,9 +20,10 @@
 //!
 //! Everything in this module is deterministic: the only randomness is
 //! the caller-supplied [`FuzzRng`] (splitmix64, the same generator
-//! `AdversaryPlan::random_plan` uses), and the coverage map and corpus
-//! use ordered containers only, per the determinism contract
-//! (DESIGN.md §6).
+//! `AdversaryPlan::random_plan` uses). The corpus uses ordered
+//! containers, and the coverage map a fixed-function open-addressing
+//! set, so neither depends on a per-process hash seed (determinism
+//! contract, DESIGN.md §6).
 
 use crate::fingerprint::mix64;
 use crate::repro::{
@@ -547,12 +548,27 @@ fn flip_attack(s: &Schedule, rng: &mut FuzzRng) -> Option<Schedule> {
 /// fingerprints ([`Simulation::fingerprint`](crate::Simulation::fingerprint),
 /// as the explorer dedups on, mixed with a workload key by `lab fuzz`)
 /// any evaluated schedule has ever visited.
-/// Ordered container, so merging observations in canonical order is
-/// bitwise identical across thread counts.
+///
+/// A flat open-addressing set of `u64` keys with linear probing. It
+/// takes no `std` hasher: the keys are fingerprints, already mixed, and
+/// a Fibonacci multiply picks the home slot. Slot value `0` marks an
+/// empty slot, so key `0` is held by a flag. The fuzzer reads only
+/// membership (novelty counts) and the size, never an iteration order,
+/// so the map is bitwise identical across thread counts as long as
+/// observations merge in canonical order.
 #[derive(Clone, Debug, Default)]
 pub struct Coverage {
-    seen: BTreeSet<u64>,
+    /// Power-of-two slot array (empty until the first nonzero key);
+    /// `0` is an empty slot.
+    slots: Vec<u64>,
+    /// Nonzero keys held in `slots`.
+    len: usize,
+    /// Whether key `0` was observed.
+    zero: bool,
 }
+
+/// Smallest slot array [`Coverage`] allocates.
+const COVERAGE_MIN_SLOTS: usize = 64;
 
 impl Coverage {
     /// An empty map.
@@ -564,21 +580,61 @@ impl Coverage {
     pub fn observe(&mut self, keys: impl IntoIterator<Item = u64>) -> u64 {
         let mut novel = 0;
         for k in keys {
-            if self.seen.insert(k) {
+            if self.insert(k) {
                 novel += 1;
             }
         }
         novel
     }
 
+    /// Inserts `k`, returning whether it was new.
+    fn insert(&mut self, k: u64) -> bool {
+        if k == 0 {
+            return !std::mem::replace(&mut self.zero, true);
+        }
+        // Grow past 3/4 load: probes stay short, and right after a
+        // doubling the table is 3/8 full.
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            let size = (2 * self.slots.len()).max(COVERAGE_MIN_SLOTS);
+            let old = std::mem::replace(&mut self.slots, vec![0; size]);
+            for k in old.into_iter().filter(|&k| k != 0) {
+                probe_insert(&mut self.slots, k);
+            }
+        }
+        let novel = probe_insert(&mut self.slots, k);
+        self.len += usize::from(novel);
+        novel
+    }
+
     /// Distinct fingerprints observed so far.
     pub fn len(&self) -> u64 {
-        self.seen.len() as u64
+        (self.len + usize::from(self.zero)) as u64
     }
 
     /// Whether nothing has been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.len == 0 && !self.zero
+    }
+}
+
+/// Linear-probing insert of nonzero `k` into `slots`, a power-of-two
+/// array with at least one empty (`0`) slot; returns whether `k` was
+/// absent. The probe starts at the top bits of a Fibonacci multiply.
+// sih-analysis: allow(index-reachable) — probe indices are masked to the power-of-two length.
+fn probe_insert(slots: &mut [u64], k: u64) -> bool {
+    let mask = slots.len() - 1;
+    let mut i =
+        (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.len().trailing_zeros())) as usize;
+    loop {
+        let slot = &mut slots[i];
+        if *slot == k {
+            return false;
+        }
+        if *slot == 0 {
+            *slot = k;
+            return true;
+        }
+        i = (i + 1) & mask;
     }
 }
 
@@ -775,8 +831,39 @@ mod tests {
     #[test]
     fn coverage_counts_novelty_once() {
         let mut cov = Coverage::new();
+        assert!(cov.is_empty());
         assert_eq!(cov.observe([1, 2, 2, 3]), 3);
         assert_eq!(cov.observe([2, 3, 4]), 1);
         assert_eq!(cov.len(), 4);
+        // Key 0 (the empty-slot marker) is a key like any other.
+        assert_eq!(cov.observe([0, 0, 4]), 1);
+        assert_eq!(cov.len(), 5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// The flat set agrees with a `BTreeSet` model on every novelty
+        /// count and size, through growth, key 0 and probe collisions
+        /// (small keys share home slots while the table is small).
+        #[test]
+        fn coverage_matches_a_btreeset_model(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::prop_oneof![0u64..48, proptest::any::<u64>()],
+                    0..120,
+                ),
+                1..12,
+            ),
+        ) {
+            let mut cov = Coverage::new();
+            let mut model = BTreeSet::new();
+            for keys in batches {
+                let novel = keys.iter().filter(|&&k| model.insert(k)).count() as u64;
+                proptest::prop_assert_eq!(cov.observe(keys), novel);
+                proptest::prop_assert_eq!(cov.len(), model.len() as u64);
+                proptest::prop_assert_eq!(cov.is_empty(), model.is_empty());
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@
 // indexed by ProcessId and link ids validated at construction; Fenwick offsets stay in range
 // by the tree's size invariant (see ArrivalQueue docs).
 use crate::automaton::{Envelope, MsgId};
-use crate::fingerprint::{debug_fp, Fnv64, StateHasher};
+use crate::fingerprint::{debug_fp, mix64, Fnv64, StateHasher};
 use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
 use std::cell::Cell;
 use std::fmt;
@@ -110,13 +110,13 @@ impl<M: Clone> Clone for Payload<M> {
 /// A queued message plus the memoized fingerprint of its checker-visible
 /// projection `(from, payload)`.
 ///
-/// The hash is filled lazily on the first [`Network::fingerprint_into`]
-/// that sees the envelope (hence the `Cell`: fingerprinting takes
-/// `&self`). Payloads are immutable while queued and `Clone` copies them
-/// unchanged, so a cached value stays valid for the clone too — the
-/// exhaustive explorer hashes each message once per *send*, not once per
-/// visited state. The destination is not stored: a slot lives in its
-/// destination's queue.
+/// The hash is filled at send time once state fingerprinting is on (see
+/// [`Network::queue_sum`]), and otherwise lazily on first use (hence the
+/// `Cell`: reading it takes `&self`). Payloads are immutable while
+/// queued and `Clone` copies them unchanged, so a cached value stays
+/// valid for the clone too — the exhaustive explorer hashes each message
+/// once per *send*, not once per visited state. The destination is not
+/// stored: a slot lives in its destination's queue.
 #[derive(Clone, Debug)]
 struct Slot<M> {
     id: MsgId,
@@ -333,10 +333,6 @@ impl<M> ArrivalQueue<M> {
 #[derive(Debug)]
 struct LinkFaultState {
     plan: LinkFaultPlan,
-    /// Fingerprint of `plan`, memoized on the first state fingerprint
-    /// (plans are read-only once installed, and runs that never
-    /// fingerprint never pay for it).
-    plan_fp: Cell<Option<u64>>,
     /// `sends[src * n + dst]`: messages sent so far on that directed link
     /// (counting every attempt, delivered or dropped).
     sends: Vec<u64>,
@@ -344,16 +340,11 @@ struct LinkFaultState {
 
 impl Clone for LinkFaultState {
     fn clone(&self) -> Self {
-        LinkFaultState {
-            plan: self.plan.clone(),
-            plan_fp: self.plan_fp.clone(),
-            sends: self.sends.clone(),
-        }
+        LinkFaultState { plan: self.plan.clone(), sends: self.sends.clone() }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.plan.clone_from(&source.plan);
-        self.plan_fp.set(source.plan_fp.get());
         self.sends.clone_from(&source.sends);
     }
 }
@@ -366,8 +357,6 @@ impl Clone for LinkFaultState {
 /// (default) case pays one pointer of space and a null check per send.
 struct AdversaryState<M> {
     plan: AdversaryPlan,
-    /// Fingerprint of `plan`, memoized like [`LinkFaultState`]'s.
-    plan_fp: Cell<Option<u64>>,
     armor: Armor,
     /// `sends[src * n + dst]`: sends consulted so far on that directed
     /// link (independent of the link-fault counters; only sends that
@@ -390,7 +379,6 @@ impl<M: Clone> Clone for AdversaryState<M> {
     fn clone(&self) -> Self {
         AdversaryState {
             plan: self.plan.clone(),
-            plan_fp: self.plan_fp.clone(),
             armor: self.armor,
             sends: self.sends.clone(),
             stash: self.stash.clone(),
@@ -401,7 +389,6 @@ impl<M: Clone> Clone for AdversaryState<M> {
 
     fn clone_from(&mut self, source: &Self) {
         self.plan.clone_from(&source.plan);
-        self.plan_fp.set(source.plan_fp.get());
         self.armor = source.armor;
         self.sends.clone_from(&source.sends);
         self.stash.clone_from(&source.stash);
@@ -443,6 +430,9 @@ pub struct Network<M> {
     /// tracking is on (`None` = off, the default — see
     /// [`Network::set_wake_tracking`]).
     woken: Option<Vec<ProcessId>>,
+    /// The running [`Network::queue_sum`], once state fingerprinting
+    /// has switched it on (`None` = off, the default).
+    queue_sum: Cell<Option<u64>>,
 }
 
 // Manual Clone so `clone_from` recycles every per-destination queue.
@@ -461,6 +451,7 @@ impl<M: Clone> Clone for Network<M> {
             faults: self.faults.clone(),
             adversary: self.adversary.clone(),
             woken: self.woken.clone(),
+            queue_sum: self.queue_sum.clone(),
         }
     }
 
@@ -483,45 +474,81 @@ impl<M: Clone> Clone for Network<M> {
             (dst, src) => *dst = src.clone(),
         }
         self.woken.clone_from(&source.woken);
+        self.queue_sum.set(source.queue_sum.get());
     }
 }
 
+/// The `(from, payload)` hash of an envelope: FNV-1a/64 over the sender
+/// id and the payload's `Debug` rendering. It orders the explorer's
+/// delivery menu, so it must stay bit-identical.
+fn envelope_fp<M: fmt::Debug>(from: ProcessId, payload: &M) -> u64 {
+    let mut eh = Fnv64::new();
+    eh.write_u64(u64::from(from.0));
+    eh.write_debug(payload);
+    eh.finish()
+}
+
+/// One envelope's term in the running queue sum: its fingerprint keyed
+/// by the destination queue (an odd multiple, distinct per queue) and
+/// mixed, so the sum over all queued envelopes is a Zobrist-style hash
+/// of the multiset of `(to, from, payload)` triples.
+#[inline]
+fn queued_term(to: ProcessId, fp: u64) -> u64 {
+    mix64(fp.wrapping_add((u64::from(to.0) + 1).wrapping_mul(QUEUE_KEY)))
+}
+
+/// Odd multiplier keying [`queued_term`] by destination (⌊2⁶⁴/φ⌋).
+const QUEUE_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl<M: fmt::Debug> Network<M> {
-    /// Feeds the checker-visible network state into a state fingerprint:
-    /// per destination, the pending queue as a **multiset** of
-    /// `(sender, payload)` pairs (an order-insensitive wrapping sum of
-    /// per-envelope hashes) plus its length, then the global counters.
-    /// Message ids and `sent_at` stamps are harness metadata — excluded,
-    /// so interleavings that merely reorder equal sends coincide.
+    /// The queue section of a state fingerprint: the wrapping sum of
+    /// [`queued_term`] over every pending envelope — each queue as a
+    /// **multiset** of `(sender, payload)` pairs. Message ids and
+    /// `sent_at` stamps are harness metadata, excluded so interleavings
+    /// that merely reorder equal sends coincide.
+    ///
+    /// The first call computes the sum from scratch and switches running
+    /// maintenance on: from then on every enqueue adds its term (hashing
+    /// the envelope at send time) and every removal subtracts it, so
+    /// later calls are O(1). [`Network::reset`] switches it off again;
+    /// clones carry it. Runs that never fingerprint never pay per send.
     ///
     /// The multiset view is faithful for the explorer because delivery
     /// menus are enumerated in canonical content order (the sorted
     /// [`Network::pending_envelope_fps`]): even a finite delivery cap
     /// samples a content-order prefix the multiset determines. An
-    /// order-sensitive sibling, [`Network::fingerprint_ordered_into`],
-    /// exists for callers that distinguish arrival order.
-    pub(crate) fn fingerprint_into(&self, h: &mut StateHasher) {
-        for q in &self.queues {
-            h.write_usize(q.len());
-            h.write_u64(q.multiset_fingerprint());
-        }
-        self.counters_into(h);
+    /// order-sensitive sibling, [`Network::queue_sequences`], exists for
+    /// callers that distinguish arrival order.
+    pub(crate) fn queue_sum(&self) -> u64 {
+        memoized(&self.queue_sum, || self.queue_sum_uncached())
     }
 
-    /// Order-sensitive variant of [`Network::fingerprint_into`]: each
-    /// pending queue is hashed as the exact arrival-order **sequence** of
-    /// per-envelope hashes instead of a multiset, so two equal sequence
-    /// fingerprints mean the queues agree envelope-for-envelope. Uses
-    /// the same memoized per-[`Slot`] hashes as the multiset view, so
-    /// the per-send hashing cost is shared.
-    pub(crate) fn fingerprint_ordered_into(&self, h: &mut StateHasher) {
+    /// [`Network::queue_sum`] recomputed from the queues, leaving the
+    /// running sum untouched.
+    pub(crate) fn queue_sum_uncached(&self) -> u64 {
+        let mut sum = 0u64;
+        for (i, q) in self.queues.iter().enumerate() {
+            let to = ProcessId(i as u32);
+            for s in q.iter() {
+                sum = sum.wrapping_add(queued_term(to, s.envelope_fp()));
+            }
+        }
+        sum
+    }
+
+    /// Order-sensitive variant of [`Network::queue_sum`]: each pending
+    /// queue hashed as its exact arrival-order **sequence** of envelope
+    /// fingerprints (after its length), so two equal results mean the
+    /// queues agree envelope-for-envelope. Always computed from scratch.
+    pub(crate) fn queue_sequences(&self) -> u64 {
+        let mut h = StateHasher::new();
         for q in &self.queues {
             h.write_usize(q.len());
             for s in q.iter() {
                 h.write_u64(s.envelope_fp());
             }
         }
-        self.counters_into(h);
+        h.finish()
     }
 
     /// The envelope fingerprints of the messages pending at `to`, in
@@ -534,34 +561,57 @@ impl<M: fmt::Debug> Network<M> {
         self.queues[to.index()].iter().map(Slot::envelope_fp)
     }
 
-    /// The global-counter and fault-state tail both fingerprint flavors
-    /// share.
-    fn counters_into(&self, h: &mut StateHasher) {
+    /// The global counters of a state fingerprint, plus the dropped,
+    /// duplicated and adversary counters when a plan is installed (so
+    /// reliable and honest fingerprints do not depend on the fault
+    /// machinery).
+    pub(crate) fn counters_into(&self, h: &mut StateHasher) {
         h.write_u64(self.sent_count);
         h.write_u64(self.delivered_count);
-        // Fault state is hashed only when a plan is installed, so
-        // reliable-network fingerprints do not depend on the fault
-        // machinery.
-        if let Some(state) = &self.faults {
-            h.write_u64(0x4C46); // "LF" tag separating the fault section
+        if self.faults.is_some() {
+            h.write_u64(LINK_FAULT_TAG);
             h.write_u64(self.dropped_count);
             h.write_u64(self.duplicated_count);
-            for &k in &state.sends {
-                h.write_u64(k);
-            }
-            h.write_u64(memoized(&state.plan_fp, || debug_fp(&state.plan)));
         }
-        // Mirror: adversary state is hashed only when installed, so both
-        // reliable and faulty-but-honest fingerprints ignore it.
-        if let Some(adv) = &self.adversary {
-            h.write_u64(0x425A); // "BZ" tag separating the adversary section
+        if self.adversary.is_some() {
+            h.write_u64(ADVERSARY_TAG);
             h.write_u64(self.mutated_count);
             h.write_u64(self.forged_count);
             h.write_u64(self.armored_count);
-            for &k in &adv.sends {
+        }
+    }
+
+    /// The run constants of a state fingerprint: each installed plan's
+    /// `Debug` hash, and the adversary's armor rung. Plans are read-only
+    /// once installed, so callers hash this once per install.
+    pub(crate) fn plans_into(&self, h: &mut StateHasher) {
+        if let Some(state) = &self.faults {
+            h.write_u64(LINK_FAULT_TAG);
+            h.write_u64(debug_fp(&state.plan));
+        }
+        if let Some(adv) = &self.adversary {
+            h.write_u64(ADVERSARY_TAG);
+            h.write_u64(debug_fp(&adv.plan));
+            h.write_u64(u64::from(adv.armor.rung()));
+        }
+    }
+
+    /// Process `from`'s share of the installed plans' per-link state —
+    /// its outgoing link-fault and adversary send counters and its stash
+    /// row — which only `from`'s own sends change.
+    pub(crate) fn sender_into(&self, from: ProcessId, h: &mut StateHasher) {
+        let n = self.queues.len();
+        let row = from.index() * n..(from.index() + 1) * n;
+        if let Some(state) = &self.faults {
+            for &k in &state.sends[row.clone()] {
                 h.write_u64(k);
             }
-            for s in &adv.stash {
+        }
+        if let Some(adv) = &self.adversary {
+            for &k in &adv.sends[row.clone()] {
+                h.write_u64(k);
+            }
+            for s in &adv.stash[row] {
                 match s {
                     None => h.write_u64(0),
                     Some(m) => {
@@ -570,11 +620,14 @@ impl<M: fmt::Debug> Network<M> {
                     }
                 }
             }
-            h.write_u64(memoized(&adv.plan_fp, || debug_fp(&adv.plan)));
-            h.write_u64(u64::from(adv.armor.rung()));
         }
     }
 }
+
+/// Tag separating the link-fault words of a state fingerprint ("LF").
+const LINK_FAULT_TAG: u64 = 0x4C46;
+/// Tag separating the adversary words of a state fingerprint ("BZ").
+const ADVERSARY_TAG: u64 = 0x425A;
 
 /// The value in `cell`, computing and storing it with `f` on first use.
 fn memoized(cell: &Cell<Option<u64>>, f: impl FnOnce() -> u64) -> u64 {
@@ -586,32 +639,17 @@ fn memoized(cell: &Cell<Option<u64>>, f: impl FnOnce() -> u64) -> u64 {
 }
 
 impl<M: fmt::Debug> Slot<M> {
-    /// The `(sender, payload)` hash of this envelope, memoized in the
-    /// slot on first use (and carried across clones — see [`Slot`]).
-    /// Shared (fanned) payloads hash their `Debug` rendering just like
-    /// inline ones, so the batched representation leaves every
-    /// fingerprint bit-identical.
+    /// The [`envelope_fp`] of this envelope, memoized in the slot on
+    /// first use (and carried across clones — see [`Slot`]). Shared
+    /// (fanned) payloads hash their `Debug` rendering just like inline
+    /// ones, so the batched representation leaves every fingerprint
+    /// bit-identical.
     fn envelope_fp(&self) -> u64 {
-        memoized(&self.fp, || {
-            let mut eh = Fnv64::new();
-            eh.write_u64(u64::from(self.from.0));
-            eh.write_debug(self.payload.get());
-            eh.finish()
-        })
+        memoized(&self.fp, || envelope_fp(self.from, self.payload.get()))
     }
 }
 
-impl<M: fmt::Debug> ArrivalQueue<M> {
-    /// Wrapping sum of the alive slots' memoized envelope hashes.
-    fn multiset_fingerprint(&self) -> u64 {
-        self.slots[self.head..]
-            .iter()
-            .flatten()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.envelope_fp()))
-    }
-}
-
-impl<M: Clone> Network<M> {
+impl<M: Clone + fmt::Debug> Network<M> {
     /// An empty network over `n` processes.
     pub fn new(n: usize) -> Self {
         Network {
@@ -627,6 +665,7 @@ impl<M: Clone> Network<M> {
             faults: None,
             adversary: None,
             woken: None,
+            queue_sum: Cell::new(None),
         }
     }
 
@@ -638,7 +677,8 @@ impl<M: Clone> Network<M> {
     /// Empties the network for reuse, keeping queue allocations. Also
     /// uninstalls any link-fault plan and any mutation adversary — a
     /// pooled simulation starts reliable and honest until the next
-    /// [`Network::set_link_faults`] / [`Network::set_adversary`].
+    /// [`Network::set_link_faults`] / [`Network::set_adversary`] — and
+    /// switches the running [`Network::queue_sum`] off.
     pub fn reset(&mut self) {
         for q in &mut self.queues {
             q.clear();
@@ -654,6 +694,7 @@ impl<M: Clone> Network<M> {
         self.faults = None;
         self.adversary = None;
         self.woken = None;
+        *self.queue_sum.get_mut() = None;
     }
 
     /// Installs a link-fault plan; subsequent sends consult it. Per-link
@@ -665,11 +706,7 @@ impl<M: Clone> Network<M> {
     pub fn set_link_faults(&mut self, plan: LinkFaultPlan) {
         assert_eq!(plan.n(), self.n(), "plan size must match the network");
         let links = self.n() * self.n();
-        self.faults = Some(Box::new(LinkFaultState {
-            plan,
-            plan_fp: Cell::new(None),
-            sends: vec![0; links],
-        }));
+        self.faults = Some(Box::new(LinkFaultState { plan, sends: vec![0; links] }));
     }
 
     /// The installed link-fault plan, if any.
@@ -699,7 +736,6 @@ impl<M: Clone> Network<M> {
         }
         self.adversary = Some(Box::new(AdversaryState {
             plan,
-            plan_fp: Cell::new(None),
             armor,
             sends: vec![0; links],
             stash: (0..links).map(|_| None).collect(),
@@ -825,16 +861,18 @@ impl<M: Clone> Network<M> {
                         Some((m, f)) => (m, f, true),
                         None => (payload, from, false),
                     };
+                let fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &payload));
+                self.add_queued(to, copies, fp);
                 let queue = &mut self.queues[to.index()];
                 let was_empty = queue.len() == 0;
                 for _ in 1..copies {
                     let payload = Payload::Inline(payload.clone());
-                    queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(None), tampered });
+                    queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
                 }
                 // The last copy moves the payload: the reliable fast path
                 // (copies == 1) clones nothing.
                 let payload = Payload::Inline(payload);
-                queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(None), tampered });
+                queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
                 if was_empty {
                     if let Some(tracked) = &mut self.woken {
                         tracked.push(to);
@@ -870,6 +908,9 @@ impl<M: Clone> Network<M> {
         assert!(n <= self.queues.len(), "broadcast fan-out exceeds the network size");
         let first = MsgId(self.next_id);
         let shared = Arc::new(payload);
+        // One envelope hash for every untampered recipient, computed only
+        // when the running queue sum is on (`None` otherwise).
+        let shared_fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &*shared));
         for i in 0..n as u32 {
             let to = ProcessId(i);
             if Some(to) == except {
@@ -895,6 +936,11 @@ impl<M: Clone> Network<M> {
                     self.sent_count += copies;
                     self.duplicated_count += copies - 1;
                     let mutated = self.consult_adversary(from, to, sent_at, &shared);
+                    let fp = match &mutated {
+                        Some((m, f)) => shared_fp.map(|_| envelope_fp(*f, m)),
+                        None => shared_fp,
+                    };
+                    self.add_queued(to, copies, fp);
                     let queue = &mut self.queues[to.index()];
                     let was_empty = queue.len() == 0;
                     match mutated {
@@ -907,7 +953,7 @@ impl<M: Clone> Network<M> {
                                     from: f,
                                     sent_at,
                                     payload: Payload::Inline(m.clone()),
-                                    fp: Cell::new(None),
+                                    fp: Cell::new(fp),
                                     tampered: true,
                                 });
                             }
@@ -916,7 +962,7 @@ impl<M: Clone> Network<M> {
                                 from: f,
                                 sent_at,
                                 payload: Payload::Inline(m),
-                                fp: Cell::new(None),
+                                fp: Cell::new(fp),
                                 tampered: true,
                             });
                         }
@@ -927,7 +973,7 @@ impl<M: Clone> Network<M> {
                                     from,
                                     sent_at,
                                     payload: Payload::Shared(Arc::clone(&shared)),
-                                    fp: Cell::new(None),
+                                    fp: Cell::new(fp),
                                     tampered: false,
                                 });
                             }
@@ -942,6 +988,16 @@ impl<M: Clone> Network<M> {
             }
         }
         first
+    }
+
+    /// Adds `copies` envelopes with fingerprint `fp` at `to` to the
+    /// running [`Network::queue_sum`]. Senders compute `fp` exactly when
+    /// the sum is on, so `None` (the sum is off) costs one branch.
+    #[inline]
+    fn add_queued(&mut self, to: ProcessId, copies: u64, fp: Option<u64>) {
+        if let (Some(fp), Some(sum)) = (fp, self.queue_sum.get_mut()) {
+            *sum = sum.wrapping_add(copies.wrapping_mul(queued_term(to, fp)));
+        }
     }
 
     /// Turns empty→nonempty queue-transition tracking on or off (off by
@@ -1014,6 +1070,9 @@ impl<M: Clone> Network<M> {
     /// Panics if `index` is out of range.
     pub fn deliver(&mut self, to: ProcessId, index: usize) -> Envelope<M> {
         let slot = self.queues[to.index()].remove(index);
+        if let Some(sum) = self.queue_sum.get_mut() {
+            *sum = sum.wrapping_sub(queued_term(to, slot.envelope_fp()));
+        }
         // Tampered envelopes count as `mutated`, not `delivered`, keeping
         // `sent == delivered + dropped + mutated + in_flight` exact.
         if slot.tampered {
@@ -1259,15 +1318,22 @@ mod tests {
         assert_eq!(net.pending_count(ProcessId(1)), 1);
     }
 
+    /// The network's whole contribution to a state fingerprint, from
+    /// scratch.
+    fn fp<M: Clone + fmt::Debug>(net: &Network<M>) -> u64 {
+        let mut h = StateHasher::new();
+        net.counters_into(&mut h);
+        net.plans_into(&mut h);
+        for p in 0..net.n() as u32 {
+            net.sender_into(ProcessId(p), &mut h);
+        }
+        h.write_u64(net.queue_sum_uncached());
+        h.finish()
+    }
+
     #[test]
     fn fault_free_fingerprints_ignore_the_fault_machinery() {
-        use crate::fingerprint::StateHasher;
         use sih_model::LinkFaultPlan;
-        let fp = |net: &Network<u8>| {
-            let mut h = StateHasher::new();
-            net.fingerprint_into(&mut h);
-            h.finish()
-        };
         let mut plain: Network<u8> = Network::new(2);
         plain.send(ProcessId(0), ProcessId(1), Time(1), 5);
         let mut faulty: Network<u8> = Network::new(2);
@@ -1400,13 +1466,7 @@ mod tests {
 
     #[test]
     fn adversary_free_fingerprints_ignore_the_adversary_machinery() {
-        use crate::fingerprint::StateHasher;
         use sih_model::AdversaryPlan;
-        let fp = |net: &Network<u8>| {
-            let mut h = StateHasher::new();
-            net.fingerprint_into(&mut h);
-            h.finish()
-        };
         let mut plain: Network<u8> = Network::new(2);
         plain.send(ProcessId(0), ProcessId(1), Time(1), 5);
         // An installed (even honest) adversary widens the fingerprint
@@ -1434,6 +1494,77 @@ mod tests {
         assert_eq!(net.deliver(ProcessId(2), 0).payload, 15);
         assert_eq!(net.mutated_count(), 1);
         assert_eq!(net.delivered_count(), 2);
+    }
+
+    /// The per-slot envelope fingerprints of the queue at `to`.
+    fn slot_fps<M: fmt::Debug>(net: &Network<M>, to: u32) -> Vec<Option<u64>> {
+        net.queues[to as usize].iter().map(|s| s.fp.get()).collect()
+    }
+
+    #[test]
+    fn broadcast_slots_share_the_per_send_envelope_fingerprint() {
+        use sih_model::AdversaryPlan;
+        let plan =
+            AdversaryPlan::builder(4).perturb(ProcessId(1), ProcessId(3), 5, Time(0), None).build();
+        let mut fanned: Network<u8> = Network::new(4);
+        fanned.set_adversary(plan.clone(), Armor::NONE);
+        let mut unicast: Network<u8> = Network::new(4);
+        unicast.set_adversary(plan, Armor::NONE);
+        // Running sums on: sends hash their envelopes eagerly, and the
+        // broadcast hashes its shared payload once for every clean slot.
+        fanned.queue_sum();
+        unicast.queue_sum();
+        fanned.broadcast(ProcessId(1), Time(1), 10, 4, Some(ProcessId(0)));
+        for to in 1..4 {
+            unicast.send(ProcessId(1), ProcessId(to), Time(1), 10);
+        }
+        let clean = Some(envelope_fp(ProcessId(1), &10u8));
+        assert_eq!(slot_fps(&fanned, 1), vec![clean]);
+        assert_eq!(slot_fps(&fanned, 2), vec![clean]);
+        // The tampered recipient keeps the fingerprint of what it holds.
+        assert_eq!(slot_fps(&fanned, 3), vec![Some(envelope_fp(ProcessId(1), &15u8))]);
+        for to in 0..4 {
+            assert_eq!(slot_fps(&fanned, to), slot_fps(&unicast, to), "queue {to}");
+        }
+        assert_eq!(fanned.queue_sum(), unicast.queue_sum());
+        assert_eq!(fanned.queue_sum(), fanned.queue_sum_uncached());
+    }
+
+    #[test]
+    fn running_queue_sum_tracks_sends_and_deliveries() {
+        use sih_model::LinkFaultPlan;
+        let plan = LinkFaultPlan::builder(3)
+            .duplicate_every(ProcessId(0), ProcessId(2), 1, 0, Time(0), None)
+            .build();
+        let mut net: Network<u32> = Network::new(3);
+        net.set_link_faults(plan);
+        net.send(ProcessId(1), ProcessId(2), Time(1), 7);
+        assert_eq!(net.queue_sum.get(), None, "off until the first fingerprint");
+        net.queue_sum();
+        let mut t = 1;
+        for round in 0..40u32 {
+            t += 1;
+            match round % 4 {
+                0 => {
+                    net.broadcast(ProcessId(round % 3), Time(t), round, 3, None);
+                }
+                1 => {
+                    net.send(ProcessId(0), ProcessId(2), Time(t), round);
+                }
+                _ => {
+                    let to = ProcessId(round % 3);
+                    if net.pending_count(to) > 0 {
+                        net.deliver(to, net.pending_count(to) / 2);
+                    }
+                }
+            }
+            assert_eq!(net.queue_sum(), net.queue_sum_uncached(), "round {round}");
+            let mut copy = Network::new(3);
+            copy.clone_from(&net);
+            assert_eq!(copy.queue_sum.get(), net.queue_sum.get());
+        }
+        net.reset();
+        assert_eq!(net.queue_sum.get(), None, "reset switches the running sum off");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use sih_model::{
     AdversaryPlan, Armor, FailureDetector, FailurePattern, FdOutput, LinkFaultPlan, ProcSet,
     ProcessId, ProcessSet, Time,
 };
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -246,6 +247,89 @@ pub struct Simulation<A: Automaton> {
     scratch_pending: Vec<usize>,
     scratch_oldest_sent: Vec<Option<Time>>,
     scratch_oldest_idx: Vec<Option<usize>>,
+    // Incremental state of `fingerprint` (a `RefCell`: fingerprinting
+    // takes `&self`). Stale and allocation-free until the first call.
+    fp: RefCell<FpCache>,
+}
+
+/// The cached sections of [`Simulation::fingerprint`].
+///
+/// Each process owns one *word*: the hash, keyed by its id, of every
+/// piece of state that only its own step can change (see
+/// `Simulation::process_word`). The fingerprint folds the **wrapping
+/// sum** of the words — a Zobrist-style combination, so replacing one
+/// word is O(1) — together with the run constants, the network's running
+/// queue sum and a handful of global counters.
+#[derive(Debug)]
+struct FpCache {
+    /// Hash of the run constants: the failure pattern and the installed
+    /// plans.
+    constants: u64,
+    /// `words[p]`: process `p`'s word.
+    words: Vec<u64>,
+    /// Wrapping sum of `words`.
+    sum: u64,
+    /// Processes stepped since the last refresh (repeats allowed).
+    dirty: Vec<ProcessId>,
+    /// Whether the constants and every word must be recomputed: before
+    /// the first fingerprint, after a reset and after a plan change.
+    stale: bool,
+}
+
+impl Default for FpCache {
+    fn default() -> Self {
+        FpCache { constants: 0, words: Vec::new(), sum: 0, dirty: Vec::new(), stale: true }
+    }
+}
+
+// Manual Clone so `clone_from` reuses the word and dirty-list buffers.
+impl Clone for FpCache {
+    fn clone(&self) -> Self {
+        FpCache {
+            constants: self.constants,
+            words: self.words.clone(),
+            sum: self.sum,
+            dirty: self.dirty.clone(),
+            stale: self.stale,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.constants = source.constants;
+        self.words.clone_from(&source.words);
+        self.sum = source.sum;
+        self.dirty.clone_from(&source.dirty);
+        self.stale = source.stale;
+    }
+}
+
+impl FpCache {
+    /// Marks `p`'s word stale after its step. A no-op while everything
+    /// is stale — the one branch runs that never fingerprint pay.
+    #[inline]
+    fn touch(&mut self, p: ProcessId) {
+        if self.stale {
+            return;
+        }
+        if self.dirty.len() >= self.words.len() {
+            // More steps than processes since the last refresh: a full
+            // recompute is no dearer than replaying the list.
+            self.invalidate();
+        } else {
+            self.dirty.push(p);
+        }
+    }
+
+    /// Marks the constants and every word stale.
+    fn invalidate(&mut self) {
+        self.stale = true;
+        self.dirty.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.dirty.capacity() * std::mem::size_of::<ProcessId>()
+    }
 }
 
 // Manual Clone so `clone_from` reuses every heap allocation of the
@@ -270,6 +354,7 @@ impl<A: Automaton + Clone> Clone for Simulation<A> {
             scratch_pending: self.scratch_pending.clone(),
             scratch_oldest_sent: self.scratch_oldest_sent.clone(),
             scratch_oldest_idx: self.scratch_oldest_idx.clone(),
+            fp: RefCell::new(self.fp.borrow().clone()),
         }
     }
 
@@ -287,6 +372,7 @@ impl<A: Automaton + Clone> Clone for Simulation<A> {
         self.scratch_pending.clone_from(&source.scratch_pending);
         self.scratch_oldest_sent.clone_from(&source.scratch_oldest_sent);
         self.scratch_oldest_idx.clone_from(&source.scratch_oldest_idx);
+        self.fp.get_mut().clone_from(&source.fp.borrow());
     }
 }
 
@@ -325,6 +411,7 @@ impl<A: Automaton> Simulation<A> {
             scratch_pending: vec![0; n],
             scratch_oldest_sent: vec![None; n],
             scratch_oldest_idx: vec![None; n],
+            fp: RefCell::default(),
         }
     }
 
@@ -383,6 +470,7 @@ impl<A: Automaton> Simulation<A> {
         self.scratch_oldest_sent.resize(n, None);
         self.scratch_oldest_idx.clear();
         self.scratch_oldest_idx.resize(n, None);
+        self.fp.get_mut().invalidate();
     }
 
     /// System size.
@@ -424,6 +512,7 @@ impl<A: Automaton> Simulation<A> {
     /// Panics if the plan's process count differs from the system size.
     pub fn set_link_faults(&mut self, plan: LinkFaultPlan) {
         self.net.set_link_faults(plan);
+        self.fp.get_mut().invalidate();
     }
 
     /// Builder form of [`Simulation::set_link_faults`].
@@ -446,6 +535,7 @@ impl<A: Automaton> Simulation<A> {
         A::Msg: Corruptible,
     {
         self.net.set_adversary(plan, armor);
+        self.fp.get_mut().invalidate();
     }
 
     /// Builder form of [`Simulation::set_adversary`].
@@ -463,6 +553,7 @@ impl<A: Automaton> Simulation<A> {
     /// fingerprints taken afterwards use the adversary-free domain (the
     /// differential armor suite compares against baselines this way).
     pub fn take_adversary(&mut self) -> Option<(AdversaryPlan, Armor)> {
+        self.fp.get_mut().invalidate();
         self.net.take_adversary()
     }
 
@@ -538,7 +629,8 @@ impl<A: Automaton> Simulation<A> {
     }
 
     /// Approximate heap footprint of the engine's live state in bytes:
-    /// network queues + trace + script + halted set + scratch buffers.
+    /// network queues + trace + script + halted set + scratch buffers +
+    /// fingerprint cache (empty unless the run was fingerprinted).
     /// Used by the scale lab to report bytes/process; excludes the
     /// automata themselves (the caller knows its own state layout).
     pub fn harness_heap_bytes(&self) -> usize {
@@ -549,6 +641,7 @@ impl<A: Automaton> Simulation<A> {
             + self.scratch_pending.capacity() * std::mem::size_of::<usize>()
             + self.scratch_oldest_sent.capacity() * std::mem::size_of::<Option<Time>>()
             + self.scratch_oldest_idx.capacity() * std::mem::size_of::<Option<usize>>()
+            + self.fp.borrow().heap_bytes()
     }
 
     /// The set of processes allowed to take the next step (alive at the
@@ -672,6 +765,7 @@ impl<A: Automaton> Simulation<A> {
             report.halted = true;
         }
         self.scratch_eff = eff;
+        self.fp.get_mut().touch(p);
         report
     }
 
@@ -883,20 +977,36 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// in-repo splitmix64 fold — no `std` hashers, per the determinism
     /// contract):
     ///
-    /// * the current time (`now`) and the halted set;
-    /// * the failure pattern;
-    /// * every automaton's state, through [`Automaton::hash_state`],
-    ///   whose contract makes equal hashes mean equal `Debug` renderings
-    ///   (a wrapper without an override hashes that rendering itself);
-    /// * each network queue as a **multiset** of `(from, payload)`
-    ///   pairs plus its length (per-envelope FNV-1a/64 hashes of the
-    ///   payload `Debug`, memoized per send), the global sent/delivered
-    ///   counters, and any installed link-fault or adversary state (each
-    ///   plan hashed once, on the first fingerprint after install);
-    /// * the trace's checker inputs: decisions (with times), the
-    ///   emulated failure-detector history, a running hash of the
-    ///   register-operation events (kept as they are recorded),
-    ///   per-process step counts and the sent-message count.
+    /// * per process, one *word* keyed by its id: its automaton state,
+    ///   through [`Automaton::hash_state`] (whose contract makes equal
+    ///   hashes mean equal `Debug` renderings; a wrapper without an
+    ///   override hashes that rendering itself), whether it halted, its
+    ///   step count, decision (with time) and emulated failure-detector
+    ///   timeline, and — when plans are installed — its outgoing
+    ///   link-fault and adversary send counters and its stash row;
+    /// * the run constants: the failure pattern, and each installed
+    ///   link-fault or adversary plan with the armor rung;
+    /// * the network queues as one **multiset** of `(to, from, payload)`
+    ///   triples (per-envelope FNV-1a/64 hashes of the payload `Debug`,
+    ///   computed once per send);
+    /// * the current time (`now`), the network's sent/delivered (and,
+    ///   when plans are installed, dropped/duplicated/mutated/forged/
+    ///   armored) counters, a running hash of the register-operation
+    ///   events (kept as they are recorded) and the trace's sent count.
+    ///
+    /// **Incremental.** The process words are combined as a wrapping sum
+    /// and cached together with the run constants; the queue multiset is
+    /// a running sum the network keeps on enqueue and removal once the
+    /// first call switches it on. A [`Simulation::step`] of `p` dirties
+    /// only `p`'s word; [`Simulation::set_link_faults`],
+    /// [`Simulation::set_adversary`] and [`Simulation::take_adversary`]
+    /// dirty every word and the constants; [`Simulation::reset`]
+    /// invalidates all of it (keeping the buffers) and switches the queue
+    /// sum off; `clone`/`clone_from` carry it. A call therefore costs
+    /// one word per process stepped since the last call (each O(n) under
+    /// installed plans, for its send-counter rows) plus a dozen global
+    /// words. Runs that never fingerprint allocate no cache and do no
+    /// per-send work.
     ///
     /// **What is deliberately excluded** — harness metadata no checker
     /// may read: message ids and `sent_at` stamps (delivery-by-index
@@ -920,12 +1030,38 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// content-order prefix) and is exactly what makes commuting-send
     /// diamonds collapse.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint_impl(false)
+        let mut cache = self.fp.borrow_mut();
+        let FpCache { constants, words, sum, dirty, stale } = &mut *cache;
+        if *stale {
+            *constants = self.constants_word();
+            words.clear();
+            words.extend((0..self.n() as u32).map(|i| self.process_word(ProcessId(i))));
+            *sum = words.iter().fold(0, |acc, &w| acc.wrapping_add(w));
+            dirty.clear();
+            *stale = false;
+        } else {
+            for p in dirty.drain(..) {
+                let w = self.process_word(p);
+                let slot = &mut words[p.index()];
+                *sum = sum.wrapping_sub(*slot).wrapping_add(w);
+                *slot = w;
+            }
+        }
+        self.combine(*constants, *sum, self.net.queue_sum())
+    }
+
+    /// [`Simulation::fingerprint`] recomputed from scratch, without
+    /// reading or updating any cache: the oracle the incremental path is
+    /// tested against.
+    #[doc(hidden)]
+    pub fn fingerprint_uncached(&self) -> u64 {
+        self.combine(self.constants_word(), self.process_sum(), self.net.queue_sum_uncached())
     }
 
     /// Order-sensitive sibling of [`Simulation::fingerprint`]: identical
     /// except that each network queue is hashed as its exact
     /// arrival-order **sequence** of envelopes rather than a multiset.
+    /// Computed from scratch on every call.
     ///
     /// Equal ordered fingerprints mean the two states agree
     /// envelope-for-envelope per queue — strictly finer than the
@@ -937,27 +1073,47 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// distinguish arrival order (differential tooling, queue-order
     /// diagnostics).
     pub fn fingerprint_ordered(&self) -> u64 {
-        self.fingerprint_impl(true)
+        self.combine(self.constants_word(), self.process_sum(), self.net.queue_sequences())
     }
 
-    fn fingerprint_impl(&self, ordered: bool) -> u64 {
+    /// Folds the three sections with the global counters.
+    fn combine(&self, constants: u64, processes: u64, queues: u64) -> u64 {
         let mut h = StateHasher::new();
         h.write(&self.now);
-        h.write(&self.halted);
+        h.write_u64(constants);
+        h.write_u64(processes);
+        h.write_u64(queues);
+        self.net.counters_into(&mut h);
+        self.trace.counters_into(&mut h);
+        h.finish()
+    }
+
+    /// The run constants: the failure pattern and the installed plans.
+    fn constants_word(&self) -> u64 {
+        let mut h = StateHasher::new();
         h.write_usize(self.pattern.n());
         for p in (0..self.pattern.n() as u32).map(ProcessId) {
             h.write(&self.pattern.crash_time(p));
         }
-        for a in &self.procs {
-            a.hash_state(&mut h);
-        }
-        if ordered {
-            self.net.fingerprint_ordered_into(&mut h);
-        } else {
-            self.net.fingerprint_into(&mut h);
-        }
-        self.trace.fingerprint_into(&mut h);
+        self.net.plans_into(&mut h);
         h.finish()
+    }
+
+    /// Process `p`'s word: its id, then everything only its own step
+    /// changes.
+    fn process_word(&self, p: ProcessId) -> u64 {
+        let mut h = StateHasher::new();
+        h.write(&p);
+        self.procs[p.index()].hash_state(&mut h);
+        h.write(&self.halted.contains(p));
+        self.trace.process_into(p, &mut h);
+        self.net.sender_into(p, &mut h);
+        h.finish()
+    }
+
+    /// Wrapping sum of every process word, from scratch.
+    fn process_sum(&self) -> u64 {
+        (0..self.n() as u32).fold(0, |acc, i| acc.wrapping_add(self.process_word(ProcessId(i))))
     }
 }
 

@@ -410,21 +410,31 @@ impl Trace {
         self.last_step_time
     }
 
-    /// Feeds the trace's **checker inputs** into a state fingerprint:
-    /// decisions with their times, the emulated failure-detector history,
-    /// register-operation events in order (as their running hash), the
-    /// per-process step counts and the sent counter. Per-step
+    /// Feeds process `p`'s share of the trace's **checker inputs** into
+    /// a state fingerprint: its step count, its decision with its time,
+    /// and its emulated failure-detector timeline. Only `p`'s own steps
+    /// change these, which is what lets [`crate::Simulation::fingerprint`]
+    /// cache them in `p`'s word.
+    pub(crate) fn process_into(&self, p: ProcessId, h: &mut StateHasher) {
+        h.write(&self.steps_taken[p.index()]);
+        h.write(&self.decisions[p.index()]);
+        h.write(self.emulated.timeline(p));
+    }
+
+    /// Feeds the run-wide rest of the checker inputs: the
+    /// register-operation events in order (as their running hash) and
+    /// the sent counter.
+    ///
+    /// Together with [`Trace::process_into`] for every process this is
+    /// the trace's whole contribution to a fingerprint. Per-step
     /// `Step`/`Send` events are *excluded* — they carry harness metadata
     /// (message ids, step-by-step schedules) that no property checker may
     /// read, and hashing them would make every interleaving unique,
     /// defeating dedup. Op events are recorded at every level, so the
     /// same fingerprint results at [`TraceLevel::Full`] and
     /// [`TraceLevel::Light`].
-    pub(crate) fn fingerprint_into(&self, h: &mut StateHasher) {
-        h.write(&self.decisions);
-        h.write(&self.emulated);
+    pub(crate) fn counters_into(&self, h: &mut StateHasher) {
         h.write_u64(self.op_fp.finish());
-        h.write(&self.steps_taken);
         h.write_u64(self.sent);
     }
 }

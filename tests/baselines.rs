@@ -2,19 +2,23 @@
 //!
 //! `BENCH_faults.json` and `BENCH_byzantine.json` are regenerated
 //! single-threaded, at the `n`, seed count and step budget the committed
-//! files record, and `BENCH_fuzz.json` at its committed seed, schedule
-//! budget and batch size. Each must agree with its committed file in
+//! files record, `BENCH_fuzz.json` at its committed seed, schedule
+//! budget and batch size, and `BENCH_scale.json` at its committed
+//! ladder top and decision sample. Each must agree with its committed file in
 //! every field `lab gate` compares (everything but wall clock and
 //! runner-dependent fields) — for the fuzzer that includes the distinct
 //! fingerprint count and the corpus digest, so any change to what equal
-//! state fingerprints mean fails here.
+//! state fingerprints mean fails here; for the scale tier it includes
+//! the harness heap bytes, which count the fingerprint caches, so a
+//! scale run that starts allocating one fails here too.
 //! `tests/golden/experiments.json` pins every experiment report the same
 //! way.
 
 use sih_lab::json::{first_difference, parse, Value};
 use sih_lab::{
-    run_byzantine_bench, run_experiment, run_faults_bench, run_fuzz_bench, ByzantineLabConfig,
-    ClaimConfig, FaultsLabConfig, FuzzLabConfig, EXPERIMENT_IDS,
+    run_byzantine_bench, run_experiment, run_faults_bench, run_fuzz_bench, run_scale_bench,
+    ByzantineLabConfig, ClaimConfig, FaultsLabConfig, FuzzLabConfig, ScaleLabConfig,
+    EXPERIMENT_IDS,
 };
 use std::path::Path;
 
@@ -74,6 +78,20 @@ fn fuzz_campaign_reproduces_its_committed_baseline() {
         threads: 1,
     };
     assert_matches("BENCH_fuzz.json", &base, run_fuzz_bench(&cfg, &[]).to_json());
+}
+
+/// The committed file is the output of `lab scale --max-n 1000 --threads 1
+/// --json BENCH_scale.json`.
+#[test]
+fn scale_ladder_reproduces_its_committed_baseline() {
+    let base = committed("BENCH_scale.json");
+    let cfg = ScaleLabConfig {
+        max_n: field(&base, "max_n") as usize,
+        huge: base.get("huge").as_bool().expect("baseline has a boolean `huge`"),
+        sample: field(&base, "sample") as usize,
+        threads: 1,
+    };
+    assert_matches("BENCH_scale.json", &base, run_scale_bench(&cfg).to_json());
 }
 
 /// The golden file is the output of

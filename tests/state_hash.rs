@@ -7,6 +7,12 @@
 //! trait's `Debug` default; every workload below runs both ways and must
 //! agree on every explorer counter and on the equality classes of the
 //! per-step fingerprints of fair runs.
+//!
+//! `Simulation::fingerprint` is incremental (cached per-process words,
+//! a running queue sum); `Simulation::fingerprint_uncached` recomputes
+//! the same value from scratch. Every fair run below, explorer-style
+//! `clone_from` chains, pooled runs across `reset` and runs that change
+//! their plans mid-way check the two agree after every step.
 
 use sih::agreement::{
     check_k_agreement_safety, distinct_proposals, equivocator_processes, fig2_processes,
@@ -26,8 +32,8 @@ use sih::registers::{
     abd_processes, check_linearizable, split_ack_processes, two_writer_workload, SigmaExtractor,
 };
 use sih::runtime::{
-    explore_with, stubborn_processes, Automaton, Corruptible, Driver, Effects, ExploreConfig,
-    Simulation, Stacked, StateHasher, StepInput, Trace, TraceLevel,
+    explore_with, stubborn_processes, Automaton, Choice, Corruptible, Driver, Effects,
+    ExploreConfig, SimPool, Simulation, Stacked, StateHasher, StepInput, Trace, TraceLevel,
 };
 use sih::sharedmem::{bridged_processes, CollectMin};
 use std::collections::BTreeMap;
@@ -132,6 +138,16 @@ fn sim<A: Automaton>(
     s
 }
 
+/// The cached fingerprint equals the from-scratch one.
+fn assert_incremental<A: Automaton + fmt::Debug>(s: &Simulation<A>) {
+    assert_eq!(
+        s.fingerprint(),
+        s.fingerprint_uncached(),
+        "incremental fingerprint diverged from scratch at t={}",
+        s.now()
+    );
+}
+
 /// Each fingerprint replaced by the index of its first occurrence: two
 /// streams split their steps into the same classes iff these are equal.
 fn classes(fps: &[u64]) -> Vec<usize> {
@@ -141,7 +157,8 @@ fn classes(fps: &[u64]) -> Vec<usize> {
 
 /// The per-step fingerprints of fair runs over seeds `0..8`, one stream
 /// (so states shared across seeds land in one class); `inspect` sees the
-/// simulation before every step.
+/// simulation before every step, after its incremental fingerprint was
+/// checked against the from-scratch one.
 fn fair_stream<A, D>(
     procs: &[A],
     pattern: &FailurePattern,
@@ -157,6 +174,7 @@ where
     for seed in 0..8 {
         let mut s = sim(procs.to_vec(), pattern, setup);
         let stop = |s: &Simulation<A>| {
+            assert_incremental(s);
             inspect(s);
             false
         };
@@ -400,8 +418,8 @@ fn candidate_and_ablation_automata_hash_like_debug() {
     assert_same_fair_classes(no_phase2, &pattern, &Reliable, &sigma);
 }
 
-/// `Trace::fingerprint_into` promises the same fingerprint at every
-/// trace level; the running op-event hash must keep that promise.
+/// The trace's fingerprint sections promise the same fingerprint at
+/// every trace level; the running op-event hash must keep that promise.
 #[test]
 fn full_and_light_traces_fingerprint_alike() {
     let n = 4;
@@ -419,4 +437,174 @@ fn full_and_light_traces_fingerprint_alike() {
     let full = stream(TraceLevel::Full);
     assert!(!full.is_empty());
     assert_eq!(full, stream(TraceLevel::Light));
+}
+
+/// A deterministic LCG for the chain tests' choices.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 =
+            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// A random legal choice at `s`, or `None` when nobody can step.
+fn random_choice<A: Automaton>(s: &Simulation<A>, rng: &mut Lcg) -> Option<Choice> {
+    let ready: Vec<ProcessId> = s.schedulable_set().iter().collect();
+    if ready.is_empty() {
+        return None;
+    }
+    let p = ready[rng.below(ready.len())];
+    let pending = s.network().pending_count(p);
+    let deliver = (pending > 0 && rng.below(4) > 0).then(|| rng.below(pending));
+    Some(Choice { p, deliver })
+}
+
+/// Explorer-style materialization: each child is a recycled buffer
+/// `clone_from` a random earlier state, then one or two steps. Parents
+/// are sometimes left unfingerprinted, so dirty words ride along the
+/// clone; every fingerprinted child must match a from-scratch hash.
+fn assert_incremental_chains<A, D>(root: Simulation<A>, fd: &D, seed: u64)
+where
+    A: Automaton + Clone + fmt::Debug,
+    D: FailureDetector + ?Sized,
+{
+    let mut rng = Lcg(seed);
+    let mut states = vec![root];
+    let mut spare: Vec<Simulation<A>> = Vec::new();
+    let mut checked = 0;
+    for _ in 0..600 {
+        let parent = rng.below(states.len());
+        let mut child = match spare.pop() {
+            Some(mut buf) => {
+                buf.clone_from(&states[parent]);
+                buf
+            }
+            None => states[parent].clone(),
+        };
+        for _ in 0..1 + rng.below(2) {
+            if let Some(c) = random_choice(&child, &mut rng) {
+                child.step(c, fd);
+            }
+        }
+        if rng.below(4) > 0 {
+            assert_incremental(&child);
+            checked += 1;
+        }
+        if states.len() < 48 {
+            states.push(child);
+        } else {
+            let victim = rng.below(states.len());
+            spare.push(std::mem::replace(&mut states[victim], child));
+        }
+    }
+    assert!(checked > 300, "too few checked children");
+}
+
+#[test]
+fn clone_from_chains_fingerprint_incrementally() {
+    let n = 3;
+    let proposals = distinct_proposals(n);
+    let pattern = FailurePattern::builder(n).crash_at(ProcessId(2), Time(20)).build();
+    let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 2);
+    for seed in 0..3 {
+        assert_incremental_chains(
+            sim(fig2_processes(&proposals), &pattern, &Reliable),
+            &sigma,
+            seed,
+        );
+        assert_incremental_chains(
+            sim(fig2_processes(&proposals), &pattern, &lossy(n)),
+            &sigma,
+            seed,
+        );
+        let adversary = Adversary(all_links(n, MutationKind::Replay, 0), Armor::NONE);
+        let procs = equivocator_processes(
+            fig2_processes(&proposals),
+            ProcessId(0),
+            EQUIVOCATE,
+            Armor::NONE,
+        );
+        assert_incremental_chains(sim(procs, &pattern, &adversary), &sigma, seed);
+    }
+    let (s, scripts) = two_writer_workload();
+    let pattern = FailurePattern::all_correct(4);
+    let adversary = Adversary(all_links(4, MutationKind::ForgeAck, 77), Armor::NONE);
+    let procs =
+        split_ack_processes(abd_processes(s, 4, scripts), ProcessId(3), SPLIT_ACK, Armor::NONE);
+    assert_incremental_chains(sim(procs, &pattern, &adversary), &SigmaS::new(s, &pattern, 0), 7);
+}
+
+/// A pooled simulation keeps its cache buffers across `reset` — also to
+/// another size, another pattern and from a faulty run to a reliable
+/// one — and must never serve a word of the previous run.
+#[test]
+fn pooled_runs_fingerprint_incrementally_across_reset() {
+    let (s, scripts) = two_writer_workload();
+    let mut pool = SimPool::with_trace_level(TraceLevel::Light);
+    let runs: [(usize, Option<Time>, bool); 5] = [
+        (3, None, true),
+        (3, None, false),
+        (4, Some(Time(9)), false),
+        (4, Some(Time(9)), true),
+        (3, Some(Time(4)), false),
+    ];
+    for (i, &(n, crash, faulty)) in runs.iter().enumerate() {
+        let pattern = match crash {
+            None => FailurePattern::all_correct(n),
+            Some(t) => FailurePattern::builder(n).crash_at(ProcessId(2), t).build(),
+        };
+        let fd = SigmaS::new(s, &pattern, 0);
+        let sim = pool.acquire(abd_processes(s, n, scripts.clone()), &pattern);
+        assert_incremental(sim);
+        if faulty {
+            sim.set_link_faults(lossy(n));
+        }
+        let mut fps = Vec::new();
+        let stop = |s: &Simulation<_>| {
+            assert_incremental(s);
+            false
+        };
+        sim.drive(Driver::Fair { seed: i as u64, max_steps: 300 }, &fd, stop, Some(&mut fps));
+        assert!(fps.len() > 40, "run {i} barely moved ({} steps)", fps.len());
+        assert_incremental(sim);
+    }
+}
+
+/// Installing or removing a plan mid-run changes what the process words
+/// cover; every later fingerprint must still match a from-scratch one.
+#[test]
+fn plan_changes_mid_run_fingerprint_incrementally() {
+    let n = 3;
+    let (s, scripts) = two_writer_workload();
+    let pattern = FailurePattern::all_correct(n);
+    let fd = SigmaS::new(s, &pattern, 0);
+    let mut sim = Simulation::new(abd_processes(s, n, scripts), pattern);
+    let mut steps = Vec::new();
+    let mut leg = |sim: &mut Simulation<_>, seed: u64| {
+        let mut fps = Vec::new();
+        let stop = |s: &Simulation<_>| {
+            assert_incremental(s);
+            false
+        };
+        sim.drive(Driver::Fair { seed, max_steps: 30 }, &fd, stop, Some(&mut fps));
+        assert_incremental(sim);
+        steps.push(fps.len());
+    };
+    leg(&mut sim, 0);
+    sim.set_link_faults(lossy(n));
+    assert_incremental(&sim);
+    leg(&mut sim, 1);
+    sim.set_adversary(all_links(n, MutationKind::Replay, 0), Armor::NONE);
+    assert_incremental(&sim);
+    leg(&mut sim, 2);
+    assert!(sim.take_adversary().is_some());
+    assert_incremental(&sim);
+    leg(&mut sim, 3);
+    sim.set_adversary(all_links(n, MutationKind::ForgeAck, 5), Armor::NONE);
+    leg(&mut sim, 4);
+    // The last leg may finish the workload; the others run in full.
+    assert!(steps[..4] == [30; 4] && steps[4] > 0, "a leg stopped early: {steps:?}");
 }
