@@ -97,12 +97,43 @@ impl ExploreBenchReport {
     }
 
     /// Whether the parallel-frontier leg ran *slower* than the unreduced
-    /// baseline. The explore CI job gates **hard** on this flag (a
-    /// release-mode frontier run slower than plain enumeration means the
-    /// shared-table fan-out regressed); locally it is surfaced as an
-    /// error message but small/debug runs are allowed to trip it.
+    /// baseline. The explore CI job gates **hard** on this flag
+    /// (`lab explore --strict-frontier`: a release-mode frontier run
+    /// slower than plain enumeration means the shared-table fan-out
+    /// regressed); otherwise it is surfaced as a warning, since
+    /// small/debug runs are allowed to trip it.
     pub fn frontier_regressed(&self) -> bool {
         self.frontier_speedup() < 1.0
+    }
+
+    /// The artifact's acceptance gate, naming the first failed check:
+    /// with `strict_frontier` the frontier leg must not be slower than
+    /// unreduced enumeration; always, all four verdicts agree, the
+    /// reduced leg finds no violation, and source-DPOR explores no more
+    /// states than the sleep-set leg.
+    pub fn gate(&self, strict_frontier: bool) -> Result<(), String> {
+        if strict_frontier && self.frontier_regressed() {
+            return Err(format!(
+                "frontier regression: frontier_speedup {:.2} < 1.0",
+                self.frontier_speedup()
+            ));
+        }
+        if !self.verdicts_agree() {
+            return Err("engine ladder verdicts disagree".to_owned());
+        }
+        if self.dpor.states > self.reduced.states {
+            return Err("source-DPOR explored more states than the sleep-set leg".to_owned());
+        }
+        if !self.reduced.ok() {
+            return Err("the reduced leg found a violation".to_owned());
+        }
+        Ok(())
+    }
+
+    /// The gate without the (wall-clock) frontier check — the artifact's
+    /// `ok` field.
+    pub fn ok(&self) -> bool {
+        self.gate(false).is_ok()
     }
 
     /// Fraction of node encounters the fingerprint table absorbed.
@@ -148,12 +179,7 @@ impl ExploreBenchReport {
             .field("frontier_regressed", self.frontier_regressed())
             .field("dedup_ratio", self.dedup_ratio())
             .field("verdicts_agree", self.verdicts_agree())
-            .field(
-                "ok",
-                self.verdicts_agree()
-                    && self.reduced.ok()
-                    && self.dpor.states <= self.reduced.states,
-            )
+            .field("ok", self.ok())
             .build()
     }
 }
@@ -198,7 +224,7 @@ impl fmt::Display for ExploreBenchReport {
             self.speedup(),
             self.frontier_speedup(),
             self.dedup_ratio(),
-            if self.verdicts_agree() && self.reduced.ok() { "OK" } else { "UNEXPECTED" }
+            if self.ok() { "OK" } else { "UNEXPECTED" }
         )
     }
 }
@@ -312,6 +338,44 @@ mod tests {
             parsed.get("frontier_regressed").as_bool(),
             Some(report.frontier_speedup() < 1.0)
         );
+    }
+
+    #[test]
+    fn the_gate_names_the_first_failed_check() {
+        let cfg = ExploreLabConfig { depth: 4, threads: 1, ..ExploreLabConfig::default() };
+        let mut report = run_explore_bench(&cfg);
+        assert_eq!(report.gate(false), Ok(()));
+        // The frontier check is wall clock, so it only bites when asked.
+        report.unreduced_wall_ms = 1.0;
+        report.frontier_wall_ms = 2.0;
+        assert_eq!(report.gate(false), Ok(()));
+        let err = report.gate(true).expect_err("a slower frontier leg fails the strict gate");
+        assert!(err.starts_with("frontier regression: frontier_speedup 0.50"), "{err}");
+        report.frontier_wall_ms = 1.0;
+        assert_eq!(report.gate(true), Ok(()));
+
+        let mut more_dpor = report.clone();
+        more_dpor.dpor.states = more_dpor.reduced.states + 1;
+        assert!(more_dpor.gate(false).expect_err("dpor above reduced").contains("source-DPOR"));
+        assert!(!more_dpor.ok());
+        let json = more_dpor.to_json();
+        assert_eq!(json.get("ok").as_bool(), Some(false));
+
+        let mut disagree = report.clone();
+        disagree.frontier.violation = Some((Vec::new(), "planted".to_owned()));
+        assert!(disagree.gate(false).expect_err("verdicts differ").contains("disagree"));
+
+        let mut violated = report;
+        for leg in [
+            &mut violated.unreduced,
+            &mut violated.reduced,
+            &mut violated.dpor,
+            &mut violated.frontier,
+        ] {
+            leg.violation = Some((Vec::new(), "planted".to_owned()));
+        }
+        assert!(violated.verdicts_agree());
+        assert!(violated.gate(false).expect_err("violation").contains("violation"));
     }
 
     #[test]

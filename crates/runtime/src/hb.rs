@@ -26,12 +26,19 @@
 //! data — `Vec`s indexed by dense process ids, no `std` hashers, no
 //! ambient time — per the determinism contract (DESIGN.md §6).
 //!
+//! Stamps are stored **flat**: each destination's pending stamps are one
+//! `Vec<u64>` with stride `n`, the `i`-th message's stamp at words
+//! `i·n .. (i+1)·n`. The explorer copies a shadow on every tree edge,
+//! and a flat queue makes that copy one `memcpy` per destination instead
+//! of one heap vector per pending message; a send is an
+//! `extend_from_slice`, a delivery a merge from a slice plus a drain of
+//! `n` words.
+//!
 //! [`ExploreConfig::dpor`]: crate::ExploreConfig::dpor
 
 // sih-analysis: allow(index-reachable) — clocks and message-queue vectors are n-sized arrays
 // indexed by ProcessId from the explorer's own choice enumeration, bounded by n at construction.
 use sih_model::ProcessId;
-use std::collections::VecDeque;
 
 /// A vector clock over `n` processes.
 #[derive(Debug, PartialEq, Eq)]
@@ -74,16 +81,20 @@ impl VClock {
 
     /// Pointwise maximum — the receive-side join of a message stamp.
     pub fn merge(&mut self, other: &VClock) {
-        debug_assert_eq!(self.counts.len(), other.counts.len());
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+        self.merge_stamp(&other.counts);
+    }
+
+    /// [`VClock::merge`] from a flat stamp.
+    fn merge_stamp(&mut self, stamp: &[u64]) {
+        debug_assert_eq!(self.counts.len(), stamp.len());
+        for (mine, theirs) in self.counts.iter_mut().zip(stamp) {
             *mine = (*mine).max(*theirs);
         }
     }
 
     /// Whether `self` happens-before-or-equals `other` (pointwise ≤).
     pub fn leq(&self, other: &VClock) -> bool {
-        debug_assert_eq!(self.counts.len(), other.counts.len());
-        self.counts.iter().zip(&other.counts).all(|(a, b)| a <= b)
+        stamp_leq(&self.counts, other)
     }
 
     /// Whether the two clocks are causally unordered — neither event
@@ -93,49 +104,44 @@ impl VClock {
     }
 }
 
+/// Whether the flat `stamp` is pointwise ≤ `clock`.
+fn stamp_leq(stamp: &[u64], clock: &VClock) -> bool {
+    debug_assert_eq!(stamp.len(), clock.counts.len());
+    stamp.iter().zip(&clock.counts).all(|(a, b)| a <= b)
+}
+
 /// The happens-before shadow of one explorer state: per-process clocks
 /// plus one stamp per pending message, queue-aligned with the network.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct HbState {
     /// `clocks[p]`: p's current vector clock.
     clocks: Vec<VClock>,
-    /// `msgs[to]`: stamps of the messages pending at `to`, in arrival
-    /// order (the same alive-index space [`Network::deliver`] uses).
+    /// `msgs[to]`: stamps of the messages pending at `to`, flat with
+    /// stride `n`, in arrival order (the same alive-index space
+    /// [`Network::deliver`] uses).
     ///
     /// [`Network::deliver`]: crate::Network::deliver
-    msgs: Vec<VecDeque<VClock>>,
+    msgs: Vec<Vec<u64>>,
 }
 
-// Manual Clone so `clone_from` reuses every clock and queue allocation.
+// Manual Clone so `clone_from` reuses every clock and queue allocation:
+// `Vec::clone_from` clones element-wise into the existing buffers, and
+// a flat stamp queue copies as one `memcpy`.
 impl Clone for HbState {
     fn clone(&self) -> Self {
         HbState { clocks: self.clocks.clone(), msgs: self.msgs.clone() }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        // Element-wise so inner `Vec` buffers survive; the outer lengths
-        // are both `n` for shadows of same-size simulations, but fall
-        // back to a plain clone if they ever differ.
-        if self.clocks.len() == source.clocks.len() {
-            for (dst, src) in self.clocks.iter_mut().zip(&source.clocks) {
-                dst.clone_from(src);
-            }
-            for (dst, src) in self.msgs.iter_mut().zip(&source.msgs) {
-                dst.clone_from(src);
-            }
-        } else {
-            *self = source.clone();
-        }
+        self.clocks.clone_from(&source.clocks);
+        self.msgs.clone_from(&source.msgs);
     }
 }
 
 impl HbState {
     /// The initial shadow: zero clocks, no pending stamps.
     pub fn new(n: usize) -> Self {
-        HbState {
-            clocks: (0..n).map(|_| VClock::new(n)).collect(),
-            msgs: (0..n).map(|_| VecDeque::new()).collect(),
-        }
+        HbState { clocks: (0..n).map(|_| VClock::new(n)).collect(), msgs: vec![Vec::new(); n] }
     }
 
     /// Number of processes.
@@ -149,17 +155,19 @@ impl HbState {
     }
 
     /// The stamp of the `index`-th pending message at `to` (the same
-    /// index [`Network::deliver`] would take).
+    /// index [`Network::deliver`] would take): one component per
+    /// process, indexed by process id.
     ///
     /// [`Network::deliver`]: crate::Network::deliver
-    pub fn msg_clock(&self, to: ProcessId, index: usize) -> &VClock {
-        &self.msgs[to.index()][index]
+    pub fn msg_clock(&self, to: ProcessId, index: usize) -> &[u64] {
+        let n = self.n();
+        &self.msgs[to.index()][index * n..(index + 1) * n]
     }
 
     /// Number of stamped messages pending at `to` — always equal to the
     /// shadowed network's `pending_count(to)`.
     pub fn pending(&self, to: ProcessId) -> usize {
-        self.msgs[to.index()].len()
+        self.msgs[to.index()].len() / self.n()
     }
 
     /// Applies one executed step to the shadow: `p` delivered the
@@ -175,17 +183,21 @@ impl HbState {
     /// [`Simulation::step`]: crate::Simulation::step
     pub fn apply(&mut self, p: ProcessId, deliver: Option<usize>, new_msgs: &[usize]) {
         debug_assert_eq!(new_msgs.len(), self.msgs.len());
+        let n = self.n();
+        let clock = &mut self.clocks[p.index()];
         if let Some(idx) = deliver {
-            let stamp = self.msgs[p.index()]
-                .remove(idx)
+            let queue = &mut self.msgs[p.index()];
+            let span = idx * n..(idx + 1) * n;
+            let stamp = queue
+                .get(span.clone())
                 .expect("invariant: the shadow queues mirror the network's pending queues");
-            self.clocks[p.index()].merge(&stamp);
+            clock.merge_stamp(stamp);
+            queue.drain(span);
         }
-        self.clocks[p.index()].tick(p);
-        for (to, &grew) in new_msgs.iter().enumerate() {
+        clock.tick(p);
+        for (queue, &grew) in self.msgs.iter_mut().zip(new_msgs) {
             for _ in 0..grew {
-                let stamp = self.clocks[p.index()].clone();
-                self.msgs[to].push_back(stamp);
+                queue.extend_from_slice(&clock.counts);
             }
         }
     }
@@ -200,16 +212,113 @@ impl HbState {
     /// the destination has already fully observed is HB-ordered and
     /// races with nothing.
     pub fn send_races(&self, to: ProcessId) -> bool {
-        match self.msgs[to.index()].back() {
-            Some(stamp) => !stamp.leq(&self.clocks[to.index()]),
-            None => false,
+        let queue = &self.msgs[to.index()];
+        if queue.is_empty() {
+            return false;
         }
+        let last = &queue[queue.len() - self.n()..];
+        !stamp_leq(last, &self.clocks[to.index()])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The per-stamp representation the flat queues replaced — one heap
+    /// `VClock` per pending message — kept as the differential oracle.
+    struct StampModel {
+        clocks: Vec<VClock>,
+        msgs: Vec<VecDeque<VClock>>,
+    }
+
+    impl StampModel {
+        fn new(n: usize) -> Self {
+            StampModel {
+                clocks: (0..n).map(|_| VClock::new(n)).collect(),
+                msgs: (0..n).map(|_| VecDeque::new()).collect(),
+            }
+        }
+
+        fn apply(&mut self, p: ProcessId, deliver: Option<usize>, new_msgs: &[usize]) {
+            if let Some(idx) = deliver {
+                let stamp = self.msgs[p.index()].remove(idx).expect("model delivery in range");
+                self.clocks[p.index()].merge(&stamp);
+            }
+            self.clocks[p.index()].tick(p);
+            for (to, &grew) in new_msgs.iter().enumerate() {
+                for _ in 0..grew {
+                    let stamp = self.clocks[p.index()].clone();
+                    self.msgs[to].push_back(stamp);
+                }
+            }
+        }
+
+        fn send_races(&self, to: ProcessId) -> bool {
+            match self.msgs[to.index()].back() {
+                Some(stamp) => !stamp.leq(&self.clocks[to.index()]),
+                None => false,
+            }
+        }
+    }
+
+    /// Every observable of `hb` against the model: clocks, pending
+    /// counts, each pending stamp and the send-race judgment.
+    fn matches_model(hb: &HbState, model: &StampModel) -> Result<(), TestCaseError> {
+        prop_assert_eq!(hb.n(), model.clocks.len());
+        for i in 0..hb.n() {
+            let p = ProcessId(i as u32);
+            prop_assert_eq!(hb.clock(p), &model.clocks[i]);
+            prop_assert_eq!(hb.pending(p), model.msgs[i].len());
+            for (k, stamp) in model.msgs[i].iter().enumerate() {
+                prop_assert_eq!(hb.msg_clock(p, k), stamp.counts.as_slice());
+            }
+            prop_assert_eq!(hb.send_races(p), model.send_races(p));
+        }
+        Ok(())
+    }
+
+    /// One step: the stepping process (mod n), an optional delivery pick
+    /// (mod the pending count) and per-destination queue growth.
+    fn step() -> impl Strategy<Value = (usize, Option<u64>, Vec<usize>)> {
+        (0usize..4, proptest::option::of(any::<u64>()), proptest::collection::vec(0usize..3, 4))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The flat stamp queues agree with the per-stamp model after
+        /// every step, and `clone_from` into a dirtied buffer of any size
+        /// equals `clone`.
+        #[test]
+        fn flat_stamps_match_the_per_stamp_model(
+            n in 1usize..5,
+            steps in proptest::collection::vec(step(), 0..60),
+            dirty_n in 1usize..5,
+            dirt in proptest::collection::vec(step(), 0..12),
+        ) {
+            let mut dirty = HbState::new(dirty_n);
+            for (p, _, grew) in &dirt {
+                dirty.apply(ProcessId((p % dirty_n) as u32), None, &grew[..dirty_n]);
+            }
+            let mut hb = HbState::new(n);
+            let mut model = StampModel::new(n);
+            for (p, pick, grew) in &steps {
+                let p = p % n;
+                let pending = model.msgs[p].len();
+                let deliver = pick.filter(|_| pending > 0).map(|r| (r % pending as u64) as usize);
+                let pid = ProcessId(p as u32);
+                hb.apply(pid, deliver, &grew[..n]);
+                model.apply(pid, deliver, &grew[..n]);
+                matches_model(&hb, &model)?;
+                let mut reused = dirty.clone();
+                reused.clone_from(&hb);
+                prop_assert_eq!(&reused, &hb.clone());
+            }
+        }
+    }
 
     #[test]
     fn ticks_and_merges_order_events() {
@@ -254,11 +363,11 @@ mod tests {
         hb.apply(p0, None, &[0, 2]); // two sends to p1 in one step
         hb.apply(p0, None, &[0, 1]); // a later third send
         assert_eq!(hb.pending(p1), 3);
-        let late = hb.msg_clock(p1, 2).clone();
+        let late = hb.msg_clock(p1, 2).to_vec();
         // Delivering index 0 leaves the later stamps at shifted indices.
         hb.apply(p1, Some(0), &[0, 0]);
         assert_eq!(hb.pending(p1), 2);
-        assert_eq!(*hb.msg_clock(p1, 1), late);
+        assert_eq!(hb.msg_clock(p1, 1), late);
     }
 
     #[test]

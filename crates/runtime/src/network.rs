@@ -105,6 +105,18 @@ impl<M: Clone> Clone for Payload<M> {
             Payload::Shared(m) => Payload::Shared(Arc::clone(m)),
         }
     }
+
+    /// Leaves the refcount alone when both sides already share one
+    /// payload: a pooled sibling buffer mostly holds the parent's `Arc`s
+    /// in the same slots, so the explorer's per-edge queue copy skips
+    /// an increment/decrement pair per fanned envelope.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut *self, source) {
+            (Payload::Shared(dst), Payload::Shared(src)) if Arc::ptr_eq(dst, src) => {}
+            (Payload::Inline(dst), Payload::Inline(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 /// A queued message plus the memoized fingerprint of its checker-visible
@@ -117,7 +129,7 @@ impl<M: Clone> Clone for Payload<M> {
 /// valid for the clone too — the exhaustive explorer hashes each message
 /// once per *send*, not once per visited state. The destination is not
 /// stored: a slot lives in its destination's queue.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Slot<M> {
     id: MsgId,
     from: ProcessId,
@@ -128,6 +140,29 @@ struct Slot<M> {
     /// counted in `mutated_count` instead of `delivered_count`.
     tampered: bool,
     fp: Cell<Option<u64>>,
+}
+
+// Manual Clone so `clone_from` reaches `Payload::clone_from`.
+impl<M: Clone> Clone for Slot<M> {
+    fn clone(&self) -> Self {
+        Slot {
+            id: self.id,
+            from: self.from,
+            sent_at: self.sent_at,
+            payload: self.payload.clone(),
+            tampered: self.tampered,
+            fp: self.fp.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.from = source.from;
+        self.sent_at = source.sent_at;
+        self.payload.clone_from(&source.payload);
+        self.tampered = source.tampered;
+        self.fp.set(source.fp.get());
+    }
 }
 
 /// A borrowed view of a pending message (what [`Network::pending`]
@@ -1528,6 +1563,102 @@ mod tests {
         }
         assert_eq!(fanned.queue_sum(), unicast.queue_sum());
         assert_eq!(fanned.queue_sum(), fanned.queue_sum_uncached());
+    }
+
+    /// The fanned payload held by the oldest slot at `to`, if shared.
+    fn shared_payload(net: &Network<u8>, to: u32) -> Option<&Arc<u8>> {
+        match &net.queues[to as usize].front()?.payload {
+            Payload::Shared(a) => Some(a),
+            Payload::Inline(_) => None,
+        }
+    }
+
+    /// One pending slot as a queue copy must reproduce it: id, sender,
+    /// send time, payload, memoized fingerprint and tampered flag.
+    type SlotView = (MsgId, u32, Time, u8, Option<u64>, bool);
+
+    /// Everything a queue copy must reproduce: every queue's slots and
+    /// the running queue sum.
+    fn copy_view(net: &Network<u8>) -> (Vec<Vec<SlotView>>, Option<u64>) {
+        let queues = net
+            .queues
+            .iter()
+            .map(|q| {
+                q.iter()
+                    .map(|s| (s.id, s.from.0, s.sent_at, *s.payload.get(), s.fp.get(), s.tampered))
+                    .collect()
+            })
+            .collect();
+        (queues, net.queue_sum.get())
+    }
+
+    /// `dst.clone_from(src)` must equal a fresh clone of `src`, in every
+    /// queue and in the running sum (checked against a recomputation).
+    fn assert_copies(dst: &mut Network<u8>, src: &Network<u8>) {
+        dst.clone_from(src);
+        assert_eq!(copy_view(dst), copy_view(&src.clone()));
+        if let Some(sum) = dst.queue_sum.get() {
+            assert_eq!(sum, dst.queue_sum_uncached());
+        }
+    }
+
+    #[test]
+    fn clone_from_keeps_refcounts_of_an_already_shared_payload() {
+        let mut src: Network<u8> = Network::new(3);
+        src.queue_sum();
+        src.broadcast(ProcessId(0), Time(1), 7, 3, None);
+        let mut dst = src.clone();
+        let arc = shared_payload(&src, 1).expect("a fanned slot").clone();
+        let before = Arc::strong_count(&arc);
+        assert_copies(&mut dst, &src);
+        assert_eq!(Arc::strong_count(&arc), before, "same Arc: no inc/dec pair");
+        assert!(Arc::ptr_eq(shared_payload(&dst, 1).expect("still shared"), &arc));
+    }
+
+    #[test]
+    fn clone_from_rebinds_differing_payloads_and_kinds() {
+        use sih_model::AdversaryPlan;
+        let mut src: Network<u8> = Network::new(3);
+        src.queue_sum();
+        src.broadcast(ProcessId(0), Time(1), 7, 3, None);
+        let arc = shared_payload(&src, 1).expect("a fanned slot").clone();
+        let held = Arc::strong_count(&arc);
+
+        // Shared ← Shared, a different Arc at the same positions.
+        let mut dst: Network<u8> = Network::new(3);
+        dst.broadcast(ProcessId(0), Time(1), 9, 3, None);
+        let old = shared_payload(&dst, 1).expect("a fanned slot").clone();
+        assert_copies(&mut dst, &src);
+        assert!(Arc::ptr_eq(shared_payload(&dst, 1).expect("shared"), &arc));
+        assert_eq!(Arc::strong_count(&arc), held + 3, "dst now holds src's payload");
+        assert_eq!(Arc::strong_count(&old), 1, "dst released its own payload");
+
+        // Shared ← Inline, and Inline ← Shared.
+        let mut unicast: Network<u8> = Network::new(3);
+        for to in 0..3 {
+            unicast.send(ProcessId(0), ProcessId(to), Time(1), 7);
+        }
+        dst = src.clone();
+        assert_copies(&mut dst, &unicast);
+        assert!(shared_payload(&dst, 1).is_none());
+        assert_eq!(Arc::strong_count(&arc), held);
+        assert_copies(&mut dst, &src);
+        assert!(Arc::ptr_eq(shared_payload(&dst, 1).expect("shared again"), &arc));
+
+        // A tampered (inline) recipient over a clean shared slot, and back.
+        let plan =
+            AdversaryPlan::builder(3).perturb(ProcessId(0), ProcessId(2), 5, Time(0), None).build();
+        let mut tampered: Network<u8> = Network::new(3);
+        tampered.set_adversary(plan, Armor::NONE);
+        tampered.queue_sum();
+        tampered.broadcast(ProcessId(0), Time(1), 7, 3, None);
+        dst = src.clone();
+        assert_copies(&mut dst, &tampered);
+        assert!(dst.queues[2].front().expect("pending").tampered);
+        assert_copies(&mut dst, &src);
+        assert!(!dst.queues[2].front().expect("pending").tampered);
+        drop(dst);
+        assert_eq!(Arc::strong_count(&arc), held);
     }
 
     #[test]

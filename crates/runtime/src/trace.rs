@@ -16,7 +16,10 @@ use sih_model::{
 use std::collections::BTreeMap;
 
 /// One observable event of a run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// `Copy`: every field is plain data, so the explorer's per-edge
+/// `Vec<Event>::clone_from` is a `memcpy`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A process took a step.
     Step {
