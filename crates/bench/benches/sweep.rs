@@ -72,8 +72,8 @@ impl NaiveQueue {
 }
 
 /// Drives a queue through the access mix of one scheduler step: a send,
-/// an oldest-message probe (what `sched_state` does for every process on
-/// every step) and a front-of-queue delivery.
+/// an oldest-message probe (what `FairScheduler` asks of the stepping
+/// process through the scheduler view) and a front-of-queue delivery.
 fn bench_delivery(c: &mut Criterion) {
     use sih::runtime::Network;
     let mut group = c.benchmark_group("network_deliver");

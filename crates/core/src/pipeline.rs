@@ -269,9 +269,11 @@ pub fn run_register_workload_pooled<'a>(
     let n = pattern.n();
     let det = SigmaS::new(s, pattern, seed);
     let sim = pool.acquire(abd_processes(s, n, scripts), pattern);
-    let done = |sim: &Simulation<AbdRegister>| {
-        sim.pattern().correct().iter().all(|p| sim.process(p).script_finished())
-    };
+    // Computed once: `correct()` scans the pattern, and the stop test runs
+    // before every step.
+    let correct = pattern.correct();
+    let done =
+        |sim: &Simulation<AbdRegister>| correct.iter().all(|p| sim.process(p).script_finished());
     sim.drive(Driver::Fair { seed, max_steps }, &det, done, None);
     sim.trace()
 }

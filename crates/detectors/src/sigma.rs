@@ -17,10 +17,7 @@
 //! Theorem 4) yet insufficient for a `{p,q}`-register (Lemma 7): `σ` is
 //! the witness separating *sharing* from *agreeing*.
 
-// sih-analysis: allow(float) — gen_bool(0.5) picks between two legal
-// outputs using the per-query seeded RNG; no accumulation, replay-safe.
-
-use crate::rng::query_rng;
+use crate::rng::{coin, query_rng};
 use rand::Rng;
 use sih_model::{FailureDetector, FailurePattern, FdOutput, ProcessId, ProcessSet, Time};
 
@@ -141,7 +138,7 @@ impl FailureDetector for Sigma {
         if t >= self.stab {
             if self.nontrivial() {
                 // Must be nonempty, ⊆ Correct ∩ A, and contain the pivot.
-                if corr_a.len() > 1 && rng.gen_bool(0.5) {
+                if corr_a.len() > 1 && coin(&mut rng) {
                     FdOutput::Trust(corr_a)
                 } else {
                     FdOutput::Trust(ProcessSet::singleton(pivot))
@@ -150,7 +147,7 @@ impl FailureDetector for Sigma {
                 match self.mode {
                     SigmaMode::Reticent => FdOutput::EMPTY_TRUST,
                     SigmaMode::Generous => {
-                        if rng.gen_bool(0.5) {
+                        if coin(&mut rng) {
                             FdOutput::EMPTY_TRUST
                         } else {
                             FdOutput::Trust(ProcessSet::singleton(pivot))

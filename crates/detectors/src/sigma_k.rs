@@ -17,10 +17,7 @@
 //! The paper uses `σ_2k` to solve `(n−k)`-set agreement (Figure 4) and
 //! shows `Σ_X ⪰ σ_|X|` (Figure 5) but not conversely (Lemma 11).
 
-// sih-analysis: allow(float) — gen_bool(0.5) picks between two legal
-// outputs using the per-query seeded RNG; no accumulation, replay-safe.
-
-use crate::rng::query_rng;
+use crate::rng::{coin, query_rng};
 use rand::Rng;
 use sih_model::{FailureDetector, FailurePattern, FdOutput, ProcessId, ProcessSet, Time};
 
@@ -154,7 +151,7 @@ impl FailureDetector for SigmaK {
         if t >= self.stab {
             if self.nontrivial() {
                 // Forced: neither ∅ nor (∅, A); X ⊆ Correct with pivot.
-                if corr_a.len() > 1 && rng.gen_bool(0.5) {
+                if corr_a.len() > 1 && coin(&mut rng) {
                     pair(corr_a)
                 } else {
                     pair(ProcessSet::singleton(pivot))

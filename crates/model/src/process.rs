@@ -218,6 +218,13 @@ impl ProcessSet {
     pub fn bits(self) -> u64 {
         self.0
     }
+
+    /// The set whose raw [`bits`](ProcessSet::bits) are `bits` (bit `i`
+    /// set ⇔ `p_i` a member).
+    #[inline]
+    pub const fn from_bits(bits: u64) -> Self {
+        ProcessSet(bits)
+    }
 }
 
 impl FromIterator<ProcessId> for ProcessSet {
@@ -318,6 +325,14 @@ mod tests {
         assert!(f.contains(ProcessId(4)));
         assert!(!f.contains(ProcessId(5)));
         assert_eq!(ProcessSet::full(64).len(), 64);
+    }
+
+    #[test]
+    fn from_bits_inverts_bits() {
+        for s in [ProcessSet::EMPTY, set(&[0, 3, 63]), ProcessSet::full(64)] {
+            assert_eq!(ProcessSet::from_bits(s.bits()), s);
+        }
+        assert_eq!(ProcessSet::from_bits(0b1010), set(&[1, 3]));
     }
 
     #[test]

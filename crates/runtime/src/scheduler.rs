@@ -13,8 +13,8 @@
 // sih-analysis: allow(float) — deliver_prob is a single Bernoulli
 // parameter fed to a seeded ChaCha8Rng; no accumulation, replay-safe.
 
-// sih-analysis: allow(index-reachable) — choose() indexes the n-sized pending/age arrays of
-// SchedState, which the simulation builds for exactly its own process count.
+// sih-analysis: allow(index-reachable) — FairScheduler::choose indexes since_scheduled, resized
+// to the view's n first, by members of the view's schedulable set, which are all below n.
 use crate::sim::SchedState;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -122,7 +122,7 @@ impl FairScheduler {
 
 impl Scheduler for FairScheduler {
     fn choose(&mut self, view: &SchedState<'_>) -> Option<Choice> {
-        let schedulable: Vec<ProcessId> = view.schedulable().collect();
+        let schedulable = view.schedulable_set;
         if schedulable.is_empty() {
             return None;
         }
@@ -130,14 +130,17 @@ impl Scheduler for FairScheduler {
             self.since_scheduled.resize(view.n, 0);
         }
 
-        // Starvation rescue first, then uniform pick.
+        // Starvation rescue first, then uniform pick: the k-th schedulable
+        // process in id order, read off the bitset without collecting it.
         let p = schedulable
             .iter()
-            .copied()
             .find(|p| self.since_scheduled[p.index()] >= self.starvation_bound)
-            .unwrap_or_else(|| schedulable[self.rng.gen_range(0..schedulable.len())]);
+            .unwrap_or_else(|| {
+                let k = self.rng.gen_range(0..schedulable.len());
+                schedulable.iter().nth(k).expect("invariant: k < |schedulable|")
+            });
 
-        for q in &schedulable {
+        for q in schedulable {
             self.since_scheduled[q.index()] += 1;
         }
         self.since_scheduled[p.index()] = 0;

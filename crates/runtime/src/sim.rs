@@ -8,8 +8,8 @@
 //! ([`Simulation::script`]) precisely so adversary constructions can
 //! replay prefixes (Lemmas 7, 11, 15).
 
-// sih-analysis: allow(index-reachable) — procs/pending/decisions are n-sized arrays indexed
-// by ProcessId from the scheduler's own choice set, which is bounded by n at construction.
+// sih-analysis: allow(index-reachable) — procs is n-sized and indexed by ProcessIds from the
+// schedulable set or by choices `step` first asserts alive under the n-process pattern.
 use crate::automaton::{Automaton, Effects, SendOp, StepInput};
 use crate::fingerprint::StateHasher;
 use crate::network::{Corruptible, Network};
@@ -23,7 +23,37 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 
+/// What the scheduler view reads of the pending queues: the three
+/// per-process queries of [`SchedState`], answered on demand.
+///
+/// Object-safe, so the view borrows any simulation's network without
+/// being generic in its message type.
+trait PendingQueues: fmt::Debug {
+    fn pending_count(&self, p: ProcessId) -> usize;
+    fn oldest_sent_at(&self, p: ProcessId) -> Option<Time>;
+    fn oldest_index(&self, p: ProcessId) -> Option<usize>;
+}
+
+impl<M: Clone + fmt::Debug> PendingQueues for Network<M> {
+    fn pending_count(&self, p: ProcessId) -> usize {
+        Network::pending_count(self, p)
+    }
+
+    fn oldest_sent_at(&self, p: ProcessId) -> Option<Time> {
+        Network::oldest_sent_at(self, p)
+    }
+
+    fn oldest_index(&self, p: ProcessId) -> Option<usize> {
+        Network::oldest_index(self, p)
+    }
+}
+
 /// The scheduler's view of the engine before a step.
+///
+/// The schedulable set and the starvation flag are computed when the view
+/// is built; the per-process queue queries borrow the network and are
+/// answered on demand, so a scheduler pays only for the processes it
+/// asks about.
 #[derive(Debug)]
 pub struct SchedState<'a> {
     /// System size.
@@ -32,11 +62,7 @@ pub struct SchedState<'a> {
     pub next_time: Time,
     /// Processes allowed to take the next step (alive and not halted).
     pub schedulable_set: ProcessSet,
-    /// Processes that have halted (pseudocode `return`).
-    pub halted: ProcessSet,
-    pending: &'a [usize],
-    oldest_sent: &'a [Option<Time>],
-    oldest_idx: &'a [Option<usize>],
+    net: &'a dyn PendingQueues,
     starved: bool,
 }
 
@@ -53,17 +79,17 @@ impl SchedState<'_> {
 
     /// Number of messages pending at `p`.
     pub fn pending_count(&self, p: ProcessId) -> usize {
-        self.pending[p.index()]
+        self.net.pending_count(p)
     }
 
     /// Age (in steps) of the oldest message pending at `p`.
     pub fn oldest_age(&self, p: ProcessId) -> Option<u64> {
-        self.oldest_sent[p.index()].map(|s| self.next_time - s)
+        self.net.oldest_sent_at(p).map(|s| self.next_time - s)
     }
 
     /// Queue index of the oldest message pending at `p`.
     pub fn oldest_index(&self, p: ProcessId) -> Option<usize> {
-        self.oldest_idx[p.index()]
+        self.net.oldest_index(p)
     }
 
     /// Whether the system is provably stuck: there are schedulable
@@ -232,21 +258,20 @@ pub struct Simulation<A: Automaton> {
     trace: Trace,
     halted: ProcSet,
     // Counters shadowing `halted`/`trace.decided()` restricted to correct
-    // processes, so the run-loop termination tests (`all_correct_halted`,
-    // `all_correct_decided`) are O(1) comparisons at any `n` instead of
-    // 64-capped subset tests.
+    // processes, compared with the cached `|Correct(F)|`, so the run-loop
+    // termination tests (`all_correct_halted`, `all_correct_decided`) are
+    // O(1) at any `n` instead of 64-capped subset tests or O(n) scans.
     halted_correct: usize,
     decided_correct: usize,
+    // `pattern.correct_count()`, cached: the pattern is fixed for a run
+    // and only replaced by `reset`/`clone_from`, which refresh it.
+    correct_count: usize,
     script: Vec<Choice>,
     record_script: bool,
     // Scratch `Effects` reused across steps: at n = 10⁵ a fresh
     // `Effects::new()` per step is four Vec allocations per step; reusing
     // one arena makes stepping allocation-free on the fast path.
     scratch_eff: Effects<A::Msg>,
-    // Scratch buffers for SchedState (reused across steps).
-    scratch_pending: Vec<usize>,
-    scratch_oldest_sent: Vec<Option<Time>>,
-    scratch_oldest_idx: Vec<Option<usize>>,
     // Incremental state of `fingerprint` (a `RefCell`: fingerprinting
     // takes `&self`). Stale and allocation-free until the first call.
     fp: RefCell<FpCache>,
@@ -348,12 +373,10 @@ impl<A: Automaton + Clone> Clone for Simulation<A> {
             halted: self.halted.clone(),
             halted_correct: self.halted_correct,
             decided_correct: self.decided_correct,
+            correct_count: self.correct_count,
             script: self.script.clone(),
             record_script: self.record_script,
             scratch_eff: Effects::new(),
-            scratch_pending: self.scratch_pending.clone(),
-            scratch_oldest_sent: self.scratch_oldest_sent.clone(),
-            scratch_oldest_idx: self.scratch_oldest_idx.clone(),
             fp: RefCell::new(self.fp.borrow().clone()),
         }
     }
@@ -367,11 +390,9 @@ impl<A: Automaton + Clone> Clone for Simulation<A> {
         self.halted.clone_from(&source.halted);
         self.halted_correct = source.halted_correct;
         self.decided_correct = source.decided_correct;
+        self.correct_count = source.correct_count;
         self.script.clone_from(&source.script);
         self.record_script = source.record_script;
-        self.scratch_pending.clone_from(&source.scratch_pending);
-        self.scratch_oldest_sent.clone_from(&source.scratch_oldest_sent);
-        self.scratch_oldest_idx.clone_from(&source.scratch_oldest_idx);
         self.fp.get_mut().clone_from(&source.fp.borrow());
     }
 }
@@ -399,6 +420,7 @@ impl<A: Automaton> Simulation<A> {
         Simulation {
             procs,
             net: Network::new(n),
+            correct_count: pattern.correct_count(),
             pattern,
             now: Time::ZERO,
             trace: Trace::new(n, emulated_initial),
@@ -408,9 +430,6 @@ impl<A: Automaton> Simulation<A> {
             script: Vec::new(),
             record_script: true,
             scratch_eff: Effects::new(),
-            scratch_pending: vec![0; n],
-            scratch_oldest_sent: vec![None; n],
-            scratch_oldest_idx: vec![None; n],
             fp: RefCell::default(),
         }
     }
@@ -453,6 +472,7 @@ impl<A: Automaton> Simulation<A> {
         let n = procs.len();
         self.procs = procs;
         self.pattern.clone_from(pattern);
+        self.correct_count = pattern.correct_count();
         self.now = Time::ZERO;
         self.halted.clear();
         self.halted_correct = 0;
@@ -464,12 +484,6 @@ impl<A: Automaton> Simulation<A> {
             self.net = Network::new(n);
         }
         self.trace.reset(n, emulated_initial);
-        self.scratch_pending.clear();
-        self.scratch_pending.resize(n, 0);
-        self.scratch_oldest_sent.clear();
-        self.scratch_oldest_sent.resize(n, None);
-        self.scratch_oldest_idx.clear();
-        self.scratch_oldest_idx.resize(n, None);
         self.fp.get_mut().invalidate();
     }
 
@@ -600,14 +614,15 @@ impl<A: Automaton> Simulation<A> {
     }
 
     /// Whether every correct process has halted. O(1): maintained as a
-    /// counter, since the failure pattern is immutable during a run.
+    /// counter and compared with `|Correct(F)|`, cached per run since the
+    /// failure pattern is immutable during a run.
     pub fn all_correct_halted(&self) -> bool {
-        self.halted_correct == self.pattern.correct_count()
+        self.halted_correct == self.correct_count
     }
 
     /// Whether every correct process has decided. O(1), any `n`.
     pub fn all_correct_decided(&self) -> bool {
-        self.decided_correct == self.pattern.correct_count()
+        self.decided_correct == self.correct_count
     }
 
     /// The sequence of choices executed so far — replaying it through
@@ -629,8 +644,8 @@ impl<A: Automaton> Simulation<A> {
     }
 
     /// Approximate heap footprint of the engine's live state in bytes:
-    /// network queues + trace + script + halted set + scratch buffers +
-    /// fingerprint cache (empty unless the run was fingerprinted).
+    /// network queues + trace + script + halted set + fingerprint cache
+    /// (empty unless the run was fingerprinted).
     /// Used by the scale lab to report bytes/process; excludes the
     /// automata themselves (the caller knows its own state layout).
     pub fn harness_heap_bytes(&self) -> usize {
@@ -638,18 +653,14 @@ impl<A: Automaton> Simulation<A> {
             + self.trace.heap_bytes()
             + self.script.capacity() * std::mem::size_of::<Choice>()
             + self.halted.heap_bytes()
-            + self.scratch_pending.capacity() * std::mem::size_of::<usize>()
-            + self.scratch_oldest_sent.capacity() * std::mem::size_of::<Option<Time>>()
-            + self.scratch_oldest_idx.capacity() * std::mem::size_of::<Option<usize>>()
             + self.fp.borrow().heap_bytes()
     }
 
     /// The set of processes allowed to take the next step (alive at the
     /// next time and not halted) — the non-mutating core of
-    /// [`Simulation::sched_state`]. Choice enumerators that must not
-    /// touch the scratch buffers (the exhaustive explorer probes children
-    /// off a shared `&Simulation`) combine this with
-    /// [`Simulation::network`] instead of taking a full `SchedState`.
+    /// [`Simulation::sched_state`]. Choice enumerators that probe children
+    /// off a shared `&Simulation` (the exhaustive explorer) combine this
+    /// with [`Simulation::network`] instead of taking a `SchedState`.
     pub fn schedulable_set(&self) -> ProcessSet {
         let next = self.now.next();
         let mut schedulable = ProcessSet::EMPTY;
@@ -663,33 +674,28 @@ impl<A: Automaton> Simulation<A> {
     }
 
     /// The scheduler view for the next step.
+    ///
+    /// Building it costs one pass over the processes for the schedulable
+    /// set plus the starvation test over the schedulable members only;
+    /// the queue queries ([`SchedState::pending_count`],
+    /// [`SchedState::oldest_age`], [`SchedState::oldest_index`]) read the
+    /// network when the scheduler asks.
     pub fn sched_state(&mut self) -> SchedState<'_> {
-        let next = self.now.next();
-        let mut schedulable = ProcessSet::EMPTY;
-        // Starvation detection rides the same pass: the system is starved
-        // when schedulable processes exist but every one is quiescent with
-        // nothing pending — then no reachable step ever has an effect
-        // (quiescence is forever, queues can only be filled by effects).
-        let mut starved = true;
-        for i in 0..self.n() {
-            let p = ProcessId(i as u32);
-            self.scratch_pending[i] = self.net.pending_count(p);
-            self.scratch_oldest_sent[i] = self.net.oldest_sent_at(p);
-            self.scratch_oldest_idx[i] = self.net.oldest_index(p);
-            if self.pattern.is_alive(p, next) && !self.halted.contains(p) {
-                schedulable.insert(p);
-                starved = starved && self.scratch_pending[i] == 0 && self.procs[i].quiescent();
-            }
-        }
+        let schedulable = self.schedulable_set();
+        // The system is starved when schedulable processes exist but every
+        // one is quiescent with nothing pending — then no reachable step
+        // ever has an effect (quiescence is forever, queues can only be
+        // filled by effects).
+        let starved = !schedulable.is_empty()
+            && schedulable
+                .iter()
+                .all(|p| self.net.pending_count(p) == 0 && self.procs[p.index()].quiescent());
         SchedState {
             n: self.n(),
-            next_time: next,
+            next_time: self.now.next(),
             schedulable_set: schedulable,
-            halted: self.halted.to_process_set(),
-            pending: &self.scratch_pending,
-            oldest_sent: &self.scratch_oldest_sent,
-            oldest_idx: &self.scratch_oldest_idx,
-            starved: starved && !schedulable.is_empty(),
+            net: &self.net,
+            starved,
         }
     }
 
@@ -839,10 +845,11 @@ impl<A: Automaton> Simulation<A> {
     /// Runs a **message-driven** protocol to completion with an
     /// event-driven worklist instead of a per-step scheduler scan.
     ///
-    /// [`Simulation::run_until`] pays O(n) per step (the scheduler view
-    /// rebuilds pending counts for all n processes), which is O(n²) for a
-    /// protocol whose work is O(n) steps — prohibitive at n = 10⁵. This
-    /// runner keeps a FIFO worklist of processes that may have work:
+    /// [`Simulation::run_until`] pays O(n) per step (building the scheduler
+    /// view scans all n processes for the schedulable set, and
+    /// [`FairScheduler`] picks among them), which is O(n²) for a protocol
+    /// whose work is O(n) steps — prohibitive at n = 10⁵. This runner
+    /// keeps a FIFO worklist of processes that may have work:
     ///
     /// * every alive process is seeded once (its *kickoff* null step —
     ///   where quorum protocols broadcast their first request);
@@ -883,11 +890,8 @@ impl<A: Automaton> Simulation<A> {
         }
         self.net.set_wake_tracking(true);
         let mut steps = 0;
-        // Hoisted out of the loop: `correct_count()` scans the crash
-        // vector (O(n)), and the pattern is immutable for the whole run.
-        let correct_count = self.pattern.correct_count();
         let outcome = loop {
-            if self.halted_correct == correct_count || done(self) {
+            if self.all_correct_halted() || done(self) {
                 break self.outcome(steps, StopReason::AllCorrectHalted);
             }
             if steps >= max_steps {
