@@ -8,9 +8,8 @@ use sih::runtime::Network;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 
-/// One payload fanned out to every process: `broadcast` pushes `n` queue
-/// slots sharing a single ref-counted payload, vs the per-recipient
-/// `send` loop it replaced (one payload clone per recipient).
+/// One payload fanned out to every process: one `broadcast` call
+/// filling `n` queue slots vs the equivalent per-recipient `send` loop.
 fn bench_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_fanout");
     for n in [1_000usize, 10_000] {

@@ -5,8 +5,8 @@
 //! per revision.
 //!
 //! The ABD leg runs scripted client operations end to end: every phase is
-//! one batched fan-out (`n` queue slots sharing one ref-counted payload)
-//! answered by `n` replica replies, so steps scale as Θ(n) per operation
+//! one batched fan-out (one `Network::broadcast` filling `n` queue
+//! slots) answered by `n` replica replies, so steps scale as Θ(n) per operation
 //! and the leg exercises the whole arena/bitset/batched-fan-out path.
 //! The agreement legs sample a bounded number of decisions: Figures 2
 //! and 4 have every non-active process flood a `(D, v)` broadcast at its

@@ -63,12 +63,12 @@ pub struct StepInput<M> {
 /// One send action queued in an [`Effects`] set.
 ///
 /// `send to all` / `send to all except me` are first-class: the payload is
-/// stored **once** per fan-out, not cloned per recipient, and the engine
-/// hands the whole batch to [`Network::broadcast`](crate::Network::broadcast)
-/// which shares one ref-counted payload across all recipient queues. The
-/// per-recipient expansion order (ids increasing, `except` skipped) is
-/// exactly the order the old clone-per-recipient loop pushed, so message
-/// ids — and therefore traces and replays — are unchanged.
+/// stored **once** per fan-out, and the engine hands the whole batch to
+/// [`Network::broadcast`](crate::Network::broadcast), which hashes the
+/// envelope once and copies the payload into each recipient's queue slot.
+/// The per-recipient expansion order (ids increasing, `except` skipped) is
+/// exactly the order of a per-recipient `send` loop, so message ids — and
+/// therefore traces and replays — are the same either way.
 #[derive(Clone, Debug)]
 pub(crate) enum SendOp<M> {
     /// A single message to one process.
@@ -154,7 +154,7 @@ impl<M> Effects<M> {
 
     /// Sends `payload` to every process in `Π`, including the sender (the
     /// pseudocode's "send to all"). The payload is stored once — the
-    /// engine fans it out as a batch sharing one ref-counted copy.
+    /// engine fans it out as one batch.
     pub fn send_all(&mut self, n: usize, payload: M)
     where
         M: Clone,
@@ -340,11 +340,13 @@ impl<'a, M> Iterator for SendIter<'a, M> {
 /// randomness or wall-clock state; all nondeterminism lives in the
 /// scheduler and the failure-detector history.
 pub trait Automaton {
-    /// The protocol message type. `Send + Sync` is required because
-    /// broadcast payloads are stored once and shared (ref-counted) across
-    /// recipient queues, and simulations cross thread boundaries in
-    /// parallel sweeps; protocol messages are plain data, so both hold
-    /// structurally.
+    /// The protocol message type. `Send` is required because
+    /// simulations, with the messages queued in them, move across worker
+    /// threads in parallel sweeps and explorations. The engine no longer
+    /// shares one payload between queues, so it does not rely on `Sync`;
+    /// the bound stays so the trait's contract, and every bound written
+    /// against it, is unchanged. Protocol messages are plain data, so
+    /// both hold structurally.
     type Msg: Clone + std::fmt::Debug + Send + Sync;
 
     /// Executes one atomic step.

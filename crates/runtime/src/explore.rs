@@ -62,14 +62,20 @@
 //!   partition never changes the counters; if any worker finds a
 //!   violation, the exploration is re-run serially so the reported
 //!   violation is the canonical (first in DFS order) one.
-//! * **No per-node double clone** — children are materialized with
+//! * **No per-node double clone** — choice enumeration uses the
+//!   non-mutating [`Simulation::schedulable_set`] view instead of
+//!   cloning a probe. Every child but the last is materialized with
 //!   allocation-reusing [`Clone::clone_from`] into free-list pools
-//!   (simulations, happens-before shadows, sleep sets), and choice
-//!   enumeration uses the non-mutating [`Simulation::schedulable_set`]
-//!   view instead of cloning a probe. The copies are flat memory: trace
-//!   events are `Copy`, happens-before stamps are one flat vector per
-//!   queue, and a fanned payload that already sits in the pooled buffer
-//!   keeps its `Arc` untouched.
+//!   (simulations, happens-before shadows, sleep sets); the last child
+//!   takes the parent's state and shadow themselves, since the parent
+//!   is not read again once its children exist. [`explore_with`] clones
+//!   the caller's root once and leaves it untouched. The copies are flat
+//!   memory: trace events are `Copy`, happens-before stamps are one flat
+//!   vector per queue, and queued payloads sit inline in their slots.
+//! * **One-probe dead-end claims** — a state is classified as a dead end
+//!   before its dedup claim, and a dead end claims at budget
+//!   `usize::MAX` (its empty future is covered at any depth), so each
+//!   terminal costs one table probe.
 //!
 //! The reported violation is the first one in the canonical search
 //! order: processes ascending, per process "no delivery" first and then
@@ -299,8 +305,10 @@ impl SharedTable {
     }
 
     /// Claims `(fp, ctx)` at `remaining`: returns `true` when the caller
-    /// should expand the node (first visit, or a revisit with a strictly
-    /// larger remaining budget), `false` when it is a dedup skip.
+    /// should visit the node (first visit, or a revisit with a strictly
+    /// larger remaining budget), `false` when it is a dedup skip. A dead
+    /// end claims at `usize::MAX`: its (empty) future is covered at any
+    /// revisit depth.
     fn claim(&self, fp: u64, ctx: u64, remaining: usize) -> bool {
         let mut shard = self.lock_shard(fp);
         let (seen, fresh) = shard.slot_or_insert(fp, ctx, remaining);
@@ -312,12 +320,6 @@ impl SharedTable {
             *seen = remaining;
             true
         }
-    }
-
-    /// Upgrades a claimed entry to "dead end": its (empty) future is
-    /// covered at any revisit depth.
-    fn mark_dead_end(&self, fp: u64, ctx: u64) {
-        *self.lock_shard(fp).slot_or_insert(fp, ctx, usize::MAX).0 = usize::MAX;
     }
 
     #[cfg(test)]
@@ -491,9 +493,11 @@ where
 {
     let table = SharedTable::new();
     let mut dfs = Dfs::new(fd, cfg, &table, None, check);
-    let hb = cfg.dpor.then(|| HbState::new(sim.n()));
-    let sleep = SleepSet::new();
-    dfs.node(sim, hb.as_ref(), cfg.depth, &sleep);
+    // The search moves each node's state into its last child, so it
+    // works on a copy of the caller's root.
+    let mut root = sim.clone();
+    let mut hb = cfg.dpor.then(|| HbState::new(sim.n()));
+    dfs.node(&mut root, hb.as_mut(), cfg.depth, &SleepSet::new());
     let mut result = dfs.result;
     result.table_bytes = table.drain_entries() * TABLE_ENTRY_BYTES;
     result
@@ -557,9 +561,9 @@ where
     // keeps one Dfs (checker, pools) for all the jobs it steals.
     let results = Sweep::new(cfg.threads).run(jobs, || {
         let mut dfs = Dfs::new(fd, cfg, &table, Some(&abort), make_check());
-        move |_idx: usize, job: Job<A>| {
+        move |_idx: usize, mut job: Job<A>| {
             dfs.result = ExploreResult::EMPTY;
-            dfs.node(&job.sim, job.hb.as_ref(), remaining, &job.sleep);
+            dfs.node(&mut job.sim, job.hb.as_mut(), remaining, &job.sleep);
             mem::replace(&mut dfs.result, ExploreResult::EMPTY)
         }
     });
@@ -617,13 +621,13 @@ where
         }
         let remaining = cfg.depth - used;
         let mut next: Vec<Job<A>> = Vec::new();
-        for job in level {
+        for mut job in level {
             if bfs.result.violation.is_some() {
                 return (used, Vec::new());
             }
             if let Gate::Expand = bfs.gate(&job.sim, remaining, &job.sleep) {
                 let mut kids = Vec::new();
-                bfs.expand_into(&job.sim, job.hb.as_ref(), &job.sleep, &mut kids);
+                bfs.expand_into(&mut job.sim, job.hb.as_mut(), &job.sleep, &mut kids);
                 next.extend(kids.into_iter().map(|c| Job { sim: c.sim, hb: c.hb, sleep: c.sleep }));
             }
         }
@@ -684,6 +688,9 @@ struct Dfs<'a, A: Automaton, D: ?Sized, F> {
     /// Scratch: one process's delivery menu as `(envelope fp, alive
     /// index)` pairs, sorted into canonical content order per expansion.
     menu: Vec<(u64, usize)>,
+    /// Scratch: the non-sleeping children of the node being expanded,
+    /// in canonical order.
+    candidates: Vec<(SleepKey, Choice)>,
     /// Scratch: the earlier siblings of the node being expanded, keyed
     /// by content, with their quietness.
     earlier: Vec<(SleepKey, bool)>,
@@ -717,6 +724,7 @@ where
             pending_before: Vec::new(),
             grew: Vec::new(),
             menu: Vec::new(),
+            candidates: Vec::new(),
             earlier: Vec::new(),
             path: Vec::new(),
             result: ExploreResult::EMPTY,
@@ -732,17 +740,16 @@ where
     /// visit, in both the DFS and the frontier BFS, which is what keeps
     /// their counters interchangeable.
     fn gate(&mut self, sim: &Simulation<A>, remaining: usize, sleep: &SleepSet) -> Gate {
-        let claimed = if self.cfg.dedup {
-            let fp = sim.fingerprint();
-            let ctx = sleep.fingerprint();
-            if !self.table.claim(fp, ctx, remaining) {
+        let dead_end = sim.all_correct_halted() || sim.schedulable_set().is_empty();
+        if self.cfg.dedup {
+            // A dead end's (empty) future is covered at any depth, so it
+            // claims the largest budget in the same probe.
+            let budget = if dead_end { usize::MAX } else { remaining };
+            if !self.table.claim(sim.fingerprint(), sleep.fingerprint(), budget) {
                 self.result.deduped += 1;
                 return Gate::Deduped;
             }
-            Some((fp, ctx))
-        } else {
-            None
-        };
+        }
 
         self.result.states += 1;
         if let Err(msg) = (self.check)(sim) {
@@ -753,12 +760,7 @@ where
             return Gate::Violation;
         }
 
-        let dead_end = sim.all_correct_halted() || sim.schedulable_set().is_empty();
         if dead_end {
-            if let Some((fp, ctx)) = claimed {
-                // A dead end's (empty) future is covered at any depth.
-                self.table.mark_dead_end(fp, ctx);
-            }
             self.result.terminals += 1;
             return Gate::Terminal;
         }
@@ -772,11 +774,13 @@ where
     /// Visits one state: gate, then expand and recurse in canonical
     /// child order. `sleep` is the sleep context inherited along the
     /// path (empty unless `por`/`dpor`); `hb` is the happens-before
-    /// shadow (`Some` iff `cfg.dpor`).
+    /// shadow (`Some` iff `cfg.dpor`). An expanded node's `sim` and `hb`
+    /// move into its last child and are left holding stale pooled
+    /// buffers (see [`Dfs::expand_into`]).
     fn node(
         &mut self,
-        sim: &Simulation<A>,
-        hb: Option<&HbState>,
+        sim: &mut Simulation<A>,
+        hb: Option<&mut HbState>,
         remaining: usize,
         sleep: &SleepSet,
     ) {
@@ -788,10 +792,10 @@ where
         }
         let mut kids = self.edge_pool.pop().unwrap_or_default();
         self.expand_into(sim, hb, sleep, &mut kids);
-        for kid in kids.drain(..) {
+        for mut kid in kids.drain(..) {
             if self.result.violation.is_none() && !self.aborted() {
                 self.path.push(kid.choice);
-                self.node(&kid.sim, kid.hb.as_ref(), remaining - 1, &kid.sleep);
+                self.node(&mut kid.sim, kid.hb.as_mut(), remaining - 1, &kid.sleep);
                 self.path.pop();
             }
             self.recycle(kid);
@@ -813,14 +817,18 @@ where
     /// step, then deliveries sorted by envelope fingerprint), computing
     /// each child's sleep set (and happens-before shadow under dpor).
     /// Updates the `pruned`/`races` counters.
+    ///
+    /// Every child but the last is copied from the parent into a pooled
+    /// buffer; the last one takes the parent's state itself (and its
+    /// happens-before shadow), leaving a pooled buffer in its place (see
+    /// [`child_buffer`]). So `sim` and `hb` are stale once this returns.
     fn expand_into(
         &mut self,
-        sim: &Simulation<A>,
-        hb: Option<&HbState>,
+        sim: &mut Simulation<A>,
+        mut hb: Option<&mut HbState>,
         sleep: &SleepSet,
         out: &mut Vec<ChildEdge<A>>,
     ) {
-        let schedulable = sim.schedulable_set();
         let t1 = sim.now().next();
         let t2 = t1.next();
         let sleep_on = self.cfg.sleep_on();
@@ -831,12 +839,11 @@ where
                 self.pending_before.push(sim.network().pending_count(ProcessId(i as u32)));
             }
         }
-        // Earlier siblings at this node, keyed by content, with their
-        // quietness — the raw material of the children's sleep sets.
-        let mut earlier = mem::take(&mut self.earlier);
-        earlier.clear();
+        // The non-sleeping candidates, in canonical order.
+        let mut candidates = mem::take(&mut self.candidates);
+        candidates.clear();
         let mut menu = mem::take(&mut self.menu);
-        for p in schedulable.iter() {
+        for p in sim.schedulable_set().iter() {
             // Canonical content-ordered delivery menu: the pending
             // messages sorted by envelope fingerprint, ties
             // oldest-first. A finite cap keeps a prefix of *this* order,
@@ -858,95 +865,111 @@ where
                 };
                 if sleep_on && sleep.contains(key) {
                     self.result.pruned += 1;
-                    continue;
+                } else {
+                    candidates.push((key, choice));
                 }
-                let mut child = match self.sim_pool.pop() {
-                    Some(mut buf) => {
-                        buf.clone_from(sim);
-                        buf
-                    }
-                    None => sim.clone(),
-                };
-                let report = child.step(choice, self.fd);
-
-                // Whether this step commutes with quiet siblings: quiet
-                // itself, its process survives the swap window, and its
-                // detector output is stable across the two step times.
-                let commutes = report.quiet()
-                    && sim.pattern().is_alive(p, t2)
-                    && self.fd.output(p, t1) == self.fd.output(p, t2);
-
-                // Happens-before shadow of the child (dpor only): apply
-                // the delivery and the observed queue growth.
-                let child_hb = hb.map(|parent| {
-                    self.grew.clear();
-                    for i in 0..n {
-                        let pid = ProcessId(i as u32);
-                        let after = child.network().pending_count(pid);
-                        let before = self.pending_before[i];
-                        let delivered = usize::from(choice.deliver.is_some() && pid == p);
-                        self.grew.push(after + delivered - before);
-                    }
-                    let mut h = match self.hb_pool.pop() {
-                        Some(mut buf) => {
-                            buf.clone_from(parent);
-                            buf
-                        }
-                        None => parent.clone(),
-                    };
-                    h.apply(p, choice.deliver, &self.grew);
-                    h
-                });
-
-                // The child's sleep set. Depth-1 part (por and dpor):
-                // every *earlier* quiet sibling of a different process,
-                // when both steps' detector outputs are stable across
-                // {t1, t2} and both processes survive — then
-                // `choice · sibling` reaches a state check-equivalent to
-                // `sibling · choice`, whose subtree the earlier branch
-                // already explored at the same remaining depth (see
-                // DESIGN.md). Persistent part (dpor only): inherited
-                // sleepers are carried down while the executed step
-                // commutes with them, and woken by program order or a
-                // happens-before race ([`dpor::wake_races`]).
-                let mut child_sleep = self.sleep_pool.pop().unwrap_or_default();
-                child_sleep.clear();
-                if self.cfg.dpor && commutes && !sleep.is_empty() {
-                    child_sleep.copy_from(sleep);
-                    // Sleepers whose own commutation window broke (fd
-                    // drift or crash) are dropped, not raced.
-                    child_sleep.retain(|s| {
-                        sim.pattern().is_alive(s.p, t2)
-                            && self.fd.output(s.p, t1) == self.fd.output(s.p, t2)
-                    });
-                    let woken = dpor::wake_races(
-                        &mut child_sleep,
-                        child_hb
-                            .as_ref()
-                            .expect("invariant: dpor mode always carries an hb shadow"),
-                        p,
-                        &self.grew,
-                    );
-                    self.result.races += woken;
-                }
-                if sleep_on && commutes {
-                    for &(prev, prev_quiet) in &earlier {
-                        if prev_quiet
-                            && prev.p != p
-                            && sim.pattern().is_alive(prev.p, t2)
-                            && self.fd.output(prev.p, t1) == self.fd.output(prev.p, t2)
-                        {
-                            child_sleep.insert(prev);
-                        }
-                    }
-                }
-
-                out.push(ChildEdge { choice, sim: child, hb: child_hb, sleep: child_sleep });
-                earlier.push((key, report.quiet()));
             }
         }
         self.menu = menu;
+
+        // Earlier siblings at this node, keyed by content, with their
+        // quietness — the raw material of the children's sleep sets.
+        let mut earlier = mem::take(&mut self.earlier);
+        earlier.clear();
+        let last = candidates.len().wrapping_sub(1);
+        for (i, &(key, choice)) in candidates.iter().enumerate() {
+            let p = choice.p;
+            let mut child = child_buffer(&mut self.sim_pool, sim, i == last);
+            let report = child.step(choice, self.fd);
+            // The failure pattern is fixed for the run; read it from the
+            // child, which may hold the parent's state by now.
+            let pattern = child.pattern();
+
+            // Whether this step commutes with quiet siblings: quiet
+            // itself, its process survives the swap window, and its
+            // detector output is stable across the two step times.
+            let commutes = report.quiet()
+                && pattern.is_alive(p, t2)
+                && self.fd.output(p, t1) == self.fd.output(p, t2);
+
+            // Happens-before shadow of the child (dpor only): apply
+            // the delivery and the observed queue growth.
+            let child_hb = hb.as_deref_mut().map(|parent| {
+                self.grew.clear();
+                for i in 0..n {
+                    let pid = ProcessId(i as u32);
+                    let after = child.network().pending_count(pid);
+                    let before = self.pending_before[i];
+                    let delivered = usize::from(choice.deliver.is_some() && pid == p);
+                    self.grew.push(after + delivered - before);
+                }
+                let mut h = child_buffer(&mut self.hb_pool, parent, i == last);
+                h.apply(p, choice.deliver, &self.grew);
+                h
+            });
+
+            // The child's sleep set. Depth-1 part (por and dpor):
+            // every *earlier* quiet sibling of a different process,
+            // when both steps' detector outputs are stable across
+            // {t1, t2} and both processes survive — then
+            // `choice · sibling` reaches a state check-equivalent to
+            // `sibling · choice`, whose subtree the earlier branch
+            // already explored at the same remaining depth (see
+            // DESIGN.md). Persistent part (dpor only): inherited
+            // sleepers are carried down while the executed step
+            // commutes with them, and woken by program order or a
+            // happens-before race ([`dpor::wake_races`]).
+            let mut child_sleep = self.sleep_pool.pop().unwrap_or_default();
+            child_sleep.clear();
+            if self.cfg.dpor && commutes && !sleep.is_empty() {
+                child_sleep.copy_from(sleep);
+                // Sleepers whose own commutation window broke (fd
+                // drift or crash) are dropped, not raced.
+                child_sleep.retain(|s| {
+                    pattern.is_alive(s.p, t2) && self.fd.output(s.p, t1) == self.fd.output(s.p, t2)
+                });
+                let woken = dpor::wake_races(
+                    &mut child_sleep,
+                    child_hb.as_ref().expect("invariant: dpor mode always carries an hb shadow"),
+                    p,
+                    &self.grew,
+                );
+                self.result.races += woken;
+            }
+            if sleep_on && commutes {
+                for &(prev, prev_quiet) in &earlier {
+                    if prev_quiet
+                        && prev.p != p
+                        && pattern.is_alive(prev.p, t2)
+                        && self.fd.output(prev.p, t1) == self.fd.output(prev.p, t2)
+                    {
+                        child_sleep.insert(prev);
+                    }
+                }
+            }
+
+            out.push(ChildEdge { choice, sim: child, hb: child_hb, sleep: child_sleep });
+            earlier.push((key, report.quiet()));
+        }
         self.earlier = earlier;
+        self.candidates = candidates;
+    }
+}
+
+/// A child's copy of `parent`, drawn from `pool`: a `clone_from` into a
+/// pooled buffer, except that the `last` child swaps the pooled buffer
+/// for the parent itself. An empty pool falls back to a plain clone.
+fn child_buffer<T: Clone>(pool: &mut Vec<T>, parent: &mut T, last: bool) -> T {
+    match pool.pop() {
+        Some(mut buf) if last => {
+            mem::swap(&mut buf, parent);
+            buf
+        }
+        Some(mut buf) => {
+            buf.clone_from(parent);
+            buf
+        }
+        None => parent.clone(),
     }
 }
 
@@ -959,7 +982,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The ordered-map table the flat shards replaced: the oracle for
-    /// `claim` and `mark_dead_end`.
+    /// `claim`.
     #[derive(Default)]
     struct TableModel(BTreeMap<(u64, u64), usize>);
 
@@ -976,10 +999,6 @@ mod tests {
                     true
                 }
             }
-        }
-
-        fn mark_dead_end(&mut self, fp: u64, ctx: u64) {
-            self.0.insert((fp, ctx), usize::MAX);
         }
     }
 
@@ -1003,8 +1022,9 @@ mod tests {
 
         /// The sharded flat table agrees with the ordered-map model on
         /// every claim outcome, the entry count and every stored budget,
-        /// including re-claims with larger budgets, dead-end upgrades and
-        /// the all-zero key that marks empty slots.
+        /// including re-claims with larger budgets, dead-end claims (at
+        /// budget `usize::MAX`) and the all-zero key that marks empty
+        /// slots.
         #[test]
         fn flat_table_matches_an_ordered_map_model(
             ops in proptest::collection::vec(
@@ -1015,16 +1035,13 @@ mod tests {
             let table = SharedTable::new();
             let mut model = TableModel::default();
             for (i, &(op, fp, ctx, remaining)) in ops.iter().enumerate() {
-                if op % 8 == 0 {
-                    table.mark_dead_end(fp, ctx);
-                    model.mark_dead_end(fp, ctx);
-                } else {
-                    prop_assert_eq!(
-                        table.claim(fp, ctx, remaining),
-                        model.claim(fp, ctx, remaining),
-                        "claim ({:#x}, {:#x}) at {}", fp, ctx, remaining
-                    );
-                }
+                // One op in eight is a dead-end claim.
+                let budget = if op % 8 == 0 { usize::MAX } else { remaining };
+                prop_assert_eq!(
+                    table.claim(fp, ctx, budget),
+                    model.claim(fp, ctx, budget),
+                    "claim ({:#x}, {:#x}) at {}", fp, ctx, budget
+                );
                 if i % 32 == 0 {
                     prop_assert_eq!(table.entries(), model.0.len() as u64);
                 }
@@ -1376,7 +1393,7 @@ mod tests {
         let table = SharedTable::new();
         assert!(table.claim(fp, ctx, 1)); // seed: explored at budget 1
         let mut dfs = Dfs::new(&NoDetector, &cfg, &table, None, &mut check);
-        dfs.node(&sim, None, 3, &SleepSet::new());
+        dfs.node(&mut sim.clone(), None, 3, &SleepSet::new());
         assert_eq!(dfs.result.deduped, 0, "larger remaining budget must re-explore");
         let (script, _) = dfs.result.violation.expect("violation beyond the seeded budget");
         assert_eq!(script.iter().filter(|c| c.p == ProcessId(1)).count(), 2);
@@ -1393,10 +1410,42 @@ mod tests {
         let table2 = SharedTable::new();
         assert!(table2.claim(fp, ctx, 3));
         let mut dfs2 = Dfs::new(&NoDetector, &cfg, &table2, None, &mut check2);
-        dfs2.node(&sim, None, 3, &SleepSet::new());
+        dfs2.node(&mut sim.clone(), None, 3, &SleepSet::new());
         assert_eq!(dfs2.result.deduped, 1);
         assert_eq!(dfs2.result.states, 0);
         assert_eq!(dfs2.result.violation, None);
+    }
+
+    #[test]
+    fn dead_end_revisited_at_a_larger_budget_is_deduped() {
+        // A dead end claims at `usize::MAX` in its one probe, so a
+        // revisit is a dedup skip whatever its remaining budget — the
+        // outcome the old claim-then-upgrade pair of probes had.
+        let table = SharedTable::new();
+        assert!(table.claim(5, 9, usize::MAX));
+        assert_eq!(table.get(5, 9), Some(usize::MAX));
+        for remaining in [0, 3, 1_000, usize::MAX] {
+            assert!(!table.claim(5, 9, remaining), "revisit at {remaining}");
+        }
+        assert_eq!(table.entries(), 1);
+
+        // Through the gate: two processes that halt at once are a dead
+        // end at the root; a second visit with more budget is deduped.
+        let pattern = FailurePattern::all_correct(2);
+        let mut sim = Simulation::new(vec![TwoStepDecider::default(); 2], pattern);
+        for p in [0, 0, 1, 1] {
+            sim.step(Choice { p: ProcessId(p), deliver: None }, &NoDetector);
+        }
+        assert!(sim.all_correct_halted());
+        let cfg = ExploreConfig::new(3);
+        let table = SharedTable::new();
+        let mut no_check = |_: &Simulation<TwoStepDecider>| Ok(());
+        let mut dfs = Dfs::new(&NoDetector, &cfg, &table, None, &mut no_check);
+        dfs.node(&mut sim.clone(), None, 1, &SleepSet::new());
+        dfs.node(&mut sim.clone(), None, 5, &SleepSet::new());
+        assert_eq!((dfs.result.terminals, dfs.result.deduped), (1, 1));
+        let key = (sim.fingerprint(), SleepSet::new().fingerprint());
+        assert_eq!(table.get(key.0, key.1), Some(usize::MAX));
     }
 
     #[test]

@@ -29,7 +29,6 @@ use crate::fingerprint::{debug_fp, mix64, Fnv64, StateHasher};
 use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
 use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
 
 /// A protocol message the mutation adversary knows how to corrupt.
 ///
@@ -60,65 +59,6 @@ fn corrupt_thunk<M: Corruptible>(m: &M, kind: MutationKind, x: u64) -> Option<M>
     m.corrupt(kind, x)
 }
 
-/// A queued payload: owned for unicasts, ref-counted for fan-outs.
-///
-/// [`Network::broadcast`] enqueues **one** `Arc`'d payload across all
-/// recipient queues — a fanned envelope costs one slot per recipient but
-/// one payload total, instead of the per-recipient clone the old
-/// representation paid. (`Arc`, not `Rc`: simulations move across sweep
-/// worker threads, and every protocol message type is plain data, hence
-/// `Sync`.)
-#[derive(Debug)]
-enum Payload<M> {
-    Inline(M),
-    Shared(Arc<M>),
-}
-
-impl<M> Payload<M> {
-    #[inline]
-    fn get(&self) -> &M {
-        match self {
-            Payload::Inline(m) => m,
-            Payload::Shared(m) => m,
-        }
-    }
-}
-
-impl<M: Clone> Payload<M> {
-    /// The owned payload: moves the inline case; for a shared one,
-    /// unwraps the last reference or clones (one clone per *delivered*
-    /// fanned message, instead of one per *sent* copy).
-    fn into_owned(self) -> M {
-        match self {
-            Payload::Inline(m) => m,
-            Payload::Shared(m) => Arc::try_unwrap(m).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
-impl<M: Clone> Clone for Payload<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Payload::Inline(m) => Payload::Inline(m.clone()),
-            // Cloning a queue (the explorer's child materialization)
-            // keeps sharing the payload.
-            Payload::Shared(m) => Payload::Shared(Arc::clone(m)),
-        }
-    }
-
-    /// Leaves the refcount alone when both sides already share one
-    /// payload: a pooled sibling buffer mostly holds the parent's `Arc`s
-    /// in the same slots, so the explorer's per-edge queue copy skips
-    /// an increment/decrement pair per fanned envelope.
-    fn clone_from(&mut self, source: &Self) {
-        match (&mut *self, source) {
-            (Payload::Shared(dst), Payload::Shared(src)) if Arc::ptr_eq(dst, src) => {}
-            (Payload::Inline(dst), Payload::Inline(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
-}
-
 /// A queued message plus the memoized fingerprint of its checker-visible
 /// projection `(from, payload)`.
 ///
@@ -129,12 +69,16 @@ impl<M: Clone> Clone for Payload<M> {
 /// valid for the clone too — the exhaustive explorer hashes each message
 /// once per *send*, not once per visited state. The destination is not
 /// stored: a slot lives in its destination's queue.
-#[derive(Debug)]
+///
+/// The payload sits inline. Protocol messages are plain data without
+/// heap fields, so copying a queue (the explorer's per-edge
+/// `clone_from`) is a flat copy of its slot array.
+#[derive(Clone, Debug)]
 struct Slot<M> {
     id: MsgId,
     from: ProcessId,
     sent_at: Time,
-    payload: Payload<M>,
+    payload: M,
     /// Whether the mutation adversary touched this envelope (corrupted
     /// payload, forged sender, or stale replay). Tampered deliveries are
     /// counted in `mutated_count` instead of `delivered_count`.
@@ -142,32 +86,9 @@ struct Slot<M> {
     fp: Cell<Option<u64>>,
 }
 
-// Manual Clone so `clone_from` reaches `Payload::clone_from`.
-impl<M: Clone> Clone for Slot<M> {
-    fn clone(&self) -> Self {
-        Slot {
-            id: self.id,
-            from: self.from,
-            sent_at: self.sent_at,
-            payload: self.payload.clone(),
-            tampered: self.tampered,
-            fp: self.fp.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.id = source.id;
-        self.from = source.from;
-        self.sent_at = source.sent_at;
-        self.payload.clone_from(&source.payload);
-        self.tampered = source.tampered;
-        self.fp.set(source.fp.get());
-    }
-}
-
 /// A borrowed view of a pending message (what [`Network::pending`]
-/// yields). Like [`Envelope`], minus payload ownership — the queue may be
-/// sharing one fan-out payload across many recipients.
+/// yields). Like [`Envelope`], minus payload ownership — the payload
+/// stays in its queue slot until delivered.
 #[derive(Clone, Copy, Debug)]
 pub struct EnvelopeRef<'a, M> {
     /// Unique id of the message within the run.
@@ -675,12 +596,9 @@ fn memoized(cell: &Cell<Option<u64>>, f: impl FnOnce() -> u64) -> u64 {
 
 impl<M: fmt::Debug> Slot<M> {
     /// The [`envelope_fp`] of this envelope, memoized in the slot on
-    /// first use (and carried across clones — see [`Slot`]). Shared
-    /// (fanned) payloads hash their `Debug` rendering just like inline
-    /// ones, so the batched representation leaves every fingerprint
-    /// bit-identical.
+    /// first use (and carried across clones — see [`Slot`]).
     fn envelope_fp(&self) -> u64 {
-        memoized(&self.fp, || envelope_fp(self.from, self.payload.get()))
+        memoized(&self.fp, || envelope_fp(self.from, &self.payload))
     }
 }
 
@@ -874,47 +792,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
     pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_at: Time, payload: M) -> MsgId {
         let id = MsgId(self.next_id);
         self.next_id += 1;
-        let fate = match &mut self.faults {
-            None => SendFate::Deliver { copies: 1 },
-            Some(state) => {
-                let link = from.index() * self.queues.len() + to.index();
-                let k = state.sends[link];
-                state.sends[link] += 1;
-                state.plan.fate(from, to, sent_at, k)
-            }
-        };
-        match fate {
-            SendFate::Dropped => {
-                self.sent_count += 1;
-                self.dropped_count += 1;
-            }
-            SendFate::Deliver { copies } => {
-                self.sent_count += copies;
-                self.duplicated_count += copies - 1;
-                let (payload, from, tampered) =
-                    match self.consult_adversary(from, to, sent_at, &payload) {
-                        Some((m, f)) => (m, f, true),
-                        None => (payload, from, false),
-                    };
-                let fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &payload));
-                self.add_queued(to, copies, fp);
-                let queue = &mut self.queues[to.index()];
-                let was_empty = queue.len() == 0;
-                for _ in 1..copies {
-                    let payload = Payload::Inline(payload.clone());
-                    queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
-                }
-                // The last copy moves the payload: the reliable fast path
-                // (copies == 1) clones nothing.
-                let payload = Payload::Inline(payload);
-                queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
-                if was_empty {
-                    if let Some(tracked) = &mut self.woken {
-                        tracked.push(to);
-                    }
-                }
-            }
-        }
+        self.route(id, from, to, sent_at, payload, None);
         id
     }
 
@@ -922,12 +800,12 @@ impl<M: Clone + fmt::Debug> Network<M> {
     /// the batched form of a `send to all`.
     ///
     /// Exactly equivalent to calling [`Network::send`] once per recipient
-    /// in increasing id order (ids are assigned in that order, link-fault
-    /// fates are consulted per recipient, every counter moves the same
-    /// way), except that all enqueued copies **share one ref-counted
-    /// payload** instead of cloning it per recipient. Returns the first
-    /// assigned id; recipient `j` (in expansion order) got id
-    /// `first + j`, dropped or not.
+    /// in increasing id order: ids are assigned in that order, link-fault
+    /// fates and the adversary are consulted per recipient, and every
+    /// counter moves the same way. The batch hashes its envelope once
+    /// (when the running queue sum is on) instead of once per recipient.
+    /// Returns the first assigned id; recipient `j` (in expansion order)
+    /// got id `first + j`, dropped or not.
     ///
     /// # Panics
     ///
@@ -942,87 +820,79 @@ impl<M: Clone + fmt::Debug> Network<M> {
     ) -> MsgId {
         assert!(n <= self.queues.len(), "broadcast fan-out exceeds the network size");
         let first = MsgId(self.next_id);
-        let shared = Arc::new(payload);
         // One envelope hash for every untampered recipient, computed only
         // when the running queue sum is on (`None` otherwise).
-        let shared_fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &*shared));
-        for i in 0..n as u32 {
-            let to = ProcessId(i);
+        let clean_fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &payload));
+        for to in (0..n as u32).map(ProcessId) {
             if Some(to) == except {
                 continue;
             }
             let id = MsgId(self.next_id);
             self.next_id += 1;
-            let fate = match &mut self.faults {
-                None => SendFate::Deliver { copies: 1 },
-                Some(state) => {
-                    let link = from.index() * self.queues.len() + to.index();
-                    let k = state.sends[link];
-                    state.sends[link] += 1;
-                    state.plan.fate(from, to, sent_at, k)
-                }
-            };
-            match fate {
-                SendFate::Dropped => {
-                    self.sent_count += 1;
-                    self.dropped_count += 1;
-                }
-                SendFate::Deliver { copies } => {
-                    self.sent_count += copies;
-                    self.duplicated_count += copies - 1;
-                    let mutated = self.consult_adversary(from, to, sent_at, &shared);
-                    let fp = match &mutated {
-                        Some((m, f)) => shared_fp.map(|_| envelope_fp(*f, m)),
-                        None => shared_fp,
-                    };
-                    self.add_queued(to, copies, fp);
-                    let queue = &mut self.queues[to.index()];
-                    let was_empty = queue.len() == 0;
-                    match mutated {
-                        Some((m, f)) => {
-                            // A tampered recipient leaves the shared batch:
-                            // its copies carry the corrupted payload inline.
-                            for _ in 1..copies {
-                                queue.push(Slot {
-                                    id,
-                                    from: f,
-                                    sent_at,
-                                    payload: Payload::Inline(m.clone()),
-                                    fp: Cell::new(fp),
-                                    tampered: true,
-                                });
-                            }
-                            queue.push(Slot {
-                                id,
-                                from: f,
-                                sent_at,
-                                payload: Payload::Inline(m),
-                                fp: Cell::new(fp),
-                                tampered: true,
-                            });
-                        }
-                        None => {
-                            for _ in 0..copies {
-                                queue.push(Slot {
-                                    id,
-                                    from,
-                                    sent_at,
-                                    payload: Payload::Shared(Arc::clone(&shared)),
-                                    fp: Cell::new(fp),
-                                    tampered: false,
-                                });
-                            }
-                        }
-                    }
-                    if was_empty {
-                        if let Some(tracked) = &mut self.woken {
-                            tracked.push(to);
-                        }
-                    }
-                }
-            }
+            self.route(id, from, to, sent_at, payload.clone(), clean_fp);
         }
         first
+    }
+
+    /// One send `from -> to` with id `id`, after the id is assigned: the
+    /// link-fault fate, the adversary, and the enqueue of every copy.
+    /// `clean_fp` is the untampered envelope's [`envelope_fp`] when the
+    /// caller already has it (a broadcast hashes once per batch).
+    fn route(
+        &mut self,
+        id: MsgId,
+        from: ProcessId,
+        to: ProcessId,
+        sent_at: Time,
+        payload: M,
+        clean_fp: Option<u64>,
+    ) {
+        let fate = match &mut self.faults {
+            None => SendFate::Deliver { copies: 1 },
+            Some(state) => {
+                let link = from.index() * self.queues.len() + to.index();
+                let k = state.sends[link];
+                state.sends[link] += 1;
+                state.plan.fate(from, to, sent_at, k)
+            }
+        };
+        let copies = match fate {
+            SendFate::Dropped => {
+                self.sent_count += 1;
+                self.dropped_count += 1;
+                return;
+            }
+            SendFate::Deliver { copies } => copies,
+        };
+        self.sent_count += copies;
+        self.duplicated_count += copies - 1;
+        let sum_on = self.queue_sum.get_mut().is_some();
+        let (payload, from, tampered, fp) =
+            match self.consult_adversary(from, to, sent_at, &payload) {
+                Some((m, f)) => {
+                    let fp = sum_on.then(|| envelope_fp(f, &m));
+                    (m, f, true, fp)
+                }
+                None => {
+                    let fp = clean_fp.or_else(|| sum_on.then(|| envelope_fp(from, &payload)));
+                    (payload, from, false, fp)
+                }
+            };
+        self.add_queued(to, copies, fp);
+        let queue = &mut self.queues[to.index()];
+        let was_empty = queue.len() == 0;
+        for _ in 1..copies {
+            let payload = payload.clone();
+            queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
+        }
+        // The last copy moves the payload: the reliable fast path
+        // (copies == 1) clones nothing.
+        queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
+        if was_empty {
+            if let Some(tracked) = &mut self.woken {
+                tracked.push(to);
+            }
+        }
     }
 
     /// Adds `copies` envelopes with fingerprint `fp` at `to` to the
@@ -1065,15 +935,15 @@ impl<M: Clone + fmt::Debug> Network<M> {
         self.queues[to.index()].len()
     }
 
-    /// The pending messages at `to`, in arrival order (oldest first).
-    /// Yields borrowed views — fanned messages share one stored payload.
+    /// The pending messages at `to`, in arrival order (oldest first),
+    /// as views borrowing the queued payloads.
     pub fn pending(&self, to: ProcessId) -> impl Iterator<Item = EnvelopeRef<'_, M>> {
         self.queues[to.index()].iter().map(move |s| EnvelopeRef {
             id: s.id,
             from: s.from,
             to,
             sent_at: s.sent_at,
-            payload: s.payload.get(),
+            payload: &s.payload,
         })
     }
 
@@ -1095,10 +965,8 @@ impl<M: Clone + fmt::Debug> Network<M> {
         }
     }
 
-    /// Removes and returns the `index`-th pending message at `to`,
-    /// materializing an owned [`Envelope`] (shared fan-out payloads are
-    /// cloned out at most once per delivery; the last delivery of a batch
-    /// moves the payload).
+    /// Removes and returns the `index`-th pending message at `to` as an
+    /// owned [`Envelope`], moving the payload out of its slot.
     ///
     /// # Panics
     ///
@@ -1115,13 +983,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
         } else {
             self.delivered_count += 1;
         }
-        Envelope {
-            id: slot.id,
-            from: slot.from,
-            to,
-            sent_at: slot.sent_at,
-            payload: slot.payload.into_owned(),
-        }
+        Envelope { id: slot.id, from: slot.from, to, sent_at: slot.sent_at, payload: slot.payload }
     }
 
     /// Total messages sent so far.
@@ -1172,8 +1034,9 @@ impl<M: Clone + fmt::Debug> Network<M> {
     }
 
     /// Approximate heap usage of the queue structures in bytes
-    /// (capacity-based; payload-owned heap data is not counted — shared
-    /// fan-out payloads would otherwise be multiply counted).
+    /// (capacity-based). Payloads sit inline in the slots, so they are
+    /// counted; heap data a payload owns would not be (protocol messages
+    /// own none).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.queues.capacity() * size_of::<ArrivalQueue<M>>()
@@ -1191,6 +1054,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn send_assigns_sequential_ids() {
@@ -1565,100 +1429,129 @@ mod tests {
         assert_eq!(fanned.queue_sum(), fanned.queue_sum_uncached());
     }
 
-    /// The fanned payload held by the oldest slot at `to`, if shared.
-    fn shared_payload(net: &Network<u8>, to: u32) -> Option<&Arc<u8>> {
-        match &net.queues[to as usize].front()?.payload {
-            Payload::Shared(a) => Some(a),
-            Payload::Inline(_) => None,
-        }
-    }
-
-    /// One pending slot as a queue copy must reproduce it: id, sender,
-    /// send time, payload, memoized fingerprint and tampered flag.
+    /// One pending slot as a copy or an equivalent send path must
+    /// reproduce it: id, sender, send time, payload, memoized
+    /// fingerprint and tampered flag.
     type SlotView = (MsgId, u32, Time, u8, Option<u64>, bool);
 
-    /// Everything a queue copy must reproduce: every queue's slots and
-    /// the running queue sum.
-    fn copy_view(net: &Network<u8>) -> (Vec<Vec<SlotView>>, Option<u64>) {
+    /// Every counter of a network: the next id, then sent, delivered,
+    /// dropped, duplicated, mutated, forged and armored.
+    type Counters = [u64; 8];
+
+    /// Everything observable about a network: every queue's slots, every
+    /// counter, the running queue sum and the full state fingerprint
+    /// (which covers the per-link send counters and the replay stash).
+    fn view(net: &Network<u8>) -> (Vec<Vec<SlotView>>, Counters, Option<u64>, u64) {
         let queues = net
             .queues
             .iter()
             .map(|q| {
                 q.iter()
-                    .map(|s| (s.id, s.from.0, s.sent_at, *s.payload.get(), s.fp.get(), s.tampered))
+                    .map(|s| (s.id, s.from.0, s.sent_at, s.payload, s.fp.get(), s.tampered))
                     .collect()
             })
             .collect();
-        (queues, net.queue_sum.get())
+        let counters = [
+            net.next_id,
+            net.sent_count,
+            net.delivered_count,
+            net.dropped_count,
+            net.duplicated_count,
+            net.mutated_count,
+            net.forged_count,
+            net.armored_count,
+        ];
+        (queues, counters, net.queue_sum.get(), fp(net))
     }
 
-    /// `dst.clone_from(src)` must equal a fresh clone of `src`, in every
-    /// queue and in the running sum (checked against a recomputation).
-    fn assert_copies(dst: &mut Network<u8>, src: &Network<u8>) {
-        dst.clone_from(src);
-        assert_eq!(copy_view(dst), copy_view(&src.clone()));
-        if let Some(sum) = dst.queue_sum.get() {
-            assert_eq!(sum, dst.queue_sum_uncached());
+    /// A network over `n` processes with a random link-fault plan and a
+    /// random adversary (seed, armor rung) installed, each if given.
+    fn planned(n: usize, faults: Option<u64>, adversary: Option<(u64, u8)>) -> Network<u8> {
+        use sih_model::{AdversaryPlan, LinkFaultPlan};
+        let mut net = Network::new(n);
+        if let Some(seed) = faults {
+            net.set_link_faults(LinkFaultPlan::random_plan(n, seed, Time(24)));
         }
-    }
-
-    #[test]
-    fn clone_from_keeps_refcounts_of_an_already_shared_payload() {
-        let mut src: Network<u8> = Network::new(3);
-        src.queue_sum();
-        src.broadcast(ProcessId(0), Time(1), 7, 3, None);
-        let mut dst = src.clone();
-        let arc = shared_payload(&src, 1).expect("a fanned slot").clone();
-        let before = Arc::strong_count(&arc);
-        assert_copies(&mut dst, &src);
-        assert_eq!(Arc::strong_count(&arc), before, "same Arc: no inc/dec pair");
-        assert!(Arc::ptr_eq(shared_payload(&dst, 1).expect("still shared"), &arc));
-    }
-
-    #[test]
-    fn clone_from_rebinds_differing_payloads_and_kinds() {
-        use sih_model::AdversaryPlan;
-        let mut src: Network<u8> = Network::new(3);
-        src.queue_sum();
-        src.broadcast(ProcessId(0), Time(1), 7, 3, None);
-        let arc = shared_payload(&src, 1).expect("a fanned slot").clone();
-        let held = Arc::strong_count(&arc);
-
-        // Shared ← Shared, a different Arc at the same positions.
-        let mut dst: Network<u8> = Network::new(3);
-        dst.broadcast(ProcessId(0), Time(1), 9, 3, None);
-        let old = shared_payload(&dst, 1).expect("a fanned slot").clone();
-        assert_copies(&mut dst, &src);
-        assert!(Arc::ptr_eq(shared_payload(&dst, 1).expect("shared"), &arc));
-        assert_eq!(Arc::strong_count(&arc), held + 3, "dst now holds src's payload");
-        assert_eq!(Arc::strong_count(&old), 1, "dst released its own payload");
-
-        // Shared ← Inline, and Inline ← Shared.
-        let mut unicast: Network<u8> = Network::new(3);
-        for to in 0..3 {
-            unicast.send(ProcessId(0), ProcessId(to), Time(1), 7);
+        if let Some((seed, armor)) = adversary {
+            net.set_adversary(AdversaryPlan::random_plan(n, seed, Time(24)), Armor::level(armor));
         }
-        dst = src.clone();
-        assert_copies(&mut dst, &unicast);
-        assert!(shared_payload(&dst, 1).is_none());
-        assert_eq!(Arc::strong_count(&arc), held);
-        assert_copies(&mut dst, &src);
-        assert!(Arc::ptr_eq(shared_payload(&dst, 1).expect("shared again"), &arc));
+        net
+    }
 
-        // A tampered (inline) recipient over a clean shared slot, and back.
-        let plan =
-            AdversaryPlan::builder(3).perturb(ProcessId(0), ProcessId(2), 5, Time(0), None).build();
-        let mut tampered: Network<u8> = Network::new(3);
-        tampered.set_adversary(plan, Armor::NONE);
-        tampered.queue_sum();
-        tampered.broadcast(ProcessId(0), Time(1), 7, 3, None);
-        dst = src.clone();
-        assert_copies(&mut dst, &tampered);
-        assert!(dst.queues[2].front().expect("pending").tampered);
-        assert_copies(&mut dst, &src);
-        assert!(!dst.queues[2].front().expect("pending").tampered);
-        drop(dst);
-        assert_eq!(Arc::strong_count(&arc), held);
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// `broadcast(from, t, m, k, except)` is the per-recipient `send`
+        /// loop: under random link-fault plans (drops, duplicates) and
+        /// random adversaries (tampering, forgeries, replays) both paths
+        /// assign the same ids and leave every queue, counter, slot
+        /// fingerprint and running queue sum identical. A `clone_from`
+        /// of the result, into a network holding other state, then
+        /// equals a fresh `clone`.
+        #[test]
+        fn broadcast_matches_the_per_recipient_send_loop(
+            n in 2usize..6,
+            faults in proptest::option::of(any::<u64>()),
+            adversary in proptest::option::of((any::<u64>(), 0u8..4)),
+            sum_on in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..4, any::<u8>(), any::<u8>()),
+                1..40,
+            ),
+        ) {
+            let mut fanned = planned(n, faults, adversary);
+            let mut looped = planned(n, faults, adversary);
+            if sum_on {
+                fanned.queue_sum();
+                looped.queue_sum();
+            }
+            for (step, &(op, a, m)) in ops.iter().enumerate() {
+                let t = Time(step as u64 / 2);
+                let from = ProcessId(u32::from(a) % n as u32);
+                let to = ProcessId(u32::from(m) % n as u32);
+                match op {
+                    0 | 1 => {
+                        // A fan-out to a prefix of the processes, op 1
+                        // skipping one of them.
+                        let k = 1 + usize::from(m) % n;
+                        let except = (op == 1).then(|| ProcessId(u32::from(a) % k as u32));
+                        let first = fanned.broadcast(from, t, m, k, except);
+                        let ids: Vec<MsgId> = (0..k as u32)
+                            .map(ProcessId)
+                            .filter(|&to| Some(to) != except)
+                            .map(|to| looped.send(from, to, t, m))
+                            .collect();
+                        let expected: Vec<MsgId> =
+                            (0..ids.len() as u64).map(|j| MsgId(first.0 + j)).collect();
+                        prop_assert_eq!(ids, expected);
+                    }
+                    2 => {
+                        prop_assert_eq!(fanned.send(from, to, t, m), looped.send(from, to, t, m));
+                    }
+                    _ => {
+                        let len = fanned.pending_count(to);
+                        if len > 0 {
+                            let i = usize::from(a) % len;
+                            let (x, y) = (fanned.deliver(to, i), looped.deliver(to, i));
+                            prop_assert_eq!(
+                                (x.id, x.from, x.sent_at, x.payload),
+                                (y.id, y.from, y.sent_at, y.payload)
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(view(&fanned), view(&looped), "after op {}", step);
+                if let Some(sum) = fanned.queue_sum.get() {
+                    prop_assert_eq!(sum, fanned.queue_sum_uncached());
+                }
+            }
+            // Copies: into a fresh network, into one holding the other
+            // path's state, and into one with a different adversary.
+            for mut dst in [Network::new(n), looped.clone(), planned(n, None, Some((7, 0)))] {
+                dst.clone_from(&fanned);
+                prop_assert_eq!(view(&dst), view(&fanned.clone()));
+            }
+        }
     }
 
     #[test]

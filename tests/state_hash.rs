@@ -32,7 +32,7 @@ use sih::registers::{
     abd_processes, check_linearizable, split_ack_processes, two_writer_workload, SigmaExtractor,
 };
 use sih::runtime::{
-    explore_with, stubborn_processes, Automaton, Choice, Corruptible, Driver, Effects,
+    explore_par, explore_with, stubborn_processes, Automaton, Choice, Corruptible, Driver, Effects,
     ExploreConfig, SimPool, Simulation, Stacked, StateHasher, StepInput, Trace, TraceLevel,
 };
 use sih::sharedmem::{bridged_processes, CollectMin};
@@ -607,4 +607,63 @@ fn plan_changes_mid_run_fingerprint_incrementally() {
     leg(&mut sim, 4);
     // The last leg may finish the workload; the others run in full.
     assert!(steps[..4] == [30; 4] && steps[4] > 0, "a leg stopped early: {steps:?}");
+}
+
+/// Explores `root` under `cfg` serially and through `explore_par` at 2
+/// threads with frontier depths 0 and 2, checking the incremental
+/// fingerprint against a from-scratch one at every visited state. The
+/// explorer moves each expanded state into its last child, so this
+/// covers states that were stepped in place as well as copied ones.
+/// All three runs must agree on every counter, and the caller's root
+/// must come back untouched.
+fn assert_explored_incrementally<A, D>(root: &Simulation<A>, fd: &D, cfg: ExploreConfig)
+where
+    A: Automaton + Clone + fmt::Debug + Send,
+    D: FailureDetector + Sync,
+{
+    let (fp, steps) = (root.fingerprint_uncached(), root.trace().events().len());
+    let checked = |s: &Simulation<A>| {
+        assert_incremental(s);
+        Ok(())
+    };
+    let mut visits = 0u64;
+    let serial = explore_with(root, fd, &cfg, &mut |s| {
+        visits += 1;
+        checked(s)
+    });
+    assert!(serial.ok(), "{serial:?}");
+    assert_eq!(visits, serial.states, "the check runs once per visited state");
+    assert!(serial.states > 100, "too small to exercise the edges: {serial:?}");
+    for frontier in [0, 2] {
+        let par = explore_par(root, fd, &cfg.threads(2).frontier_depth(frontier), || checked);
+        assert_eq!(par, serial, "frontier {frontier}");
+    }
+    assert_eq!(root.fingerprint_uncached(), fp, "exploration changed the caller's root");
+    assert_eq!(root.fingerprint(), fp);
+    assert_eq!(root.trace().events().len(), steps);
+}
+
+#[test]
+fn explored_states_fingerprint_incrementally_after_parent_moves() {
+    for (n, depth) in [(3, 7), (4, 5)] {
+        let proposals = distinct_proposals(n);
+        let pattern = FailurePattern::all_correct(n);
+        let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 0);
+        let root = Simulation::new(fig2_processes(&proposals), pattern.clone());
+        assert_explored_incrementally(&root, &sigma, ExploreConfig::new(depth));
+        assert_explored_incrementally(&root, &sigma, ExploreConfig::new(depth).dpor(true));
+    }
+
+    // ABD over lossy links: under dpor from the initial state, and under
+    // sleep sets from a root one step in, with messages already pending
+    // (the dpor shadow starts empty, so it needs an initial root).
+    let n = 3;
+    let (s, scripts) = two_writer_workload();
+    let pattern = FailurePattern::all_correct(n);
+    let sigma_s = SigmaS::new(s, &pattern, 0);
+    let mut root = sim(abd_processes(s, n, scripts), &pattern, &lossy(n));
+    assert_explored_incrementally(&root, &sigma_s, ExploreConfig::new(5).dpor(true));
+    root.step(Choice { p: ProcessId(0), deliver: None }, &sigma_s);
+    assert!(root.network().in_flight() > 0);
+    assert_explored_incrementally(&root, &sigma_s, ExploreConfig::new(5));
 }
