@@ -485,6 +485,23 @@ mod tests {
     }
 
     #[test]
+    fn every_cell_witness_is_a_committed_corpus_schedule() {
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        for spec in &CELLS {
+            if let Some(name) = cell_witness(spec.algo.label(), spec.attack) {
+                let path = corpus.join(format!("{name}.schedule"));
+                assert!(
+                    path.is_file(),
+                    "{}/{}: {} is not committed",
+                    spec.algo.label(),
+                    spec.attack,
+                    path.display()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn bench_counters_are_worker_count_independent() {
         let serial = run_byzantine_bench(&ByzantineLabConfig { threads: 1, ..tiny() });
         let par = run_byzantine_bench(&ByzantineLabConfig { threads: 3, ..tiny() });

@@ -26,7 +26,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bench;
 mod byzantine;
+pub mod cli;
 mod experiments;
 mod explore;
 mod faults;
@@ -36,6 +38,7 @@ mod report;
 pub mod repro;
 mod scale;
 
+pub use bench::{gate_file, Bench, BenchReport, GateError, GATE_THREADS};
 pub use byzantine::{
     cell_witness, run_byzantine_bench, ByzantineBenchReport, ByzantineCell, ByzantineLabConfig,
     RungStats,

@@ -131,13 +131,13 @@ impl ExperimentReport {
         })
     }
 
-    /// Serializes a batch of reports as a pretty-printed JSON array.
-    pub fn batch_to_json_pretty(timed: &[(ExperimentReport, std::time::Duration)]) -> String {
+    /// Serializes a batch of timed reports as a JSON array.
+    pub fn batch_to_json(timed: &[(ExperimentReport, std::time::Duration)]) -> Value {
         Value::Array(timed.iter().map(|(r, d)| r.to_json_timed(Some(*d))).collect())
-            .to_string_pretty()
     }
 
-    /// Parses a JSON array of reports (as written by the `lab` CLI).
+    /// Parses a JSON array of reports (as `lab e1 … --json` writes it; a
+    /// `lab all` record holds one as `reports`).
     ///
     /// # Errors
     ///

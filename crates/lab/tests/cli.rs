@@ -110,26 +110,33 @@ fn figure1_renders_the_matrix() {
     assert!(!text.contains("REFUTED"), "{text}");
 }
 
-/// Out-of-range sizes are rejected before anything runs: no report, no
-/// panic, exit 1.
-fn assert_rejected(args: &[&str]) {
+/// Bad command lines are rejected before anything runs: no report, no
+/// panic, exit 1, and `message` on stderr.
+fn assert_rejected(args: &[&str], message: &str) {
     let out = lab().args(args).output().expect("binary runs");
     let (stdout, stderr) =
         (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
     assert!(!out.status.success(), "{args:?} succeeded: {stdout}");
     assert!(stdout.is_empty(), "{args:?} printed a report: {stdout}");
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
-    assert!(stderr.contains("need n ≥ 3, 1 ≤ k ≤ n/2"), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
 }
 
 #[test]
 fn experiment_with_k_beyond_half_of_n_is_rejected() {
-    assert_rejected(&["e5", "--n", "6", "--k", "4", "--seeds", "1"]);
+    assert_rejected(&["e5", "--n", "6", "--k", "4", "--seeds", "1"], "need n ≥ 3, 1 ≤ k ≤ n/2");
 }
 
 #[test]
 fn figure1_with_too_few_processes_is_rejected() {
-    assert_rejected(&["figure1", "--n", "2", "--seeds", "1"]);
+    assert_rejected(&["figure1", "--n", "2", "--seeds", "1"], "need n ≥ 3, 1 ≤ k ≤ n/2");
+}
+
+#[test]
+fn malformed_missing_and_unread_flags_are_rejected() {
+    assert_rejected(&["faults", "--n", "x"], "error: --n takes an integer, got `x`");
+    assert_rejected(&["faults", "--n"], "error: missing value for --n");
+    assert_rejected(&["scale", "--n", "5", "--depth", "3"], "error: `lab scale` does not take --n");
 }
 
 #[test]
@@ -153,6 +160,6 @@ fn gate_names_the_first_differing_path_and_exits_one() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("$.cells[0].live"));
 
     let out = lab().args(["gate", "--threads", "1"]).arg(&base).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "the gate takes exactly two paths");
+    assert_eq!(out.status.code(), Some(1), "the gate takes no flags");
     std::fs::remove_dir_all(&dir).ok();
 }

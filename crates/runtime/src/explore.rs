@@ -496,7 +496,8 @@ where
     // The search moves each node's state into its last child, so it
     // works on a copy of the caller's root.
     let mut root = sim.clone();
-    let mut hb = cfg.dpor.then(|| HbState::new(sim.n()));
+    let mut hb =
+        cfg.dpor.then(|| HbState::with_pending(sim.n(), |p| sim.network().pending_count(p)));
     dfs.node(&mut root, hb.as_mut(), cfg.depth, &SleepSet::new());
     let mut result = dfs.result;
     result.table_bytes = table.drain_entries() * TABLE_ENTRY_BYTES;
@@ -611,7 +612,7 @@ where
 
     let mut level = vec![Job {
         sim: sim.clone(),
-        hb: cfg.dpor.then(|| HbState::new(sim.n())),
+        hb: cfg.dpor.then(|| HbState::with_pending(sim.n(), |p| sim.network().pending_count(p))),
         sleep: SleepSet::new(),
     }];
     let mut used = 0;

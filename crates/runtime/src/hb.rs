@@ -144,6 +144,19 @@ impl HbState {
         HbState { clocks: (0..n).map(|_| VClock::new(n)).collect(), msgs: vec![Vec::new(); n] }
     }
 
+    /// The shadow of an explored root that may already have messages
+    /// pending: zero clocks, and one zero stamp per pending message
+    /// (`pending(to)` of them at `to`, in queue order). Events before
+    /// the root are not part of the explored history, so their stamps
+    /// order nothing.
+    pub fn with_pending(n: usize, pending: impl Fn(ProcessId) -> usize) -> Self {
+        let mut hb = HbState::new(n);
+        for (to, queue) in (0..).map(ProcessId).zip(&mut hb.msgs) {
+            queue.resize(pending(to) * n, 0);
+        }
+        hb
+    }
+
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.clocks.len()

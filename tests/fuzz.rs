@@ -26,6 +26,7 @@ use sih::registers::{abd_processes, check_linearizable, LinearizabilityViolation
 use sih::runtime::fuzz::{crossover, mutate, FuzzRng, MutOp, MutatorConfig};
 use sih::runtime::sweep::Sweep;
 use sih::runtime::{Automaton, Choice, Schedule, ScriptedScheduler, Simulation};
+use sih_lab::json::first_difference;
 use sih_lab::repro::{replay_with_fingerprints, FingerprintReplay, ReplayMode, BYZ_WORKLOADS};
 use sih_lab::{run_fuzz_bench, FuzzBenchReport, FuzzLabConfig};
 use std::path::PathBuf;
@@ -105,28 +106,6 @@ fn fixed_cfg(threads: usize) -> FuzzLabConfig {
     FuzzLabConfig { seed: 11, budget_schedules: 128, budget_ms: 0, batch: 32, threads }
 }
 
-/// The `BENCH_fuzz.json` text with every wall-clock-dependent field
-/// (and the thread/worker configuration echo) dropped.
-fn comparable_json(report: &FuzzBenchReport) -> String {
-    report
-        .to_json()
-        .to_string_pretty()
-        .lines()
-        .filter(|l| {
-            ![
-                "\"wall_ms\"",
-                "\"schedules_per_sec\"",
-                "\"distinct_fps_per_sec\"",
-                "\"workers\"",
-                "\"threads\"",
-            ]
-            .iter()
-            .any(|k| l.contains(k))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn fuzz_run_is_bitwise_identical_across_thread_counts() {
     let runs: Vec<FuzzBenchReport> =
@@ -134,19 +113,14 @@ fn fuzz_run_is_bitwise_identical_across_thread_counts() {
     let base = &runs[0];
     assert!(base.ok(), "{base}");
     for r in &runs[1..] {
-        assert_eq!(base.seeds_loaded, r.seeds_loaded);
-        assert_eq!(base.executed, r.executed);
-        assert_eq!(base.batches, r.batches);
-        assert_eq!(base.distinct_fingerprints, r.distinct_fingerprints);
-        assert_eq!(base.violations, r.violations);
+        // Every counter and digest of the record, compared as `lab gate` does.
+        assert_eq!(first_difference(&base.to_json(), &r.to_json()), None, "BENCH_fuzz.json");
         assert_eq!(base.corpus, r.corpus, "kept corpus differs across thread counts");
-        assert_eq!(base.corpus_digest, r.corpus_digest);
         assert_eq!(
             base.witnesses.iter().map(|w| w.schedule.to_text()).collect::<Vec<_>>(),
             r.witnesses.iter().map(|w| w.schedule.to_text()).collect::<Vec<_>>(),
             "witnesses differ across thread counts"
         );
-        assert_eq!(comparable_json(base), comparable_json(r));
     }
 }
 

@@ -655,8 +655,7 @@ fn explored_states_fingerprint_incrementally_after_parent_moves() {
     }
 
     // ABD over lossy links: under dpor from the initial state, and under
-    // sleep sets from a root one step in, with messages already pending
-    // (the dpor shadow starts empty, so it needs an initial root).
+    // sleep sets from a root one step in, with messages already pending.
     let n = 3;
     let (s, scripts) = two_writer_workload();
     let pattern = FailurePattern::all_correct(n);
@@ -666,4 +665,29 @@ fn explored_states_fingerprint_incrementally_after_parent_moves() {
     root.step(Choice { p: ProcessId(0), deliver: None }, &sigma_s);
     assert!(root.network().in_flight() > 0);
     assert_explored_incrementally(&root, &sigma_s, ExploreConfig::new(5));
+}
+
+/// A dpor root may already have messages pending: the happens-before
+/// shadow starts with one zero stamp per pending message, so exploring
+/// ABD over lossy links one step in neither panics nor disagrees with
+/// the sleep-set engine, serially or through `explore_par`.
+#[test]
+fn dpor_explores_from_a_root_with_pending_messages() {
+    let n = 3;
+    let (s, scripts) = two_writer_workload();
+    let pattern = FailurePattern::all_correct(n);
+    let sigma_s = SigmaS::new(s, &pattern, 0);
+    let mut root = sim(abd_processes(s, n, scripts), &pattern, &lossy(n));
+    root.step(Choice { p: ProcessId(0), deliver: None }, &sigma_s);
+    assert!(root.network().in_flight() > 0);
+    let check = || {
+        |s: &Simulation<_>| {
+            check_linearizable(&s.trace().op_records(), None).map_err(|e| e.to_string())
+        }
+    };
+    let por = explore_with(&root, &sigma_s, &ExploreConfig::new(6), &mut check());
+    let cfg = ExploreConfig::new(6).dpor(true);
+    let dpor = explore_with(&root, &sigma_s, &cfg, &mut check());
+    assert_eq!(dpor.ok(), por.ok(), "{por:?}\n{dpor:?}");
+    assert_eq!(explore_par(&root, &sigma_s, &cfg.threads(2), check), dpor);
 }
