@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn file_header_pragma_covers_every_index_site() {
         let src = r#"
-            // sih-analysis: allow(index-reachable) — Fenwick bounds held by construction
+            // sih-analysis: allow(index-reachable) — bounds held by construction
             fn fingerprint(xs: &[u32]) { let x = xs[0]; }
             fn fingerprint_into(xs: &[u32]) { let y = xs[1]; }
         "#;

@@ -35,7 +35,8 @@ fn bench_fanout(c: &mut Criterion) {
 }
 
 /// FIFO delivery from a deep arrival queue (the ABD client draining `n`
-/// acks): Fenwick-backed tombstoning keeps each delivery O(log q).
+/// acks): each delivery pops the front of the destination's ring
+/// buffer in O(1).
 fn bench_deliver(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_deliver");
     for depth in [1_000usize, 100_000] {

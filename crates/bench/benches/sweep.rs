@@ -48,9 +48,9 @@ fn bench_sweep_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The queue `Network` used before the order-statistics rewrite: a plain
-/// `Vec` with `remove(index)` for delivery and full scans for the oldest
-/// message — kept here as the before/after baseline.
+/// The first `Network` queue: a plain `Vec` with `remove(index)` for
+/// delivery and full scans for the oldest message — kept here as the
+/// baseline for the front-ordered arrival queue.
 #[derive(Default)]
 struct NaiveQueue {
     slots: Vec<(u64, Time)>,

@@ -75,7 +75,16 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!("{USAGE}");
-        eprintln!("experiments: {}", EXPERIMENT_IDS.join(", "));
+        // `lab faults` (`byzantine`, `fuzz`) runs the bench of that name,
+        // so those experiments can only run inside `lab all`.
+        let (alone, in_all): (Vec<&str>, Vec<&str>) = EXPERIMENT_IDS.iter().partition(|id| {
+            matches!(parse_args(&[id.to_string()]).map(|inv| inv.verb), Ok(Verb::Experiment(..)))
+        });
+        eprintln!("experiments: {}", alone.join(", "));
+        eprintln!(
+            "experiments run only inside `lab all`: {} (`lab <name>` runs that bench)",
+            in_all.join(", ")
+        );
         let workloads: Vec<&str> = repro::WORKLOADS.iter().map(|w| w.name).collect();
         eprintln!("repro workloads: {}", workloads.join(", "));
         return ExitCode::FAILURE;

@@ -16,6 +16,31 @@ fn no_arguments_prints_usage_and_fails() {
     assert!(err.contains("e1"), "{err}");
 }
 
+/// Every experiment id the usage text offers runs as `lab <id>`; the
+/// ones whose names a bench verb claims are listed apart.
+#[test]
+fn every_listed_experiment_id_parses_to_an_experiment() {
+    let out = lab().output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let listed = err
+        .lines()
+        .find_map(|l| l.strip_prefix("experiments: "))
+        .unwrap_or_else(|| panic!("no experiment list: {err}"));
+    let ids: Vec<&str> = listed.split(", ").collect();
+    assert_eq!(ids.len(), 15, "{listed}");
+    for id in ids {
+        let inv = sih_lab::cli::parse_args(&[id.to_string()]).expect("a listed id parses");
+        assert!(
+            matches!(inv.verb, sih_lab::cli::Verb::Experiment(..)),
+            "`lab {id}` is no experiment"
+        );
+    }
+    assert!(
+        err.contains("experiments run only inside `lab all`: faults, byzantine, fuzz"),
+        "{err}"
+    );
+}
+
 #[test]
 fn unknown_command_fails() {
     let out = lab().arg("e99").output().expect("binary runs");

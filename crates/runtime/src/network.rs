@@ -9,25 +9,25 @@
 //!
 //! # Performance
 //!
-//! The engine sends every message at the current step time, so each
-//! queue's `sent_at` sequence is nondecreasing in arrival order (a
-//! `debug_assert` in [`Network::send`] enforces this). The queue exploits
-//! that invariant: the *oldest* pending message is always the queue
-//! front, so [`Network::oldest_sent_at`] and [`Network::oldest_index`]
-//! are O(1) — schedulers consult them for every process on every step,
-//! which used to cost a full O(queue) rescan each. Delivery by arbitrary
-//! index is an order-statistics selection over a tombstoned arrival
-//! buffer (a Fenwick tree of alive counts): O(log queue) instead of the
-//! old `Vec::remove` O(queue) memmove, with an O(1) front fast path and
-//! amortized O(1) compaction.
+//! Each destination's pending messages sit in one ring buffer
+//! (`VecDeque`) in arrival order. Sending appends at the back,
+//! delivering index 0 pops the front, and delivering any other index
+//! shifts the shorter side of the buffer over the gap:
+//! O(min(i, len − i)) moves of inline slots. The engine sends every
+//! message at the current step time, so each queue's `sent_at` sequence
+//! is nondecreasing in arrival order (a `debug_assert` in
+//! [`Network::send`] enforces this). The *oldest* pending message is
+//! therefore always the queue front, so [`Network::oldest_sent_at`] and
+//! [`Network::oldest_index`] are O(1) — schedulers consult them for
+//! every process on every step.
 
 // sih-analysis: allow(index-reachable) — queues and per-link counters are n/n²-sized arrays
-// indexed by ProcessId and link ids validated at construction; Fenwick offsets stay in range
-// by the tree's size invariant (see ArrivalQueue docs).
+// indexed by ProcessId and link ids validated at construction.
 use crate::automaton::{Envelope, MsgId};
 use crate::fingerprint::{debug_fp, mix64, Fnv64, StateHasher};
 use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A protocol message the mutation adversary knows how to corrupt.
@@ -72,7 +72,7 @@ fn corrupt_thunk<M: Corruptible>(m: &M, kind: MutationKind, x: u64) -> Option<M>
 ///
 /// The payload sits inline. Protocol messages are plain data without
 /// heap fields, so copying a queue (the explorer's per-edge
-/// `clone_from`) is a flat copy of its slot array.
+/// `clone_from`) is a flat copy of its slots.
 #[derive(Clone, Debug)]
 struct Slot<M> {
     id: MsgId,
@@ -101,184 +101,6 @@ pub struct EnvelopeRef<'a, M> {
     pub sent_at: Time,
     /// The protocol payload.
     pub payload: &'a M,
-}
-
-/// One process's pending queue: arrival-ordered slots with tombstones.
-///
-/// Alive envelopes keep their arrival order; delivered ones leave `None`
-/// tombstones that a Fenwick tree of alive counts skips in O(log n).
-/// Tombstones are compacted away once they outnumber the alive messages,
-/// so space and per-op cost stay amortized O(alive).
-#[derive(Debug)]
-struct ArrivalQueue<M> {
-    /// Arrival-ordered slots; `None` marks a delivered message.
-    slots: Vec<Option<Slot<M>>>,
-    /// Fenwick tree over alive flags; `tree[i]` is node `i + 1`.
-    tree: Vec<usize>,
-    /// Position of the first alive slot (== `slots.len()` when empty).
-    head: usize,
-    /// Number of alive slots.
-    alive: usize,
-    /// Largest `sent_at` enqueued so far (monotonicity watermark).
-    last_sent_at: Time,
-}
-
-// Manual Clone so `clone_from` (explorer child materialization) reuses
-// the slot and Fenwick-tree allocations of the destination queue.
-impl<M: Clone> Clone for ArrivalQueue<M> {
-    fn clone(&self) -> Self {
-        ArrivalQueue {
-            slots: self.slots.clone(),
-            tree: self.tree.clone(),
-            head: self.head,
-            alive: self.alive,
-            last_sent_at: self.last_sent_at,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.slots.clone_from(&source.slots);
-        self.tree.clone_from(&source.tree);
-        self.head = source.head;
-        self.alive = source.alive;
-        self.last_sent_at = source.last_sent_at;
-    }
-}
-
-impl<M> Default for ArrivalQueue<M> {
-    fn default() -> Self {
-        ArrivalQueue {
-            slots: Vec::new(),
-            tree: Vec::new(),
-            head: 0,
-            alive: 0,
-            last_sent_at: Time::ZERO,
-        }
-    }
-}
-
-impl<M> ArrivalQueue<M> {
-    fn len(&self) -> usize {
-        self.alive
-    }
-
-    fn front(&self) -> Option<&Slot<M>> {
-        if self.alive == 0 {
-            None
-        } else {
-            self.slots[self.head].as_ref()
-        }
-    }
-
-    /// Alive slots in arrival order.
-    fn iter(&self) -> impl Iterator<Item = &Slot<M>> {
-        self.slots[self.head..].iter().flatten()
-    }
-
-    fn push(&mut self, slot: Slot<M>) {
-        debug_assert!(
-            slot.sent_at >= self.last_sent_at,
-            "send times must be nondecreasing per queue ({:?} after {:?})",
-            slot.sent_at,
-            self.last_sent_at,
-        );
-        self.last_sent_at = slot.sent_at;
-        if self.alive == 0 {
-            // The queue may be all tombstones; restart it so `head` and
-            // the tree stay small.
-            self.slots.clear();
-            self.tree.clear();
-            self.head = 0;
-        }
-        self.slots.push(Some(slot));
-        self.fenwick_append_one();
-        self.alive += 1;
-    }
-
-    /// Removes the `index`-th alive slot (0 = oldest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    fn remove(&mut self, index: usize) -> Slot<M> {
-        assert!(index < self.alive, "delivery index {index} out of range");
-        let pos = if index == 0 { self.head } else { self.select(index) };
-        let slot = self.slots[pos]
-            .take()
-            .expect("invariant: Fenwick selection only ever lands on alive (non-tombstone) slots");
-        self.fenwick_sub_one(pos + 1);
-        self.alive -= 1;
-        if pos == self.head {
-            while self.head < self.slots.len() && self.slots[self.head].is_none() {
-                self.head += 1;
-            }
-        }
-        if self.slots.len() >= 64 && self.alive * 2 < self.slots.len() {
-            self.compact();
-        }
-        slot
-    }
-
-    /// Drops tombstones, rebuilding the tree over the alive prefix.
-    fn compact(&mut self) {
-        self.slots.retain(Option::is_some);
-        self.head = 0;
-        // All slots alive ⇒ node `i` covers exactly `lowbit(i)` ones.
-        self.tree.clear();
-        self.tree.extend((1..=self.slots.len()).map(|i| i & i.wrapping_neg()));
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.tree.clear();
-        self.head = 0;
-        self.alive = 0;
-        self.last_sent_at = Time::ZERO;
-    }
-
-    /// Sum of alive flags over slot positions `1..=i` (1-indexed).
-    fn fenwick_prefix(&self, mut i: usize) -> usize {
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.tree[i - 1];
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-
-    /// Appends one slot with alive flag 1 as Fenwick node `len + 1`.
-    fn fenwick_append_one(&mut self) {
-        let pos = self.tree.len() + 1;
-        let lowbit = pos & pos.wrapping_neg();
-        let below = self.fenwick_prefix(pos - 1) - self.fenwick_prefix(pos - lowbit);
-        self.tree.push(below + 1);
-    }
-
-    /// Subtracts 1 from the alive flag at slot position `i` (1-indexed).
-    fn fenwick_sub_one(&mut self, mut i: usize) {
-        while i <= self.tree.len() {
-            self.tree[i - 1] -= 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Slot position of the `k`-th alive envelope (0-indexed) by Fenwick
-    /// binary descent: the largest prefix with fewer than `k + 1` ones.
-    fn select(&self, k: usize) -> usize {
-        debug_assert!(k < self.alive);
-        let mut pos = 0;
-        let mut remaining = k + 1;
-        let mut mask = 1usize << (usize::BITS - 1 - self.tree.len().leading_zeros());
-        while mask > 0 {
-            let next = pos + mask;
-            if next <= self.tree.len() && self.tree[next - 1] < remaining {
-                remaining -= self.tree[next - 1];
-                pos = next;
-            }
-            mask >>= 1;
-        }
-        pos
-    }
 }
 
 /// Installed link-fault adversary: the plan plus the per-directed-link
@@ -368,7 +190,7 @@ impl<M: fmt::Debug> fmt::Debug for AdversaryState<M> {
 #[derive(Debug)]
 pub struct Network<M> {
     /// `queues[to]`: messages awaiting delivery at `to`, in arrival order.
-    queues: Vec<ArrivalQueue<M>>,
+    queues: Vec<VecDeque<Slot<M>>>,
     next_id: u64,
     sent_count: u64,
     delivered_count: u64,
@@ -412,7 +234,13 @@ impl<M: Clone> Clone for Network<M> {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.queues.clone_from(&source.queues);
+        // Clear and refill each queue so its ring buffer is reused: the
+        // explorer copies a network on every edge.
+        self.queues.resize_with(source.queues.len(), VecDeque::new);
+        for (dst, src) in self.queues.iter_mut().zip(&source.queues) {
+            dst.clear();
+            dst.extend(src.iter().cloned());
+        }
         self.next_id = source.next_id;
         self.sent_count = source.sent_count;
         self.delivered_count = source.delivered_count;
@@ -606,7 +434,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
     /// An empty network over `n` processes.
     pub fn new(n: usize) -> Self {
         Network {
-            queues: (0..n).map(|_| ArrivalQueue::default()).collect(),
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
             next_id: 0,
             sent_count: 0,
             delivered_count: 0,
@@ -880,14 +708,21 @@ impl<M: Clone + fmt::Debug> Network<M> {
             };
         self.add_queued(to, copies, fp);
         let queue = &mut self.queues[to.index()];
-        let was_empty = queue.len() == 0;
+        let was_empty = queue.is_empty();
+        if let Some(last) = queue.back() {
+            debug_assert!(
+                sent_at >= last.sent_at,
+                "send times must be nondecreasing per queue ({sent_at:?} after {:?})",
+                last.sent_at,
+            );
+        }
         for _ in 1..copies {
             let payload = payload.clone();
-            queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
+            queue.push_back(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
         }
         // The last copy moves the payload: the reliable fast path
         // (copies == 1) clones nothing.
-        queue.push(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
+        queue.push_back(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
         if was_empty {
             if let Some(tracked) = &mut self.woken {
                 tracked.push(to);
@@ -958,7 +793,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
     /// message pending at `to`. O(1): always the front, by monotonicity
     /// (ties broken towards the front, as before the queue rewrite).
     pub fn oldest_index(&self, to: ProcessId) -> Option<usize> {
-        if self.queues[to.index()].len() == 0 {
+        if self.queues[to.index()].is_empty() {
             None
         } else {
             Some(0)
@@ -972,7 +807,10 @@ impl<M: Clone + fmt::Debug> Network<M> {
     ///
     /// Panics if `index` is out of range.
     pub fn deliver(&mut self, to: ProcessId, index: usize) -> Envelope<M> {
-        let slot = self.queues[to.index()].remove(index);
+        let queue = &mut self.queues[to.index()];
+        assert!(index < queue.len(), "delivery index {index} out of range");
+        let slot = if index == 0 { queue.pop_front() } else { queue.remove(index) }
+            .expect("invariant: the index was checked against the queue length");
         if let Some(sum) = self.queue_sum.get_mut() {
             *sum = sum.wrapping_sub(queued_term(to, slot.envelope_fp()));
         }
@@ -1030,7 +868,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
 
     /// Total messages still in flight.
     pub fn in_flight(&self) -> usize {
-        self.queues.iter().map(ArrivalQueue::len).sum()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Approximate heap usage of the queue structures in bytes
@@ -1039,15 +877,8 @@ impl<M: Clone + fmt::Debug> Network<M> {
     /// own none).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.queues.capacity() * size_of::<ArrivalQueue<M>>()
-            + self
-                .queues
-                .iter()
-                .map(|q| {
-                    q.slots.capacity() * size_of::<Option<Slot<M>>>()
-                        + q.tree.capacity() * size_of::<usize>()
-                })
-                .sum::<usize>()
+        self.queues.capacity() * size_of::<VecDeque<Slot<M>>>()
+            + self.queues.iter().map(|q| q.capacity() * size_of::<Slot<M>>()).sum::<usize>()
     }
 }
 
