@@ -11,10 +11,10 @@
 //! spectrum.
 
 use sih_model::{ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Protocol messages of the Paxos baseline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum PaxosMsg {
     /// Phase 1a: leader solicits promises for a ballot.
     Prepare {
@@ -47,6 +47,39 @@ pub enum PaxosMsg {
     },
     /// Learned decision, flooded.
     Decided(Value),
+}
+
+impl StateHash for PaxosMsg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            PaxosMsg::Prepare { bal } => {
+                h.write_u64(0);
+                h.write(bal);
+            }
+            PaxosMsg::Promise { bal, accepted } => {
+                h.write_u64(1);
+                h.write(bal);
+                h.write(accepted);
+            }
+            PaxosMsg::Nack { bal } => {
+                h.write_u64(2);
+                h.write(bal);
+            }
+            PaxosMsg::Accept { bal, v } => {
+                h.write_u64(3);
+                h.write(bal);
+                h.write(v);
+            }
+            PaxosMsg::Accepted { bal } => {
+                h.write_u64(4);
+                h.write(bal);
+            }
+            PaxosMsg::Decided(w) => {
+                h.write_u64(5);
+                h.write(w);
+            }
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -38,10 +38,10 @@
 //! (Theorem 4).
 
 use sih_model::{FdOutput, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Protocol messages of Figure 2.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Fig2Msg {
     /// `(D, w)`: a decided (or non-active) value, flooded.
     Decision(Value),
@@ -49,6 +49,25 @@ pub enum Fig2Msg {
     Phase1(Value),
     /// `(2, You)`: the Phase 2 echo; `None` is the paper's `⊥`.
     Phase2(Option<Value>),
+}
+
+impl StateHash for Fig2Msg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            Fig2Msg::Decision(w) => {
+                h.write_u64(0);
+                h.write(w);
+            }
+            Fig2Msg::Phase1(w) => {
+                h.write_u64(1);
+                h.write(w);
+            }
+            Fig2Msg::Phase2(w) => {
+                h.write_u64(2);
+                h.write(w);
+            }
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -44,16 +44,32 @@
 //! decisions this yields `(n−k)`-set agreement (Theorem 8(a)).
 
 use sih_model::{FdOutput, ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Protocol messages of Figure 4.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Fig4Msg {
     /// `(D, w)`: a decided (or non-active) value, flooded.
     Decision(Value),
     /// `(v, i)`: value `v` published under index `i` (reliable broadcast
     /// via relay-once, Task 1 lines 14–17).
     Tagged(Value, ProcessId),
+}
+
+impl StateHash for Fig4Msg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            Fig4Msg::Decision(w) => {
+                h.write_u64(0);
+                h.write(w);
+            }
+            Fig4Msg::Tagged(v, i) => {
+                h.write_u64(1);
+                h.write(v);
+                h.write(i);
+            }
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -15,15 +15,30 @@
 //! majority is correct" — the substrate Theorem 12's argument runs on.
 
 use sih_model::{FdOutput, ProcSet, ProcessSet};
-use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Protocol messages of the quorum `Σ` emulation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum QuorumMsg {
     /// "Are you there?" for the sender's given round.
     Ping(u64),
     /// "I am" for the given round.
     Ack(u64),
+}
+
+impl StateHash for QuorumMsg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            QuorumMsg::Ping(r) => {
+                h.write_u64(0);
+                h.write(r);
+            }
+            QuorumMsg::Ack(r) => {
+                h.write_u64(1);
+                h.write(r);
+            }
+        }
+    }
 }
 
 /// One process of the §2.2 quorum algorithm emulating `Σ_S`.

@@ -447,15 +447,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn bench_counters_are_worker_count_independent() {
-        let serial = run_faults_bench(&FaultsLabConfig { threads: 1, ..tiny() });
-        let par = run_faults_bench(&FaultsLabConfig { threads: 3, ..tiny() });
-        // The artifact must be comparable across CI runners: everything
-        // but the wall clock and the worker count is identical whatever
-        // the thread count.
-        assert_eq!(serial.cells, par.cells);
-        assert_eq!(serial.starved, par.starved);
-    }
 }

@@ -459,19 +459,4 @@ mod tests {
             assert!(rep.matches, "{}: `{}` vs `{}`", s.checker, s.verdict, rep.verdict);
         }
     }
-
-    #[test]
-    fn fuzz_bench_is_worker_count_independent() {
-        let serial = run_fuzz_bench(&tiny(), &[]);
-        let par = run_fuzz_bench(&FuzzLabConfig { threads: 3, ..tiny() }, &[]);
-        assert_eq!(serial.executed, par.executed);
-        assert_eq!(serial.distinct_fingerprints, par.distinct_fingerprints);
-        assert_eq!(serial.violations, par.violations);
-        assert_eq!(serial.corpus, par.corpus);
-        assert_eq!(serial.corpus_digest, par.corpus_digest);
-        assert_eq!(
-            serial.witnesses.iter().map(|w| w.schedule.to_text()).collect::<Vec<_>>(),
-            par.witnesses.iter().map(|w| w.schedule.to_text()).collect::<Vec<_>>()
-        );
-    }
 }

@@ -16,7 +16,7 @@
 //! the original Figure 6 through the identical setup as a control.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Corruptible, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StateHash, StateHasher, StepInput};
 
 /// Figure 6 with the CHANGE handshake deleted (an intentionally broken
 /// variant). Message type matches [`Fig6Msg`](crate::Fig6Msg) minus the
@@ -32,12 +32,27 @@ pub struct Fig6WithoutChange {
 }
 
 /// Announcement messages of the ablated emulation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum AblatedFig6Msg {
     /// `(NONACTIVE, p)`.
     NonActive(ProcessId),
     /// `(ACTIVE, p)`.
     Active(ProcessId),
+}
+
+impl StateHash for AblatedFig6Msg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            AblatedFig6Msg::NonActive(p) => {
+                h.write_u64(0);
+                h.write(p);
+            }
+            AblatedFig6Msg::Active(p) => {
+                h.write_u64(1);
+                h.write(p);
+            }
+        }
+    }
 }
 
 /// Opts in to the mutation algebra with no mutations: every adversary

@@ -10,7 +10,7 @@
 //! algorithm must break.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Candidate `Σ_{p,q}`-from-`σ` emulation #1: **mirror** — output `σ`'s
 /// trusted set when it is nonempty, otherwise trust the whole pair.
@@ -69,12 +69,21 @@ pub struct GossipPairCandidate {
 }
 
 /// Messages of [`GossipPairCandidate`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum GossipMsg {
     /// "Anyone there?"
     Ping,
     /// "I am."
     Pong,
+}
+
+impl StateHash for GossipMsg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(match self {
+            GossipMsg::Ping => 0,
+            GossipMsg::Pong => 1,
+        });
+    }
 }
 
 impl GossipPairCandidate {

@@ -35,10 +35,10 @@
 //! simply stays `min`, which the case analysis absorbs.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Effects, StateHasher, StepInput};
+use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 
 /// Protocol messages of the Figure 6 emulation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Fig6Msg {
     /// `(NONACTIVE, p)`: `p` announces `σ` answered it `⊥`.
     NonActive(ProcessId),
@@ -46,6 +46,22 @@ pub enum Fig6Msg {
     Active(ProcessId),
     /// The min-active process's hand-over to the max-active one.
     Change,
+}
+
+impl StateHash for Fig6Msg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            Fig6Msg::NonActive(p) => {
+                h.write_u64(0);
+                h.write(p);
+            }
+            Fig6Msg::Active(p) => {
+                h.write_u64(1);
+                h.write(p);
+            }
+            Fig6Msg::Change => h.write_u64(2),
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

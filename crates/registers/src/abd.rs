@@ -36,7 +36,7 @@ pub struct Timestamp {
 }
 
 /// Protocol messages of the ABD emulation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum AbdMsg {
     /// Phase 1 query.
     Query {
@@ -66,6 +66,33 @@ pub enum AbdMsg {
         /// Echoed phase tag.
         tag: u64,
     },
+}
+
+impl StateHash for AbdMsg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            AbdMsg::Query { tag } => {
+                h.write_u64(0);
+                h.write(tag);
+            }
+            AbdMsg::QueryAck { tag, ts, v } => {
+                h.write_u64(1);
+                h.write(tag);
+                h.write(ts);
+                h.write(v);
+            }
+            AbdMsg::Update { tag, ts, v } => {
+                h.write_u64(2);
+                h.write(tag);
+                h.write(ts);
+                h.write(v);
+            }
+            AbdMsg::UpdateAck { tag } => {
+                h.write_u64(3);
+                h.write(tag);
+            }
+        }
+    }
 }
 
 #[derive(Clone, Debug)]

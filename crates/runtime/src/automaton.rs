@@ -9,7 +9,7 @@
 //! cares about (decisions, emulated failure-detector outputs, register
 //! operation events, halting).
 
-use crate::fingerprint::StateHasher;
+use crate::fingerprint::{StateHash, StateHasher};
 use sih_model::{FdOutput, OpId, OpKind, ProcessId, Time, Value};
 
 /// Unique identifier of a message within a run (assigned at send time, in
@@ -347,7 +347,14 @@ pub trait Automaton {
     /// the bound stays so the trait's contract, and every bound written
     /// against it, is unchanged. Protocol messages are plain data, so
     /// both hold structurally.
-    type Msg: Clone + std::fmt::Debug + Send + Sync;
+    ///
+    /// [`StateHash`] is how a queued message enters a state fingerprint
+    /// (one envelope hash per send, no formatting), and `Ord` is the
+    /// canonical content order the explorer enumerates deliveries in.
+    /// Both must agree with `Debug` equality, which stays for display:
+    /// derive `Ord` next to `PartialEq`, and write the `StateHash`
+    /// encoding under the contract [`StateHash`] states.
+    type Msg: Clone + std::fmt::Debug + Send + Sync + StateHash + Ord;
 
     /// Executes one atomic step.
     fn step(&mut self, input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>);
@@ -388,8 +395,8 @@ pub trait Automaton {
     ///   order, through [`StateHasher::write`] (see [`StateHash`] for the
     ///   plain-data encodings). Write a tag word before an enum's payload
     ///   and a length before variable-size data, so the encoding stays
-    ///   injective. Protocol messages held in state, which implement
-    ///   only `Debug`, go through [`StateHasher::write_debug`].
+    ///   injective. Protocol messages held in state go through their own
+    ///   [`StateHash`] encoding, like any other field.
     /// * **Skip** what `Debug` does not show: caches, capacities, and the
     ///   configuration of wrappers whose `Debug` forwards to the wrapped
     ///   automaton. A wrapper forwards to its inner automaton's
@@ -398,9 +405,8 @@ pub trait Automaton {
     /// The default hashes the `Debug` rendering itself, which meets the
     /// contract trivially but costs a formatter pass per call. It exists
     /// for wrappers outside this workspace (timing or logging shims whose
-    /// `Debug` forwards); every automaton in this workspace overrides it.
-    ///
-    /// [`StateHash`]: crate::StateHash
+    /// `Debug` forwards); every automaton in this workspace overrides it,
+    /// and it is the only place a state fingerprint formats text.
     fn hash_state(&self, h: &mut StateHasher)
     where
         Self: std::fmt::Debug,

@@ -22,8 +22,9 @@
 //!   `now` is hashed, and detector outputs are pure functions of
 //!   `(process, time)`.
 //! * **Canonical content-ordered expansion** — each process's delivery
-//!   menu is enumerated sorted by memoized envelope fingerprint (ties
-//!   oldest-first), and sleep sets key on *content*
+//!   menu is enumerated sorted by `(from, payload)` — the payload's
+//!   derived `Ord` — with equal envelopes oldest-first, and sleep sets
+//!   key on *content*
 //!   ([`crate::dpor::SleepKey`]: process + envelope fingerprint), never
 //!   on queue position. Two states whose queues are permutations of each
 //!   other therefore expand pairwise fingerprint-equal children with
@@ -114,7 +115,7 @@ pub struct ExploreConfig {
     /// every pending message.
     ///
     /// A finite cap samples the first `cap` messages of the **canonical
-    /// content order** (sorted by envelope fingerprint, ties
+    /// content order** (sorted by `(from, payload)`, ties
     /// oldest-first) — a prefix the order-insensitive multiset
     /// fingerprint fully determines, so dedup stays sound at any cap.
     /// Sleep sets are cap-sound too: they key on content
@@ -815,7 +816,7 @@ where
 
     /// Materializes every child of `sim` not asleep under `sleep`, in
     /// canonical order (processes ascending; per process the no-delivery
-    /// step, then deliveries sorted by envelope fingerprint), computing
+    /// step, then deliveries sorted by `(from, payload)`), computing
     /// each child's sleep set (and happens-before shadow under dpor).
     /// Updates the `pruned`/`races` counters.
     ///
@@ -846,15 +847,13 @@ where
         let mut menu = mem::take(&mut self.menu);
         for p in sim.schedulable_set().iter() {
             // Canonical content-ordered delivery menu: the pending
-            // messages sorted by envelope fingerprint, ties
-            // oldest-first. A finite cap keeps a prefix of *this* order,
-            // so the menu — and every sleep key derived from it — is a
-            // pure function of the queue's content multiset, never of
-            // arrival order. The concrete alive index still rides along
-            // for [`Simulation::step`] and the replayable script.
-            menu.clear();
-            menu.extend(sim.network().pending_envelope_fps(p).enumerate().map(|(i, fp)| (fp, i)));
-            menu.sort_unstable();
+            // messages sorted by `(from, payload)`, ties oldest-first.
+            // A finite cap keeps a prefix of *this* order, so the menu —
+            // and every sleep key derived from it — is a pure function
+            // of the queue's content multiset, never of arrival order or
+            // of a hash value. The concrete alive index still rides
+            // along for [`Simulation::step`] and the replayable script.
+            sim.network().content_menu(p, &mut menu);
             let tried = menu.len().min(self.cfg.max_deliveries);
             for d in 0..=tried {
                 let (key, choice) = match d.checked_sub(1) {

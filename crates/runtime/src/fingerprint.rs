@@ -10,15 +10,18 @@
 //!
 //! * [`StateHasher`] folds whole `u64` words through the splitmix64
 //!   finalizer. [`Simulation::fingerprint`](crate::Simulation::fingerprint)
-//!   uses it: automata feed their fields word by word through
-//!   [`Automaton::hash_state`](crate::Automaton::hash_state), and plain
-//!   data types feed themselves through [`StateHash`].
-//! * [`Fnv64`] is FNV-1a/64 over bytes. It hashes `Debug` renderings
-//!   (message payloads, the [`Automaton::hash_state`](crate::Automaton::hash_state)
-//!   default for wrappers outside this workspace), sleep-set contexts and
-//!   schedule/corpus digests. Envelope fingerprints stay on FNV because
-//!   they order the explorer's delivery menu: changing them would change
-//!   exploration order.
+//!   uses it for everything it hashes: automata feed their fields word by
+//!   word through [`Automaton::hash_state`](crate::Automaton::hash_state),
+//!   and plain data — message payloads, envelopes, the installed fault
+//!   plans — feed themselves through [`StateHash`].
+//! * [`Fnv64`] is FNV-1a/64 over bytes. It hashes schedule text (the
+//!   [`Schedule::digest`](crate::Schedule::digest) of the fuzzer's corpus
+//!   dedup, streamed without building the text), sleep-set contexts and
+//!   corpus digests, plus the `Debug` rendering behind
+//!   [`StateHasher::write_debug`] — the
+//!   [`Automaton::hash_state`](crate::Automaton::hash_state) default for
+//!   wrappers outside this workspace, and the one place a fingerprint
+//!   still formats text.
 //!
 //! # Incremental state fingerprints
 //!
@@ -54,10 +57,12 @@
 //! rendering streams straight into it without allocating. Derived `Debug`
 //! output is a pure function of the data (field values in declaration
 //! order — no addresses, no hash-seeded iteration), which makes it a
-//! canonical, if slow, encoding of plain-data state.
+//! canonical, if slow, encoding of plain-data state; it is the yardstick
+//! every [`StateHash`] encoding is tested against.
 
 use sih_model::{
-    FdOutput, OpId, OpKind, OutputTimeline, ProcSet, ProcessId, ProcessSet, Time, Value,
+    AdversaryPlan, FdOutput, LinkFault, LinkFaultPlan, MutationKind, OpId, OpKind, OutputTimeline,
+    ProcSet, ProcessId, ProcessSet, Time, Value,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -143,13 +148,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// FNV-1a/64 of a value's `Debug` rendering.
-pub(crate) fn debug_fp<T: fmt::Debug + ?Sized>(v: &T) -> u64 {
-    let mut f = Fnv64::new();
-    f.write_debug(v);
-    f.finish()
-}
-
 /// The splitmix64 finalizer: a full-avalanche bijection on `u64` (every
 /// input bit flips each output bit with probability about ½).
 #[inline]
@@ -215,11 +213,14 @@ impl StateHasher {
     }
 
     /// Folds a value's `Debug` rendering as one word: the FNV-1a/64 hash
-    /// of the rendered bytes. For values that only implement `Debug`
-    /// (protocol messages held in automaton state, automata outside this
-    /// workspace); equal renderings give equal words.
+    /// of the rendered bytes; equal renderings give equal words. Only the
+    /// default [`Automaton::hash_state`](crate::Automaton::hash_state)
+    /// uses it, for automata outside this workspace that implement
+    /// nothing but `Debug` — it costs a formatter pass per call.
     pub fn write_debug<T: fmt::Debug + ?Sized>(&mut self, v: &T) {
-        self.write_u64(debug_fp(v));
+        let mut f = Fnv64::new();
+        f.write_debug(v);
+        self.write_u64(f.finish());
     }
 
     /// The current hash value.
@@ -254,7 +255,32 @@ macro_rules! state_hash_as_u64 {
     )*};
 }
 
-state_hash_as_u64!(u32, u64, usize, bool);
+state_hash_as_u64!(u8, u32, u64, usize, bool);
+
+/// No words: the unit message carries nothing but its arrival.
+impl StateHash for () {
+    #[inline]
+    fn hash_into(&self, _: &mut StateHasher) {}
+}
+
+impl<T: StateHash + ?Sized> StateHash for &T {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        (**self).hash_into(h);
+    }
+}
+
+/// The byte length, then the bytes packed eight to a little-endian word
+/// (the last word zero-padded; the length keeps the padding unambiguous).
+impl StateHash for str {
+    fn hash_into(&self, h: &mut StateHasher) {
+        let bytes = self.as_bytes();
+        h.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
+            h.write_u64(chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
+    }
+}
 
 impl<T: StateHash> StateHash for Option<T> {
     #[inline]
@@ -283,6 +309,13 @@ impl<T: StateHash> StateHash for [T] {
         for v in self {
             v.hash_into(h);
         }
+    }
+}
+
+impl<T: StateHash, const N: usize> StateHash for [T; N] {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        self.as_slice().hash_into(h);
     }
 }
 
@@ -403,6 +436,58 @@ impl StateHash for OutputTimeline {
     }
 }
 
+/// The size, then every window field the plan's `Debug` shows.
+impl StateHash for LinkFaultPlan {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_usize(self.n());
+        h.write_usize(self.windows().len());
+        for w in self.windows() {
+            let (tag, stride, offset) = match w.fault {
+                LinkFault::Drop { stride, offset } => (0, stride, offset),
+                LinkFault::Duplicate { stride, offset } => (1, stride, offset),
+            };
+            h.write(&w.src);
+            h.write(&w.dst);
+            h.write_u64(tag);
+            h.write_u64(stride);
+            h.write_u64(offset);
+            h.write(&w.from);
+            h.write(&w.until);
+        }
+    }
+}
+
+impl StateHash for MutationKind {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(match self {
+            MutationKind::Flip => 0,
+            MutationKind::Perturb => 1,
+            MutationKind::Replay => 2,
+            MutationKind::ForgeSender => 3,
+            MutationKind::ForgeAck => 4,
+        });
+    }
+}
+
+/// The size, then every window field the plan's `Debug` shows.
+impl StateHash for AdversaryPlan {
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_usize(self.n());
+        h.write_usize(self.windows().len());
+        for w in self.windows() {
+            h.write(&w.src);
+            h.write(&w.dst);
+            h.write(&w.kind);
+            h.write_u64(w.x);
+            h.write_u64(w.stride);
+            h.write_u64(w.offset);
+            h.write(&w.from);
+            h.write(&w.until);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +567,14 @@ mod tests {
         let fresh: VecDeque<u64> = [1, 2, 3].into_iter().collect();
         assert_eq!(state_fp(&rotated), state_fp(&fresh));
         assert_eq!(state_fp(&rotated), state_fp(&vec![1u64, 2, 3]));
+    }
+
+    #[test]
+    fn strings_hash_their_length_and_bytes() {
+        assert_ne!(state_fp("ab"), state_fp("ab\0"));
+        assert_ne!(state_fp("abcdefgh"), state_fp("abcdefghi"));
+        assert_eq!(state_fp(&"hello"), state_fp("hello"));
+        assert_eq!(state_fp(&[1u8, 2]), state_fp(&vec![1u8, 2]));
     }
 
     #[test]

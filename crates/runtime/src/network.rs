@@ -24,7 +24,7 @@
 // sih-analysis: allow(index-reachable) — queues and per-link counters are n/n²-sized arrays
 // indexed by ProcessId and link ids validated at construction.
 use crate::automaton::{Envelope, MsgId};
-use crate::fingerprint::{debug_fp, mix64, Fnv64, StateHasher};
+use crate::fingerprint::{mix64, StateHash, StateHasher};
 use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -262,14 +262,16 @@ impl<M: Clone> Clone for Network<M> {
     }
 }
 
-/// The `(from, payload)` hash of an envelope: FNV-1a/64 over the sender
-/// id and the payload's `Debug` rendering. It orders the explorer's
-/// delivery menu, so it must stay bit-identical.
-fn envelope_fp<M: fmt::Debug>(from: ProcessId, payload: &M) -> u64 {
-    let mut eh = Fnv64::new();
-    eh.write_u64(u64::from(from.0));
-    eh.write_debug(payload);
-    eh.finish()
+/// The `(from, payload)` hash of an envelope: the sender id and the
+/// payload's structural [`StateHash`] encoding, folded through a
+/// [`StateHasher`]. Equal hashes mean equal `(from, payload)` pairs (up
+/// to 64-bit collisions); only that equality is contractual, never the
+/// value — the explorer orders its delivery menu by content, not by hash.
+fn envelope_fp<M: StateHash>(from: ProcessId, payload: &M) -> u64 {
+    let mut h = StateHasher::new();
+    h.write(&from);
+    h.write(payload);
+    h.finish()
 }
 
 /// One envelope's term in the running queue sum: its fingerprint keyed
@@ -284,7 +286,7 @@ fn queued_term(to: ProcessId, fp: u64) -> u64 {
 /// Odd multiplier keying [`queued_term`] by destination (⌊2⁶⁴/φ⌋).
 const QUEUE_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
 
-impl<M: fmt::Debug> Network<M> {
+impl<M: StateHash> Network<M> {
     /// The queue section of a state fingerprint: the wrapping sum of
     /// [`queued_term`] over every pending envelope — each queue as a
     /// **multiset** of `(sender, payload)` pairs. Message ids and
@@ -298,8 +300,8 @@ impl<M: fmt::Debug> Network<M> {
     /// clones carry it. Runs that never fingerprint never pay per send.
     ///
     /// The multiset view is faithful for the explorer because delivery
-    /// menus are enumerated in canonical content order (the sorted
-    /// [`Network::pending_envelope_fps`]): even a finite delivery cap
+    /// menus are enumerated in canonical content order
+    /// ([`Network::content_menu`]): even a finite delivery cap
     /// samples a content-order prefix the multiset determines. An
     /// order-sensitive sibling, [`Network::queue_sequences`], exists for
     /// callers that distinguish arrival order.
@@ -335,14 +337,30 @@ impl<M: fmt::Debug> Network<M> {
         h.finish()
     }
 
-    /// The envelope fingerprints of the messages pending at `to`, in
-    /// arrival (alive-index) order. The explorer sorts these to build
-    /// its canonical content-ordered delivery menu, which is what lets
-    /// it dedup on the order-insensitive multiset fingerprint even with
-    /// sleep sets and delivery caps on (see `crate::explore`). Uses the
-    /// same memoized per-[`Slot`] hashes as the fingerprint flavors.
-    pub(crate) fn pending_envelope_fps(&self, to: ProcessId) -> impl Iterator<Item = u64> + '_ {
-        self.queues[to.index()].iter().map(Slot::envelope_fp)
+    /// The delivery menu at `to` in canonical content order: one
+    /// `(envelope fingerprint, alive index)` pair per pending message,
+    /// sorted by `(from, payload)` with equal envelopes oldest first.
+    ///
+    /// The order is a pure function of the queue's content multiset,
+    /// never of arrival order or of any hash value, which is what lets
+    /// the explorer dedup on the order-insensitive multiset fingerprint
+    /// even with sleep sets and delivery caps on (see [`explore_with`](crate::explore_with)).
+    /// The fingerprints (memoized per queued message, the same terms the
+    /// queue sum adds up) key the explorer's sleep sets
+    /// ([`SleepKey`](crate::SleepKey)); the indices are what
+    /// [`Network::deliver`] and a replayable [`Choice`](crate::Choice)
+    /// take. `menu` is cleared first, so one buffer serves every call.
+    pub fn content_menu(&self, to: ProcessId, menu: &mut Vec<(u64, usize)>)
+    where
+        M: Ord,
+    {
+        let queue = &self.queues[to.index()];
+        menu.clear();
+        menu.extend(queue.iter().enumerate().map(|(i, s)| (s.envelope_fp(), i)));
+        menu.sort_unstable_by(|&(_, i), &(_, j)| {
+            let (a, b) = (&queue[i], &queue[j]);
+            (a.from, &a.payload, i).cmp(&(b.from, &b.payload, j))
+        });
     }
 
     /// The global counters of a state fingerprint, plus the dropped,
@@ -366,16 +384,16 @@ impl<M: fmt::Debug> Network<M> {
     }
 
     /// The run constants of a state fingerprint: each installed plan's
-    /// `Debug` hash, and the adversary's armor rung. Plans are read-only
-    /// once installed, so callers hash this once per install.
+    /// structural encoding, and the adversary's armor rung. Plans are
+    /// read-only once installed, so callers hash this once per install.
     pub(crate) fn plans_into(&self, h: &mut StateHasher) {
         if let Some(state) = &self.faults {
             h.write_u64(LINK_FAULT_TAG);
-            h.write_u64(debug_fp(&state.plan));
+            h.write(&state.plan);
         }
         if let Some(adv) = &self.adversary {
             h.write_u64(ADVERSARY_TAG);
-            h.write_u64(debug_fp(&adv.plan));
+            h.write(&adv.plan);
             h.write_u64(u64::from(adv.armor.rung()));
         }
     }
@@ -395,15 +413,7 @@ impl<M: fmt::Debug> Network<M> {
             for &k in &adv.sends[row.clone()] {
                 h.write_u64(k);
             }
-            for s in &adv.stash[row] {
-                match s {
-                    None => h.write_u64(0),
-                    Some(m) => {
-                        h.write_u64(1);
-                        h.write_debug(m);
-                    }
-                }
-            }
+            h.write(&adv.stash[row]);
         }
     }
 }
@@ -422,7 +432,7 @@ fn memoized(cell: &Cell<Option<u64>>, f: impl FnOnce() -> u64) -> u64 {
     })
 }
 
-impl<M: fmt::Debug> Slot<M> {
+impl<M: StateHash> Slot<M> {
     /// The [`envelope_fp`] of this envelope, memoized in the slot on
     /// first use (and carried across clones — see [`Slot`]).
     fn envelope_fp(&self) -> u64 {
@@ -430,7 +440,7 @@ impl<M: fmt::Debug> Slot<M> {
     }
 }
 
-impl<M: Clone + fmt::Debug> Network<M> {
+impl<M: Clone + StateHash> Network<M> {
     /// An empty network over `n` processes.
     pub fn new(n: usize) -> Self {
         Network {
@@ -1050,7 +1060,7 @@ mod tests {
 
     /// The network's whole contribution to a state fingerprint, from
     /// scratch.
-    fn fp<M: Clone + fmt::Debug>(net: &Network<M>) -> u64 {
+    fn fp<M: Clone + StateHash>(net: &Network<M>) -> u64 {
         let mut h = StateHasher::new();
         net.counters_into(&mut h);
         net.plans_into(&mut h);
@@ -1227,7 +1237,7 @@ mod tests {
     }
 
     /// The per-slot envelope fingerprints of the queue at `to`.
-    fn slot_fps<M: fmt::Debug>(net: &Network<M>, to: u32) -> Vec<Option<u64>> {
+    fn slot_fps<M: StateHash>(net: &Network<M>, to: u32) -> Vec<Option<u64>> {
         net.queues[to as usize].iter().map(|s| s.fp.get()).collect()
     }
 

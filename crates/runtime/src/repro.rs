@@ -69,7 +69,7 @@
 //! so pre-existing corpus files round-trip byte-identically.
 
 use crate::scheduler::Choice;
-use crate::{Automaton, Simulation};
+use crate::{Automaton, Fnv64, Simulation};
 use sih_model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, LinkFault, LinkFaultPlan,
     LinkFaultWindow, MutationKind, MutationWindow, ProcessId, Time,
@@ -216,27 +216,53 @@ impl Schedule {
     /// exactly, equal digests mean equal schedules (up to hash
     /// collisions) — the corpus-dedup and corpus-summary key of the
     /// fuzzer, identical across thread counts and platforms.
+    ///
+    /// The text streams straight into the hasher through the writer
+    /// [`Schedule::to_text`] uses, so the value is exactly
+    /// `fnv1a_64(self.to_text().as_bytes())` without building the text.
     pub fn digest(&self) -> u64 {
-        crate::fingerprint::fnv1a_64(self.to_text().as_bytes())
+        let mut h = Fnv64::new();
+        self.write_text(&mut h);
+        h.finish()
     }
 
     /// Serializes to the versioned text format (parseable by
     /// [`Schedule::parse`]; round-trips exactly).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        let version = if self.adversary_free() { 1 } else { SCHEDULE_VERSION };
-        out.push_str(&format!("sih-schedule v{version}\n"));
-        out.push_str(&format!("checker: {}\n", self.checker));
-        out.push_str(&format!("n: {}\n", self.n));
-        out.push_str(&format!("k: {}\n", self.k));
-        out.push_str(&format!("seed: {}\n", self.seed));
-        out.push_str(&format!("max-steps: {}\n", self.max_steps));
-        out.push_str(&format!("verdict: {}\n", self.verdict));
+        self.write_text(&mut out);
+        out
+    }
+
+    /// The one writer of the canonical text, shared by
+    /// [`Schedule::to_text`] and [`Schedule::digest`].
+    fn write_text(&self, out: &mut impl TextSink) {
+        out.put("sih-schedule v");
+        out.put_u64(if self.adversary_free() { 1 } else { u64::from(SCHEDULE_VERSION) });
+        out.put("\nchecker: ");
+        out.put(&self.checker);
+        out.put("\nn: ");
+        out.put_u64(self.n as u64);
+        out.put("\nk: ");
+        out.put_u64(self.k as u64);
+        out.put("\nseed: ");
+        out.put_u64(self.seed);
+        out.put("\nmax-steps: ");
+        out.put_u64(self.max_steps);
+        out.put("\nverdict: ");
+        out.put(&self.verdict);
+        out.put("\n");
         for p in self.pattern.all().iter() {
             if self.pattern.crashed_from_start_at(p) {
-                out.push_str(&format!("crash-from-start: {p}\n"));
+                out.put("crash-from-start: ");
+                out.put_pid(p);
+                out.put("\n");
             } else if let Some(t) = self.pattern.crash_time(p) {
-                out.push_str(&format!("crash: {p} @ {}\n", t.0));
+                out.put("crash: ");
+                out.put_pid(p);
+                out.put(" @ ");
+                out.put_u64(t.0);
+                out.put("\n");
             }
         }
         for w in self.faults.windows() {
@@ -244,46 +270,49 @@ impl Schedule {
                 LinkFault::Drop { stride, offset } => ("drop", stride, offset),
                 LinkFault::Duplicate { stride, offset } => ("dup", stride, offset),
             };
-            let until = match w.until {
-                Some(u) => u.0.to_string(),
-                None => "inf".to_string(),
-            };
-            out.push_str(&format!(
-                "link: {kind} {}->{} {offset}%{stride} @[{}, {until})\n",
-                w.src, w.dst, w.from.0
-            ));
+            out.put("link: ");
+            out.put(kind);
+            out.put(" ");
+            out.put_link(w.src, w.dst, offset, stride);
+            out.put_span(w.from, w.until);
+            out.put("\n");
         }
         if !self.adversary_free() {
             if self.armor != Armor::NONE {
-                out.push_str(&format!("armor: {}\n", self.armor.rung()));
+                out.put("armor: ");
+                out.put_u64(u64::from(self.armor.rung()));
+                out.put("\n");
             }
             for w in self.adversary.windows() {
-                let until = match w.until {
-                    Some(u) => u.0.to_string(),
-                    None => "inf".to_string(),
-                };
-                out.push_str(&format!(
-                    "adversary: {} {}->{} {}%{} @[{}, {until}) x={}\n",
-                    w.kind.name(),
-                    w.src,
-                    w.dst,
-                    w.offset,
-                    w.stride,
-                    w.from.0,
-                    w.x
-                ));
+                out.put("adversary: ");
+                out.put(w.kind.name());
+                out.put(" ");
+                out.put_link(w.src, w.dst, w.offset, w.stride);
+                out.put_span(w.from, w.until);
+                out.put(" x=");
+                out.put_u64(w.x);
+                out.put("\n");
             }
             if let Some(a) = self.attack {
-                out.push_str(&format!("attack: {} x={}\n", a.kind.name(), a.x));
+                out.put("attack: ");
+                out.put(a.kind.name());
+                out.put(" x=");
+                out.put_u64(a.x);
+                out.put("\n");
             }
         }
         for c in &self.choices {
+            out.put("choice: ");
+            out.put_pid(c.p);
             match c.deliver {
-                None => out.push_str(&format!("choice: {} .\n", c.p)),
-                Some(i) => out.push_str(&format!("choice: {} {i}\n", c.p)),
+                None => out.put(" .\n"),
+                Some(i) => {
+                    out.put(" ");
+                    out.put_u64(i as u64);
+                    out.put("\n");
+                }
             }
         }
-        out
     }
 
     /// Parses the versioned text format. Blank lines and `#` comments are
@@ -405,6 +434,79 @@ impl Schedule {
             choices,
             verdict,
         })
+    }
+}
+
+/// Where [`Schedule::write_text`] sends the canonical text: a `String`
+/// for [`Schedule::to_text`], an FNV-1a hasher for [`Schedule::digest`].
+/// Numbers are written digit by digit, with no formatter pass.
+trait TextSink {
+    /// Appends `s`.
+    fn put(&mut self, s: &str);
+
+    /// Appends one ASCII byte.
+    fn put_ascii(&mut self, b: u8);
+
+    /// Appends `v` in decimal, most significant digit first.
+    fn put_u64(&mut self, v: u64) {
+        let mut unit = 1;
+        while v / unit >= 10 {
+            unit *= 10;
+        }
+        while unit > 0 {
+            self.put_ascii(b'0' + (v / unit % 10) as u8);
+            unit /= 10;
+        }
+    }
+
+    /// Appends a process id as `pI` (its `Display` form).
+    fn put_pid(&mut self, p: ProcessId) {
+        self.put_ascii(b'p');
+        self.put_u64(u64::from(p.0));
+    }
+
+    /// Appends a window's link and selector, `pI->pJ offset%stride`.
+    fn put_link(&mut self, src: ProcessId, dst: ProcessId, offset: u64, stride: u64) {
+        self.put_pid(src);
+        self.put("->");
+        self.put_pid(dst);
+        self.put_ascii(b' ');
+        self.put_u64(offset);
+        self.put_ascii(b'%');
+        self.put_u64(stride);
+    }
+
+    /// Appends a window's span, ` @[from, until)` with `inf` for a
+    /// window that never heals.
+    fn put_span(&mut self, from: Time, until: Option<Time>) {
+        self.put(" @[");
+        self.put_u64(from.0);
+        self.put(", ");
+        match until {
+            Some(u) => self.put_u64(u.0),
+            None => self.put("inf"),
+        }
+        self.put_ascii(b')');
+    }
+}
+
+impl TextSink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn put_ascii(&mut self, b: u8) {
+        self.push(char::from(b));
+    }
+}
+
+impl TextSink for Fnv64 {
+    fn put(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+
+    fn put_ascii(&mut self, b: u8) {
+        self.write(&[b]);
     }
 }
 

@@ -11,7 +11,7 @@
 // sih-analysis: allow(index-reachable) — procs is n-sized and indexed by ProcessIds from the
 // schedulable set or by choices `step` first asserts alive under the n-process pattern.
 use crate::automaton::{Automaton, Effects, SendOp, StepInput};
-use crate::fingerprint::StateHasher;
+use crate::fingerprint::{StateHash, StateHasher};
 use crate::network::{Corruptible, Network};
 use crate::scheduler::{Choice, FairScheduler, Scheduler};
 use crate::trace::{Trace, TraceLevel};
@@ -34,7 +34,7 @@ trait PendingQueues: fmt::Debug {
     fn oldest_index(&self, p: ProcessId) -> Option<usize>;
 }
 
-impl<M: Clone + fmt::Debug> PendingQueues for Network<M> {
+impl<M: Clone + fmt::Debug + StateHash> PendingQueues for Network<M> {
     fn pending_count(&self, p: ProcessId) -> usize {
         Network::pending_count(self, p)
     }
@@ -984,15 +984,17 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// * per process, one *word* keyed by its id: its automaton state,
     ///   through [`Automaton::hash_state`] (whose contract makes equal
     ///   hashes mean equal `Debug` renderings; a wrapper without an
-    ///   override hashes that rendering itself), whether it halted, its
+    ///   override hashes that rendering itself, the one formatter pass a
+    ///   fingerprint can take), whether it halted, its
     ///   step count, decision (with time) and emulated failure-detector
     ///   timeline, and — when plans are installed — its outgoing
     ///   link-fault and adversary send counters and its stash row;
     /// * the run constants: the failure pattern, and each installed
-    ///   link-fault or adversary plan with the armor rung;
+    ///   link-fault or adversary plan (its [`StateHash`] encoding) with
+    ///   the armor rung;
     /// * the network queues as one **multiset** of `(to, from, payload)`
-    ///   triples (per-envelope FNV-1a/64 hashes of the payload `Debug`,
-    ///   computed once per send);
+    ///   triples (per-envelope [`StateHasher`] hashes of the sender and
+    ///   the payload's [`StateHash`] encoding, computed once per send);
     /// * the current time (`now`), the network's sent/delivered (and,
     ///   when plans are installed, dropped/duplicated/mutated/forged/
     ///   armored) counters, a running hash of the register-operation
@@ -1027,7 +1029,7 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// Queues hash as multisets because two interleavings that send the
     /// same messages in different order produce arrival-permuted queues:
     /// the explorer enumerates deliveries in canonical *content* order
-    /// (sorted by envelope fingerprint) and keys sleep sets by content,
+    /// (sorted by `(from, payload)`) and keys sleep sets by content,
     /// so permuted queues expand pairwise check-equivalent children with
     /// identical sleep contexts — merging the states is sound (even
     /// under a finite `max_deliveries` cap, whose menu is a

@@ -24,19 +24,34 @@
 // sih-analysis: allow(index-reachable) — Stubborn's per-link seq/ack tables are n²-sized at
 // construction and indexed by link ids derived from validated ProcessIds.
 use crate::automaton::{Automaton, Effects, Envelope, StepInput};
-use crate::fingerprint::StateHasher;
+use crate::fingerprint::{StateHash, StateHasher};
 use crate::network::Corruptible;
 use sih_model::{FdOutput, MutationKind, ProcessId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A message of a two-layer protocol stack.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Layered<L, U> {
     /// A message of the emulation (lower) layer.
     Lower(L),
     /// A message of the consumer (upper) layer.
     Upper(U),
+}
+
+impl<L: StateHash, U: StateHash> StateHash for Layered<L, U> {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            Layered::Lower(m) => {
+                h.write_u64(0);
+                h.write(m);
+            }
+            Layered::Upper(m) => {
+                h.write_u64(1);
+                h.write(m);
+            }
+        }
+    }
 }
 
 /// Which layer's emulated output the stack reports to the trace.
@@ -209,7 +224,7 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
 /// at 0); `cum` is the sender's *receive* watermark towards the
 /// destination — the piggybacked cumulative ack "I have every message you
 /// sent me with sequence number `< cum`".
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StubbornMsg<M> {
     /// An inner-protocol message, stubbornly retransmitted until acked.
     Data {
@@ -225,6 +240,23 @@ pub enum StubbornMsg<M> {
         /// Cumulative ack: every reverse-direction `seq < cum` is received.
         cum: u64,
     },
+}
+
+impl<M: StateHash> StateHash for StubbornMsg<M> {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            StubbornMsg::Data { seq, cum, payload } => {
+                h.write_u64(0);
+                h.write_u64(*seq);
+                h.write_u64(*cum);
+                h.write(payload);
+            }
+            StubbornMsg::Ack { cum } => {
+                h.write_u64(1);
+                h.write_u64(*cum);
+            }
+        }
+    }
 }
 
 /// The mutation adversary reaches through the stubborn layer to the
@@ -465,7 +497,7 @@ impl<A: Automaton + fmt::Debug> Automaton for Stubborn<A> {
         for (&(dst, seq), m) in &self.unacked {
             h.write_u64(u64::from(dst));
             h.write_u64(seq);
-            h.write_debug(m);
+            h.write(m);
         }
         h.write(&self.recv_next);
         h.write(&self.recv_ooo);

@@ -29,7 +29,7 @@ struct Ts {
 }
 
 /// Protocol messages of the bridge.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum BridgeMsg {
     /// Phase 1: query a register's replica cell.
     Query {
@@ -67,6 +67,37 @@ pub enum BridgeMsg {
         /// Echoed tag.
         tag: u64,
     },
+}
+
+impl StateHash for BridgeMsg {
+    fn hash_into(&self, h: &mut StateHasher) {
+        match self {
+            BridgeMsg::Query { reg, tag } => {
+                h.write_u64(0);
+                h.write(reg);
+                h.write(tag);
+            }
+            BridgeMsg::QueryAck { tag, ts, pid, v } => {
+                h.write_u64(1);
+                h.write(tag);
+                h.write(ts);
+                h.write(pid);
+                h.write(v);
+            }
+            BridgeMsg::Update { reg, tag, ts, pid, v } => {
+                h.write_u64(2);
+                h.write(reg);
+                h.write(tag);
+                h.write(ts);
+                h.write(pid);
+                h.write(v);
+            }
+            BridgeMsg::UpdateAck { tag } => {
+                h.write_u64(3);
+                h.write(tag);
+            }
+        }
+    }
 }
 
 #[derive(Clone, Debug)]

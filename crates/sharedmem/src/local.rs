@@ -128,6 +128,7 @@ impl<A: SharedAlgorithm> LocalSharedSim<A> {
 mod tests {
     use super::*;
     use crate::shared::RegisterId;
+    use sih_runtime::StateHasher;
 
     /// Writes its id to register `me`, reads register 0, decides what it
     /// read (or its own value if ⊥).
@@ -161,6 +162,11 @@ mod tests {
         }
         fn done(&self) -> bool {
             self.done
+        }
+        fn hash_state(&self, h: &mut StateHasher) {
+            h.write_u64(u64::from(self.phase));
+            h.write(&self.me_val);
+            h.write(&self.done);
         }
     }
 

@@ -67,14 +67,10 @@ pub trait SharedAlgorithm {
     /// Feeds the program's state into a state fingerprint, under the
     /// contract of [`Automaton::hash_state`](sih_runtime::Automaton::hash_state):
     /// equal word sequences exactly when the `Debug` renderings are
-    /// equal. The default hashes the rendering itself; the programs in
-    /// this crate override it field by field.
-    fn hash_state(&self, h: &mut StateHasher)
-    where
-        Self: fmt::Debug,
-    {
-        h.write_debug(self);
-    }
+    /// equal. Hash the fields field by field ([`StateHasher::write`]);
+    /// there is no default, so no program state is fingerprinted
+    /// through a formatter pass.
+    fn hash_state(&self, h: &mut StateHasher);
 }
 
 impl StateHash for RegisterId {

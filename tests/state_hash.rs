@@ -8,6 +8,13 @@
 //! agree on every explorer counter and on the equality classes of the
 //! per-step fingerprints of fair runs.
 //!
+//! Message payloads hash through their own `StateHash` encodings (one
+//! envelope hash per send) and order the explorer's delivery menu
+//! through their derived `Ord`. For every protocol message type, both
+//! must split generated values into exactly the classes `Debug` does;
+//! queues that differ only in arrival order must give the same menu, so
+//! the same sleep keys and the same exploration.
+//!
 //! `Simulation::fingerprint` is incremental (cached per-process words,
 //! a running queue sum); `Simulation::fingerprint_uncached` recomputes
 //! the same value from scratch. Every fair run below, explorer-style
@@ -16,26 +23,29 @@
 
 use sih::agreement::{
     check_k_agreement_safety, distinct_proposals, equivocator_processes, fig2_processes,
-    fig4_processes, paxos_processes, Fig2WithoutPhase2,
+    fig4_processes, paxos_processes, Fig2Msg, Fig2WithoutPhase2, Fig4Msg, PaxosMsg,
 };
-use sih::detectors::{AntiOmega, Omega, QuorumSigma, Sigma, SigmaK, SigmaS, WeakSigmaS};
+use sih::detectors::{AntiOmega, Omega, QuorumMsg, QuorumSigma, Sigma, SigmaK, SigmaS, WeakSigmaS};
 use sih::model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, FdOutput,
-    LinkFaultPlan, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time,
+    LinkFaultPlan, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time, Value,
 };
 use sih::reductions::{
-    fig3_processes, fig5_processes, fig6_processes, AntiOmegaAgreementCandidate, Fig6WithoutChange,
-    GossipPairCandidate, MirrorPairCandidate, MirrorXCandidate, QuorumMinXCandidate,
-    SelfQuietCandidate, Theorem13Transform,
+    fig3_processes, fig5_processes, fig6_processes, AblatedFig6Msg, AntiOmegaAgreementCandidate,
+    Fig6Msg, Fig6WithoutChange, GossipMsg, GossipPairCandidate, MirrorPairCandidate,
+    MirrorXCandidate, QuorumMinXCandidate, SelfQuietCandidate, Theorem13Transform,
 };
 use sih::registers::{
-    abd_processes, check_linearizable, split_ack_processes, two_writer_workload, SigmaExtractor,
+    abd_processes, check_linearizable, split_ack_processes, two_writer_workload, AbdMsg,
+    SigmaExtractor, Timestamp,
 };
 use sih::runtime::{
     explore_par, explore_with, stubborn_processes, Automaton, Choice, Corruptible, Driver, Effects,
-    ExploreConfig, SimPool, Simulation, Stacked, StateHasher, StepInput, Trace, TraceLevel,
+    ExploreConfig, Layered, Network, SimPool, Simulation, SleepKey, Stacked, StateHash,
+    StateHasher, StepInput, StubbornMsg, Trace, TraceLevel,
 };
-use sih::sharedmem::{bridged_processes, CollectMin};
+use sih::sharedmem::{bridged_processes, BridgeMsg, CollectMin, RegisterId};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -690,4 +700,299 @@ fn dpor_explores_from_a_root_with_pending_messages() {
     let dpor = explore_with(&root, &sigma_s, &cfg, &mut check());
     assert_eq!(dpor.ok(), por.ok(), "{por:?}\n{dpor:?}");
     assert_eq!(explore_par(&root, &sigma_s, &cfg.threads(2), check), dpor);
+}
+
+// ---- message payloads ------------------------------------------------------
+
+fn structural<T: StateHash + ?Sized>(v: &T) -> u64 {
+    let mut h = StateHasher::new();
+    h.write(v);
+    h.finish()
+}
+
+/// Over every pair of `values`: equal structural hashes coincide with
+/// equal `Debug` renderings (and, with `ord`, so does `Ord` equality).
+fn assert_debug_classes<T: StateHash + fmt::Debug>(
+    values: &[T],
+    ord: Option<fn(&T, &T) -> Ordering>,
+) {
+    assert!(values.len() > 1);
+    let mut equal_pairs = 0;
+    for a in values {
+        for b in values {
+            let debug_eq = format!("{a:?}") == format!("{b:?}");
+            assert_eq!(structural(a) == structural(b), debug_eq, "hash: {a:?} vs {b:?}");
+            if let Some(cmp) = ord {
+                assert_eq!(cmp(a, b) == Ordering::Equal, debug_eq, "ord: {a:?} vs {b:?}");
+            }
+            equal_pairs += usize::from(debug_eq);
+        }
+    }
+    // Each value is listed twice, so equal pairs are checked too.
+    assert!(equal_pairs >= 2 * values.len(), "no equal pairs among {values:?}");
+}
+
+fn assert_payload_classes<M: StateHash + Ord + fmt::Debug>(values: &[M]) {
+    assert_debug_classes(values, Some(M::cmp));
+}
+
+/// Every value of `gen`, twice over (built independently each time).
+fn twice<M>(gen: impl Fn() -> Vec<M>) -> Vec<M> {
+    let mut v = gen();
+    v.extend(gen());
+    v
+}
+
+fn values() -> Vec<Value> {
+    (0..3).map(Value).collect()
+}
+
+fn opt_values() -> Vec<Option<Value>> {
+    std::iter::once(None).chain(values().into_iter().map(Some)).collect()
+}
+
+fn pids() -> Vec<ProcessId> {
+    (0..3).map(ProcessId).collect()
+}
+
+fn fig2_msgs() -> Vec<Fig2Msg> {
+    let mut v: Vec<Fig2Msg> = values().into_iter().map(Fig2Msg::Decision).collect();
+    v.extend(values().into_iter().map(Fig2Msg::Phase1));
+    v.extend(opt_values().into_iter().map(Fig2Msg::Phase2));
+    v
+}
+
+fn fig4_msgs() -> Vec<Fig4Msg> {
+    let mut v: Vec<Fig4Msg> = values().into_iter().map(Fig4Msg::Decision).collect();
+    for w in values() {
+        v.extend(pids().into_iter().map(|p| Fig4Msg::Tagged(w, p)));
+    }
+    v
+}
+
+fn abd_msgs() -> Vec<AbdMsg> {
+    let mut v = Vec::new();
+    for tag in 0..2 {
+        v.push(AbdMsg::Query { tag });
+        v.push(AbdMsg::UpdateAck { tag });
+        for num in 0..2 {
+            for pid in 0..2 {
+                let ts = Timestamp { num, pid };
+                for w in opt_values() {
+                    v.push(AbdMsg::QueryAck { tag, ts, v: w });
+                    v.push(AbdMsg::Update { tag, ts, v: w });
+                }
+            }
+        }
+    }
+    v
+}
+
+fn paxos_msgs() -> Vec<PaxosMsg> {
+    let mut v = Vec::new();
+    for bal in 0..3 {
+        v.push(PaxosMsg::Prepare { bal });
+        v.push(PaxosMsg::Nack { bal });
+        v.push(PaxosMsg::Accepted { bal });
+        v.push(PaxosMsg::Promise { bal, accepted: None });
+        for w in values() {
+            v.push(PaxosMsg::Accept { bal, v: w });
+            v.push(PaxosMsg::Promise { bal, accepted: Some((bal, w)) });
+        }
+    }
+    v.extend(values().into_iter().map(PaxosMsg::Decided));
+    v
+}
+
+fn bridge_msgs() -> Vec<BridgeMsg> {
+    let mut v = Vec::new();
+    for tag in 0..2 {
+        v.push(BridgeMsg::UpdateAck { tag });
+        for reg in (0..2).map(RegisterId) {
+            v.push(BridgeMsg::Query { reg, tag });
+        }
+        for (ts, pid) in [(0, 0), (0, 1), (1, 0)] {
+            for w in opt_values() {
+                v.push(BridgeMsg::QueryAck { tag, ts, pid, v: w });
+                for reg in (0..2).map(RegisterId) {
+                    v.push(BridgeMsg::Update { reg, tag, ts, pid, v: w });
+                }
+            }
+        }
+    }
+    v
+}
+
+fn fig6_msgs() -> Vec<Fig6Msg> {
+    let mut v: Vec<Fig6Msg> = pids().into_iter().map(Fig6Msg::NonActive).collect();
+    v.extend(pids().into_iter().map(Fig6Msg::Active));
+    v.push(Fig6Msg::Change);
+    v
+}
+
+#[test]
+fn every_message_type_hashes_and_orders_like_debug() {
+    assert_payload_classes(&twice(fig2_msgs));
+    assert_payload_classes(&twice(fig4_msgs));
+    assert_payload_classes(&twice(abd_msgs));
+    assert_payload_classes(&twice(paxos_msgs));
+    assert_payload_classes(&twice(bridge_msgs));
+    assert_payload_classes(&twice(fig6_msgs));
+    assert_payload_classes(&twice(|| {
+        let mut v: Vec<AblatedFig6Msg> = pids().into_iter().map(AblatedFig6Msg::Active).collect();
+        v.extend(pids().into_iter().map(AblatedFig6Msg::NonActive));
+        v
+    }));
+    assert_payload_classes(&twice(|| {
+        (0..3).flat_map(|r| [QuorumMsg::Ping(r), QuorumMsg::Ack(r)]).collect::<Vec<_>>()
+    }));
+    assert_payload_classes(&twice(|| vec![GossipMsg::Ping, GossipMsg::Pong]));
+    // The stack's wrappers, over the payloads they carry in this repo.
+    assert_payload_classes(&twice(|| {
+        let mut v: Vec<Layered<Fig6Msg, Fig2Msg>> =
+            fig6_msgs().into_iter().map(Layered::Lower).collect();
+        v.extend(fig2_msgs().into_iter().map(Layered::Upper));
+        v
+    }));
+    assert_payload_classes(&twice(|| {
+        let mut v: Vec<StubbornMsg<AbdMsg>> = (0..3).map(|cum| StubbornMsg::Ack { cum }).collect();
+        for (seq, cum) in [(0, 0), (0, 1), (1, 0)] {
+            v.extend(abd_msgs().into_iter().map(|payload| StubbornMsg::Data { seq, cum, payload }));
+        }
+        v
+    }));
+    // Plain payloads of the candidates, adversaries and toy workloads.
+    assert_payload_classes(&twice(|| {
+        pids().into_iter().flat_map(|p| values().into_iter().map(move |w| (p, w))).collect()
+    }));
+    assert_payload_classes(&twice(values));
+    assert_payload_classes(&twice(pids));
+    assert_payload_classes(&twice(|| vec![(), ()]));
+    assert_payload_classes(&twice(|| vec![0u8, 1, 255]));
+    assert_payload_classes(&twice(|| vec![0u64, 1, u64::MAX]));
+    assert_payload_classes(&twice(|| vec!["", "a", "hello", "hello, world", "hello\0"]));
+}
+
+/// The content-ordered delivery menu at `to`: the sleep key and the
+/// `(from, payload)` of each entry, in menu order.
+fn menu_content<M: Clone + StateHash + Ord>(
+    net: &Network<M>,
+    to: ProcessId,
+) -> Vec<(SleepKey, ProcessId, M)> {
+    let mut menu = Vec::new();
+    net.content_menu(to, &mut menu);
+    menu.iter()
+        .map(|&(fp, i)| {
+            let env = net.pending(to).nth(i).expect("menu index in range");
+            (SleepKey { p: to, deliver: Some(fp) }, env.from, env.payload.clone())
+        })
+        .collect()
+}
+
+#[test]
+fn arrival_order_moves_neither_the_menu_nor_the_sleep_keys() {
+    // Two senders, equal and unequal payloads, an exact duplicate.
+    let sends = [
+        (ProcessId(2), Fig2Msg::Phase1(Value(5))),
+        (ProcessId(1), Fig2Msg::Phase2(None)),
+        (ProcessId(1), Fig2Msg::Decision(Value(9))),
+        (ProcessId(2), Fig2Msg::Phase1(Value(5))),
+        (ProcessId(1), Fig2Msg::Phase1(Value(0))),
+        (ProcessId(2), Fig2Msg::Phase2(Some(Value(1)))),
+    ];
+    let queue = |order: &[usize]| {
+        let mut net = Network::new(3);
+        for &i in order {
+            let (from, m) = sends[i];
+            net.send(from, ProcessId(0), Time(1), m);
+        }
+        net
+    };
+    let reference = menu_content(&queue(&[0, 1, 2, 3, 4, 5]), ProcessId(0));
+    let from_payload: Vec<_> = reference.iter().map(|&(_, f, m)| (f, m)).collect();
+    let mut sorted = from_payload.clone();
+    sorted.sort();
+    assert_eq!(from_payload, sorted, "the menu is not in (from, payload) order");
+    for order in [[5, 4, 3, 2, 1, 0], [3, 1, 5, 0, 2, 4], [1, 2, 4, 0, 3, 5]] {
+        assert_eq!(menu_content(&queue(&order), ProcessId(0)), reference, "order {order:?}");
+    }
+}
+
+/// Sends two messages to `p0` on its first step (any process but `p0`).
+#[derive(Clone, Debug, Default)]
+struct Announce {
+    sent: bool,
+}
+
+impl Automaton for Announce {
+    type Msg = Fig2Msg;
+
+    fn step(&mut self, input: StepInput<Fig2Msg>, eff: &mut Effects<Fig2Msg>) {
+        if !self.sent && input.me != ProcessId(0) {
+            self.sent = true;
+            eff.send(ProcessId(0), Fig2Msg::Phase1(Value(u64::from(input.me.0) % 2)));
+            eff.send(ProcessId(0), Fig2Msg::Decision(Value(7)));
+        }
+    }
+
+    fn hash_state(&self, h: &mut StateHasher) {
+        h.write(&self.sent);
+    }
+}
+
+#[test]
+fn arrival_permuted_roots_explore_identically() {
+    let n = 4;
+    let pattern = FailurePattern::all_correct(n);
+    let root = |order: [u32; 3]| {
+        let mut s = Simulation::new(vec![Announce::default(); n], pattern.clone());
+        for p in order {
+            s.step(Choice { p: ProcessId(p), deliver: None }, &NoDetector);
+        }
+        s
+    };
+    let a = root([1, 2, 3]);
+    let b = root([3, 1, 2]);
+    let arrivals = |s: &Simulation<Announce>| -> Vec<_> {
+        s.network().pending(ProcessId(0)).map(|e| (e.from, *e.payload)).collect()
+    };
+    assert_ne!(arrivals(&a), arrivals(&b), "the roots must differ in arrival order");
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(menu_content(a.network(), ProcessId(0)), menu_content(b.network(), ProcessId(0)));
+    for cfg in [ExploreConfig::new(6), ExploreConfig::new(6).max_deliveries(2)] {
+        let mut ok = |_: &Simulation<Announce>| Ok(());
+        let ra = explore_with(&a, &NoDetector, &cfg, &mut ok);
+        let rb = explore_with(&b, &NoDetector, &cfg, &mut ok);
+        assert!(ra.states > 50, "too small: {ra:?}");
+        assert_eq!(
+            (ra.states, ra.deduped, ra.pruned, ra.terminals, ra.truncated),
+            (rb.states, rb.deduped, rb.pruned, rb.terminals, rb.truncated)
+        );
+    }
+}
+
+#[test]
+fn fault_plans_hash_like_debug() {
+    let links = || {
+        let mut b = LinkFaultPlan::builder(3);
+        let mut plans = vec![b.clone().build(), LinkFaultPlan::reliable(2), lossy(3)];
+        b = b.drop_link(ProcessId(0), ProcessId(1), Time(0), Some(Time(30)));
+        plans.push(b.clone().build());
+        plans.push(
+            b.clone().duplicate_every(ProcessId(1), ProcessId(2), 2, 1, Time(0), None).build(),
+        );
+        plans.push(b.drop_link(ProcessId(0), ProcessId(1), Time(0), None).build());
+        plans
+    };
+    assert_debug_classes(&twice(links), None);
+    let adversaries = || {
+        let mut plans = vec![AdversaryPlan::honest(3), AdversaryPlan::honest(4)];
+        for kind in [MutationKind::Flip, MutationKind::Replay, MutationKind::ForgeAck] {
+            for x in [0, 7] {
+                plans.push(all_links(3, kind, x));
+            }
+        }
+        plans
+    };
+    assert_debug_classes(&twice(adversaries), None);
 }
