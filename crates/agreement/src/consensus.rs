@@ -2,13 +2,12 @@
 //! environments — a single-decree Paxos with an `Ω`-driven proposer.
 //!
 //! This is **not** part of the paper's contribution; it is the classical
-//! upper reference point for the benchmark harness: with the *strongest*
+//! upper reference point for the cost study (`lab e16`): with the *strongest*
 //! relevant failure information (`Ω`, plus implicit `Σ` via majority
 //! quorums), the processes can agree on a *single* value, whereas the
 //! paper's `σ` — much weaker information — still suffices to eliminate
-//! one value (`(n−1)`-set agreement) but not to share a register. The
-//! benches compare decision latency and message complexity across this
-//! spectrum.
+//! one value (`(n−1)`-set agreement) but not to share a register. E16
+//! compares steps and messages per decision across this spectrum.
 
 use sih_model::{ProcessId, ProcessSet, Value};
 use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};

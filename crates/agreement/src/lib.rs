@@ -8,7 +8,7 @@
 //!   (Theorem 8(a));
 //! * [`PaxosConsensus`] — 1-set agreement from `Ω` + majority, the
 //!   baseline end of the "how much failure information buys how much
-//!   agreement" spectrum the benches chart.
+//!   agreement" spectrum that `lab e16` charts.
 //!
 //! # Example: run Figure 2 under a sampled σ history
 //!

@@ -20,8 +20,8 @@
 //!   15, tightness schedules and the Theorem 13 simulation;
 //! * [`claims`] — every row of the paper's Figure 1 as a machine-checked
 //!   [`Claim`];
-//! * [`pipeline`] — one-call experiment runners shared by the harness,
-//!   benches and examples;
+//! * [`pipeline`] — one-call experiment runners shared by the harness
+//!   and the examples;
 //! * [`patterns`] — failure-pattern sweeps.
 //!
 //! ## Quickstart

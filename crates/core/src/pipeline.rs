@@ -1,17 +1,17 @@
 //! Ready-made experiment pipelines: one call = one fair run of a paper
 //! algorithm (or a stacked reduction) with everything wired up.
 //!
-//! These are the building blocks the claims API, the `lab` harness, the
-//! benches and the examples all share. Every pipeline builds its automata
+//! These are the building blocks the claims API, the `lab` harness and
+//! the examples all share. Every pipeline builds its automata
 //! and detector and hands the run to [`Simulation::drive`] with a
 //! [`Driver::Fair`] — the one run loop the `lab` fault and Byzantine
 //! matrices and the `lab repro` record/replay harness also use.
 //!
-//! Every pipeline comes in two forms: a one-shot `run_*` returning an
-//! owned [`Trace`], and a `run_*_pooled` variant taking a [`SimPool`]
-//! that recycles the simulation's network queues, trace log and scratch
-//! buffers run over run — sweeps call the pooled form with one pool per
-//! worker, so the hot loop stops re-allocating per run.
+//! Every pipeline has a `run_*_pooled` form taking a [`SimPool`] that
+//! recycles the simulation's network queues, trace log and scratch
+//! buffers run over run — sweeps call it with one pool per worker, so the
+//! hot loop stops re-allocating per run. Most also have a one-shot `run_*`
+//! returning an owned [`Trace`].
 
 use sih_agreement::{
     distinct_proposals, fig2_processes, fig4_processes, paxos_processes, Fig2SetAgreement,
@@ -142,13 +142,6 @@ pub fn run_fig5_pooled<'a>(
     let sim = pool.acquire(fig5_processes(pattern.n(), x), pattern);
     sim.drive(Driver::Fair { seed, max_steps }, &det, |_| false, None);
     sim.trace()
-}
-
-/// Runs Figure 5 (emulating `σ_|X|` from `Σ_X`) once.
-pub fn run_fig5(pattern: &FailurePattern, x: ProcessSet, seed: u64, max_steps: u64) -> Trace {
-    let mut pool = Fig5Pool::new();
-    run_fig5_pooled(&mut pool, pattern, x, seed, max_steps);
-    pool.take_trace().expect("pool just ran")
 }
 
 /// Runs Figure 6 (emulating `anti-Ω` from `σ`) in a pooled simulation.

@@ -1,7 +1,7 @@
 //! `lab` — the experiment CLI.
 //!
 //! ```text
-//! lab <e1..e15 | figure1 | all> [--n N] [--k K] [--seeds S] [--steps M] [--threads T] [--json PATH]
+//! lab <e1..e16 | figure1 | all> [--n N] [--k K] [--seeds S] [--steps M] [--threads T] [--json PATH]
 //! lab explore [--n N] [--depth D] [--frontier-depth K] [--strict-frontier] [--threads T] [--json PATH]
 //! lab <faults | byzantine> [--n N] [--seeds S] [--steps M] [--threads T] [--json PATH]
 //! lab scale [--max-n N] [--sample D] [--huge] [--threads T] [--json PATH]
@@ -59,7 +59,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "\
-usage: lab <e1..e15 | figure1 | all> [--n N] [--k K] [--seeds S] [--steps M] [--threads T] [--json PATH]
+usage: lab <e1..e16 | figure1 | all> [--n N] [--k K] [--seeds S] [--steps M] [--threads T] [--json PATH]
        lab explore [--n N] [--depth D] [--frontier-depth K] [--strict-frontier] [--threads T] [--json PATH]
        lab <faults | byzantine> [--n N] [--seeds S] [--steps M] [--threads T] [--json PATH]
        lab scale [--max-n N] [--sample D] [--huge] [--threads T] [--json PATH]

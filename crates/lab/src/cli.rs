@@ -29,7 +29,7 @@ pub struct Invocation {
 /// The verb of an [`Invocation`], with its config.
 #[derive(Clone, Debug)]
 pub enum Verb {
-    /// `e1`…`e15`: one experiment.
+    /// `e1`…`e16`: one experiment.
     Experiment(String, ClaimConfig),
     /// `figure1`: the results matrix.
     Figure1(ClaimConfig),
@@ -196,7 +196,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
         }
         None => {
             return Err(format!(
-                "unknown command {verb}; expected e1..e15, figure1, explore, faults, byzantine, \
+                "unknown command {verb}; expected e1..e16, figure1, explore, faults, byzantine, \
                  scale, fuzz, repro, gate or all"
             ))
         }

@@ -1,5 +1,5 @@
 //! The experiment registry: every table/figure/claim of the paper mapped
-//! to a runnable experiment `E1…E12` (see DESIGN.md's per-experiment
+//! to a runnable experiment `E1…E16` (see DESIGN.md's per-experiment
 //! index).
 
 use crate::report::{ExperimentReport, RunStats};
@@ -11,15 +11,20 @@ use sih::claims::{
 };
 use sih::patterns::{pattern_suite, random_majority_pattern};
 use sih::pipeline;
-use sih_detectors::{check_sigma_s, QuorumSigma};
-use sih_model::{FailurePattern, NoDetector, ProcessId, ProcessSet, Value};
+use sih_agreement::{check_k_agreement_safety, distinct_proposals, fig2_processes};
+use sih_detectors::{
+    check_anti_omega, check_sigma, check_sigma_k, check_sigma_s, QuorumSigma, Sigma,
+};
+use sih_model::{FailurePattern, NoDetector, OpKind, ProcessId, ProcessSet, Value};
 use sih_reductions::{fig2_tightness, fig4_tightness, theorem13_demo, Lemma15Verdict};
 use sih_registers::{check_linearizable, AbdRegister, SigmaExtractor, WorkloadSpec};
 use sih_runtime::sweep::{with_seeds, Sweep};
-use sih_runtime::{Driver, SimPool, Simulation, TraceLevel};
+use sih_runtime::{
+    Automaton, Driver, FairScheduler, RoundRobinScheduler, SimPool, Simulation, Trace, TraceLevel,
+};
 
 /// All experiment ids, in DESIGN.md order.
-pub const EXPERIMENT_IDS: [&str; 18] = [
+pub const EXPERIMENT_IDS: [&str; 19] = [
     "e1",
     "e2",
     "e3",
@@ -35,12 +40,13 @@ pub const EXPERIMENT_IDS: [&str; 18] = [
     "e13",
     "e14",
     "e15",
+    "e16",
     "faults",
     "byzantine",
     "fuzz",
 ];
 
-/// Runs one experiment by id (`"e1"` … `"e15"`, `"faults"`,
+/// Runs one experiment by id (`"e1"` … `"e16"`, `"faults"`,
 /// `"byzantine"`, `"fuzz"`).
 ///
 /// # Panics
@@ -63,12 +69,11 @@ pub fn run_experiment(id: &str, cfg: &ClaimConfig) -> ExperimentReport {
         "e13" => e13_sharedmem(cfg),
         "e14" => e14_footnote(cfg),
         "e15" => e15_extraction(cfg),
+        "e16" => e16_costs(cfg),
         "faults" => faults_matrix(cfg),
         "byzantine" => byzantine_matrix(cfg),
         "fuzz" => fuzz_smoke(cfg),
-        other => {
-            panic!("unknown experiment id {other:?} (expected e1..e15, faults, byzantine or fuzz)")
-        }
+        other => panic!("unknown experiment id {other:?} (expected {})", EXPERIMENT_IDS.join(", ")),
     }
 }
 
@@ -469,6 +474,120 @@ fn e15_extraction(cfg: &ClaimConfig) -> ExperimentReport {
         ok: stats.violations == 0,
         outcome: "heard-from sets of completed operations form a legal Σ_S history".into(),
         details: vec![],
+        stats: Some(stats),
+    }
+}
+
+/// `(steps, messages, violated)` of one judged run.
+fn sample(tr: &Trace, violated: bool) -> (u64, u64, bool) {
+    (tr.total_steps(), tr.messages_sent(), violated)
+}
+
+/// E16's rows, each one label and its runs over seeds `0..cfg.seeds`.
+struct Rows<'a> {
+    cfg: &'a ClaimConfig,
+    stats: RunStats,
+    details: Vec<String>,
+}
+
+impl Rows<'_> {
+    /// Runs `run` on every seed over a [`Sweep`], with one light-trace
+    /// pool per worker, and adds the row's `fold` line.
+    fn row<A: Automaton>(
+        &mut self,
+        label: String,
+        run: impl Fn(&mut SimPool<A>, u64) -> (u64, u64, bool) + Sync,
+    ) {
+        let samples = Sweep::new(self.cfg.threads).run((0..self.cfg.seeds).collect(), || {
+            let (mut pool, run) = (SimPool::with_trace_level(TraceLevel::Light), &run);
+            move |_, seed| run(&mut pool, seed)
+        });
+        let row = fold(&mut self.stats, samples);
+        self.details.push(format!("{label}: {row}"));
+    }
+}
+
+fn e16_costs(cfg: &ClaimConfig) -> ExperimentReport {
+    let mut rows = Rows { cfg, stats: RunStats::default(), details: Vec::new() };
+    let (p, q, max_steps) = (ProcessId(0), ProcessId(1), cfg.max_steps);
+
+    // Sharing vs agreeing, failure-free: three tasks at the same n.
+    for n in [3usize, 5, 8] {
+        let f = FailurePattern::all_correct(n);
+        let proposals = distinct_proposals(n);
+        let agree =
+            |tr: &Trace, k| sample(tr, check_k_agreement_safety(tr, &proposals, k).is_err());
+        rows.row(format!("n={n} agree: fig2 (n−1)-set agreement from σ"), |pool, seed| {
+            agree(pipeline::run_fig2_pooled(pool, &f, p, q, seed, max_steps), n - 1)
+        });
+        rows.row(format!("n={n} agree: paxos consensus from Ω"), |pool, seed| {
+            agree(pipeline::run_paxos_pooled(pool, &f, seed, max_steps), 1)
+        });
+        rows.row(format!("n={n} share: abd write + read from Σ"), |pool, seed| {
+            let scripts = vec![vec![OpKind::Write(Value(1))], vec![OpKind::Read]];
+            let s = ProcessSet::from_iter([p, q]);
+            let tr = pipeline::run_register_workload_pooled(pool, &f, s, scripts, seed, max_steps);
+            sample(tr, check_linearizable(&tr.op_records(), None).is_err())
+        });
+    }
+
+    // Emulation layers, each judged by the checker E2, E5 or E9 applies.
+    for n in [4usize, 8] {
+        let f = FailurePattern::all_correct(n);
+        let (pq, x) = (ProcessSet::from_iter([p, q]), (0..4).map(ProcessId).collect());
+        rows.row(format!("n={n} emulate: fig3 σ from Σ_{{p0,p1}}"), |pool, seed| {
+            let tr = pipeline::run_fig3_pooled(pool, &f, p, q, seed, 3_000);
+            sample(tr, check_sigma(tr.emulated_history(), &f, pq).is_err())
+        });
+        rows.row(format!("n={n} emulate: fig5 σ_4 from Σ_X, |X|=4"), |pool, seed| {
+            let tr = pipeline::run_fig5_pooled(pool, &f, x, seed, 3_000);
+            sample(tr, check_sigma_k(tr.emulated_history(), &f, x).is_err())
+        });
+        rows.row(format!("n={n} emulate: fig6 anti-Ω from σ"), |pool, seed| {
+            let tr = pipeline::run_fig6_pooled(pool, &f, p, q, seed, 12_000);
+            sample(tr, check_anti_omega(tr.emulated_history(), &f).is_err())
+        });
+    }
+
+    // Scheduler ablation on Figure 2 at n = 6: round-robin (`None`), then
+    // fair schedulers `(deliver_prob, starvation, delivery)` around the
+    // defaults 0.75, 64 and 96. `Driver::Fair` always uses those defaults,
+    // so these rows call `Simulation::run` with their own scheduler.
+    let n = 6;
+    let f = FailurePattern::all_correct(n);
+    let proposals = distinct_proposals(n);
+    let mut schedulers = vec![("round-robin".to_string(), None)];
+    for prob in [0.9, 0.5, 0.2] {
+        schedulers.push((format!("fair, deliver_prob {prob}"), Some((prob, 64, 96))));
+    }
+    for (s, d) in [(16, 24), (64, 96), (256, 384)] {
+        schedulers.push((format!("fair, bounds ({s}, {d})"), Some((0.75, s, d))));
+    }
+    for (label, fair) in schedulers {
+        rows.row(format!("n={n} schedule fig2: {label}"), |pool, seed| {
+            let sigma = Sigma::new(p, q, &f, seed);
+            let sim = pool.acquire(fig2_processes(&proposals), &f);
+            match fair {
+                None => sim.run(&mut RoundRobinScheduler::new(), &sigma, max_steps),
+                Some((prob, s, d)) => {
+                    let mut sched =
+                        FairScheduler::new(seed).with_deliver_prob(prob).with_bounds(s, d);
+                    sim.run(&mut sched, &sigma, max_steps)
+                }
+            };
+            let tr = sim.trace();
+            sample(tr, check_k_agreement_safety(tr, &proposals, n - 1).is_err())
+        });
+    }
+
+    let Rows { stats, details, .. } = rows;
+    ExperimentReport {
+        id: "e16".into(),
+        title: "sharing vs agreeing: cost per task in steps and messages".into(),
+        paper_ref: "the title claim, as cost; Figures 2, 3, 5, 6 and ABD ([1])".into(),
+        ok: stats.violations == 0,
+        outcome: format!("{} runs in {} rows, zero violations expected", stats.runs, details.len()),
+        details,
         stats: Some(stats),
     }
 }

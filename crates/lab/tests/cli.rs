@@ -27,7 +27,7 @@ fn every_listed_experiment_id_parses_to_an_experiment() {
         .find_map(|l| l.strip_prefix("experiments: "))
         .unwrap_or_else(|| panic!("no experiment list: {err}"));
     let ids: Vec<&str> = listed.split(", ").collect();
-    assert_eq!(ids.len(), 15, "{listed}");
+    assert_eq!(ids.len(), 16, "{listed}");
     for id in ids {
         let inv = sih_lab::cli::parse_args(&[id.to_string()]).expect("a listed id parses");
         assert!(
@@ -186,5 +186,20 @@ fn gate_names_the_first_differing_path_and_exits_one() {
 
     let out = lab().args(["gate", "--threads", "1"]).arg(&base).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "the gate takes no flags");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn replaying_a_schedule_with_an_out_of_range_process_fails_cleanly() {
+    let dir = std::env::temp_dir().join(format!("lab-cli-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("crash-p9.schedule");
+    let text = "sih-schedule v2\nchecker: fig2\nn: 3\nmax-steps: 50\nverdict: ok\ncrash: p9 @ 5\n";
+    std::fs::write(&path, text).unwrap();
+    let out = lab().args(["repro", "replay"]).arg(&path).output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(err.contains("line 6: process p9 out of range for n = 3"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

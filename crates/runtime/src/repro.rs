@@ -343,6 +343,9 @@ impl Schedule {
         let mut attack: Option<AttackSpec> = None;
         let mut armor = Armor::NONE;
         let mut choices: Vec<Choice> = Vec::new();
+        // Every process id with its line, checked against `n` after the
+        // loop because `n:` may come last.
+        let mut pids: Vec<(usize, ProcessId)> = Vec::new();
 
         for (lineno, line) in lines {
             let (key, rest) = line.split_once(':').ok_or_else(|| ScheduleError::Malformed {
@@ -357,19 +360,30 @@ impl Schedule {
                 "seed" => seed = parse_num(rest, lineno, "seed")?,
                 "max-steps" => max_steps = Some(parse_num(rest, lineno, "max-steps")?),
                 "verdict" => verdict = Some(rest.to_string()),
-                "crash-from-start" => crashes.push((parse_pid(rest, lineno)?, None)),
+                "crash-from-start" => {
+                    let p = parse_pid(rest, lineno)?;
+                    pids.push((lineno, p));
+                    crashes.push((p, None));
+                }
                 "crash" => {
                     let (p, t) = rest.split_once('@').ok_or_else(|| ScheduleError::Malformed {
                         line: lineno,
                         detail: format!("expected `crash: pI @ t`, got `{rest}`"),
                     })?;
-                    crashes.push((
-                        parse_pid(p.trim(), lineno)?,
-                        Some(Time(parse_num(t.trim(), lineno, "crash time")?)),
-                    ));
+                    let p = parse_pid(p.trim(), lineno)?;
+                    pids.push((lineno, p));
+                    crashes.push((p, Some(Time(parse_num(t.trim(), lineno, "crash time")?))));
                 }
-                "link" => windows.push(parse_window(rest, lineno)?),
-                "adversary" => adv_windows.push(parse_mutation(rest, lineno)?),
+                "link" => {
+                    let w = parse_window(rest, lineno)?;
+                    pids.extend([(lineno, w.src), (lineno, w.dst)]);
+                    windows.push(w);
+                }
+                "adversary" => {
+                    let w = parse_mutation(rest, lineno)?;
+                    pids.extend([(lineno, w.src), (lineno, w.dst)]);
+                    adv_windows.push(w);
+                }
                 "attack" => attack = Some(parse_attack(rest, lineno)?),
                 "armor" => {
                     let rung = parse_num(rest, lineno, "armor rung")?;
@@ -397,6 +411,7 @@ impl Schedule {
                         Some(".") | None => None,
                         Some(tok) => Some(parse_num(tok, lineno, "delivery index")? as usize),
                     };
+                    pids.push((lineno, p));
                     choices.push(Choice { p, deliver });
                 }
                 other => {
@@ -412,6 +427,10 @@ impl Schedule {
         let n = n.ok_or(ScheduleError::MissingField { field: "n" })?;
         let max_steps = max_steps.ok_or(ScheduleError::MissingField { field: "max-steps" })?;
         let verdict = verdict.ok_or(ScheduleError::MissingField { field: "verdict" })?;
+        if let Some(&(line, p)) = pids.iter().find(|(_, p)| p.index() >= n) {
+            let detail = format!("process {p} out of range for n = {n}");
+            return Err(ScheduleError::Malformed { line, detail });
+        }
 
         let mut pb = FailurePattern::builder(n);
         for (p, t) in crashes {
@@ -1096,6 +1115,26 @@ mod tests {
                 matches!(Schedule::parse(&text), Err(ScheduleError::Malformed { .. })),
                 "accepted: {bad}"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_process_ids_are_rejected_with_their_line() {
+        // `n:` comes after the offending line, so the check runs last.
+        let base = "sih-schedule v2\nchecker: x\nmax-steps: 5\nverdict: ok\n";
+        for bad in [
+            "crash: p9 @ 5",
+            "crash-from-start: p3",
+            "link: drop p0->p7 0%1 @[0, 4)",
+            "adversary: flip p4->p1 0%1 @[0, 5) x=1",
+            "choice: p5 .",
+        ] {
+            match Schedule::parse(&format!("{base}choice: p0 .\n{bad}\nn: 3\n")) {
+                Err(ScheduleError::Malformed { line: 6, detail }) => {
+                    assert!(detail.contains("out of range for n = 3"), "{bad}: {detail}")
+                }
+                other => panic!("{bad}: expected Malformed at line 6, got {other:?}"),
+            }
         }
     }
 
