@@ -4,11 +4,10 @@
 //! sih-analysis [--root <dir>] [--format text|json] [--out <file>] [--graph-out <file>]
 //! ```
 //!
-//! Exits 0 when the analysis passes, 1 on findings or incomplete claims,
-//! 2 on usage errors. `--out` writes the report to a file (CI uploads it
-//! as an artifact) in addition to printing it. `--graph-out` dumps the
-//! workspace call graph — Graphviz DOT when the path ends in `.dot`,
-//! JSON otherwise.
+//! Exits 0 when the analysis passes, 1 on findings, 2 on usage errors.
+//! `--out` writes the report to a file (CI uploads it as an artifact) in
+//! addition to printing it. `--graph-out` dumps the workspace call graph
+//! — Graphviz DOT when the path ends in `.dot`, JSON otherwise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,40 +15,11 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The evidence gathered for one paper claim (R1–R10).
-#[derive(Clone, Debug)]
-pub struct ClaimEvidence {
-    /// Claim id (`R1` … `R10`).
-    pub id: &'static str,
-    /// The `sih::claims::Claim` variant name.
-    pub variant: &'static str,
-    /// The checker function expected in `crates/core/src/claims.rs`.
-    pub checker: &'static str,
-    /// The lab experiment ids expected to exercise the claim.
-    pub experiments: Vec<&'static str>,
-    /// Variant + checker found in the claims registry.
-    pub checker_ok: bool,
-    /// Every expected experiment found in the lab registry.
-    pub experiment_ok: bool,
-    /// Claim id documented in PAPER_MAP.md.
-    pub doc_ok: bool,
-}
-
-impl ClaimEvidence {
-    /// Whether every cross-reference is present.
-    pub fn complete(&self) -> bool {
-        self.checker_ok && self.experiment_ok && self.doc_ok
-    }
-}
-
 /// The full analysis report.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// All findings, in scan order.
     pub findings: Vec<Finding>,
-    /// Claim-registry completeness evidence (empty only if the registry
-    /// sources were missing — which itself produces findings).
-    pub claims: Vec<ClaimEvidence>,
     /// Number of files scanned by the determinism pass.
     pub files_scanned: usize,
     /// Findings suppressed by `allow` pragmas.
@@ -64,9 +35,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether the analysis passed (no findings, all claims complete).
+    /// Whether the analysis passed (no findings).
     pub fn ok(&self) -> bool {
-        self.findings.is_empty() && self.claims.iter().all(ClaimEvidence::complete)
+        self.findings.is_empty()
     }
 
     /// The report as a JSON document (machine-readable; CI uploads it).
@@ -92,27 +63,7 @@ impl Report {
                 json_str(&f.message)
             );
         }
-        out.push_str(if self.findings.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"claims\": [");
-        for (i, c) in self.claims.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let experiments =
-                c.experiments.iter().map(|e| json_str(e)).collect::<Vec<_>>().join(", ");
-            let _ = write!(
-                out,
-                "    {{\"id\": {}, \"variant\": {}, \"checker\": {}, \"experiments\": [{}], \
-                 \"checker_ok\": {}, \"experiment_ok\": {}, \"doc_ok\": {}, \"complete\": {}}}",
-                json_str(c.id),
-                json_str(c.variant),
-                json_str(c.checker),
-                experiments,
-                c.checker_ok,
-                c.experiment_ok,
-                c.doc_ok,
-                c.complete()
-            );
-        }
-        out.push_str(if self.claims.is_empty() { "]\n" } else { "\n  ]\n" });
+        out.push_str(if self.findings.is_empty() { "]\n" } else { "\n  ]\n" });
         out.push_str("}\n");
         out
     }
@@ -123,17 +74,6 @@ impl Report {
         for f in &self.findings {
             let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         }
-        for c in &self.claims {
-            let _ = writeln!(
-                out,
-                "claim {:<4} {:<44} checker:{} experiment:{} doc:{}",
-                c.id,
-                c.variant,
-                mark(c.checker_ok),
-                mark(c.experiment_ok),
-                mark(c.doc_ok),
-            );
-        }
         let _ = writeln!(
             out,
             "call graph: {} fn(s), {} edge(s), {} hot-path root(s), {} reachable",
@@ -141,22 +81,13 @@ impl Report {
         );
         let _ = writeln!(
             out,
-            "{}: {} finding(s), {} claim(s) checked, {} file(s) scanned, {} suppressed",
+            "{}: {} finding(s), {} file(s) scanned, {} suppressed",
             if self.ok() { "PASS" } else { "FAIL" },
             self.findings.len(),
-            self.claims.len(),
             self.files_scanned,
             self.suppressed,
         );
         out
-    }
-}
-
-fn mark(ok: bool) -> &'static str {
-    if ok {
-        "ok"
-    } else {
-        "MISSING"
     }
 }
 
@@ -193,15 +124,6 @@ mod tests {
                 line: 7,
                 message: "HashMap \"quoted\"".into(),
             }],
-            claims: vec![ClaimEvidence {
-                id: "R1",
-                variant: "SigmaImplementsSetAgreement",
-                checker: "check_r1",
-                experiments: vec!["e1"],
-                checker_ok: true,
-                experiment_ok: true,
-                doc_ok: false,
-            }],
             files_scanned: 3,
             suppressed: 1,
             graph_fns: 4,
@@ -212,12 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn ok_requires_no_findings_and_complete_claims() {
+    fn ok_requires_no_findings() {
         let mut r = sample();
         assert!(!r.ok());
         r.findings.clear();
-        assert!(!r.ok()); // doc_ok still false
-        r.claims[0].doc_ok = true;
         assert!(r.ok());
         assert!(Report::default().ok());
     }
@@ -227,7 +147,7 @@ mod tests {
         let json = sample().to_json();
         assert!(json.contains(r#""rule": "hash-container""#));
         assert!(json.contains(r#"HashMap \"quoted\""#));
-        assert!(json.contains(r#""complete": false"#));
+        assert!(json.contains(r#""ok": false"#));
         // Balanced braces/brackets (cheap well-formedness smoke).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -237,9 +157,8 @@ mod tests {
     fn text_rendering_summarizes() {
         let text = sample().render_text();
         assert!(text.contains("crates/model/src/x.rs:7: [hash-container]"));
-        assert!(text.contains("doc:MISSING"));
         assert!(text.contains("call graph: 4 fn(s), 3 edge(s), 1 hot-path root(s), 2 reachable"));
-        assert!(text.contains("FAIL: 1 finding(s), 1 claim(s) checked"));
+        assert!(text.contains("FAIL: 1 finding(s), 3 file(s) scanned, 1 suppressed"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! End-to-end acceptance tests for the `sih-analysis` binary:
-//! exit 0 + complete claim evidence on the real workspace, non-zero exit
-//! with the right findings on a synthetic workspace that plants banned
-//! constructs in a simulation crate.
+//! End-to-end acceptance tests for the `sih-analysis` binary: exit 0 on
+//! the real workspace, non-zero exit with the right findings on a
+//! synthetic workspace that plants banned constructs in a simulation
+//! crate.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -29,11 +29,7 @@ fn real_workspace_passes_with_json_report() {
         out.status.code()
     );
     assert!(stdout.contains("\"ok\": true"), "{stdout}");
-    // All ten claims enumerated, each complete.
-    for n in 1..=10 {
-        assert!(stdout.contains(&format!("\"id\": \"R{n}\"")), "claim R{n} missing:\n{stdout}");
-    }
-    assert!(!stdout.contains("\"complete\": false"), "{stdout}");
+    assert!(stdout.contains("\"findings\": []"), "{stdout}");
 }
 
 #[test]
@@ -45,7 +41,7 @@ fn real_workspace_text_report_summarizes_pass() {
         .expect("invariant: the sih-analysis binary is built for integration tests");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("PASS: 0 finding(s), 10 claim(s) checked"), "{stdout}");
+    assert!(stdout.contains("PASS: 0 finding(s), "), "{stdout}");
 }
 
 /// Runs the binary against a committed planted-violation fixture tree
@@ -113,15 +109,6 @@ fn dead_allow_pragmas_are_caught() {
     let report = run_fixture("unused_allow");
     assert!(report.contains("\"rule\": \"unused-allow\""), "{report}");
     assert!(report.contains("taint-wall-clock"), "{report}");
-}
-
-#[test]
-fn fixtures_without_a_claim_registry_still_report_claims() {
-    // Completeness must report all ten claims as incomplete rather than
-    // crash when the registry sources are missing.
-    let report = run_fixture("unused_allow");
-    assert!(report.contains("\"rule\": \"claim-registry-unreadable\""), "{report}");
-    assert!(report.contains("\"complete\": false"), "{report}");
 }
 
 #[test]

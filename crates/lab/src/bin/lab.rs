@@ -58,6 +58,32 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// `print!` through stdout's one writer: when the reader has gone away
+/// (`lab … | head`), the program ends quietly instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`out!`]'s writer.
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes to stdout. A closed pipe exits with the status a shell reports
+/// for a writer that `SIGPIPE` ended (128 + 13), printing nothing; any
+/// other write error is reported and exits 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let written = std::io::stdout().lock().write_fmt(args);
+    if let Err(e) = written {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+        std::process::exit(141);
+    }
+}
+
 const USAGE: &str = "\
 usage: lab <e1..e16 | figure1 | all> [--n N] [--k K] [--seeds S] [--steps M] [--threads T] [--json PATH]
        lab explore [--n N] [--depth D] [--frontier-depth K] [--strict-frontier] [--threads T] [--json PATH]
@@ -98,20 +124,20 @@ fn main() -> ExitCode {
             let t0 = Instant::now();
             let report = run_experiment(&id, &cfg);
             let wall = t0.elapsed();
-            print!("{report}");
+            out!("{report}");
             let ok = report.ok;
             let json = ExperimentReport::batch_to_json(&[(report, wall)]);
             write_json(&id, &json, inv.json.as_deref()).map(|()| ok)
         }
         Verb::Figure1(cfg) => {
-            print!("{}", render_figure1(&cfg));
+            out!("{}", render_figure1(&cfg));
             Ok(true)
         }
         Verb::Bench(bench) => run_bench(&bench, &inv.json, &inv.witness_dir, inv.strict_frontier),
         Verb::Gate(baseline, None) => match gate_file(Path::new(&baseline)) {
             Ok(()) => {
                 let threads: Vec<String> = GATE_THREADS.iter().map(usize::to_string).collect();
-                println!("gate: {baseline} regenerates at --threads {}", threads.join(" and "));
+                outln!("gate: {baseline} regenerates at --threads {}", threads.join(" and "));
                 Ok(true)
             }
             Err(e) => Err(format!("gate: {baseline}: {e}")),
@@ -140,7 +166,7 @@ fn run_bench(
     strict_frontier: bool,
 ) -> Result<bool, String> {
     let report = bench.run()?;
-    print!("{report}");
+    out!("{report}");
     let mut ok = report.ok();
     match &report {
         BenchReport::Explore(r) => match r.gate(strict_frontier) {
@@ -190,7 +216,7 @@ fn write_witnesses(dir: &str, report: &FuzzBenchReport) -> Result<(), String> {
             w.schedule.to_text()
         );
         std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote witness {path} (`{}`)", w.verdict);
+        outln!("wrote witness {path} (`{}`)", w.verdict);
     }
     Ok(())
 }
@@ -200,7 +226,7 @@ fn write_json(what: &str, json: &Value, path: Option<&str>) -> Result<(), String
     if let Some(path) = path {
         std::fs::write(path, json.to_string_pretty())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {what} record to {path}");
+        outln!("wrote {what} record to {path}");
     }
     Ok(())
 }
@@ -215,7 +241,7 @@ fn gate_two(baseline: &str, fresh: &str) -> Result<bool, String> {
     };
     match json::first_difference(&load(baseline)?, &load(fresh)?) {
         None => {
-            println!("gate: {fresh} matches {baseline}");
+            outln!("gate: {fresh} matches {baseline}");
             Ok(true)
         }
         Some(path) => Err(format!("gate: {fresh} differs from {baseline} at {path}")),
@@ -246,7 +272,7 @@ fn repro_cli(r: ReproArgs) -> Result<bool, String> {
             let mode =
                 if r.lenient { repro::ReplayMode::Lenient } else { repro::ReplayMode::Strict };
             let rep = repro::replay(&s, mode).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "{}: recorded `{}`, replayed `{}` in {} step(s) — {}",
                 r.path,
                 s.verdict,
@@ -263,7 +289,7 @@ fn repro_cli(r: ReproArgs) -> Result<bool, String> {
                 return Err(format!("{}: no *.schedule files", r.path));
             }
             for entry in &entries {
-                println!("{entry}");
+                outln!("{entry}");
             }
             if let Some(fresh_dir) = &r.fresh {
                 record_fresh_corpus(fresh_dir)?;
@@ -292,9 +318,9 @@ fn repro_cli(r: ReproArgs) -> Result<bool, String> {
         Some(path) => {
             std::fs::write(path, schedule.to_text()).map_err(|e| format!("writing {path}: {e}"))?;
             let (len, verdict) = (schedule.choices.len(), &schedule.verdict);
-            println!("wrote {path} ({len} choices, verdict `{verdict}`)");
+            outln!("wrote {path} ({len} choices, verdict `{verdict}`)");
         }
-        None => print!("{}", schedule.to_text()),
+        None => out!("{}", schedule.to_text()),
     }
     Ok(true)
 }
@@ -313,9 +339,12 @@ fn record_fresh_corpus(dir: &str) -> Result<(), String> {
         let (small, report) = repro::shrink(&s).map_err(|e| format!("{}: shrink: {e}", w.name))?;
         let path = format!("{dir}/{}.schedule", w.name);
         std::fs::write(&path, small.to_text()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        outln!(
             "fresh {}: `{}` shrunk {} -> {} choices",
-            path, small.verdict, report.original_len, report.final_len
+            path,
+            small.verdict,
+            report.original_len,
+            report.final_len
         );
     }
     Ok(())

@@ -14,8 +14,10 @@
 //! class's ladder rung or below. Safety violations below the defeating
 //! rung are the *expected* degradation this tier charts; they are only
 //! excused because the mapped repro workloads commit a shrunk corpus
-//! witness for them (`tests/corpus/*-byz-*.schedule`, checked by
-//! `sih-analysis` and CI).
+//! witness for them (`tests/corpus/*-byz-*.schedule`, strict-replayed by
+//! tier-1 and CI). Every scripted attack
+//! ([`AttackKind`](sih_model::AttackKind)) has both a repro workload and
+//! a matrix cell; a unit test below holds each new kind to that.
 //!
 //! Every cell run is built by the workload registry's one constructor
 //! (`repro::Spec::run`, bare, with panic capture) and judged here by the
@@ -482,6 +484,28 @@ mod tests {
         // The acceptance floor: at least 4 witnessed cells actually
         // produce the violation their corpus schedule reproduces.
         assert!(witnessed_violations >= 4, "only {witnessed_violations} witnessed cells violated");
+    }
+
+    /// Every scripted attack is wired through both harness layers: a
+    /// repro workload (so it records, shrinks and replays) and a matrix
+    /// cell (so the armor ladder measures it), both on the algorithm its
+    /// wrapper type attacks.
+    #[test]
+    fn every_attack_kind_has_a_repro_workload_and_a_matrix_cell() {
+        use crate::repro::WORKLOADS;
+        use sih_model::AttackKind;
+        for kind in AttackKind::ALL {
+            // Exhaustive: a new kind does not compile until it is mapped.
+            let algo = match kind {
+                AttackKind::Equivocate => Algo::Fig2,
+                AttackKind::SplitAck => Algo::Abd,
+            };
+            let row = WORKLOADS.iter().find(|w| w.env.attack.is_some_and(|a| a.kind == kind));
+            let row = row.unwrap_or_else(|| panic!("{kind:?}: no repro workload runs it"));
+            assert_eq!(row.spec.algo, algo, "{}", row.name);
+            let cell = CellSpec { algo, attack: kind.name() };
+            assert!(CELLS.contains(&cell), "{kind:?}: no `lab byzantine` cell {cell:?}");
+        }
     }
 
     #[test]

@@ -550,18 +550,17 @@ fn e16_costs(cfg: &ClaimConfig) -> ExperimentReport {
     }
 
     // Scheduler ablation on Figure 2 at n = 6: round-robin (`None`), then
-    // fair schedulers `(deliver_prob, starvation, delivery)` around the
-    // defaults 0.75, 64 and 96. `Driver::Fair` always uses those defaults,
-    // so these rows call `Simulation::run` with their own scheduler.
+    // fair schedulers at delivery probabilities around the default 0.75.
+    // `Driver::Fair` always uses the default, so these rows call
+    // `Simulation::run` with their own scheduler. The anti-starvation
+    // bounds stay at their defaults: Fig. 2 at this size decides long
+    // before even a bound of 16 could bind.
     let n = 6;
     let f = FailurePattern::all_correct(n);
     let proposals = distinct_proposals(n);
     let mut schedulers = vec![("round-robin".to_string(), None)];
     for prob in [0.9, 0.5, 0.2] {
-        schedulers.push((format!("fair, deliver_prob {prob}"), Some((prob, 64, 96))));
-    }
-    for (s, d) in [(16, 24), (64, 96), (256, 384)] {
-        schedulers.push((format!("fair, bounds ({s}, {d})"), Some((0.75, s, d))));
+        schedulers.push((format!("fair, deliver_prob {prob}"), Some(prob)));
     }
     for (label, fair) in schedulers {
         rows.row(format!("n={n} schedule fig2: {label}"), |pool, seed| {
@@ -569,9 +568,8 @@ fn e16_costs(cfg: &ClaimConfig) -> ExperimentReport {
             let sim = pool.acquire(fig2_processes(&proposals), &f);
             match fair {
                 None => sim.run(&mut RoundRobinScheduler::new(), &sigma, max_steps),
-                Some((prob, s, d)) => {
-                    let mut sched =
-                        FairScheduler::new(seed).with_deliver_prob(prob).with_bounds(s, d);
+                Some(prob) => {
+                    let mut sched = FairScheduler::new(seed).with_deliver_prob(prob);
                     sim.run(&mut sched, &sigma, max_steps)
                 }
             };
@@ -764,5 +762,93 @@ mod tests {
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_id_panics() {
         let _ = run_experiment("e99", &tiny());
+    }
+
+    /// A claim's number in the Figure 1 reproduction (`R<n>`) and the
+    /// experiments that exercise it end to end. The match is exhaustive,
+    /// so a new claim does not compile until it is mapped here.
+    fn claim_experiments(claim: Claim) -> (u32, &'static [&'static str]) {
+        match claim {
+            Claim::SigmaImplementsSetAgreement => (1, &["e1"]),
+            Claim::TwoRegisterHarderThanSetAgreement => (2, &["e2"]),
+            Claim::SetAgreementNotHarderThanTwoRegister => (3, &["e3"]),
+            Claim::Sigma2kImplementsNMinusKAgreement => (4, &["e4"]),
+            Claim::XRegisterHarderThanNMinusKAgreement => (5, &["e5"]),
+            Claim::NMinusKAgreementNotHarderThanX2kRegister => (6, &["e6"]),
+            Claim::DecisionBudgetsAreTight => (7, &["e7"]),
+            Claim::RegisterNotHarderThanNMinusKMinus1 => (8, &["e8"]),
+            // E9 runs both the Lemma 15 defeat and the Figure 6 emulation.
+            Claim::AntiOmegaInsufficientInMessagePassing => (9, &["e9"]),
+            Claim::SigmaStrictlyStrongerThanAntiOmega => (10, &["e9"]),
+        }
+    }
+
+    #[test]
+    fn every_claim_has_a_registered_experiment_and_a_paper_map_row() {
+        let map = concat!(env!("CARGO_MANIFEST_DIR"), "/../../PAPER_MAP.md");
+        let documented = documented_claim_ids(&std::fs::read_to_string(map).expect(map));
+        for (i, claim) in Claim::ALL.into_iter().enumerate() {
+            let (number, experiments) = claim_experiments(claim);
+            assert_eq!(number as usize, i + 1, "{claim:?} is R{number}, not Claim::ALL[{i}]");
+            for id in experiments {
+                assert!(
+                    EXPERIMENT_IDS.contains(id),
+                    "R{number}: experiment {id} is not registered"
+                );
+            }
+            assert!(documented.contains(&number), "R{number} is not referenced in PAPER_MAP.md");
+        }
+    }
+
+    /// Every claim number mentioned in `text` as `R<n>`, with `R<a>–R<b>`
+    /// (en-dash, em-dash or hyphen) ranges expanded.
+    fn documented_claim_ids(text: &str) -> Vec<u32> {
+        let mut ids = Vec::new();
+        let bytes = text.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'R' && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric()) {
+                if let Some((n, len)) = leading_number(&text[i + 1..]) {
+                    let after = &text[i + 1 + len..];
+                    let range_end = ["–R", "-R", "—R"]
+                        .iter()
+                        .find_map(|sep| after.strip_prefix(sep))
+                        .and_then(leading_number)
+                        .map(|(m, _)| m);
+                    match range_end {
+                        Some(m) if m >= n => ids.extend(n..=m),
+                        _ => ids.push(n),
+                    }
+                    i += 1 + len;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        ids
+    }
+
+    fn leading_number(s: &str) -> Option<(u32, usize)> {
+        let digits: String = s.chars().take_while(char::is_ascii_digit).collect();
+        if digits.is_empty() || s[digits.len()..].starts_with(|c: char| c.is_ascii_alphanumeric()) {
+            None
+        } else {
+            digits.parse().ok().map(|n| (n, digits.len()))
+        }
+    }
+
+    #[test]
+    fn doc_mentions_expand_ranges_and_lists() {
+        let ids = documented_claim_ids("claims R2/R3; rows R4–R6 and R10, also R1-R3");
+        assert!(ids.contains(&2) && ids.contains(&3) && ids.contains(&10));
+        assert_eq!(ids.iter().filter(|&&n| n == 5).count(), 1);
+        assert!(ids.contains(&1)); // hyphen range R1-R3
+    }
+
+    #[test]
+    fn doc_mentions_ignore_lookalikes() {
+        // `R2D2`-style tokens and `PR2` must not count.
+        let ids = documented_claim_ids("R2D2 PR2 CR7x");
+        assert!(ids.is_empty());
     }
 }

@@ -224,8 +224,9 @@ pub struct Workload {
 }
 
 /// The workload registry. Names here are the only valid `checker:`
-/// values; `sih-analysis` cross-checks the committed corpus against this
-/// list (by source inspection — the analyzer is dependency-free).
+/// values: [`replay`] rejects any other name with
+/// [`ReproError::UnknownWorkload`], so a corpus entry naming an
+/// unregistered checker fails [`verify_corpus`].
 pub const WORKLOADS: &[Workload] = &[
     Workload {
         name: "fig2-sigma",
@@ -954,6 +955,19 @@ impl fmt::Display for CorpusEntry {
     }
 }
 
+/// Why a reproducing schedule still witnesses nothing: a corpus entry
+/// must record a failure (verdict other than `ok`) reached by at least
+/// one scheduled choice.
+fn witness_gap(s: &Schedule) -> Option<&'static str> {
+    if s.choices.is_empty() {
+        Some("the schedule has no choices")
+    } else if s.verdict == "ok" {
+        Some("the recorded verdict is `ok`")
+    } else {
+        None
+    }
+}
+
 fn verify_one(file: &str, text: &str) -> CorpusEntry {
     let s = match Schedule::parse(text) {
         Ok(s) => s,
@@ -962,10 +976,17 @@ fn verify_one(file: &str, text: &str) -> CorpusEntry {
         }
     };
     match replay(&s, ReplayMode::Strict) {
-        Ok(rep) if rep.matches => CorpusEntry {
-            file: file.to_string(),
-            ok: true,
-            detail: format!("reproduced `{}` in {} steps", s.verdict, s.choices.len()),
+        Ok(rep) if rep.matches => match witness_gap(&s) {
+            None => CorpusEntry {
+                file: file.to_string(),
+                ok: true,
+                detail: format!("reproduced `{}` in {} steps", s.verdict, s.choices.len()),
+            },
+            Some(gap) => CorpusEntry {
+                file: file.to_string(),
+                ok: false,
+                detail: format!("not a witness: {gap}"),
+            },
         },
         Ok(rep) => CorpusEntry {
             file: file.to_string(),
@@ -1130,10 +1151,22 @@ mod tests {
         tampered.verdict = "ok".to_string();
         let bad = ("bad.schedule".to_string(), tampered.to_text());
         let junk = ("junk.schedule".to_string(), "not a schedule".to_string());
-        let report = verify_corpus(&[good, bad, junk], 1);
+        // Two entries that reproduce exactly but witness nothing: a clean
+        // run of a sound workload, and a schedule with no choices.
+        let sound_name = rows(|w| w.expect_ok).next().unwrap().name;
+        let sound = record_any(&RecordRequest::new(sound_name)).unwrap();
+        assert_eq!(sound.verdict, "ok");
+        let clean = ("clean.schedule".to_string(), sound.to_text());
+        let empty = Schedule { choices: Vec::new(), verdict: "ok".to_string(), ..s.clone() };
+        let empty = ("empty.schedule".to_string(), empty.to_text());
+        let report = verify_corpus(&[good, bad, junk, clean, empty], 1);
         assert!(report[0].ok, "{}", report[0]);
         assert!(!report[1].ok && report[1].detail.contains("stale"), "{}", report[1]);
         assert!(!report[2].ok && report[2].detail.contains("parse"), "{}", report[2]);
+        for (entry, gap) in report[3..].iter().zip(["verdict is `ok`", "has no choices"]) {
+            assert!(!entry.ok && entry.detail.starts_with("not a witness"), "{entry}");
+            assert!(entry.detail.contains(gap), "{entry}");
+        }
     }
 
     #[test]

@@ -203,3 +203,21 @@ fn replaying_a_schedule_with_an_out_of_range_process_fails_cleanly() {
     assert!(err.contains("line 6: process p9 out of range for n = 3"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that has gone away (`lab … | head`) ends `lab` quietly: no
+/// panic, no backtrace, the status of a writer `SIGPIPE` ended.
+#[test]
+fn a_closed_stdout_pipe_ends_lab_quietly() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = lab()
+        .args(["e14", "--seeds", "1"])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.is_empty(), "{err}");
+    assert_eq!(out.status.code(), Some(141), "{err}");
+}

@@ -568,6 +568,9 @@ fn parse_window(rest: &str, line: usize) -> Result<LinkFaultWindow, ScheduleErro
     let (offset, stride) =
         sel.split_once('%').ok_or_else(|| bad(format!("expected `offset%stride`, got `{sel}`")))?;
     let (offset, stride) = (parse_num(offset, line, "offset")?, parse_num(stride, line, "stride")?);
+    if stride == 0 || offset >= stride {
+        return Err(bad(format!("selector `{offset}%{stride}` needs offset < stride, stride > 0")));
+    }
 
     let span = span
         .strip_prefix("@[")
@@ -580,6 +583,11 @@ fn parse_window(rest: &str, line: usize) -> Result<LinkFaultWindow, ScheduleErro
         "inf" => None,
         t => Some(Time(parse_num(t, line, "window end")?)),
     };
+    if let Some(u) = until {
+        if u <= from {
+            return Err(bad(format!("empty link window @[{}, {})", from.0, u.0)));
+        }
+    }
 
     let fault = match kind {
         "drop" => LinkFault::Drop { stride, offset },
@@ -1177,6 +1185,26 @@ mod tests {
                 assert!(detail.contains("bogus-key"));
             }
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// Crash and link lines the plan builders would reject (or panic on)
+    /// are parse errors at their own line.
+    #[test]
+    fn malformed_crash_and_link_lines_are_rejected() {
+        for bad in [
+            "crash: p2 at 40",
+            "link: drop p0=>p1 0%1 @[0, 5)",
+            "link: dup p1->p0 1%0 @[3, inf)",
+            "link: dup p1->p0 2%2 @[3, inf)",
+            "link: drop p0->p1 0%1 @[5, 5)",
+            "link: flood p0->p1 0%1 @[0, 5)",
+        ] {
+            let text = format!("sih-schedule v1\nchecker: x\nn: 3\n{bad}\nchoice: p0 .\n");
+            match Schedule::parse(&text) {
+                Err(ScheduleError::Malformed { line, .. }) => assert_eq!(line, 4, "{bad}"),
+                other => panic!("`{bad}`: expected Malformed, got {other:?}"),
+            }
         }
     }
 
