@@ -49,7 +49,7 @@ use sih_agreement::{
 use sih_detectors::{check_anti_omega, Sigma, SigmaK, SigmaS, WeakSigma, WeakSigmaK, WeakSigmaS};
 use sih_model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, FdOutput,
-    LinkFaultPlan, MutationKind, MutationWindow, OpKind, ProcessId, ProcessSet, Time, Value,
+    LinkFaultPlan, MutationKind, OpKind, ProcessId, ProcessSet, Time, Value,
 };
 use sih_reductions::Fig6WithoutChange;
 use sih_registers::{
@@ -371,7 +371,9 @@ fn cut_writeback(n: usize) -> LinkFaultPlan {
 /// Perturbing p0's traffic to p1 injects a never-proposed value into the
 /// decision flood: a validity violation at p1.
 fn perturb_p0_to_p1(n: usize) -> AdversaryPlan {
-    AdversaryPlan::builder(n).perturb(ProcessId(0), ProcessId(1), 100, Time::ZERO, None).build()
+    AdversaryPlan::builder(n)
+        .every(ProcessId(0), ProcessId(1), MutationKind::Perturb, 100, Time::ZERO, None)
+        .build()
 }
 
 /// Timestamp perturbation on every link scrambles the apparent order of
@@ -384,7 +386,7 @@ fn perturb_every_link(n: usize) -> AdversaryPlan {
 /// future timestamp; its value wins the read's max.
 fn forge_ack_to_reader(n: usize) -> AdversaryPlan {
     AdversaryPlan::builder(n)
-        .forge_ack(ProcessId(n as u32 - 1), ProcessId(1), 77, Time::ZERO, None)
+        .every(ProcessId(n as u32 - 1), ProcessId(1), MutationKind::ForgeAck, 77, Time::ZERO, None)
         .build()
 }
 
@@ -393,8 +395,7 @@ pub(crate) fn every_link(n: usize, kind: MutationKind, x: u64) -> AdversaryPlan 
     let mut b = AdversaryPlan::builder(n);
     for src in (0..n as u32).map(ProcessId) {
         for dst in (0..n as u32).map(ProcessId).filter(|&dst| dst != src) {
-            let (stride, offset, from, until) = (1, 0, Time::ZERO, None);
-            b = b.mutate(MutationWindow { src, dst, kind, x, stride, offset, from, until });
+            b = b.every(src, dst, kind, x, Time::ZERO, None);
         }
     }
     b.build()

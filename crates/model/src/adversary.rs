@@ -20,17 +20,14 @@
 //! cryptographic implementation of that rung could reject. The "minimum
 //! armor" study (`lab byzantine`) climbs this ladder per attack.
 
-use crate::{ProcessId, ProcessSet, Time};
+use crate::window::splitmix64;
+use crate::{LinkWindow, ProcessId, Time, WindowAction, WindowPlan, WindowPlanBuilder};
 use std::fmt;
 
-/// What a single mutation window does to the sends it selects.
-///
-/// Like [`LinkFault`](crate::LinkFault), windows select sends by the
-/// per-link mutation counter `k`: a window with `stride`/`offset` applies
-/// to the `k`-th send iff `k % stride == offset`. The `x` parameter of the
-/// window feeds the mutation deterministically (a perturbation delta, a
-/// forged sender id, a fabricated value) — the same plan always produces
-/// the same corrupted bytes.
+/// The ways a mutation window corrupts the sends it selects. The
+/// [`Mutation`]'s `x` parameter feeds the mutation deterministically (a
+/// perturbation delta, a forged sender id, a fabricated value) — the same
+/// plan always produces the same corrupted bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MutationKind {
     /// Rewrite the message to a *different protocol field/variant*
@@ -172,83 +169,36 @@ impl fmt::Display for Armor {
     }
 }
 
-/// One mutation window: a [`MutationKind`] active on one directed link
-/// during `[from, until)` (with `until = None` meaning "forever"),
-/// selecting sends by the per-link mutation counter.
+/// What a mutation window does to the sends it selects: a
+/// [`MutationKind`] fed by the parameter `x`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct MutationWindow {
-    /// Sender side of the directed link.
-    pub src: ProcessId,
-    /// Receiver side of the directed link.
-    pub dst: ProcessId,
-    /// The mutation applied to selected sends inside the window.
+pub struct Mutation {
+    /// The corruption applied.
     pub kind: MutationKind,
     /// Deterministic mutation parameter (delta / forged id / fabricated
     /// value seed, interpreted per kind).
     pub x: u64,
-    /// Period of the counter selection (`>= 1`).
-    pub stride: u64,
-    /// Residue selected within the period (`< stride`).
-    pub offset: u64,
-    /// First time at which the window is active.
-    pub from: Time,
-    /// First time at which the window is no longer active (exclusive);
-    /// `None` means the adversary never quiesces on this link.
-    pub until: Option<Time>,
 }
 
-impl MutationWindow {
-    /// Whether the window is active at time `t`.
-    #[inline]
-    pub fn active_at(&self, t: Time) -> bool {
-        t >= self.from && self.until.is_none_or(|u| t < u)
+impl WindowAction for Mutation {
+    const PLAN: &'static str = "AdversaryPlan";
+
+    fn name(self) -> &'static str {
+        self.kind.name()
     }
 
-    /// Whether the window selects the `k`-th send on its link.
-    #[inline]
-    pub fn selects(&self, k: u64) -> bool {
-        k % self.stride == self.offset
+    fn x(self) -> Option<u64> {
+        Some(self.x)
     }
 
-    /// The window translated by `delta` steps, span preserved. Saturates
-    /// at `t = 0`, so the result always satisfies the builder invariants
-    /// whenever `self` did — the schedule fuzzer's shift operator.
-    #[must_use]
-    pub fn shifted(mut self, delta: i64) -> MutationWindow {
-        let span = self.until.map(|u| u.0.saturating_sub(self.from.0));
-        self.from = Time(shift_time(self.from.0, delta));
-        self.until = span.map(|s| Time(self.from.0.saturating_add(s.max(1))));
-        self
-    }
-
-    /// The window with its end moved to `until`, clamped so the window
-    /// stays non-empty (`until > from`); `None` makes it permanent. The
-    /// schedule fuzzer's resize operator.
-    #[must_use]
-    pub fn resized(mut self, until: Option<Time>) -> MutationWindow {
-        self.until = until.map(|u| Time(u.0.max(self.from.0 + 1)));
-        self
-    }
-
-    /// The window with a new `offset % stride` send selector, clamped to
-    /// the builder invariants (`stride >= 1`, `offset < stride`).
-    #[must_use]
-    pub fn with_selector(mut self, stride: u64, offset: u64) -> MutationWindow {
-        self.stride = stride.max(1);
-        self.offset = offset % self.stride;
-        self
+    fn from_parts(name: &str, x: Option<u64>) -> Option<Mutation> {
+        Some(Mutation { kind: MutationKind::from_name(name)?, x: x? })
     }
 }
 
-/// `t + delta` in saturating unsigned arithmetic (shared by the window
-/// shift helpers).
-pub(crate) fn shift_time(t: u64, delta: i64) -> u64 {
-    if delta >= 0 {
-        t.saturating_add(delta as u64)
-    } else {
-        t.saturating_sub(delta.unsigned_abs())
-    }
-}
+/// One mutation window: a [`Mutation`] on one directed link, selecting
+/// sends by the per-link mutation counter.
+pub type MutationWindow = LinkWindow<Mutation>;
 
 /// A scripted per-workload protocol attack: a Byzantine *process* (not a
 /// channel) running one of the library's attack scripts.
@@ -318,183 +268,69 @@ impl AttackKind {
 /// # Example
 ///
 /// ```
-/// use sih_model::{AdversaryPlan, MutationKind, ProcessId, Time};
+/// use sih_model::{AdversaryPlan, Mutation, MutationKind, ProcessId, Time};
+/// let (p0, p1) = (ProcessId(0), ProcessId(1));
 /// let plan = AdversaryPlan::builder(3)
-///     .perturb(ProcessId(0), ProcessId(1), 7, Time(0), Some(Time(100)))
+///     .every(p0, p1, MutationKind::Perturb, 7, Time(0), Some(Time(100)))
 ///     .build();
-/// let action = plan.action(ProcessId(0), ProcessId(1), Time(5), 0);
-/// assert_eq!(action, Some((MutationKind::Perturb, 7)));
-/// assert_eq!(plan.action(ProcessId(1), ProcessId(0), Time(5), 0), None);
+/// let action = plan.action(p0, p1, Time(5), 0);
+/// assert_eq!(action, Some(Mutation { kind: MutationKind::Perturb, x: 7 }));
+/// assert_eq!(plan.action(p1, p0, Time(5), 0), None);
 /// assert_eq!(plan.quiescence_time(), Some(Time(100)));
 /// ```
-#[derive(PartialEq, Eq, Hash)]
-pub struct AdversaryPlan {
-    n: usize,
-    windows: Vec<MutationWindow>,
-}
+pub type AdversaryPlan = WindowPlan<Mutation>;
 
-// Manual Clone so `clone_from` (used by simulation pools and explorer
-// state copies) reuses the window vector instead of reallocating it.
-impl Clone for AdversaryPlan {
-    fn clone(&self) -> Self {
-        AdversaryPlan { n: self.n, windows: self.windows.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.n = source.n;
-        self.windows.clone_from(&source.windows);
-    }
-}
+/// Builder for [`AdversaryPlan`] (see [`WindowPlan::builder`]).
+pub type AdversaryPlanBuilder = WindowPlanBuilder<Mutation>;
 
 impl AdversaryPlan {
-    /// Starts building a plan over `n` processes (no mutations unless
-    /// windows are added).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `n > ProcessSet::MAX_PROCESSES`.
-    pub fn builder(n: usize) -> AdversaryPlanBuilder {
-        assert!(n > 0, "a system has at least one process");
-        assert!(n <= ProcessSet::MAX_PROCESSES, "at most 64 processes supported");
-        AdversaryPlanBuilder { plan: AdversaryPlan { n, windows: Vec::new() } }
-    }
-
     /// The attack-free plan: every send crosses untouched.
     pub fn honest(n: usize) -> AdversaryPlan {
         Self::builder(n).build()
     }
 
-    /// Number of processes `n = |Π|`.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The mutation windows of the plan, in insertion order.
-    #[inline]
-    pub fn windows(&self) -> &[MutationWindow] {
-        &self.windows
-    }
-
     /// Whether the plan has no mutation windows at all.
     #[inline]
     pub fn is_honest(&self) -> bool {
-        self.windows.is_empty()
+        self.windows().is_empty()
     }
 
     /// The mutation (if any) applied to the `k`-th send on the directed
     /// link `src -> dst` at time `t`. The first matching window wins.
-    pub fn action(
-        &self,
-        src: ProcessId,
-        dst: ProcessId,
-        t: Time,
-        k: u64,
-    ) -> Option<(MutationKind, u64)> {
-        self.windows
-            .iter()
-            .find(|w| w.src == src && w.dst == dst && w.active_at(t) && w.selects(k))
-            .map(|w| (w.kind, w.x))
-    }
-
-    /// The time from which the adversary is quiet: the maximum `until`
-    /// over all windows, or `None` if some window never closes. A plan
-    /// with no windows quiesces at `Time::ZERO`.
-    pub fn quiescence_time(&self) -> Option<Time> {
-        let mut q = Time::ZERO;
-        for w in &self.windows {
-            match w.until {
-                None => return None,
-                Some(u) => q = q.max(u),
-            }
-        }
-        Some(q)
+    pub fn action(&self, src: ProcessId, dst: ProcessId, t: Time, k: u64) -> Option<Mutation> {
+        self.matching(src, dst, t, k).next()
     }
 
     /// A seeded pseudo-random plan over `n` processes with every window
     /// bounded by `horizon` — `quiescence_time()` is always finite.
     ///
-    /// The generator is the same splitmix64 stream discipline as
+    /// The generator is the same splitmix64 stream as
     /// [`LinkFaultPlan::random_plan`](crate::LinkFaultPlan::random_plan):
     /// identical inputs produce identical plans on every platform.
     pub fn random_plan(n: usize, seed: u64, horizon: Time) -> AdversaryPlan {
         let mut state = seed;
-        let mut next = move || -> u64 {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut state);
         let mut b = Self::builder(n);
         let windows = 1 + (next() % 4) as usize;
         for _ in 0..windows {
             let src = ProcessId((next() % n as u64) as u32);
             let dst = ProcessId((next() % n as u64) as u32);
             let kind = MutationKind::ALL[(next() % MutationKind::ALL.len() as u64) as usize];
-            let x = 1 + next() % 64;
+            let action = Mutation { kind, x: 1 + next() % 64 };
             let stride = 1 + next() % 4;
             let offset = next() % stride;
             let from = Time(next() % horizon.0.max(1));
             let until = Some(Time((from.0 + 1 + next() % horizon.0.max(1)).min(horizon.0)));
-            b = b.mutate(MutationWindow { src, dst, kind, x, stride, offset, from, until });
+            b = b.window(LinkWindow { src, dst, action, stride, offset, from, until });
         }
         b.build()
     }
 }
 
-impl fmt::Debug for AdversaryPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AdversaryPlan(n={}, windows=[", self.n)?;
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(
-                f,
-                "{} p{}→p{} {}%{} x={}",
-                w.kind.name(),
-                w.src.index(),
-                w.dst.index(),
-                w.offset,
-                w.stride,
-                w.x
-            )?;
-            match w.until {
-                Some(u) => write!(f, " @[{}, {})", w.from, u)?,
-                None => write!(f, " @[{}, ∞)", w.from)?,
-            }
-        }
-        write!(f, "])")
-    }
-}
-
-/// Builder for [`AdversaryPlan`] (see [`AdversaryPlan::builder`]).
-#[derive(Clone, Debug)]
-pub struct AdversaryPlanBuilder {
-    plan: AdversaryPlan,
-}
-
 impl AdversaryPlanBuilder {
-    /// Adds an arbitrary mutation window.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range processes, empty windows, or invalid
-    /// stride/offset selections.
-    pub fn mutate(mut self, w: MutationWindow) -> Self {
-        let n = self.plan.n;
-        assert!(w.src.index() < n && w.dst.index() < n, "process out of range");
-        if let Some(u) = w.until {
-            assert!(w.from < u, "a mutation window must be non-empty (from < until)");
-        }
-        assert!(w.stride >= 1, "stride must be at least 1");
-        assert!(w.offset < w.stride, "offset must be smaller than stride");
-        self.plan.windows.push(w);
-        self
-    }
-
-    fn every(
+    /// Applies `kind` (parameter `x`) to **every** send on `src -> dst`
+    /// during `[from, until)`.
+    pub fn every(
         self,
         src: ProcessId,
         dst: ProcessId,
@@ -503,67 +339,18 @@ impl AdversaryPlanBuilder {
         from: Time,
         until: Option<Time>,
     ) -> Self {
-        self.mutate(MutationWindow { src, dst, kind, x, stride: 1, offset: 0, from, until })
-    }
-
-    /// Flips the protocol field of every send on `src -> dst` in the window.
-    pub fn flip(self, src: ProcessId, dst: ProcessId, from: Time, until: Option<Time>) -> Self {
-        self.every(src, dst, MutationKind::Flip, 0, from, until)
-    }
-
-    /// Perturbs the values of every send on `src -> dst` by `x`.
-    pub fn perturb(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        x: u64,
-        from: Time,
-        until: Option<Time>,
-    ) -> Self {
-        self.every(src, dst, MutationKind::Perturb, x, from, until)
-    }
-
-    /// Replaces every send on `src -> dst` in the window with a stale
-    /// replay of the previous untampered payload on that link.
-    pub fn replay(self, src: ProcessId, dst: ProcessId, from: Time, until: Option<Time>) -> Self {
-        self.every(src, dst, MutationKind::Replay, 0, from, until)
-    }
-
-    /// Forges the sender id of every send on `src -> dst` to `x mod n`
-    /// (skipping the true sender).
-    pub fn forge_sender(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        x: u64,
-        from: Time,
-        until: Option<Time>,
-    ) -> Self {
-        self.every(src, dst, MutationKind::ForgeSender, x, from, until)
-    }
-
-    /// Replaces every send on `src -> dst` in the window with a fabricated
-    /// quorum acknowledgement seeded by `x`.
-    pub fn forge_ack(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        x: u64,
-        from: Time,
-        until: Option<Time>,
-    ) -> Self {
-        self.every(src, dst, MutationKind::ForgeAck, x, from, until)
-    }
-
-    /// Finishes the plan.
-    pub fn build(self) -> AdversaryPlan {
-        self.plan
+        let action = Mutation { kind, x };
+        self.window(LinkWindow { src, dst, action, stride: 1, offset: 0, from, until })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PERTURB_9: Mutation = Mutation { kind: MutationKind::Perturb, x: 9 };
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
 
     #[test]
     fn honest_plan_never_acts() {
@@ -578,11 +365,10 @@ mod tests {
     #[test]
     fn window_is_time_and_counter_selective() {
         let plan = AdversaryPlan::builder(2)
-            .mutate(MutationWindow {
+            .window(MutationWindow {
                 src: ProcessId(0),
                 dst: ProcessId(1),
-                kind: MutationKind::Perturb,
-                x: 9,
+                action: PERTURB_9,
                 stride: 3,
                 offset: 1,
                 from: Time(10),
@@ -590,8 +376,8 @@ mod tests {
             })
             .build();
         let f = |t, k| plan.action(ProcessId(0), ProcessId(1), Time(t), k);
-        assert_eq!(f(10, 1), Some((MutationKind::Perturb, 9)));
-        assert_eq!(f(19, 4), Some((MutationKind::Perturb, 9)));
+        assert_eq!(f(10, 1), Some(PERTURB_9));
+        assert_eq!(f(19, 4), Some(PERTURB_9));
         assert_eq!(f(15, 0), None);
         assert_eq!(f(9, 1), None);
         assert_eq!(f(20, 1), None);
@@ -601,24 +387,22 @@ mod tests {
     #[test]
     fn first_matching_window_wins() {
         let plan = AdversaryPlan::builder(2)
-            .flip(ProcessId(0), ProcessId(1), Time(0), None)
-            .perturb(ProcessId(0), ProcessId(1), 3, Time(0), None)
+            .every(P0, P1, MutationKind::Flip, 0, Time(0), None)
+            .every(P0, P1, MutationKind::Perturb, 3, Time(0), None)
             .build();
-        assert_eq!(
-            plan.action(ProcessId(0), ProcessId(1), Time(0), 0),
-            Some((MutationKind::Flip, 0))
-        );
+        let flip = Mutation { kind: MutationKind::Flip, x: 0 };
+        assert_eq!(plan.action(P0, P1, Time(0), 0), Some(flip));
     }
 
     #[test]
     fn quiescence_is_the_max_close_time() {
         let plan = AdversaryPlan::builder(3)
-            .perturb(ProcessId(0), ProcessId(1), 1, Time(0), Some(Time(30)))
-            .replay(ProcessId(1), ProcessId(2), Time(10), Some(Time(50)))
+            .every(P0, P1, MutationKind::Perturb, 1, Time(0), Some(Time(30)))
+            .every(P1, ProcessId(2), MutationKind::Replay, 0, Time(10), Some(Time(50)))
             .build();
         assert_eq!(plan.quiescence_time(), Some(Time(50)));
         let open =
-            AdversaryPlan::builder(2).flip(ProcessId(0), ProcessId(1), Time(0), None).build();
+            AdversaryPlan::builder(2).every(P0, P1, MutationKind::Flip, 0, Time(0), None).build();
         assert_eq!(open.quiescence_time(), None);
     }
 
@@ -665,7 +449,7 @@ mod tests {
     #[test]
     fn debug_format_lists_windows() {
         let plan = AdversaryPlan::builder(2)
-            .perturb(ProcessId(0), ProcessId(1), 7, Time(3), Some(Time(9)))
+            .every(P0, P1, MutationKind::Perturb, 7, Time(3), Some(Time(9)))
             .build();
         let s = format!("{plan:?}");
         assert!(s.contains("perturb p0→p1"), "{s}");
@@ -676,17 +460,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_window_rejected() {
-        let _ = AdversaryPlan::builder(2).flip(ProcessId(0), ProcessId(1), Time(5), Some(Time(5)));
+        let _ =
+            AdversaryPlan::builder(2).every(P0, P1, MutationKind::Flip, 0, Time(5), Some(Time(5)));
     }
 
     #[test]
     #[should_panic(expected = "offset")]
     fn offset_out_of_stride_rejected() {
-        let _ = AdversaryPlan::builder(2).mutate(MutationWindow {
-            src: ProcessId(0),
-            dst: ProcessId(1),
-            kind: MutationKind::Flip,
-            x: 0,
+        let _ = AdversaryPlan::builder(2).window(MutationWindow {
+            src: P0,
+            dst: P1,
+            action: Mutation { kind: MutationKind::Flip, x: 0 },
             stride: 2,
             offset: 2,
             from: Time(0),

@@ -52,10 +52,11 @@ mod procset;
 mod proptests;
 mod time;
 mod value;
+mod window;
 
 pub use adversary::{
-    AdversaryPlan, AdversaryPlanBuilder, Armor, AttackClass, AttackKind, AttackSpec, MutationKind,
-    MutationWindow,
+    AdversaryPlan, AdversaryPlanBuilder, Armor, AttackClass, AttackKind, AttackSpec, Mutation,
+    MutationKind, MutationWindow,
 };
 pub use environment::Environment;
 pub use failure::{FailurePattern, FailurePatternBuilder};
@@ -67,3 +68,4 @@ pub use process::{ProcessId, ProcessSet, ProcessSetIter};
 pub use procset::ProcSet;
 pub use time::Time;
 pub use value::Value;
+pub use window::{LinkWindow, WindowAction, WindowPlan, WindowPlanBuilder};

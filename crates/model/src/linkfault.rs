@@ -8,103 +8,47 @@
 //! randomness is ever consulted, so simulations driven by a plan keep the
 //! determinism contract (DESIGN.md §6) and stay fingerprint-stable.
 
-use crate::{ProcessId, ProcessSet, Time};
-use std::fmt;
+use crate::window::splitmix64;
+use crate::{LinkWindow, ProcessId, ProcessSet, Time, WindowAction, WindowPlan, WindowPlanBuilder};
 
-/// What a single fault window does to sends crossing it.
-///
-/// Both variants select sends by the per-link send counter `k` (the number
-/// of earlier sends on the same directed link): a window with `stride`/
-/// `offset` applies to the `k`-th send iff `k % stride == offset`. A stride
-/// of `1` with offset `0` hits every send in the window — a full partition
-/// of the link; larger strides model fair-lossy links that drop (or
-/// duplicate) only some messages.
+/// What a fault window does to the sends it selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LinkFault {
     /// Drop the selected sends: the message never enters the channel.
-    Drop {
-        /// Period of the selection (`>= 1`).
-        stride: u64,
-        /// Residue selected within the period (`< stride`).
-        offset: u64,
-    },
+    Drop,
     /// Enqueue one extra copy of the selected sends (same payload, same
     /// message identity — the copy is a network-level duplicate, not a
     /// fresh send).
-    Duplicate {
-        /// Period of the selection (`>= 1`).
-        stride: u64,
-        /// Residue selected within the period (`< stride`).
-        offset: u64,
-    },
+    Duplicate,
 }
 
-/// One fault window: a [`LinkFault`] active on one directed link during
-/// `[from, until)` (with `until = None` meaning "forever").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct LinkFaultWindow {
-    /// Sender side of the directed link.
-    pub src: ProcessId,
-    /// Receiver side of the directed link.
-    pub dst: ProcessId,
-    /// The fault applied to selected sends inside the window.
-    pub fault: LinkFault,
-    /// First time at which the window is active.
-    pub from: Time,
-    /// First time at which the window is no longer active (exclusive);
-    /// `None` means the window never heals.
-    pub until: Option<Time>,
-}
+impl WindowAction for LinkFault {
+    const PLAN: &'static str = "LinkFaultPlan";
 
-impl LinkFaultWindow {
-    /// Whether the window is active at time `t`.
-    #[inline]
-    pub fn active_at(&self, t: Time) -> bool {
-        t >= self.from && self.until.is_none_or(|u| t < u)
+    fn name(self) -> &'static str {
+        match self {
+            LinkFault::Drop => "drop",
+            LinkFault::Duplicate => "dup",
+        }
     }
 
-    fn selects(&self, k: u64) -> bool {
-        let (stride, offset) = match self.fault {
-            LinkFault::Drop { stride, offset } | LinkFault::Duplicate { stride, offset } => {
-                (stride, offset)
-            }
-        };
-        k % stride == offset
+    fn x(self) -> Option<u64> {
+        None
     }
 
-    /// The window translated by `delta` steps, span preserved. Saturates
-    /// at `t = 0`, so the result always satisfies the builder invariants
-    /// whenever `self` did — the schedule fuzzer's shift operator.
-    #[must_use]
-    pub fn shifted(mut self, delta: i64) -> LinkFaultWindow {
-        let span = self.until.map(|u| u.0.saturating_sub(self.from.0));
-        self.from = Time(crate::adversary::shift_time(self.from.0, delta));
-        self.until = span.map(|s| Time(self.from.0.saturating_add(s.max(1))));
-        self
-    }
-
-    /// The window with its end moved to `until`, clamped so the window
-    /// stays non-empty (`until > from`); `None` makes it permanent. The
-    /// schedule fuzzer's resize operator.
-    #[must_use]
-    pub fn resized(mut self, until: Option<Time>) -> LinkFaultWindow {
-        self.until = until.map(|u| Time(u.0.max(self.from.0 + 1)));
-        self
-    }
-
-    /// The window with a new `offset % stride` send selector, clamped to
-    /// the builder invariants (`stride >= 1`, `offset < stride`).
-    #[must_use]
-    pub fn with_selector(mut self, stride: u64, offset: u64) -> LinkFaultWindow {
-        let stride = stride.max(1);
-        let offset = offset % stride;
-        self.fault = match self.fault {
-            LinkFault::Drop { .. } => LinkFault::Drop { stride, offset },
-            LinkFault::Duplicate { .. } => LinkFault::Duplicate { stride, offset },
-        };
-        self
+    fn from_parts(name: &str, x: Option<u64>) -> Option<LinkFault> {
+        match (name, x) {
+            ("drop", None) => Some(LinkFault::Drop),
+            ("dup", None) => Some(LinkFault::Duplicate),
+            _ => None,
+        }
     }
 }
+
+/// One fault window: a [`LinkFault`] on one directed link. A stride of
+/// `1` with offset `0` is a full partition of the link; larger strides
+/// model fair-lossy links that drop (or duplicate) only some messages.
+pub type LinkFaultWindow = LinkWindow<LinkFault>;
 
 /// The fate of one send under a plan: either dropped, or delivered with
 /// `copies >= 1` enqueued copies (`copies > 1` when duplicate windows hit).
@@ -142,59 +86,21 @@ pub enum SendFate {
 /// // Every window is bounded, so the network is reliable from t=100 on.
 /// assert_eq!(plan.quiescence_time(), Some(Time(100)));
 /// ```
-#[derive(PartialEq, Eq, Hash)]
-pub struct LinkFaultPlan {
-    n: usize,
-    windows: Vec<LinkFaultWindow>,
-}
+pub type LinkFaultPlan = WindowPlan<LinkFault>;
 
-// Manual Clone so `clone_from` (used by `Simulation::reset` and explorer
-// state copies) reuses the window vector instead of reallocating it.
-impl Clone for LinkFaultPlan {
-    fn clone(&self) -> Self {
-        LinkFaultPlan { n: self.n, windows: self.windows.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.n = source.n;
-        self.windows.clone_from(&source.windows);
-    }
-}
+/// Builder for [`LinkFaultPlan`] (see [`WindowPlan::builder`]).
+pub type LinkFaultPlanBuilder = WindowPlanBuilder<LinkFault>;
 
 impl LinkFaultPlan {
-    /// Starts building a plan over `n` processes (all links reliable unless
-    /// windows are added).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `n > ProcessSet::MAX_PROCESSES`.
-    pub fn builder(n: usize) -> LinkFaultPlanBuilder {
-        assert!(n > 0, "a system has at least one process");
-        assert!(n <= ProcessSet::MAX_PROCESSES, "at most 64 processes supported");
-        LinkFaultPlanBuilder { plan: LinkFaultPlan { n, windows: Vec::new() } }
-    }
-
     /// The fault-free plan over `n` processes: every send is delivered once.
     pub fn reliable(n: usize) -> LinkFaultPlan {
         Self::builder(n).build()
     }
 
-    /// Number of processes `n = |Π|`.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The fault windows of the plan, in insertion order.
-    #[inline]
-    pub fn windows(&self) -> &[LinkFaultWindow] {
-        &self.windows
-    }
-
     /// Whether the plan has no fault windows at all.
     #[inline]
     pub fn is_reliable(&self) -> bool {
-        self.windows.is_empty()
+        self.windows().is_empty()
     }
 
     /// The fate of the `k`-th send on the directed link `src -> dst` at
@@ -204,34 +110,13 @@ impl LinkFaultPlan {
     /// each active duplicate window that selects `k` adds one extra copy.
     pub fn fate(&self, src: ProcessId, dst: ProcessId, t: Time, k: u64) -> SendFate {
         let mut copies = 1u64;
-        for w in &self.windows {
-            if w.src != src || w.dst != dst || !w.active_at(t) || !w.selects(k) {
-                continue;
-            }
-            match w.fault {
-                LinkFault::Drop { .. } => return SendFate::Dropped,
-                LinkFault::Duplicate { .. } => copies += 1,
+        for fault in self.matching(src, dst, t, k) {
+            match fault {
+                LinkFault::Drop => return SendFate::Dropped,
+                LinkFault::Duplicate => copies += 1,
             }
         }
         SendFate::Deliver { copies }
-    }
-
-    /// The time from which every link behaves reliably: the maximum `until`
-    /// over all windows, or `None` if some window never heals. A plan with
-    /// no windows quiesces at `Time::ZERO`.
-    ///
-    /// Liveness claims are stated relative to this time: a plan with a
-    /// finite quiescence time is *fair-lossy with eventual heal*, and every
-    /// retransmitting protocol must make progress after it.
-    pub fn quiescence_time(&self) -> Option<Time> {
-        let mut q = Time::ZERO;
-        for w in &self.windows {
-            match w.until {
-                None => return None,
-                Some(u) => q = q.max(u),
-            }
-        }
-        Some(q)
     }
 
     /// A seeded pseudo-random plan over `n` processes with every window
@@ -243,14 +128,7 @@ impl LinkFaultPlan {
     /// for property tests that need diverse but replayable adversaries.
     pub fn random_plan(n: usize, seed: u64, horizon: Time) -> LinkFaultPlan {
         let mut state = seed;
-        let mut next = move || -> u64 {
-            // splitmix64: the standard 64-bit mixer; plain arithmetic only.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut state);
         let mut b = Self::builder(n);
         let windows = 1 + (next() % 6) as usize;
         for _ in 0..windows {
@@ -270,58 +148,7 @@ impl LinkFaultPlan {
     }
 }
 
-impl fmt::Debug for LinkFaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LinkFaultPlan(n={}, windows=[", self.n)?;
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            let (kind, stride, offset) = match w.fault {
-                LinkFault::Drop { stride, offset } => ("drop", stride, offset),
-                LinkFault::Duplicate { stride, offset } => ("dup", stride, offset),
-            };
-            write!(f, "{kind} p{}→p{} {offset}%{stride}", w.src.index(), w.dst.index())?;
-            match w.until {
-                Some(u) => write!(f, " @[{}, {})", w.from, u)?,
-                None => write!(f, " @[{}, ∞)", w.from)?,
-            }
-        }
-        write!(f, "])")
-    }
-}
-
-/// Builder for [`LinkFaultPlan`] (see [`LinkFaultPlan::builder`]).
-#[derive(Clone, Debug)]
-pub struct LinkFaultPlanBuilder {
-    plan: LinkFaultPlan,
-}
-
 impl LinkFaultPlanBuilder {
-    fn push(
-        mut self,
-        src: ProcessId,
-        dst: ProcessId,
-        fault: LinkFault,
-        from: Time,
-        until: Option<Time>,
-    ) -> Self {
-        let n = self.plan.n;
-        assert!(src.index() < n && dst.index() < n, "process out of range");
-        if let Some(u) = until {
-            assert!(from < u, "a fault window must be non-empty (from < until)");
-        }
-        let (stride, offset) = match fault {
-            LinkFault::Drop { stride, offset } | LinkFault::Duplicate { stride, offset } => {
-                (stride, offset)
-            }
-        };
-        assert!(stride >= 1, "stride must be at least 1");
-        assert!(offset < stride, "offset must be smaller than stride");
-        self.plan.windows.push(LinkFaultWindow { src, dst, fault, from, until });
-        self
-    }
-
     /// Drops **every** send on `src -> dst` during `[from, until)`.
     pub fn drop_link(
         self,
@@ -344,18 +171,8 @@ impl LinkFaultPlanBuilder {
         from: Time,
         until: Option<Time>,
     ) -> Self {
-        self.push(src, dst, LinkFault::Drop { stride, offset }, from, until)
-    }
-
-    /// Duplicates **every** send on `src -> dst` during `[from, until)`.
-    pub fn duplicate_link(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        from: Time,
-        until: Option<Time>,
-    ) -> Self {
-        self.duplicate_every(src, dst, 1, 0, from, until)
+        let action = LinkFault::Drop;
+        self.window(LinkWindow { src, dst, action, stride, offset, from, until })
     }
 
     /// Duplicates the sends on `src -> dst` whose per-link counter `k`
@@ -369,15 +186,15 @@ impl LinkFaultPlanBuilder {
         from: Time,
         until: Option<Time>,
     ) -> Self {
-        self.push(src, dst, LinkFault::Duplicate { stride, offset }, from, until)
+        let action = LinkFault::Duplicate;
+        self.window(LinkWindow { src, dst, action, stride, offset, from, until })
     }
 
     /// A symmetric partition separating `side` from its complement during
     /// `[from, until)`: every send crossing the cut — in either direction —
     /// is dropped. Sends within either side are unaffected.
     pub fn partition(mut self, side: ProcessSet, from: Time, until: Option<Time>) -> Self {
-        let n = self.plan.n;
-        let all = ProcessSet::full(n);
+        let all = ProcessSet::full(self.n());
         let other = all.difference(side);
         for p in side.intersection(all) {
             for q in other {
@@ -391,7 +208,7 @@ impl LinkFaultPlanBuilder {
     /// A total blackout during `[from, until)`: every send on every link
     /// (including self-sends) is dropped.
     pub fn blackout(mut self, from: Time, until: Option<Time>) -> Self {
-        let n = self.plan.n;
+        let n = self.n();
         for p in (0..n as u32).map(ProcessId) {
             for q in (0..n as u32).map(ProcessId) {
                 self = self.drop_link(p, q, from, until);
@@ -399,13 +216,7 @@ impl LinkFaultPlanBuilder {
         }
         self
     }
-
-    /// Finishes the plan.
-    pub fn build(self) -> LinkFaultPlan {
-        self.plan
-    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +257,7 @@ mod tests {
     #[test]
     fn duplicates_stack_and_drops_win() {
         let plan = LinkFaultPlan::builder(2)
-            .duplicate_link(ProcessId(0), ProcessId(1), Time(0), None)
+            .duplicate_every(ProcessId(0), ProcessId(1), 1, 0, Time(0), None)
             .duplicate_every(ProcessId(0), ProcessId(1), 2, 0, Time(0), None)
             .drop_every(ProcessId(0), ProcessId(1), 5, 4, Time(0), None)
             .build();
@@ -496,7 +307,7 @@ mod tests {
     fn quiescence_is_the_max_heal_time() {
         let plan = LinkFaultPlan::builder(3)
             .drop_link(ProcessId(0), ProcessId(1), Time(0), Some(Time(30)))
-            .duplicate_link(ProcessId(1), ProcessId(2), Time(10), Some(Time(50)))
+            .duplicate_every(ProcessId(1), ProcessId(2), 1, 0, Time(10), Some(Time(50)))
             .build();
         assert_eq!(plan.quiescence_time(), Some(Time(50)));
     }

@@ -61,8 +61,8 @@
 //! every [`StateHash`] encoding is tested against.
 
 use sih_model::{
-    AdversaryPlan, FdOutput, LinkFault, LinkFaultPlan, MutationKind, OpId, OpKind, OutputTimeline,
-    ProcSet, ProcessId, ProcessSet, Time, Value,
+    FdOutput, LinkFault, Mutation, MutationKind, OpId, OpKind, OutputTimeline, ProcSet, ProcessId,
+    ProcessSet, Time, Value, WindowAction, WindowPlan,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -436,55 +436,45 @@ impl StateHash for OutputTimeline {
     }
 }
 
-/// The size, then every window field the plan's `Debug` shows.
-impl StateHash for LinkFaultPlan {
+/// The size, then every window field the plan's `Debug` shows: the
+/// link, the action's words, the selector and the span.
+impl<A: WindowAction + StateHash> StateHash for WindowPlan<A> {
     fn hash_into(&self, h: &mut StateHasher) {
         h.write_usize(self.n());
         h.write_usize(self.windows().len());
         for w in self.windows() {
-            let (tag, stride, offset) = match w.fault {
-                LinkFault::Drop { stride, offset } => (0, stride, offset),
-                LinkFault::Duplicate { stride, offset } => (1, stride, offset),
-            };
             h.write(&w.src);
             h.write(&w.dst);
-            h.write_u64(tag);
-            h.write_u64(stride);
-            h.write_u64(offset);
+            h.write(&w.action);
+            h.write_u64(w.stride);
+            h.write_u64(w.offset);
             h.write(&w.from);
             h.write(&w.until);
         }
     }
 }
 
-impl StateHash for MutationKind {
+impl StateHash for LinkFault {
     #[inline]
     fn hash_into(&self, h: &mut StateHasher) {
         h.write_u64(match self {
+            LinkFault::Drop => 0,
+            LinkFault::Duplicate => 1,
+        });
+    }
+}
+
+impl StateHash for Mutation {
+    #[inline]
+    fn hash_into(&self, h: &mut StateHasher) {
+        h.write_u64(match self.kind {
             MutationKind::Flip => 0,
             MutationKind::Perturb => 1,
             MutationKind::Replay => 2,
             MutationKind::ForgeSender => 3,
             MutationKind::ForgeAck => 4,
         });
-    }
-}
-
-/// The size, then every window field the plan's `Debug` shows.
-impl StateHash for AdversaryPlan {
-    fn hash_into(&self, h: &mut StateHasher) {
-        h.write_usize(self.n());
-        h.write_usize(self.windows().len());
-        for w in self.windows() {
-            h.write(&w.src);
-            h.write(&w.dst);
-            h.write(&w.kind);
-            h.write_u64(w.x);
-            h.write_u64(w.stride);
-            h.write_u64(w.offset);
-            h.write(&w.from);
-            h.write(&w.until);
-        }
+        h.write_u64(self.x);
     }
 }
 

@@ -26,14 +26,11 @@
 //! contract, DESIGN.md §6).
 
 use crate::fingerprint::mix64;
-use crate::repro::{
-    adversary_from_windows, crash_list, pattern_from_crashes, plan_from_windows, Schedule,
-};
+use crate::repro::{crash_list, pattern_from_crashes, Schedule, ScheduleWindows};
 use crate::scheduler::Choice;
 use crate::Fnv64;
 use sih_model::{
-    Armor, AttackKind, AttackSpec, LinkFault, LinkFaultWindow, MutationKind, MutationWindow,
-    ProcessId, Time,
+    Armor, AttackKind, AttackSpec, LinkFault, LinkWindow, Mutation, MutationKind, ProcessId, Time,
 };
 use std::collections::BTreeSet;
 
@@ -209,15 +206,15 @@ pub fn mutate(s: &Schedule, op: MutOp, cfg: &MutatorConfig, rng: &mut FuzzRng) -
         MutOp::SpliceChoices => splice_choices(s, rng),
         MutOp::TruncateChoices => truncate_choices(s, rng),
         MutOp::DuplicateRun => duplicate_run(s, cfg, rng),
-        MutOp::ShiftFaultWindow => shift_fault_window(s, cfg, rng),
-        MutOp::ResizeFaultWindow => resize_fault_window(s, cfg, rng),
+        MutOp::ShiftFaultWindow => shift_window::<LinkFault>(s, cfg, rng),
+        MutOp::ResizeFaultWindow => resize_window::<LinkFault>(s, cfg, rng),
         MutOp::AddFaultWindow => add_fault_window(s, cfg, rng),
-        MutOp::DropFaultWindow => drop_fault_window(s, rng),
+        MutOp::DropFaultWindow => drop_window::<LinkFault>(s, rng),
         MutOp::PerturbCrash => perturb_crash(s, cfg, rng),
-        MutOp::ShiftAdversaryWindow => shift_adversary_window(s, cfg, rng),
-        MutOp::ResizeAdversaryWindow => resize_adversary_window(s, cfg, rng),
+        MutOp::ShiftAdversaryWindow => shift_window::<Mutation>(s, cfg, rng),
+        MutOp::ResizeAdversaryWindow => resize_window::<Mutation>(s, cfg, rng),
         MutOp::AddAdversaryWindow => add_adversary_window(s, cfg, rng),
-        MutOp::DropAdversaryWindow => drop_adversary_window(s, rng),
+        MutOp::DropAdversaryWindow => drop_window::<Mutation>(s, rng),
         MutOp::FlipArmor => flip_armor(s, rng),
         MutOp::FlipAttack => flip_attack(s, rng),
     }
@@ -308,7 +305,7 @@ fn duplicate_run(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option
     Some(Schedule { choices, ..s.clone() })
 }
 
-// ---- link-fault operators ------------------------------------------------
+// ---- window operators (link faults, and gated adversary windows) -------
 
 /// A signed time delta up to ±`horizon / 4`, never zero.
 fn time_delta(cfg: &MutatorConfig, rng: &mut FuzzRng) -> i64 {
@@ -330,23 +327,37 @@ fn random_until(from: u64, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option<Tim
     }
 }
 
-fn shift_fault_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option<Schedule> {
-    let mut ws = s.faults.windows().to_vec();
+/// The windows of the plan carrying `A`, with one of them picked at
+/// random; `None` when the plan has none.
+fn pick_window<A: ScheduleWindows>(
+    s: &Schedule,
+    rng: &mut FuzzRng,
+) -> Option<(Vec<LinkWindow<A>>, usize)> {
+    let ws = A::plan(s).windows().to_vec();
     if ws.is_empty() {
         return None;
     }
     let i = rng.below(ws.len() as u64) as usize;
-    let delta = time_delta(cfg, rng);
-    ws[i] = ws[i].shifted(delta);
-    Some(Schedule { faults: plan_from_windows(s.n, &ws), ..s.clone() })
+    Some((ws, i))
 }
 
-fn resize_fault_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option<Schedule> {
-    let mut ws = s.faults.windows().to_vec();
-    if ws.is_empty() {
-        return None;
-    }
-    let i = rng.below(ws.len() as u64) as usize;
+fn shift_window<A: ScheduleWindows>(
+    s: &Schedule,
+    cfg: &MutatorConfig,
+    rng: &mut FuzzRng,
+) -> Option<Schedule> {
+    let (mut ws, i) = pick_window::<A>(s, rng)?;
+    let delta = time_delta(cfg, rng);
+    ws[i] = ws[i].shifted(delta);
+    Some(A::with_windows(s, &ws))
+}
+
+fn resize_window<A: ScheduleWindows>(
+    s: &Schedule,
+    cfg: &MutatorConfig,
+    rng: &mut FuzzRng,
+) -> Option<Schedule> {
+    let (mut ws, i) = pick_window::<A>(s, rng)?;
     if rng.chance(1, 3) {
         let stride = 1 + rng.below(4);
         let offset = rng.below(stride);
@@ -355,11 +366,23 @@ fn resize_fault_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> 
         let until = random_until(ws[i].from.0, cfg, rng);
         ws[i] = ws[i].resized(until);
     }
-    Some(Schedule { faults: plan_from_windows(s.n, &ws), ..s.clone() })
+    Some(A::with_windows(s, &ws))
 }
 
-fn add_fault_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option<Schedule> {
-    if s.n < 2 || s.faults.windows().len() >= 8 {
+fn drop_window<A: ScheduleWindows>(s: &Schedule, rng: &mut FuzzRng) -> Option<Schedule> {
+    let (mut ws, i) = pick_window::<A>(s, rng)?;
+    ws.remove(i);
+    Some(A::with_windows(s, &ws))
+}
+
+/// The link of a fresh window on the plan carrying `A`: two distinct
+/// random processes; `None` when `n < 2` or the plan already has eight
+/// windows.
+fn random_link<A: ScheduleWindows>(
+    s: &Schedule,
+    rng: &mut FuzzRng,
+) -> Option<(ProcessId, ProcessId)> {
+    if s.n < 2 || A::plan(s).windows().len() >= 8 {
         return None;
     }
     let src = ProcessId(rng.below(s.n as u64) as u32);
@@ -367,28 +390,19 @@ fn add_fault_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Opt
     if dst == src {
         dst = ProcessId((dst.0 + 1) % s.n as u32);
     }
+    Some((src, dst))
+}
+
+fn add_fault_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option<Schedule> {
+    let (src, dst) = random_link::<LinkFault>(s, rng)?;
     let stride = 1 + rng.below(4);
     let offset = rng.below(stride);
     let from = Time(rng.below(cfg.horizon));
     let until = random_until(from.0, cfg, rng);
-    let fault = if rng.chance(1, 2) {
-        LinkFault::Drop { stride, offset }
-    } else {
-        LinkFault::Duplicate { stride, offset }
-    };
+    let action = if rng.chance(1, 2) { LinkFault::Drop } else { LinkFault::Duplicate };
     let mut ws = s.faults.windows().to_vec();
-    ws.push(LinkFaultWindow { src, dst, fault, from, until });
-    Some(Schedule { faults: plan_from_windows(s.n, &ws), ..s.clone() })
-}
-
-fn drop_fault_window(s: &Schedule, rng: &mut FuzzRng) -> Option<Schedule> {
-    let mut ws = s.faults.windows().to_vec();
-    if ws.is_empty() {
-        return None;
-    }
-    let i = rng.below(ws.len() as u64) as usize;
-    ws.remove(i);
-    Some(Schedule { faults: plan_from_windows(s.n, &ws), ..s.clone() })
+    ws.push(LinkWindow { src, dst, action, stride, offset, from, until });
+    Some(LinkFault::with_windows(s, &ws))
 }
 
 // ---- crash-pattern operator ---------------------------------------------
@@ -438,76 +452,17 @@ fn perturb_crash(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option
 
 // ---- adversary operators (gated) ----------------------------------------
 
-fn shift_adversary_window(
-    s: &Schedule,
-    cfg: &MutatorConfig,
-    rng: &mut FuzzRng,
-) -> Option<Schedule> {
-    let mut ws = s.adversary.windows().to_vec();
-    if ws.is_empty() {
-        return None;
-    }
-    let i = rng.below(ws.len() as u64) as usize;
-    let delta = time_delta(cfg, rng);
-    ws[i] = ws[i].shifted(delta);
-    Some(Schedule { adversary: adversary_from_windows(s.n, &ws), ..s.clone() })
-}
-
-fn resize_adversary_window(
-    s: &Schedule,
-    cfg: &MutatorConfig,
-    rng: &mut FuzzRng,
-) -> Option<Schedule> {
-    let mut ws = s.adversary.windows().to_vec();
-    if ws.is_empty() {
-        return None;
-    }
-    let i = rng.below(ws.len() as u64) as usize;
-    if rng.chance(1, 3) {
-        let stride = 1 + rng.below(4);
-        let offset = rng.below(stride);
-        ws[i] = ws[i].with_selector(stride, offset);
-    } else {
-        let until = random_until(ws[i].from.0, cfg, rng);
-        ws[i] = ws[i].resized(until);
-    }
-    Some(Schedule { adversary: adversary_from_windows(s.n, &ws), ..s.clone() })
-}
-
 fn add_adversary_window(s: &Schedule, cfg: &MutatorConfig, rng: &mut FuzzRng) -> Option<Schedule> {
-    if s.n < 2 || s.adversary.windows().len() >= 8 {
-        return None;
-    }
-    let src = ProcessId(rng.below(s.n as u64) as u32);
-    let mut dst = ProcessId(rng.below(s.n as u64) as u32);
-    if dst == src {
-        dst = ProcessId((dst.0 + 1) % s.n as u32);
-    }
+    let (src, dst) = random_link::<Mutation>(s, rng)?;
     let stride = 1 + rng.below(4);
     let from = Time(rng.below(cfg.horizon));
-    let w = MutationWindow {
-        src,
-        dst,
-        kind: MutationKind::ALL[rng.below(MutationKind::ALL.len() as u64) as usize],
-        x: 1 + rng.below(100),
-        stride,
-        offset: rng.below(stride),
-        from,
-        until: random_until(from.0, cfg, rng),
-    };
+    let kind = MutationKind::ALL[rng.below(MutationKind::ALL.len() as u64) as usize];
+    let action = Mutation { kind, x: 1 + rng.below(100) };
+    let offset = rng.below(stride);
+    let until = random_until(from.0, cfg, rng);
     let mut ws = s.adversary.windows().to_vec();
-    ws.push(w);
-    Some(Schedule { adversary: adversary_from_windows(s.n, &ws), ..s.clone() })
-}
-
-fn drop_adversary_window(s: &Schedule, rng: &mut FuzzRng) -> Option<Schedule> {
-    let mut ws = s.adversary.windows().to_vec();
-    if ws.is_empty() {
-        return None;
-    }
-    let i = rng.below(ws.len() as u64) as usize;
-    ws.remove(i);
-    Some(Schedule { adversary: adversary_from_windows(s.n, &ws), ..s.clone() })
+    ws.push(LinkWindow { src, dst, action, stride, offset, from, until });
+    Some(Mutation::with_windows(s, &ws))
 }
 
 fn flip_armor(s: &Schedule, rng: &mut FuzzRng) -> Option<Schedule> {

@@ -25,7 +25,9 @@
 // indexed by ProcessId and link ids validated at construction.
 use crate::automaton::{Envelope, MsgId};
 use crate::fingerprint::{mix64, StateHash, StateHasher};
-use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
+use sih_model::{
+    AdversaryPlan, Armor, LinkFaultPlan, Mutation, MutationKind, ProcessId, SendFate, Time,
+};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -521,7 +523,7 @@ impl<M: Clone + StateHash> Network<M> {
         let links = n * n;
         let mut stash_links = vec![false; links];
         for w in plan.windows() {
-            if w.kind == MutationKind::Replay {
+            if w.action.kind == MutationKind::Replay {
                 stash_links[w.src.index() * n + w.dst.index()] = true;
             }
         }
@@ -574,7 +576,7 @@ impl<M: Clone + StateHash> Network<M> {
         let k = adv.sends[link];
         adv.sends[link] += 1;
         let mut result: Option<(M, ProcessId)> = None;
-        if let Some((kind, x)) = adv.plan.action(from, to, sent_at, k) {
+        if let Some(Mutation { kind, x }) = adv.plan.action(from, to, sent_at, k) {
             if adv.armor.defeats(kind.class()) {
                 self.armored_count += 1;
             } else {
@@ -1107,7 +1109,7 @@ mod tests {
     fn adversary_mutates_deterministically_and_invariant_holds() {
         use sih_model::AdversaryPlan;
         let plan = AdversaryPlan::builder(2)
-            .perturb(ProcessId(0), ProcessId(1), 100, Time(0), None)
+            .every(ProcessId(0), ProcessId(1), MutationKind::Perturb, 100, Time(0), None)
             .build();
         let run = || {
             let mut net: Network<u8> = Network::new(2);
@@ -1138,8 +1140,9 @@ mod tests {
     #[test]
     fn armor_neutralizes_defeated_classes_at_the_send() {
         use sih_model::AdversaryPlan;
-        let plan =
-            AdversaryPlan::builder(2).flip(ProcessId(0), ProcessId(1), Time(0), None).build();
+        let plan = AdversaryPlan::builder(2)
+            .every(ProcessId(0), ProcessId(1), MutationKind::Flip, 0, Time(0), None)
+            .build();
         let mut net: Network<u8> = Network::new(2);
         net.set_adversary(plan, Armor::DIGEST); // rung 2 defeats Tamper
         net.send(ProcessId(0), ProcessId(1), Time(1), 10);
@@ -1154,7 +1157,7 @@ mod tests {
     fn forged_sender_rewrites_the_envelope_provenance() {
         use sih_model::AdversaryPlan;
         let plan = AdversaryPlan::builder(3)
-            .forge_sender(ProcessId(0), ProcessId(1), 2, Time(0), None)
+            .every(ProcessId(0), ProcessId(1), MutationKind::ForgeSender, 2, Time(0), None)
             .build();
         let mut net: Network<u8> = Network::new(3);
         net.set_adversary(plan, Armor::NONE);
@@ -1171,11 +1174,10 @@ mod tests {
         use sih_model::{AdversaryPlan, MutationWindow};
         // Replay every second send on 0 -> 1 (k % 2 == 1).
         let plan = AdversaryPlan::builder(2)
-            .mutate(MutationWindow {
+            .window(MutationWindow {
                 src: ProcessId(0),
                 dst: ProcessId(1),
-                kind: MutationKind::Replay,
-                x: 0,
+                action: Mutation { kind: MutationKind::Replay, x: 0 },
                 stride: 2,
                 offset: 1,
                 from: Time(0),
@@ -1195,8 +1197,9 @@ mod tests {
         assert_eq!(got, vec![10, 10, 12, 12]);
         assert_eq!(net.mutated_count(), 2);
         // A replay window with an empty stash passes the send through.
-        let plan =
-            AdversaryPlan::builder(2).replay(ProcessId(0), ProcessId(1), Time(0), None).build();
+        let plan = AdversaryPlan::builder(2)
+            .every(ProcessId(0), ProcessId(1), MutationKind::Replay, 0, Time(0), None)
+            .build();
         let mut net: Network<u8> = Network::new(2);
         net.set_adversary(plan, Armor::NONE);
         net.send(ProcessId(0), ProcessId(1), Time(1), 42);
@@ -1224,8 +1227,9 @@ mod tests {
     #[test]
     fn broadcast_consults_the_adversary_per_recipient() {
         use sih_model::AdversaryPlan;
-        let plan =
-            AdversaryPlan::builder(3).perturb(ProcessId(0), ProcessId(2), 5, Time(0), None).build();
+        let plan = AdversaryPlan::builder(3)
+            .every(ProcessId(0), ProcessId(2), MutationKind::Perturb, 5, Time(0), None)
+            .build();
         let mut net: Network<u8> = Network::new(3);
         net.set_adversary(plan, Armor::NONE);
         net.broadcast(ProcessId(0), Time(1), 10, 3, None);
@@ -1244,8 +1248,9 @@ mod tests {
     #[test]
     fn broadcast_slots_share_the_per_send_envelope_fingerprint() {
         use sih_model::AdversaryPlan;
-        let plan =
-            AdversaryPlan::builder(4).perturb(ProcessId(1), ProcessId(3), 5, Time(0), None).build();
+        let plan = AdversaryPlan::builder(4)
+            .every(ProcessId(1), ProcessId(3), MutationKind::Perturb, 5, Time(0), None)
+            .build();
         let mut fanned: Network<u8> = Network::new(4);
         fanned.set_adversary(plan.clone(), Armor::NONE);
         let mut unicast: Network<u8> = Network::new(4);

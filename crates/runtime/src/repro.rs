@@ -11,7 +11,7 @@
 //!
 //! The companion [`shrink_schedule`] is a delta-debugging minimizer: it
 //! repeatedly proposes structurally smaller schedules (dropping choices
-//! ddmin-style, removing or shortening fault windows, merging crash
+//! ddmin-style, removing or shortening link windows, merging crash
 //! windows into crash-from-start, reducing `n`) and keeps a candidate only
 //! when a caller-supplied evaluator confirms the *same* checker verdict
 //! still reproduces. The shrinker is serial and purely deterministic: its
@@ -64,20 +64,25 @@
 //! choice: p1 0
 //! ```
 //!
-//! Both versions parse; [`Schedule::to_text`] emits v1 whenever every
-//! adversary field is at its default (honest plan, no attack, no armor),
-//! so pre-existing corpus files round-trip byte-identically.
+//! `link:` and `adversary:` lines share one window grammar,
+//! `<action> pI->pJ offset%stride @[from, until)` with a trailing `x=N`
+//! for mutations, read by one parser into the one window type
+//! ([`sih_model::LinkWindow`]). A v1 file is rejected if it has an
+//! `adversary:`, `attack:` or `armor:` line. [`Schedule::to_text`]
+//! writes v1 whenever every adversary field is at its default (honest
+//! plan, no attack, no armor), so pre-adversary corpus files
+//! round-trip byte-identically.
 
 use crate::scheduler::Choice;
 use crate::{Automaton, Fnv64, Simulation};
 use sih_model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, LinkFault, LinkFaultPlan,
-    LinkFaultWindow, MutationKind, MutationWindow, ProcessId, Time,
+    LinkWindow, Mutation, ProcessId, Time, WindowAction, WindowPlan,
 };
 use std::fmt;
 
 /// The schedule format version this build writes when any adversary field
-/// is non-default (it reads both v1 and v2).
+/// is non-default (it reads both v1 and v2; v1 has no adversary lines).
 pub const SCHEDULE_VERSION: u32 = 2;
 
 /// A self-contained, replayable record of one run: workload identity and
@@ -266,16 +271,7 @@ impl Schedule {
             }
         }
         for w in self.faults.windows() {
-            let (kind, stride, offset) = match w.fault {
-                LinkFault::Drop { stride, offset } => ("drop", stride, offset),
-                LinkFault::Duplicate { stride, offset } => ("dup", stride, offset),
-            };
-            out.put("link: ");
-            out.put(kind);
-            out.put(" ");
-            out.put_link(w.src, w.dst, offset, stride);
-            out.put_span(w.from, w.until);
-            out.put("\n");
+            out.put_window("link: ", w);
         }
         if !self.adversary_free() {
             if self.armor != Armor::NONE {
@@ -284,14 +280,7 @@ impl Schedule {
                 out.put("\n");
             }
             for w in self.adversary.windows() {
-                out.put("adversary: ");
-                out.put(w.kind.name());
-                out.put(" ");
-                out.put_link(w.src, w.dst, w.offset, w.stride);
-                out.put_span(w.from, w.until);
-                out.put(" x=");
-                out.put_u64(w.x);
-                out.put("\n");
+                out.put_window("adversary: ", w);
             }
             if let Some(a) = self.attack {
                 out.put("attack: ");
@@ -324,12 +313,12 @@ impl Schedule {
             .map(|(i, l)| (i + 1, l.trim()))
             .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
 
-        let (lineno, header) = lines.next().ok_or(ScheduleError::MissingHeader)?;
-        let version = header.strip_prefix("sih-schedule v").ok_or(ScheduleError::MissingHeader)?;
-        if !matches!(version.parse::<u32>(), Ok(v) if (1..=SCHEDULE_VERSION).contains(&v)) {
-            let _ = lineno;
-            return Err(ScheduleError::UnsupportedVersion { found: version.to_string() });
-        }
+        let (_, header) = lines.next().ok_or(ScheduleError::MissingHeader)?;
+        let found = header.strip_prefix("sih-schedule v").ok_or(ScheduleError::MissingHeader)?;
+        let version = match found.parse::<u32>() {
+            Ok(v) if (1..=SCHEDULE_VERSION).contains(&v) => v,
+            _ => return Err(ScheduleError::UnsupportedVersion { found: found.to_string() }),
+        };
 
         let mut checker: Option<String> = None;
         let mut n: Option<usize> = None;
@@ -338,8 +327,8 @@ impl Schedule {
         let mut max_steps: Option<u64> = None;
         let mut verdict: Option<String> = None;
         let mut crashes: Vec<(ProcessId, Option<Time>)> = Vec::new();
-        let mut windows: Vec<LinkFaultWindow> = Vec::new();
-        let mut adv_windows: Vec<MutationWindow> = Vec::new();
+        let mut windows: Vec<LinkWindow<LinkFault>> = Vec::new();
+        let mut adv_windows: Vec<LinkWindow<Mutation>> = Vec::new();
         let mut attack: Option<AttackSpec> = None;
         let mut armor = Armor::NONE;
         let mut choices: Vec<Choice> = Vec::new();
@@ -352,8 +341,14 @@ impl Schedule {
                 line: lineno,
                 detail: format!("expected `key: value`, got `{line}`"),
             })?;
-            let rest = rest.trim();
-            match key.trim() {
+            let (key, rest) = (key.trim(), rest.trim());
+            if version == 1 && matches!(key, "adversary" | "attack" | "armor") {
+                return Err(ScheduleError::Malformed {
+                    line: lineno,
+                    detail: format!("`{key}:` needs a `sih-schedule v2` header"),
+                });
+            }
+            match key {
                 "checker" => checker = Some(rest.to_string()),
                 "n" => n = Some(parse_num(rest, lineno, "n")? as usize),
                 "k" => k = parse_num(rest, lineno, "k")? as usize,
@@ -375,12 +370,12 @@ impl Schedule {
                     crashes.push((p, Some(Time(parse_num(t.trim(), lineno, "crash time")?))));
                 }
                 "link" => {
-                    let w = parse_window(rest, lineno)?;
+                    let w = parse_window(key, rest, lineno)?;
                     pids.extend([(lineno, w.src), (lineno, w.dst)]);
                     windows.push(w);
                 }
                 "adversary" => {
-                    let w = parse_mutation(rest, lineno)?;
+                    let w = parse_window(key, rest, lineno)?;
                     pids.extend([(lineno, w.src), (lineno, w.dst)]);
                     adv_windows.push(w);
                 }
@@ -446,8 +441,8 @@ impl Schedule {
             seed,
             max_steps,
             pattern: pb.build_unchecked(),
-            faults: plan_from_windows(n, &windows),
-            adversary: adversary_from_windows(n, &adv_windows),
+            faults: WindowPlan::from_windows(n, &windows),
+            adversary: WindowPlan::from_windows(n, &adv_windows),
             attack,
             armor,
             choices,
@@ -484,28 +479,33 @@ trait TextSink {
         self.put_u64(u64::from(p.0));
     }
 
-    /// Appends a window's link and selector, `pI->pJ offset%stride`.
-    fn put_link(&mut self, src: ProcessId, dst: ProcessId, offset: u64, stride: u64) {
-        self.put_pid(src);
-        self.put("->");
-        self.put_pid(dst);
+    /// Appends one window line, `<key><action> pI->pJ offset%stride
+    /// @[from, until)` with `inf` for a window that never closes and a
+    /// trailing ` x=N` for an action that takes one.
+    fn put_window<A: WindowAction>(&mut self, key: &str, w: &LinkWindow<A>) {
+        self.put(key);
+        self.put(w.action.name());
         self.put_ascii(b' ');
-        self.put_u64(offset);
+        self.put_pid(w.src);
+        self.put("->");
+        self.put_pid(w.dst);
+        self.put_ascii(b' ');
+        self.put_u64(w.offset);
         self.put_ascii(b'%');
-        self.put_u64(stride);
-    }
-
-    /// Appends a window's span, ` @[from, until)` with `inf` for a
-    /// window that never heals.
-    fn put_span(&mut self, from: Time, until: Option<Time>) {
+        self.put_u64(w.stride);
         self.put(" @[");
-        self.put_u64(from.0);
+        self.put_u64(w.from.0);
         self.put(", ");
-        match until {
+        match w.until {
             Some(u) => self.put_u64(u.0),
             None => self.put("inf"),
         }
         self.put_ascii(b')');
+        if let Some(x) = w.action.x() {
+            self.put(" x=");
+            self.put_u64(x);
+        }
+        self.put_ascii(b'\n');
     }
 }
 
@@ -551,67 +551,28 @@ fn parse_pid(tok: &str, line: usize) -> Result<ProcessId, ScheduleError> {
     })
 }
 
-/// Parses `drop p0->p1 0%1 @[0, 200)` / `dup p2->p0 1%3 @[5, inf)`.
-fn parse_window(rest: &str, line: usize) -> Result<LinkFaultWindow, ScheduleError> {
-    let bad = |detail: String| ScheduleError::Malformed { line, detail };
-    let mut toks = rest.split_whitespace();
-    let kind = toks.next().ok_or_else(|| bad("empty link spec".to_string()))?;
-    let linkspec = toks.next().ok_or_else(|| bad("link needs `pI->pJ`".to_string()))?;
-    let sel = toks.next().ok_or_else(|| bad("link needs `offset%stride`".to_string()))?;
-    let span: String = toks.collect::<Vec<_>>().join(" ");
-
-    let (src, dst) = linkspec
-        .split_once("->")
-        .ok_or_else(|| bad(format!("expected `pI->pJ`, got `{linkspec}`")))?;
-    let (src, dst) = (parse_pid(src, line)?, parse_pid(dst, line)?);
-
-    let (offset, stride) =
-        sel.split_once('%').ok_or_else(|| bad(format!("expected `offset%stride`, got `{sel}`")))?;
-    let (offset, stride) = (parse_num(offset, line, "offset")?, parse_num(stride, line, "stride")?);
-    if stride == 0 || offset >= stride {
-        return Err(bad(format!("selector `{offset}%{stride}` needs offset < stride, stride > 0")));
-    }
-
-    let span = span
-        .strip_prefix("@[")
-        .and_then(|s| s.strip_suffix(')'))
-        .ok_or_else(|| bad(format!("expected `@[from, until)`, got `{span}`")))?;
-    let (from, until) =
-        span.split_once(',').ok_or_else(|| bad(format!("expected `from, until`, got `{span}`")))?;
-    let from = Time(parse_num(from.trim(), line, "window start")?);
-    let until = match until.trim() {
-        "inf" => None,
-        t => Some(Time(parse_num(t, line, "window end")?)),
-    };
-    if let Some(u) = until {
-        if u <= from {
-            return Err(bad(format!("empty link window @[{}, {})", from.0, u.0)));
-        }
-    }
-
-    let fault = match kind {
-        "drop" => LinkFault::Drop { stride, offset },
-        "dup" => LinkFault::Duplicate { stride, offset },
-        other => return Err(bad(format!("unknown link fault `{other}`"))),
-    };
-    Ok(LinkFaultWindow { src, dst, fault, from, until })
-}
-
-/// Parses `perturb p0->p1 0%1 @[0, 40) x=9` (same link/selector/span
-/// grammar as `link:`, plus a mutation kind and its `x` parameter).
-fn parse_mutation(rest: &str, line: usize) -> Result<MutationWindow, ScheduleError> {
+/// Parses the window grammar of a `link:` or `adversary:` line (`key`):
+/// `drop p0->p1 0%1 @[0, 200)`, `perturb p0->p1 0%1 @[0, 40) x=9`.
+fn parse_window<A: WindowAction>(
+    key: &str,
+    rest: &str,
+    line: usize,
+) -> Result<LinkWindow<A>, ScheduleError> {
     let bad = |detail: String| ScheduleError::Malformed { line, detail };
     let (rest, x) = match rest.rsplit_once("x=") {
-        Some((head, x)) => (head.trim(), parse_num(x.trim(), line, "mutation x")?),
-        None => return Err(bad(format!("adversary line needs a trailing `x=N`, got `{rest}`"))),
+        Some((head, x)) => (head.trim(), Some(parse_num(x.trim(), line, "x")?)),
+        None => (rest, None),
     };
     let mut toks = rest.split_whitespace();
-    let kind = toks.next().ok_or_else(|| bad("empty adversary spec".to_string()))?;
-    let kind = MutationKind::from_name(kind)
-        .ok_or_else(|| bad(format!("unknown mutation kind `{kind}`")))?;
-    let linkspec = toks.next().ok_or_else(|| bad("adversary needs `pI->pJ`".to_string()))?;
-    let sel = toks.next().ok_or_else(|| bad("adversary needs `offset%stride`".to_string()))?;
+    let name = toks.next().ok_or_else(|| bad(format!("empty {key} spec")))?;
+    let linkspec = toks.next().ok_or_else(|| bad(format!("{key} needs `pI->pJ`")))?;
+    let sel = toks.next().ok_or_else(|| bad(format!("{key} needs `offset%stride`")))?;
     let span: String = toks.collect::<Vec<_>>().join(" ");
+
+    let action = A::from_parts(name, x).ok_or_else(|| {
+        let with = if x.is_some() { "with" } else { "without" };
+        bad(format!("no {key} action `{name}` {with} `x=N`"))
+    })?;
 
     let (src, dst) = linkspec
         .split_once("->")
@@ -638,10 +599,10 @@ fn parse_mutation(rest: &str, line: usize) -> Result<MutationWindow, ScheduleErr
     };
     if let Some(u) = until {
         if u <= from {
-            return Err(bad(format!("empty adversary window @[{}, {})", from.0, u.0)));
+            return Err(bad(format!("empty {key} window @[{}, {})", from.0, u.0)));
         }
     }
-    Ok(MutationWindow { src, dst, kind, x, stride, offset, from, until })
+    Ok(LinkWindow { src, dst, action, stride, offset, from, until })
 }
 
 /// Parses `equivocate x=3` / `split-ack x=1`.
@@ -656,32 +617,35 @@ fn parse_attack(rest: &str, line: usize) -> Result<AttackSpec, ScheduleError> {
     Ok(AttackSpec { kind, x })
 }
 
-/// Rebuilds a plan from an explicit window list (used by the parser, the
-/// shrinker's window mutations, and the fuzzer's mutation operators).
-pub(crate) fn plan_from_windows(n: usize, windows: &[LinkFaultWindow]) -> LinkFaultPlan {
-    let mut b = LinkFaultPlan::builder(n);
-    for w in windows {
-        b = match w.fault {
-            LinkFault::Drop { stride, offset } => {
-                b.drop_every(w.src, w.dst, stride, offset, w.from, w.until)
-            }
-            LinkFault::Duplicate { stride, offset } => {
-                b.duplicate_every(w.src, w.dst, stride, offset, w.from, w.until)
-            }
-        };
-    }
-    b.build()
+/// The schedule field that holds the windows of action `A`, so the
+/// shrinker's window pass and the fuzzer's window operators are written
+/// once for both plans.
+pub(crate) trait ScheduleWindows: WindowAction {
+    /// The plan of `s` whose windows carry this action.
+    fn plan(s: &Schedule) -> &WindowPlan<Self>;
+
+    /// `s` with that plan rebuilt from `windows` (builder checks included).
+    fn with_windows(s: &Schedule, windows: &[LinkWindow<Self>]) -> Schedule;
 }
 
-/// Rebuilds an adversary plan from an explicit window list (used by the
-/// parser, the shrinker's window mutations, and the fuzzer's mutation
-/// operators).
-pub(crate) fn adversary_from_windows(n: usize, windows: &[MutationWindow]) -> AdversaryPlan {
-    let mut b = AdversaryPlan::builder(n);
-    for &w in windows {
-        b = b.mutate(w);
+impl ScheduleWindows for LinkFault {
+    fn plan(s: &Schedule) -> &LinkFaultPlan {
+        &s.faults
     }
-    b.build()
+
+    fn with_windows(s: &Schedule, windows: &[LinkWindow<Self>]) -> Schedule {
+        Schedule { faults: WindowPlan::from_windows(s.n, windows), ..s.clone() }
+    }
+}
+
+impl ScheduleWindows for Mutation {
+    fn plan(s: &Schedule) -> &AdversaryPlan {
+        &s.adversary
+    }
+
+    fn with_windows(s: &Schedule, windows: &[LinkWindow<Self>]) -> Schedule {
+        Schedule { adversary: WindowPlan::from_windows(s.n, windows), ..s.clone() }
+    }
 }
 
 /// Rebuilds a crash pattern over `n` processes from an explicit crash
@@ -756,13 +720,13 @@ pub struct ShrinkReport {
 ///
 /// 1. **ddmin over choices** — remove chunks of the choice sequence at
 ///    halving granularity (drops deliveries and compute steps);
-/// 2. **fault windows** — remove whole windows; close never-healing
-///    windows; halve window spans;
-/// 3. **adversary** — drop the scripted attack; remove whole mutation
-///    windows; close never-ending windows; halve window spans;
-/// 4. **crashes** — remove crashes entirely, or merge a mid-run crash
+/// 2. **link windows**, on the fault plan — remove whole windows; close
+///    never-ending windows at `max(max_steps, from + 1)`; halve spans;
+/// 3. **attack** — drop the scripted attack;
+/// 4. **link windows**, on the adversary plan, as in 2;
+/// 5. **crashes** — remove crashes entirely, or merge a mid-run crash
 ///    window into crash-from-start;
-/// 5. **n-reduction** — drop the highest process while nothing in the
+/// 6. **n-reduction** — drop the highest process while nothing in the
 ///    schedule references it and `n > min_n`.
 ///
 /// The algorithm is serial and deterministic: passes run in a fixed
@@ -795,8 +759,14 @@ where
         report.rounds += 1;
         let mut changed = false;
         changed |= ddmin_pass(&mut best, eval, &mut report);
-        changed |= fault_pass(&mut best, eval, &mut report);
-        changed |= adversary_pass(&mut best, eval, &mut report);
+        changed |= window_pass::<LinkFault, _>(&mut best, eval, &mut report);
+        // Drop the scripted attack before the mutation windows: if the
+        // windows alone reproduce, the minimal witness should say so.
+        if best.attack.is_some() {
+            let cand = Schedule { attack: None, ..best.clone() };
+            changed |= try_accept(&mut best, cand, eval, &mut report);
+        }
+        changed |= window_pass::<Mutation, _>(&mut best, eval, &mut report);
         changed |= crash_pass(&mut best, eval, &mut report);
         changed |= reduce_n_pass(&mut best, opts.min_n, eval, &mut report);
         if !changed {
@@ -856,101 +826,48 @@ where
     any
 }
 
-fn fault_pass<F>(best: &mut Schedule, eval: &mut F, report: &mut ShrinkReport) -> bool
+/// The window pass over the plan whose windows carry `A`.
+fn window_pass<A: ScheduleWindows, F>(
+    best: &mut Schedule,
+    eval: &mut F,
+    report: &mut ShrinkReport,
+) -> bool
 where
     F: FnMut(&Schedule) -> Option<Schedule>,
 {
     let mut any = false;
     // Remove whole windows (snapshot indices; retry in place after a hit).
     let mut i = 0;
-    while i < best.faults.windows().len() {
-        let mut ws = best.faults.windows().to_vec();
+    while i < A::plan(best).windows().len() {
+        let mut ws = A::plan(best).windows().to_vec();
         ws.remove(i);
-        let mut cand = best.clone();
-        cand.faults = plan_from_windows(cand.n, &ws);
+        let cand = A::with_windows(best, &ws);
         if try_accept(best, cand, eval, report) {
             any = true;
         } else {
             i += 1;
         }
     }
-    // Close never-healing windows at the step horizon, then halve spans.
-    for i in 0..best.faults.windows().len() {
-        let w = best.faults.windows()[i];
+    // Close never-ending windows at the step horizon, kept non-empty for
+    // a window that opens at or after it; then halve spans.
+    for i in 0..A::plan(best).windows().len() {
+        let w = A::plan(best).windows()[i];
         if w.until.is_none() {
-            let mut ws = best.faults.windows().to_vec();
-            ws[i].until = Some(Time(best.max_steps));
-            let mut cand = best.clone();
-            cand.faults = plan_from_windows(cand.n, &ws);
-            any |= try_accept(best, cand, eval, report);
-        }
-        loop {
-            let w = best.faults.windows()[i];
-            let Some(u) = w.until else { break };
-            let span = u.0.saturating_sub(w.from.0);
-            if span <= 1 {
-                break;
-            }
-            let mut ws = best.faults.windows().to_vec();
-            ws[i].until = Some(Time(w.from.0 + span / 2));
-            let mut cand = best.clone();
-            cand.faults = plan_from_windows(cand.n, &ws);
-            if try_accept(best, cand, eval, report) {
-                any = true;
-            } else {
-                break;
-            }
-        }
-    }
-    any
-}
-
-fn adversary_pass<F>(best: &mut Schedule, eval: &mut F, report: &mut ShrinkReport) -> bool
-where
-    F: FnMut(&Schedule) -> Option<Schedule>,
-{
-    let mut any = false;
-    // Drop the scripted attack first: if the mutation windows alone
-    // reproduce, the minimal witness should say so.
-    if best.attack.is_some() {
-        let mut cand = best.clone();
-        cand.attack = None;
-        any |= try_accept(best, cand, eval, report);
-    }
-    // Remove whole mutation windows (retry in place after a hit).
-    let mut i = 0;
-    while i < best.adversary.windows().len() {
-        let mut ws = best.adversary.windows().to_vec();
-        ws.remove(i);
-        let mut cand = best.clone();
-        cand.adversary = adversary_from_windows(cand.n, &ws);
-        if try_accept(best, cand, eval, report) {
-            any = true;
-        } else {
-            i += 1;
-        }
-    }
-    // Close never-ending windows at the step horizon, then halve spans.
-    for i in 0..best.adversary.windows().len() {
-        let w = best.adversary.windows()[i];
-        if w.until.is_none() {
-            let mut ws = best.adversary.windows().to_vec();
+            let mut ws = A::plan(best).windows().to_vec();
             ws[i].until = Some(Time(best.max_steps.max(w.from.0 + 1)));
-            let mut cand = best.clone();
-            cand.adversary = adversary_from_windows(cand.n, &ws);
+            let cand = A::with_windows(best, &ws);
             any |= try_accept(best, cand, eval, report);
         }
         loop {
-            let w = best.adversary.windows()[i];
+            let w = A::plan(best).windows()[i];
             let Some(u) = w.until else { break };
             let span = u.0.saturating_sub(w.from.0);
             if span <= 1 {
                 break;
             }
-            let mut ws = best.adversary.windows().to_vec();
+            let mut ws = A::plan(best).windows().to_vec();
             ws[i].until = Some(Time(w.from.0 + span / 2));
-            let mut cand = best.clone();
-            cand.adversary = adversary_from_windows(cand.n, &ws);
+            let cand = A::with_windows(best, &ws);
             if try_accept(best, cand, eval, report) {
                 any = true;
             } else {
@@ -1014,8 +931,8 @@ where
         let mut cand = best.clone();
         cand.n = best.n - 1;
         cand.pattern = pattern_from_crashes(cand.n, &crashes);
-        cand.faults = plan_from_windows(cand.n, best.faults.windows());
-        cand.adversary = adversary_from_windows(cand.n, best.adversary.windows());
+        cand.faults = WindowPlan::from_windows(cand.n, best.faults.windows());
+        cand.adversary = WindowPlan::from_windows(cand.n, best.adversary.windows());
         if try_accept(best, cand, eval, report) {
             any = true;
         } else {
@@ -1028,6 +945,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sih_model::MutationKind;
 
     fn sample() -> Schedule {
         Schedule {
@@ -1060,8 +978,8 @@ mod tests {
         let mut s = sample();
         s.checker = "fig2-byz-perturb".to_string();
         s.adversary = AdversaryPlan::builder(4)
-            .perturb(ProcessId(0), ProcessId(1), 9, Time(0), Some(Time(40)))
-            .forge_sender(ProcessId(2), ProcessId(0), 1, Time(5), None)
+            .every(ProcessId(0), ProcessId(1), MutationKind::Perturb, 9, Time(0), Some(Time(40)))
+            .every(ProcessId(2), ProcessId(0), MutationKind::ForgeSender, 1, Time(5), None)
             .build();
         s.attack = Some(AttackSpec { kind: AttackKind::Equivocate, x: 3 });
         s.armor = Armor::SENDER_ID;
@@ -1109,20 +1027,24 @@ mod tests {
 
     #[test]
     fn malformed_adversary_lines_are_rejected() {
-        let base = "sih-schedule v2\nchecker: x\nn: 2\nmax-steps: 5\nverdict: ok\n";
-        for bad in [
-            "adversary: warp p0->p1 0%1 @[0, 5) x=1\n", // unknown kind
-            "adversary: flip p0->p1 0%1 @[0, 5)\n",     // missing x=
-            "adversary: flip p0->p1 1%1 @[0, 5) x=1\n", // offset >= stride
-            "adversary: flip p0->p1 0%1 @[5, 5) x=1\n", // empty window
-            "attack: nuke x=1\n",                       // unknown attack
-            "armor: 9\n",                               // above the ladder
+        let base = "checker: x\nn: 2\nmax-steps: 5\nverdict: ok\n";
+        for (version, bad) in [
+            (2, "adversary: warp p0->p1 0%1 @[0, 5) x=1"), // unknown kind
+            (2, "adversary: flip p0->p1 0%1 @[0, 5)"),     // missing x=
+            (2, "adversary: flip p0->p1 1%1 @[0, 5) x=1"), // offset >= stride
+            (2, "adversary: flip p0->p1 0%1 @[5, 5) x=1"), // empty window
+            (2, "link: drop p0->p1 0%1 @[0, 5) x=1"),      // link faults take no x=
+            (2, "attack: nuke x=1"),                       // unknown attack
+            (2, "armor: 9"),                               // above the ladder
+            (1, "adversary: flip p0->p1 0%1 @[0, 5) x=1"), // v1 has no adversary
+            (1, "attack: equivocate x=1"),
+            (1, "armor: 1"),
         ] {
-            let text = format!("{base}{bad}");
-            assert!(
-                matches!(Schedule::parse(&text), Err(ScheduleError::Malformed { .. })),
-                "accepted: {bad}"
-            );
+            let text = format!("sih-schedule v{version}\n{base}{bad}\n");
+            match Schedule::parse(&text) {
+                Err(ScheduleError::Malformed { line: 6, .. }) => {}
+                other => panic!("v{version} `{bad}`: expected Malformed at line 6, got {other:?}"),
+            }
         }
     }
 
@@ -1248,7 +1170,9 @@ mod tests {
             .windows()
             .iter()
             .any(|w| {
-                w.kind == MutationKind::Perturb && w.src == ProcessId(0) && w.dst == ProcessId(1)
+                w.action.kind == MutationKind::Perturb
+                    && w.src == ProcessId(0)
+                    && w.dst == ProcessId(1)
             })
             .then(|| cand.clone())
     }
@@ -1260,12 +1184,36 @@ mod tests {
         assert_eq!(min.attack, None);
         assert_eq!(min.adversary.windows().len(), 1);
         let w = min.adversary.windows()[0];
-        assert_eq!(w.kind, MutationKind::Perturb);
+        assert_eq!(w.action.kind, MutationKind::Perturb);
         // The span halves down to the minimal [0, 1) slice.
         assert_eq!((w.from, w.until), (Time(0), Some(Time(1))));
         assert!(rep.candidates_accepted > 0);
         // Deterministic, like every other pass.
         assert_eq!(shrink_schedule(&s, &ShrinkOptions::default(), &mut byz_eval).0, min);
+    }
+
+    /// Replays may run past `max_steps`, so a window can open at or after
+    /// it. Closing such a window at `max_steps` would make it empty; the
+    /// window pass closes it at `from + 1` instead, on either plan.
+    #[test]
+    fn shrink_closes_windows_that_open_past_the_step_horizon() {
+        let mut s = byz_sample();
+        s.attack = None;
+        s.faults = LinkFaultPlan::builder(4)
+            .drop_link(ProcessId(0), ProcessId(1), Time(s.max_steps), None)
+            .build();
+        s.adversary = AdversaryPlan::builder(4)
+            .every(ProcessId(2), ProcessId(0), MutationKind::Flip, 0, Time(50), None)
+            .build();
+        // Reproduces iff both late windows are still there.
+        let mut keeps_windows = |cand: &Schedule| {
+            let fault = cand.faults.windows().first().map(|w| w.from);
+            let mutation = cand.adversary.windows().first().map(|w| w.from);
+            (fault == Some(Time(40)) && mutation == Some(Time(50))).then(|| cand.clone())
+        };
+        let (min, _) = shrink_schedule(&s, &ShrinkOptions::default(), &mut keeps_windows);
+        assert_eq!(min.faults.windows()[0].until, Some(Time(41)));
+        assert_eq!(min.adversary.windows()[0].until, Some(Time(51)));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use sih::agreement::{
 };
 use sih::detectors::{Sigma, SigmaK, SigmaS};
 use sih::model::{
-    AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, MutationKind, MutationWindow,
-    ProcessId, ProcessSet, Time,
+    AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, Mutation, MutationKind,
+    MutationWindow, ProcessId, ProcessSet, Time,
 };
 use sih::registers::{abd_processes, check_linearizable, split_ack_processes, two_writer_workload};
 use sih::runtime::sweep::Sweep;
@@ -36,16 +36,7 @@ fn all_links(n: usize, kind: MutationKind, x: u64) -> AdversaryPlan {
     for src in 0..n as u32 {
         for dst in 0..n as u32 {
             if src != dst {
-                b = b.mutate(MutationWindow {
-                    src: ProcessId(src),
-                    dst: ProcessId(dst),
-                    kind,
-                    x,
-                    stride: 1,
-                    offset: 0,
-                    from: Time::ZERO,
-                    until: None,
-                });
+                b = b.every(ProcessId(src), ProcessId(dst), kind, x, Time::ZERO, None);
             }
         }
     }
@@ -346,11 +337,10 @@ proptest! {
             if src == dst {
                 continue;
             }
-            b = b.mutate(MutationWindow {
+            b = b.window(MutationWindow {
                 src: ProcessId(src),
                 dst: ProcessId(dst),
-                kind: kinds[kind],
-                x,
+                action: Mutation { kind: kinds[kind], x },
                 stride,
                 offset: offset.min(stride - 1),
                 from: Time(from),

@@ -7,6 +7,7 @@
 //! longer executes verbatim — and additionally proves the whole
 //! record → shrink → replay pipeline still works from scratch.
 
+use sih::runtime::ShrinkReport;
 use sih_lab::repro::{
     record_first_violation, replay, shrink, verify_corpus_dir, CorpusEntry, ReplayMode,
 };
@@ -81,4 +82,42 @@ fn fresh_abd_quorum_violation_records_shrinks_and_replays() {
     // Round-trip through the text format, as the corpus stores it.
     let parsed = sih::runtime::Schedule::parse(&small.to_text()).expect("roundtrip parses");
     assert_eq!(parsed, small);
+}
+
+/// Every committed witness is already minimal: shrinking it returns the
+/// same text after one round whose only accepted candidate is the input.
+/// The candidate counts pin each pass's proposals on real plans — six
+/// entries carry windows (two `link:`, four `adversary:`), so a change in
+/// how the window pass walks either plan moves them.
+#[test]
+fn committed_witnesses_are_shrink_fixpoints() {
+    let expected: [(&str, usize, u64); 12] = [
+        ("abd-byz-forge-ack", 52, 88),
+        ("abd-byz-perturb", 115, 189),
+        ("abd-byz-split-ack", 52, 87),
+        ("abd-weak-quorum-fuzz", 10, 20),
+        ("abd-weak-quorum", 10, 20),
+        ("fig2-byz-equivocate", 6, 10),
+        ("fig2-byz-perturb", 6, 11),
+        ("fig2-weak-sigma-fuzz", 3, 6),
+        ("fig2-weak-sigma", 3, 6),
+        ("fig4-byz-perturb", 4, 9),
+        ("fig4-weak-sigma-k", 6, 9),
+        ("fig6-without-change", 7, 18),
+    ];
+    for (name, len, tried) in expected {
+        let path = corpus_dir().join(format!("{name}.schedule"));
+        let text = std::fs::read_to_string(&path).expect("reading a corpus entry");
+        let s = sih::runtime::Schedule::parse(&text).expect("corpus entry parses");
+        let (small, report) = shrink(&s).expect("shrink runs");
+        assert_eq!(small.to_text(), s.to_text(), "{name}: shrinking changed the witness");
+        let want = ShrinkReport {
+            original_len: len,
+            final_len: len,
+            candidates_tried: tried,
+            candidates_accepted: 1,
+            rounds: 1,
+        };
+        assert_eq!(report, want, "{name}");
+    }
 }

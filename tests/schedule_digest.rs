@@ -9,8 +9,8 @@
 //! digest and the witness digests in BENCH_fuzz.json all rest on it.
 
 use sih::model::{
-    AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, LinkFaultPlan, MutationKind,
-    MutationWindow, ProcessId, Time,
+    AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, LinkFaultPlan, Mutation,
+    MutationKind, MutationWindow, ProcessId, Time,
 };
 use sih::runtime::{crossover, fnv1a_64, mutate, Choice, FuzzRng, MutOp, MutatorConfig, Schedule};
 use std::path::PathBuf;
@@ -80,8 +80,8 @@ fn wide(adversary: bool) -> Schedule {
         s.armor = Armor::level(2);
         s.attack = Some(AttackSpec { kind: AttackKind::SplitAck, x: 0 });
         s.adversary = AdversaryPlan::builder(n)
-            .mutate(window(MutationKind::Perturb, 11, 10, 0, None, 99))
-            .mutate(window(MutationKind::ForgeSender, 0, 1, 1_000, Some(2_000), u64::MAX))
+            .window(window(MutationKind::Perturb, 11, 10, 0, None, 99))
+            .window(window(MutationKind::ForgeSender, 0, 1, 1_000, Some(2_000), u64::MAX))
             .build();
     }
     s
@@ -98,8 +98,7 @@ fn window(
     MutationWindow {
         src: ProcessId(src),
         dst: ProcessId(dst),
-        kind,
-        x,
+        action: Mutation { kind, x },
         stride: 10,
         offset: 3,
         from: Time(from),

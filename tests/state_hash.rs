@@ -28,7 +28,8 @@ use sih::agreement::{
 use sih::detectors::{AntiOmega, Omega, QuorumMsg, QuorumSigma, Sigma, SigmaK, SigmaS, WeakSigmaS};
 use sih::model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, FdOutput,
-    LinkFaultPlan, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time, Value,
+    LinkFaultPlan, Mutation, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time,
+    Value,
 };
 use sih::reductions::{
     fig3_processes, fig5_processes, fig6_processes, AblatedFig6Msg, AntiOmegaAgreementCandidate,
@@ -113,11 +114,10 @@ fn all_links(n: usize, kind: MutationKind, x: u64) -> AdversaryPlan {
     for src in (0..n as u32).map(ProcessId) {
         for dst in (0..n as u32).map(ProcessId) {
             if src != dst {
-                b = b.mutate(MutationWindow {
+                b = b.window(MutationWindow {
                     src,
                     dst,
-                    kind,
-                    x,
+                    action: Mutation { kind, x },
                     stride: 2,
                     offset: 0,
                     from: Time::ZERO,
