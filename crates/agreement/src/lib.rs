@@ -27,9 +27,6 @@
 //! # Ok::<(), sih_agreement::AgreementViolation>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod ablation;
 mod byzantine;
 mod consensus;

@@ -1,7 +1,7 @@
 //! Planted violation: a pragma that suppresses nothing is dead weight
 //! and must itself be a finding.
 
-// sih-analysis: allow(taint-wall-clock) — nothing here reads a clock
+// sih-analysis: allow(float) — nothing here uses a float
 
-/// Reads no clock: the pragma above is unused.
+/// Uses no float: the pragma above is unused.
 pub fn quiet() {}

@@ -6,7 +6,7 @@
 //! call `Qual::name(…)` to every fn owned by `Qual` (falling back to free
 //! fns when the qualifier is a module path), and a bare `name(…)` to
 //! every free fn named `name`. Extra edges can only make more functions
-//! reachable, so the taint and panic passes stay *sound* — they may ask
+//! reachable, so the panic pass stays *sound* — they may ask
 //! for a pragma on a site that a precise analysis would clear, but they
 //! cannot miss a site an actual execution reaches. Calls that leave the
 //! workspace (std, external crates) have no node and simply drop out.
@@ -597,7 +597,7 @@ mod tests {
     #[test]
     fn method_calls_over_approximate_across_owners() {
         // `.output(…)` must link to every assoc fn named output — that is
-        // what makes detector taint visible from Simulation::step.
+        // what makes detector panics visible from Simulation::step.
         let files = [file(
             "a.rs",
             r#"

@@ -1,74 +1,66 @@
-//! Lint hygiene: every crate must carry the agreed crate-level lints.
+//! Lint hygiene: every workspace member inherits the workspace lint table.
 //!
-//! * `#![forbid(unsafe_code)]` — everywhere, vendored shims included.
-//!   The simulator's determinism argument assumes no aliasing tricks.
-//! * `#![warn(missing_docs)]` — on the workspace's own crates (vendor
-//!   shims mirror external APIs and are exempt).
-//!
-//! The companion `clippy::unwrap_used` deny-list for the runtime/model
-//! crates is enforced two ways: the token-level `unwrap-nontest` rule in
-//! [`crate::scan`] (runs offline, test-aware) and the CI clippy job's
-//! `-D clippy::unwrap_used` flags on those crates' library targets.
+//! The lints themselves — `unsafe_code = "forbid"`, `missing_docs =
+//! "warn"`, `clippy::unwrap_used = "deny"` — are stated once, in the root
+//! `Cargo.toml`'s `[workspace.lints]`, and rustc/clippy enforce them. What
+//! the compiler cannot see is a member that never opts in, so this check
+//! requires `[lints] workspace = true` in the root package's manifest and
+//! in every `crates/*` and `vendor/*` manifest.
 
+use crate::display_path;
 use crate::report::Finding;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Checks crate-level lint attributes for every crate under `crates/`
-/// and `vendor/`, plus the root package's `src/lib.rs`.
+/// The hygiene rule name.
+pub const HYGIENE_RULE: &str = "missing-workspace-lints";
+
+/// Checks that every member manifest under `root` inherits the workspace
+/// lint table. The root manifest counts when it declares a `[package]`.
 pub fn check_hygiene(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (dir, require_docs) in [("crates", true), ("vendor", false)] {
+    let mut manifests: Vec<PathBuf> = Vec::new();
+    let root_manifest = root.join("Cargo.toml");
+    if std::fs::read_to_string(&root_manifest)
+        .is_ok_and(|text| text.lines().any(|l| l.trim() == "[package]"))
+    {
+        manifests.push(root_manifest);
+    }
+    for dir in ["crates", "vendor"] {
         let Ok(entries) = std::fs::read_dir(root.join(dir)) else {
             continue;
         };
-        let mut crates: Vec<_> = entries
+        let mut members: Vec<PathBuf> = entries
             .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.join("Cargo.toml").exists())
+            .map(|e| e.path().join("Cargo.toml"))
+            .filter(|p| p.exists())
             .collect();
-        crates.sort();
-        for krate in crates {
-            let name =
-                krate.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-            check_lib(
-                &krate.join("src/lib.rs"),
-                &format!("{dir}/{name}"),
-                require_docs,
-                &mut findings,
-            );
-        }
+        members.sort();
+        manifests.extend(members);
     }
-    check_lib(&root.join("src/lib.rs"), "root package", true, &mut findings);
-    findings
+    manifests
+        .into_iter()
+        .filter(|m| !std::fs::read_to_string(m).is_ok_and(|text| inherits_workspace_lints(&text)))
+        .map(|m| Finding {
+            rule: HYGIENE_RULE,
+            file: display_path(root, &m),
+            line: 0,
+            message: "member must inherit the workspace lints: add `[lints]` with \
+                      `workspace = true`"
+                .to_string(),
+        })
+        .collect()
 }
 
-fn check_lib(lib: &Path, label: &str, require_docs: bool, findings: &mut Vec<Finding>) {
-    let rel = |p: &Path| p.to_string_lossy().into_owned();
-    let Ok(text) = std::fs::read_to_string(lib) else {
-        findings.push(Finding {
-            rule: "missing-lib-rs",
-            file: rel(lib),
-            line: 0,
-            message: format!("{label}: src/lib.rs missing or unreadable"),
-        });
-        return;
-    };
-    if !text.contains("#![forbid(unsafe_code)]") {
-        findings.push(Finding {
-            rule: "missing-forbid-unsafe",
-            file: rel(lib),
-            line: 0,
-            message: format!("{label}: crate must carry #![forbid(unsafe_code)]"),
-        });
+/// Whether a manifest has a `[lints]` table setting `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
     }
-    if require_docs && !text.contains("#![warn(missing_docs)]") {
-        findings.push(Finding {
-            rule: "missing-docs-warn",
-            file: rel(lib),
-            line: 0,
-            message: format!("{label}: crate must carry #![warn(missing_docs)]"),
-        });
-    }
+    false
 }
 
 #[cfg(test)]
@@ -84,18 +76,19 @@ mod tests {
 
     #[test]
     fn missing_attributes_are_reported() {
-        let dir = std::env::temp_dir().join(format!("sih-hygiene-{}", std::process::id()));
-        let krate = dir.join("crates/bad/src");
-        std::fs::create_dir_all(&krate).expect("invariant: temp dir is writable");
-        std::fs::write(dir.join("crates/bad/Cargo.toml"), "[package]\nname = \"bad\"\n")
-            .expect("invariant: temp dir is writable");
-        std::fs::write(krate.join("lib.rs"), "//! Bad crate.\n")
-            .expect("invariant: temp dir is writable");
-        let findings = check_hygiene(&dir);
-        assert!(findings.iter().any(|f| f.rule == "missing-forbid-unsafe"));
-        assert!(findings.iter().any(|f| f.rule == "missing-docs-warn"));
-        // Root package src/lib.rs absent in the fixture → reported too.
-        assert!(findings.iter().any(|f| f.rule == "missing-lib-rs"));
-        std::fs::remove_dir_all(&dir).ok();
+        // A planted member without `[lints]`, next to one that opts in.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/unlinted_member");
+        let findings = check_hygiene(&root);
+        let files: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+        assert_eq!(files, ["crates/bad/Cargo.toml"]);
+        assert_eq!(findings[0].rule, HYGIENE_RULE);
+    }
+
+    #[test]
+    fn only_the_lints_table_counts() {
+        assert!(inherits_workspace_lints("[package]\nname = \"a\"\n\n[lints]\nworkspace = true\n"));
+        // `workspace = true` under another table is a dependency setting.
+        assert!(!inherits_workspace_lints("[lints]\n[dependencies]\nrand = { workspace = true }"));
+        assert!(!inherits_workspace_lints("[dependencies.rand]\nworkspace = true\n"));
     }
 }

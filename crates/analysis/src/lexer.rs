@@ -1,11 +1,10 @@
 //! A lightweight Rust tokenizer — just enough syntax awareness for the
-//! determinism lints.
+//! token rules and the item parser.
 //!
-//! The scanner must never report a banned identifier that only occurs
-//! inside a string literal or a comment, and must be able to skip
-//! `#[cfg(test)]`-gated items. That requires real lexing (comments,
-//! string/char/raw-string literals, lifetimes, numbers), but *not* a
-//! parser: the lint rules are token-pattern matches. Comments are
+//! The scanner must never report a banned token that only occurs inside
+//! a string literal or a comment. That requires real lexing (comments,
+//! string/char/raw-string literals, lifetimes, numbers); structure comes
+//! from [`crate::parse`]. Comments are
 //! consumed off-stream; `// sih-analysis: allow(<rule>, …)` pragmas found
 //! in them are collected as per-file rule suppressions.
 
@@ -63,14 +62,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Allow pragmas in source order.
     pub pragmas: Vec<Pragma>,
-}
-
-impl Lexed {
-    /// All rule names allowed anywhere in the file (scope ignored) —
-    /// convenience for callers that only need file-wide semantics.
-    pub fn allowed_rules(&self) -> impl Iterator<Item = &str> + '_ {
-        self.pragmas.iter().flat_map(|p| p.rules.iter().map(String::as_str))
-    }
 }
 
 /// Lexes Rust source text.
@@ -393,7 +384,6 @@ mod tests {
         assert_eq!(lexed.pragmas.len(), 1);
         assert_eq!(lexed.pragmas[0].line, 2);
         assert_eq!(lexed.pragmas[0].rules, vec!["float".to_string(), "hash-container".to_string()]);
-        assert_eq!(lexed.allowed_rules().collect::<Vec<_>>(), vec!["float", "hash-container"]);
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //! addition to printing it. `--graph-out` dumps the workspace call graph
 //! — Graphviz DOT when the path ends in `.dot`, JSON otherwise.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![expect(clippy::disallowed_methods, reason = "a tooling binary: its arguments are its input")]
 
 use sih_analysis::{analyze_with_graph, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // The analyzer itself is exempt from the env-read rule: it is a
-    // tooling binary, not simulation code, and arguments are its input.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
     let mut format = "text".to_string();

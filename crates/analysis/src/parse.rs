@@ -102,15 +102,14 @@ pub struct FileItems {
     /// First line of the first top-level item (`u32::MAX` when the file
     /// has none) — pragmas above this line are file-scoped.
     pub first_item_line: u32,
-    /// Per-token flag: true when the token is inside a fn body, inside a
-    /// `use` declaration, or `#[cfg(test)]`-gated — i.e. *not* part of
-    /// the module-level surface the taint pass scans directly.
-    pub covered: Vec<bool>,
+    /// Per-token flag: true inside a `#[cfg(test)]`-gated item, the
+    /// attribute included. Fn bodies are opaque, so the flag is per item.
+    pub in_test: Vec<bool>,
 }
 
 /// Parses the item skeleton out of a lexed file.
 pub fn parse_items(lexed: &Lexed) -> FileItems {
-    let mut out = FileItems { covered: vec![false; lexed.tokens.len()], ..Default::default() };
+    let mut out = FileItems { in_test: vec![false; lexed.tokens.len()], ..Default::default() };
     let toks = &lexed.tokens;
     parse_block(toks, 0, toks.len(), Ctx::default(), &mut out);
     out.first_item_line = out
@@ -150,16 +149,17 @@ fn line_at(toks: &[Token], i: usize) -> u32 {
     toks.get(i).map_or_else(|| toks.last().map_or(0, |t| t.line), |t| t.line)
 }
 
-/// Skips a balanced `{ … }` starting at the opening brace index; returns
-/// the index one past the closing brace.
-fn skip_braces(toks: &[Token], open: usize) -> usize {
-    debug_assert_eq!(punct_at(toks, open), Some('{'));
+/// Skips a balanced `{ … }` or `[ … ]` group starting at its opening
+/// token; returns the index one past the matching close.
+fn skip_group(toks: &[Token], open: usize) -> usize {
+    let (opener, closer) = if punct_at(toks, open) == Some('[') { ('[', ']') } else { ('{', '}') };
+    debug_assert_eq!(punct_at(toks, open), Some(opener));
     let mut depth = 0usize;
     let mut i = open;
     while i < toks.len() {
         match punct_at(toks, i) {
-            Some('{') => depth += 1,
-            Some('}') => {
+            Some(c) if c == opener => depth += 1,
+            Some(c) if c == closer => {
                 depth -= 1;
                 if depth == 0 {
                     return i + 1;
@@ -228,30 +228,24 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
     let mut i = start;
     let mut item_start_line: Option<u32> = None;
     let mut pending_test = false;
+    // The `#` of the pending `#[cfg(test)]`: once the gated item ends,
+    // every token from here to its end is marked `in_test`.
+    let mut test_from: Option<usize> = None;
     while i < end {
+        if !pending_test {
+            if let Some(from) = test_from.take() {
+                mark_test(out, from, i);
+            }
+        }
         // Attributes: remember cfg(test), skip, and keep the item start
         // anchored at the first attribute.
         if punct_at(toks, i) == Some('#') && punct_at(toks, i + 1) == Some('[') {
             item_start_line.get_or_insert(line_at(toks, i));
             if ident_at(toks, i + 2) == Some("cfg") && ident_at(toks, i + 4) == Some("test") {
                 pending_test = true;
+                test_from.get_or_insert(i);
             }
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            while j < end {
-                match punct_at(toks, j) {
-                    Some('[') => depth += 1,
-                    Some(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            i = j + 1;
+            i = skip_group(toks, i + 1);
             continue;
         }
 
@@ -293,7 +287,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                 } else {
                     while i < end && punct_at(toks, i) != Some(';') {
                         if punct_at(toks, i) == Some('{') {
-                            i = skip_braces(toks, i);
+                            i = skip_group(toks, i);
                             continue;
                         }
                         i += 1;
@@ -304,27 +298,19 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                 }
             }
             "use" => {
-                // Imports are not behavior: mark covered so the
-                // module-level taint scan skips them.
-                let from = i;
                 while i < end && punct_at(toks, i) != Some(';') {
                     i += 1;
                 }
                 i += 1;
-                let hi = i.min(out.covered.len());
-                for slot in &mut out.covered[from..hi] {
-                    *slot = true;
-                }
                 item_start_line = None;
                 pending_test = false;
             }
             "mod" => {
-                let start_line = item_start_line.take().unwrap_or_else(|| line_at(toks, i));
-                let _ = start_line;
+                item_start_line = None;
                 i += 1; // name
                 i += 1;
                 if punct_at(toks, i) == Some('{') {
-                    let close = skip_braces(toks, i);
+                    let close = skip_group(toks, i);
                     let inner =
                         Ctx { owner: None, trait_name: None, is_test: ctx.is_test || pending_test };
                     parse_block(toks, i + 1, close - 1, inner, out);
@@ -350,7 +336,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                 while i < end {
                     match punct_at(toks, i) {
                         Some('{') => {
-                            let close = skip_braces(toks, i);
+                            let close = skip_group(toks, i);
                             body = i + 1..close - 1;
                             end_line = line_at(toks, close - 1);
                             i = close;
@@ -362,10 +348,6 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                         }
                         _ => i += 1,
                     }
-                }
-                let hi = body.end.min(out.covered.len());
-                for slot in &mut out.covered[body.start..hi] {
-                    *slot = true;
                 }
                 out.fns.push(FnItem {
                     name,
@@ -393,27 +375,13 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                 let mut variants = Vec::new();
                 let mut end_line = enum_line;
                 if punct_at(toks, i) == Some('{') {
-                    let close = skip_braces(toks, i);
+                    let close = skip_group(toks, i);
                     end_line = line_at(toks, close - 1);
                     let mut j = i + 1;
                     while j < close - 1 {
                         // Skip variant attributes.
                         while punct_at(toks, j) == Some('#') && punct_at(toks, j + 1) == Some('[') {
-                            let mut depth = 0usize;
-                            while j < close {
-                                match punct_at(toks, j) {
-                                    Some('[') => depth += 1,
-                                    Some(']') => {
-                                        depth -= 1;
-                                        if depth == 0 {
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                j += 1;
-                            }
-                            j += 1;
+                            j = skip_group(toks, j + 1);
                         }
                         if let Some(v) = ident_at(toks, j) {
                             variants.push(v.to_string());
@@ -471,7 +439,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                 while i < end && punct_at(toks, i) != Some('{') {
                     i += 1;
                 }
-                let close = if i < end { skip_braces(toks, i) } else { end };
+                let close = if i < end { skip_group(toks, i) } else { end };
                 let body_start = i + 1;
                 let body_end = close.saturating_sub(1);
                 let is_test = ctx.is_test || pending_test;
@@ -495,8 +463,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                 pending_test = false;
             }
             "trait" => {
-                let start_line = item_start_line.take().unwrap_or_else(|| line_at(toks, i));
-                let _ = start_line;
+                item_start_line = None;
                 let name = ident_at(toks, i + 1).unwrap_or("?").to_string();
                 i += 2;
                 while i < end && punct_at(toks, i) != Some('{') {
@@ -506,7 +473,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                         i += 1;
                     }
                 }
-                let close = if i < end { skip_braces(toks, i) } else { end };
+                let close = if i < end { skip_group(toks, i) } else { end };
                 let inner = Ctx {
                     owner: Some(name),
                     trait_name: None,
@@ -528,7 +495,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
                             break;
                         }
                         Some('{') => {
-                            i = skip_braces(toks, i);
+                            i = skip_group(toks, i);
                             break;
                         }
                         Some('<') => i = skip_angles(toks, i),
@@ -544,12 +511,16 @@ fn parse_block(toks: &[Token], start: usize, end: usize, ctx: Ctx, out: &mut Fil
             }
         }
     }
-    // Everything inside a cfg(test) scope is covered.
-    if ctx.is_test {
-        let hi = end.min(out.covered.len());
-        for slot in &mut out.covered[start..hi] {
-            *slot = true;
-        }
+    if let Some(from) = test_from {
+        mark_test(out, from, i);
+    }
+}
+
+/// Marks tokens `from..to` as inside a `#[cfg(test)]`-gated item.
+fn mark_test(out: &mut FileItems, from: usize, to: usize) {
+    let hi = to.min(out.in_test.len());
+    for slot in &mut out.in_test[from..hi] {
+        *slot = true;
     }
 }
 
@@ -811,29 +782,37 @@ mod tests {
             tests,
             vec![("live".into(), false), ("helper".into(), true), ("inner".into(), true)]
         );
+        // Token mask: `fn live() {}` is 6 tokens, and everything from the
+        // first `#[cfg(test)]` to the module's closing brace is test code.
+        assert_eq!(items.in_test.iter().position(|&t| t), Some(6));
+        assert!(items.in_test[6..].iter().all(|&t| t));
     }
 
     #[test]
-    fn bodies_are_token_ranges_and_covered() {
+    fn gated_items_end_where_the_item_ends() {
+        let src = r#"
+            #[cfg(test)]
+            use std::collections::BTreeMap;
+            #[cfg(test)]
+            const LIMIT: u32 = 3;
+            #[cfg(test)]
+            pub(crate) fn helper() { body(); }
+            struct Live { field: u32 }
+        "#;
+        let items = parse(src);
+        let live = items.in_test.iter().rposition(|&t| t).expect("gated tokens") + 1;
+        let rest = &lex(src).tokens[live..];
+        assert!(matches!(&rest[0].tok, Tok::Ident(s) if s == "struct"), "{rest:?}");
+        assert!(items.in_test[..live].iter().all(|&t| t));
+        assert!(!items.in_test[live..].iter().any(|&t| t));
+    }
+
+    #[test]
+    fn bodies_are_token_ranges() {
         let src = "fn f() { inner_call(); } struct S { field: u32 }";
         let items = parse(src);
         let body = items.fns[0].body.clone();
-        assert!(body.len() >= 4); // inner_call ( ) ;
-        assert!(items.covered[body.start]);
-        // The struct's field tokens are module-level surface.
-        let last = items.covered.len() - 1;
-        assert!(!items.covered[last]);
-    }
-
-    #[test]
-    fn use_decls_are_covered() {
-        let src = "use std::collections::HashMap;\nfn f() {}";
-        let items = parse(src);
-        // Every token before `fn` belongs to the use-decl.
-        let fn_pos = items.fns[0].body.start - 4; // fn f ( ) {
-        for i in 0..fn_pos.saturating_sub(1) {
-            assert!(items.covered[i], "token {i} of the use-decl not covered");
-        }
+        assert_eq!(body, 5..9); // inner_call ( ) ;
     }
 
     #[test]
@@ -858,7 +837,7 @@ mod tests {
         let src = r#"
             // sih-analysis: allow(float) — header, file-wide
             fn first() { let x = 1.5; }
-            // sih-analysis: allow(taint-wall-clock) — next item only
+            // sih-analysis: allow(btree-procset) — next item only
             fn second() {}
             fn third() {}
         "#;
@@ -868,16 +847,16 @@ mod tests {
         table.add_file("x.rs", &lexed, &items);
         // float: file-wide (line 2 < first item line 3).
         assert!(table.suppress("float", "x.rs", 6));
-        // taint-wall-clock: scoped to `second` (line 5), not `third`.
+        // btree-procset: scoped to `second` (line 5), not `third`.
         let second = items.fns.iter().find(|f| f.name == "second").expect("second parsed");
-        assert!(table.suppress("taint-wall-clock", "x.rs", second.line));
+        assert!(table.suppress("btree-procset", "x.rs", second.line));
         let third = items.fns.iter().find(|f| f.name == "third").expect("third parsed");
-        assert!(!table.suppress("taint-wall-clock", "x.rs", third.line));
+        assert!(!table.suppress("btree-procset", "x.rs", third.line));
     }
 
     #[test]
     fn unused_pragmas_are_reported_per_rule() {
-        let src = "// sih-analysis: allow(float, taint-env-read)\nfn f() {}";
+        let src = "// sih-analysis: allow(float, panic-reachable)\nfn f() {}";
         let lexed = lex(src);
         let items = parse_items(&lexed);
         let mut table = PragmaTable::default();
@@ -886,7 +865,7 @@ mod tests {
         let unused = table.unused_findings();
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].rule, "unused-allow");
-        assert!(unused[0].message.contains("taint-env-read"));
+        assert!(unused[0].message.contains("panic-reachable"));
     }
 
     #[test]

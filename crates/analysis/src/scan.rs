@@ -1,27 +1,23 @@
-//! The token-level lint rules over the simulation crates.
-//!
-//! Since the call-graph passes took over nondeterminism detection (see
-//! [`crate::taint`]), only the rules that are genuinely *lexical* — a
-//! construct is wrong wherever it appears, reachable or not — stay here:
+//! The token-level lint rules over the simulation crates: constructs
+//! that are wrong wherever they appear, reachable or not, and that no
+//! clippy lint matches as precisely.
 //!
 //! | rule | flags | why |
 //! |---|---|---|
 //! | `float` | `f32` / `f64` tokens, float literals | accumulation order changes results; floats need a justification |
-//! | `unwrap-nontest` | `.unwrap()` outside tests | panics without an invariant message (runtime/model only) |
 //! | `btree-procset` | `BTreeSet<ProcessId>` / `BTreeMap<ProcessId, …>` | O(log n) per probe on per-message paths; use the `ProcSet` word-array bitset (hot-path modules only) |
 //!
 //! A `// sih-analysis: allow(<rule>)` pragma suppresses a rule — file-wide
 //! from the header, item-scoped elsewhere (see [`crate::parse::PragmaTable`]).
-//! `#[cfg(test)]`-gated items and `*_tests.rs` / `proptests.rs` files are
-//! exempt: test code may use richer std machinery, and the proptest/seeded
-//! harnesses are already deterministic.
+//! `#[cfg(test)]`-gated items ([`crate::parse::FileItems::in_test`]) and
+//! `*_tests.rs` / `proptests.rs` files are exempt: test code may use richer
+//! std machinery, and the proptest/seeded harnesses are already
+//! deterministic.
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::graph::FileSource;
+use crate::lexer::{Tok, Token};
 use crate::parse::PragmaTable;
 use crate::report::Finding;
-
-/// The non-test `.unwrap()` rule name (runtime/model crates only).
-pub const UNWRAP_RULE: &str = "unwrap-nontest";
 
 /// The tree-of-processes rule name (hot-path modules only): quorum /
 /// participant / ack bookkeeping keyed by `ProcessId` must use the
@@ -39,20 +35,15 @@ pub struct FileScan {
     pub suppressed: usize,
 }
 
-/// Scans one lexed file with the token rules; `file` is the path recorded
-/// in findings. When `include_unwrap_rule` is set the `.unwrap()` rule
-/// runs too (reserved for the runtime/model crates whose panics must
-/// carry invariant messages). When `include_btree_rule` is set,
-/// `BTreeSet<ProcessId>` / `BTreeMap<ProcessId, …>` are flagged too
-/// (reserved for the hot-path modules that migrated to `ProcSet`).
+/// Scans one parsed file with the token rules. When `include_btree_rule`
+/// is set, `BTreeSet<ProcessId>` / `BTreeMap<ProcessId, …>` are flagged
+/// too (reserved for the hot-path modules that migrated to `ProcSet`).
 pub fn scan_tokens(
-    file: &str,
-    lexed: &Lexed,
-    include_unwrap_rule: bool,
+    source: &FileSource,
     include_btree_rule: bool,
     pragmas: &mut PragmaTable,
 ) -> FileScan {
-    let masked = test_mask(&lexed.tokens);
+    let file = source.display.as_str();
     let mut scan = FileScan::default();
     let mut emit = |rule: &'static str, line: u32, message: String, pragmas: &mut PragmaTable| {
         if pragmas.suppress(rule, file, line) {
@@ -62,9 +53,9 @@ pub fn scan_tokens(
         }
     };
 
-    let toks = &lexed.tokens;
+    let toks = &source.lexed.tokens;
     for (i, token) in toks.iter().enumerate() {
-        if masked[i] {
+        if source.items.in_test[i] {
             continue;
         }
         match &token.tok {
@@ -87,19 +78,6 @@ pub fn scan_tokens(
                         pragmas,
                     )
                 }
-                "unwrap"
-                    if include_unwrap_rule
-                        && i > 0
-                        && toks[i - 1].tok == Tok::Punct('.')
-                        && toks.get(i + 1).is_some_and(|t| t.tok == Tok::Punct('(')) =>
-                {
-                    emit(
-                        UNWRAP_RULE,
-                        token.line,
-                        ".unwrap() in non-test code: use ? / typed errors or expect(\"invariant: …\")".to_string(),
-                        pragmas,
-                    )
-                }
                 _ => {}
             },
             Tok::Float => emit(
@@ -114,13 +92,6 @@ pub fn scan_tokens(
     scan
 }
 
-/// Whether tokens at `i` start the exact path `segments[0]::segments[1]`.
-pub(crate) fn path_is(toks: &[Token], i: usize, segments: &[&str; 2]) -> bool {
-    matches!(&toks[i].tok, Tok::Ident(a) if a == segments[0])
-        && toks.get(i + 1).is_some_and(|t| t.tok == Tok::PathSep)
-        && matches!(toks.get(i + 2).map(|t| &t.tok), Some(Tok::Ident(b)) if b == segments[1])
-}
-
 /// Whether the tokens at `i` open a generic argument list whose first
 /// parameter is the identifier `first` — matches both `BTreeSet<P>` and
 /// the turbofish `BTreeSet::<P>` spelling.
@@ -131,72 +102,6 @@ fn generic_head_is(toks: &[Token], i: usize, first: &str) -> bool {
     }
     toks.get(j).is_some_and(|t| t.tok == Tok::Punct('<'))
         && matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Ident(name)) if name == first)
-}
-
-/// The identifier following `toks[i]::`, if any.
-pub(crate) fn path_tail(toks: &[Token], i: usize) -> Option<String> {
-    if toks.get(i + 1).is_some_and(|t| t.tok == Tok::PathSep) {
-        if let Some(Tok::Ident(name)) = toks.get(i + 2).map(|t| &t.tok) {
-            return Some(name.clone());
-        }
-    }
-    None
-}
-
-/// Marks every token inside a `#[cfg(test)]`-gated item (the attribute
-/// itself included). The gated item extends to the end of the next
-/// balanced `{ … }` block, or to the next `;` for block-less items.
-fn test_mask(toks: &[Token]) -> Vec<bool> {
-    let mut masked = vec![false; toks.len()];
-    let mut i = 0;
-    while i < toks.len() {
-        if is_cfg_test_attr(toks, i) {
-            let attr_end = i + 7; // '#' '[' cfg '(' test ')' ']'
-            let mut j = attr_end;
-            let mut depth = 0usize;
-            let item_end = loop {
-                match toks.get(j).map(|t| &t.tok) {
-                    None => break j,
-                    Some(Tok::Punct('{')) => {
-                        depth += 1;
-                        j += 1;
-                        // Consume to the matching close.
-                        while depth > 0 {
-                            match toks.get(j).map(|t| &t.tok) {
-                                None => break,
-                                Some(Tok::Punct('{')) => depth += 1,
-                                Some(Tok::Punct('}')) => depth -= 1,
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        break j;
-                    }
-                    Some(Tok::Punct(';')) => break j + 1,
-                    Some(_) => j += 1,
-                }
-            };
-            for slot in &mut masked[i..item_end.min(toks.len())] {
-                *slot = true;
-            }
-            i = item_end.max(attr_end);
-        } else {
-            i += 1;
-        }
-    }
-    masked
-}
-
-/// Whether the tokens at `i` spell `#[cfg(test)]`.
-fn is_cfg_test_attr(toks: &[Token], i: usize) -> bool {
-    let expect = |k: usize, tok: &Tok| toks.get(i + k).is_some_and(|t| &t.tok == tok);
-    expect(0, &Tok::Punct('#'))
-        && expect(1, &Tok::Punct('['))
-        && matches!(toks.get(i + 2).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "cfg")
-        && expect(3, &Tok::Punct('('))
-        && matches!(toks.get(i + 4).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "test")
-        && expect(5, &Tok::Punct(')'))
-        && expect(6, &Tok::Punct(']'))
 }
 
 /// Whether a source file is test-only by naming convention (scanned files
@@ -211,16 +116,17 @@ mod tests {
     use crate::lexer::lex;
     use crate::parse::parse_items;
 
-    fn scan(src: &str, include_unwrap: bool, include_btree: bool) -> FileScan {
+    fn scan(src: &str, include_btree: bool) -> FileScan {
         let lexed = lex(src);
         let items = parse_items(&lexed);
         let mut pragmas = PragmaTable::default();
         pragmas.add_file("x.rs", &lexed, &items);
-        scan_tokens("x.rs", &lexed, include_unwrap, include_btree, &mut pragmas)
+        let source = FileSource { display: "x.rs".to_string(), lexed, items };
+        scan_tokens(&source, include_btree, &mut pragmas)
     }
 
     fn rules_of(src: &str) -> Vec<&'static str> {
-        scan(src, true, true).findings.iter().map(|f| f.rule).collect()
+        scan(src, true).findings.iter().map(|f| f.rule).collect()
     }
 
     #[test]
@@ -228,15 +134,6 @@ mod tests {
         assert_eq!(rules_of("let p: f64 = 0.5;").len(), 2); // type + literal
         assert_eq!(rules_of("let p = 1e-3;"), vec!["float"]);
         assert!(rules_of("let n = 0x2f;").is_empty());
-    }
-
-    #[test]
-    fn unwrap_rule_is_opt_in_and_shape_sensitive() {
-        let src = "fn f() { x.unwrap(); }";
-        assert_eq!(rules_of(src), vec![UNWRAP_RULE]);
-        assert!(scan(src, false, false).findings.is_empty());
-        // `unwrap` as a free function name is not the method call.
-        assert!(rules_of("fn unwrap() {}").is_empty());
     }
 
     #[test]
@@ -250,12 +147,12 @@ mod tests {
         // Turbofish spelling is caught too.
         assert_eq!(rules_of("let s = BTreeSet::<ProcessId>::new();"), vec![BTREE_PROCSET_RULE]);
         // Off the hot path the rule does not run at all.
-        assert!(scan(set, false, false).findings.is_empty());
+        assert!(scan(set, false).findings.is_empty());
         // Trees keyed by anything else are allowed everywhere.
         assert!(rules_of("let m: BTreeMap<OpId, OpRecord> = BTreeMap::new();").is_empty());
         // The escape hatch works and is counted.
         let allowed = "// sih-analysis: allow(btree-procset)\nlet acks: BTreeSet<ProcessId> = BTreeSet::new();";
-        let scanned = scan(allowed, false, true);
+        let scanned = scan(allowed, true);
         assert!(scanned.findings.is_empty());
         assert_eq!(scanned.suppressed, 1);
     }
@@ -266,7 +163,7 @@ mod tests {
         let src = r#"
             #[cfg(test)]
             mod tests {
-                fn f() { let p: f64 = 0.5; x.unwrap(); }
+                fn f() { let p: f64 = 0.5; let s: BTreeSet<ProcessId> = s(); }
             }
             fn live() {}
         "#;
@@ -286,15 +183,12 @@ mod tests {
     #[test]
     fn allow_pragma_suppresses_and_counts() {
         let src = "// sih-analysis: allow(float)\nlet p: f64 = 0.5;";
-        let scanned = scan(src, false, false);
+        let scanned = scan(src, false);
         assert!(scanned.findings.is_empty());
         assert_eq!(scanned.suppressed, 2);
         // Other rules still fire.
-        let src = "// sih-analysis: allow(float)\nfn f() { x.unwrap(); }";
-        assert_eq!(
-            scan(src, true, false).findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
-            vec![UNWRAP_RULE]
-        );
+        let src = "// sih-analysis: allow(float)\nfn f() { let s: BTreeSet<ProcessId> = s(); }";
+        assert_eq!(rules_of(src), vec![BTREE_PROCSET_RULE]);
     }
 
     #[test]
@@ -305,7 +199,7 @@ mod tests {
             fn second() { let p: f32 = 0.5; }
             fn third() { let q: f32 = 1.5; }
         "#;
-        let scanned = scan(src, false, false);
+        let scanned = scan(src, false);
         assert_eq!(scanned.suppressed, 2);
         assert_eq!(scanned.findings.len(), 2);
         assert!(scanned.findings.iter().all(|f| f.line == 5));
@@ -313,7 +207,7 @@ mod tests {
 
     #[test]
     fn findings_carry_file_and_line() {
-        let scanned = scan("\n\nlet p: f32 = 0.5;", false, false);
+        let scanned = scan("\n\nlet p: f32 = 0.5;", false);
         assert_eq!(scanned.findings.len(), 2);
         assert_eq!(scanned.findings[0].file, "x.rs");
         assert_eq!(scanned.findings[0].line, 3);

@@ -1,90 +1,29 @@
-//! The graph-aware determinism and panic passes.
+//! The panic- and indexing-reachability pass: panic sites *tainted* by
+//! reachability from a hot-path root (`Automaton::step`, `Simulation`
+//! stepping, fingerprinting, `LinkFaultPlan` application). Because
+//! reachability is closed under calls, a panic laundered through any
+//! chain of helper fns is caught at the panic site itself, with the
+//! witness chain in the message.
 //!
-//! **Determinism taint.** Nondeterminism *sources* — wall-clock reads,
-//! ambient RNG, environment reads, hash-iteration containers, thread
-//! identity — are detected token-wise inside fn bodies, but a source
-//! only becomes a finding when its function is transitively reachable
-//! from a hot-path root (`Automaton::step`, `Simulation` stepping,
-//! fingerprinting, `LinkFaultPlan` application). Because reachability is
-//! closed under calls, a source laundered through any chain of helper
-//! fns is caught at the source site itself, with the witness chain in
-//! the message. Sources in *module-level* code (struct fields, consts,
-//! statics — anything outside fn bodies except `use` declarations) are
-//! always findings: a `HashMap` field is nondeterministic wherever the
-//! struct is used.
+//! The determinism bans (hash containers, wall clock, environment reads,
+//! thread identity) are clippy's `disallowed-types`/`disallowed-methods`
+//! in the root `clippy.toml`, and bare `.unwrap()` is
+//! `clippy::unwrap_used` everywhere; this pass covers what no compiler
+//! lint can: which panics the hot path can reach.
 //!
-//! **Panic reachability.** `.unwrap()`, `.expect(…)` without an
-//! `"invariant: …"` message, and the `panic!`-family macros are findings
-//! when reachable from the hot path. `assert!`/`assert_eq!`/
-//! `assert_ne!`/`debug_assert*` are sanctioned invariant checks and
-//! exempt, as are `expect`/`panic!` calls whose message documents the
-//! invariant. Indexing sites (`xs[i]`) are reported per function as one
-//! aggregated `index-reachable` finding, since hot containers index
-//! pervasively and are justified per module with a pragma.
+//! `.unwrap()`, `.expect(…)` without an `"invariant: …"` message, and
+//! the `panic!`-family macros are findings when reachable from the hot
+//! path. `assert!`/`assert_eq!`/`assert_ne!`/`debug_assert*` are
+//! sanctioned invariant checks and exempt, as are `expect`/`panic!` calls
+//! whose message documents the invariant. Indexing sites (`xs[i]`) are
+//! reported per function as one aggregated `index-reachable` finding,
+//! since hot containers index pervasively and are justified per module
+//! with a pragma.
 
 use crate::graph::{is_keyword, CallGraph, FileSource};
 use crate::lexer::{Tok, Token};
 use crate::parse::PragmaTable;
 use crate::report::Finding;
-use crate::scan::{path_is, path_tail};
-
-/// The graph-aware determinism rule ids, in report order.
-pub const TAINT_RULES: [&str; 5] = [
-    "taint-hash-container",
-    "taint-wall-clock",
-    "taint-ambient-rng",
-    "taint-env-read",
-    "taint-thread-id",
-];
-
-/// The panic/indexing reachability rule ids.
-pub const PANIC_RULES: [&str; 2] = ["panic-reachable", "index-reachable"];
-
-/// One detected nondeterminism source.
-struct SourceHit {
-    rule: &'static str,
-    line: u32,
-    what: String,
-}
-
-/// Detects a nondeterminism source at token `i`, if any.
-fn source_at(toks: &[Token], i: usize) -> Option<SourceHit> {
-    let Tok::Ident(name) = &toks[i].tok else { return None };
-    let line = toks[i].line;
-    let hit =
-        |rule: &'static str, what: &str| Some(SourceHit { rule, line, what: what.to_string() });
-    match name.as_str() {
-        "HashMap" | "HashSet" => hit(
-            "taint-hash-container",
-            &format!("{name} iteration order varies per process (RandomState)"),
-        ),
-        "Instant" | "SystemTime" => {
-            hit("taint-wall-clock", &format!("{name} reads the wall clock"))
-        }
-        "thread_rng" | "ThreadRng" => {
-            hit("taint-ambient-rng", &format!("{name} is OS-seeded randomness"))
-        }
-        "rand" if path_is(toks, i, &["rand", "random"]) => {
-            hit("taint-ambient-rng", "rand::random is OS-seeded randomness")
-        }
-        "std" if path_is(toks, i, &["std", "env"]) => {
-            hit("taint-env-read", "std::env reads ambient configuration")
-        }
-        "env"
-            if matches!(
-                path_tail(toks, i).as_deref(),
-                Some("var" | "vars" | "var_os" | "vars_os" | "args" | "args_os")
-            ) =>
-        {
-            hit("taint-env-read", "environment reads are ambient configuration")
-        }
-        "ThreadId" => hit("taint-thread-id", "ThreadId varies per scheduling"),
-        "thread" if matches!(path_tail(toks, i).as_deref(), Some("current")) => {
-            hit("taint-thread-id", "thread::current is scheduling-dependent")
-        }
-        _ => None,
-    }
-}
 
 /// One detected panic site.
 struct PanicHit {
@@ -167,62 +106,6 @@ impl PassOut {
     }
 }
 
-/// The determinism-taint pass (see module docs).
-pub fn taint_pass(graph: &CallGraph, files: &[FileSource], pragmas: &mut PragmaTable) -> PassOut {
-    let mut out = PassOut::default();
-    // Module-level surface: every uncovered token (outside fn bodies,
-    // use-decls, and cfg(test) scopes).
-    for file in files {
-        let toks = &file.lexed.tokens;
-        for i in 0..toks.len() {
-            if file.items.covered.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if let Some(hit) = source_at(toks, i) {
-                out.emit(
-                    pragmas,
-                    Finding {
-                        rule: hit.rule,
-                        file: file.display.clone(),
-                        line: hit.line,
-                        message: format!(
-                            "{} — in module-level code (field/const/static)",
-                            hit.what
-                        ),
-                    },
-                );
-            }
-        }
-    }
-    // Fn bodies: sources count only when the fn is hot-path reachable.
-    for (id, node) in graph.nodes.iter().enumerate() {
-        if !graph.reachable[id] {
-            continue;
-        }
-        let file = &files[node.file];
-        let f = &file.items.fns[node.item];
-        let toks = &file.lexed.tokens;
-        for i in f.body.clone() {
-            if let Some(hit) = source_at(toks, i) {
-                out.emit(
-                    pragmas,
-                    Finding {
-                        rule: hit.rule,
-                        file: file.display.clone(),
-                        line: hit.line,
-                        message: format!(
-                            "{} — reachable from the hot path via {}",
-                            hit.what,
-                            graph.chain(id)
-                        ),
-                    },
-                );
-            }
-        }
-    }
-    out
-}
-
 /// The panic- and indexing-reachability pass (see module docs).
 pub fn panic_pass(graph: &CallGraph, files: &[FileSource], pragmas: &mut PragmaTable) -> PassOut {
     let mut out = PassOut::default();
@@ -299,14 +182,6 @@ mod tests {
         FileSource { display: display.to_string(), lexed, items }
     }
 
-    fn run_taint(src: &str) -> PassOut {
-        let files = [file("x.rs", src)];
-        let graph = CallGraph::build(&files);
-        let mut pragmas = PragmaTable::default();
-        pragmas.add_file("x.rs", &files[0].lexed, &files[0].items);
-        taint_pass(&graph, &files, &mut pragmas)
-    }
-
     fn run_panic(src: &str) -> PassOut {
         let files = [file("x.rs", src)];
         let graph = CallGraph::build(&files);
@@ -322,12 +197,12 @@ mod tests {
                 fn step(&mut self) { helper(); }
             }
             fn helper() { deeper(); }
-            fn deeper() { let r = thread_rng(); }
+            fn deeper() { slot.take().unwrap(); }
         "#;
-        let out = run_taint(src);
+        let out = run_panic(src);
         assert_eq!(out.findings.len(), 1);
         let f = &out.findings[0];
-        assert_eq!(f.rule, "taint-ambient-rng");
+        assert_eq!(f.rule, "panic-reachable");
         assert!(f.message.contains("P::step → helper → deeper"), "{}", f.message);
     }
 
@@ -335,46 +210,37 @@ mod tests {
     fn unreachable_sources_are_not_findings() {
         let src = r#"
             impl Automaton for P { fn step(&mut self) {} }
-            fn tooling() { let t = Instant::now(); }
+            fn tooling(xs: &[u32]) { let t = xs[0]; panic!("offline"); }
         "#;
-        assert!(run_taint(src).findings.is_empty());
-    }
-
-    #[test]
-    fn module_level_sources_always_fire_but_use_decls_do_not() {
-        let src = r#"
-            use std::collections::HashMap;
-            struct S { cache: HashMap<u32, u32> }
-        "#;
-        let out = run_taint(src);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, "taint-hash-container");
-        assert_eq!(out.findings[0].line, 3);
+        assert!(run_panic(src).findings.is_empty());
     }
 
     #[test]
     fn every_source_kind_is_detected() {
         let src = r#"
             fn fingerprint() {
-                let a = SystemTime::now();
-                let b = std::env::var("X");
-                let c = thread::current();
-                let d: ThreadId = c.id();
-                let e: u8 = rand::random();
-                let f = HashSet::new();
+                a.unwrap();
+                b.expect("no reason given");
+                panic!("boom");
+                unreachable!("no reason given");
+                todo!();
+                unimplemented!();
             }
         "#;
-        let rules: Vec<&str> = run_taint(src).findings.iter().map(|f| f.rule).collect();
+        let whats: Vec<String> = run_panic(src)
+            .findings
+            .iter()
+            .map(|f| f.message.split(" — ").next().unwrap_or("").to_string())
+            .collect();
         assert_eq!(
-            rules,
+            whats,
             vec![
-                "taint-wall-clock",
-                "taint-env-read",
-                "taint-env-read", // std::env + env::var both match — same construct
-                "taint-thread-id",
-                "taint-thread-id",
-                "taint-ambient-rng",
-                "taint-hash-container",
+                ".unwrap()",
+                ".expect(…) without an \"invariant: …\" message",
+                "panic!(…)",
+                "unreachable!(…)",
+                "todo!(…)",
+                "unimplemented!(…)",
             ]
         );
     }
@@ -382,14 +248,15 @@ mod tests {
     #[test]
     fn pragma_scoped_to_the_item_suppresses_taint() {
         let src = r#"
-            impl Automaton for P { fn step(&mut self) { helper(); } }
-            // sih-analysis: allow(taint-wall-clock) — measured, not branched on
-            fn helper() { let t = Instant::now(); }
-            fn also_hot() {}
+            impl Automaton for P { fn step(&mut self) { helper(); also_hot(); } }
+            // sih-analysis: allow(panic-reachable) — slot filled by new()
+            fn helper() { slot.unwrap(); }
+            fn also_hot() { other.unwrap(); }
         "#;
-        let out = run_taint(src);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        let out = run_panic(src);
         assert_eq!(out.suppressed, 1);
+        assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
+        assert_eq!(out.findings[0].line, 5);
     }
 
     #[test]

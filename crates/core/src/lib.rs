@@ -34,9 +34,6 @@
 //! assert!(outcome.verdict.confirmed());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod claims;
 pub mod patterns;
 pub mod pipeline;

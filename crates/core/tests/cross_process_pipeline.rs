@@ -5,6 +5,11 @@
 //! scheduler, network, trace assembly — against ambient nondeterminism
 //! that a same-process repeat cannot expose.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test re-executes its own binary and marks the child with an environment variable"
+)]
+
 use sih::patterns::pattern_suite;
 use sih::pipeline;
 use sih_model::{FailurePattern, ProcessId, ProcessSet};

@@ -28,9 +28,6 @@
 //! # Ok::<(), sih_detectors::Violation>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod anti_omega;
 mod omega;
 mod perfect;

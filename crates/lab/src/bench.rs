@@ -221,10 +221,10 @@ impl fmt::Display for BenchReport {
     }
 }
 
-/// The worker counts [`gate_baseline`] reruns a record at.
+/// The worker counts [`gate_file`] reruns a record at.
 pub const GATE_THREADS: [usize; 2] = [1, 4];
 
-/// Why a record failed [`gate_baseline`].
+/// Why a record failed [`gate_file`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GateError {
     /// The file cannot be read or is not JSON.
@@ -301,12 +301,15 @@ fn gate_baseline(record: &Value) -> Result<(), GateError> {
     Ok(())
 }
 
-/// [`gate_baseline`] on the record in file `path` (`lab gate FILE`).
+/// Reruns the record in file `path`'s `"command"` in-process at each of
+/// [`GATE_THREADS`] and compares each run with the record, on the written
+/// JSON text, exactly as `lab gate BASELINE FRESH` does (`lab gate FILE`).
 ///
 /// # Errors
 ///
 /// [`GateError::Unreadable`] if the file cannot be read or parsed, else
-/// [`gate_baseline`]'s error.
+/// the first other [`GateError`]: a missing, unknown or wall-clock-capped
+/// command, a bench that cannot start, or a differing rerun.
 pub fn gate_file(path: &Path) -> Result<(), GateError> {
     let unreadable = |e: String| GateError::Unreadable(format!("{}: {e}", path.display()));
     let text = std::fs::read_to_string(path).map_err(|e| unreadable(e.to_string()))?;

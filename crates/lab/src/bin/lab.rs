@@ -47,6 +47,12 @@
 //! BASELINE FRESH` compares two records the same way. Both ignore wall
 //! clock, rates, speedups, `peak_rss_kb`, `workers` and `threads`.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tooling: argv is the CLI's input, and `lab gate` ignores the wall-clock fields it times"
+)]
+
 use sih_lab::cli::{parse_args, ReproArgs, Verb};
 use sih_lab::json::{self, Value};
 use sih_lab::{

@@ -289,7 +289,7 @@ fn gate_ignores(key: &str) -> bool {
 
 /// The path (`$.cells[3].live`) of the first difference between a
 /// committed bench `baseline` and a `fresh` run, or `None` if they agree.
-/// Keys [`gate_ignores`] are skipped at every depth; a key present on one
+/// Wall-clock and runner-dependent keys are skipped at every depth; a key present on one
 /// side only is a difference. `lab gate` and the tier-1 baseline tests
 /// share this comparison.
 pub fn first_difference(baseline: &Value, fresh: &Value) -> Option<String> {

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `lab` binary: argument handling, exit codes,
 //! JSON output.
 
+use std::path::Path;
 use std::process::Command;
 
 fn lab() -> Command {
@@ -60,7 +61,8 @@ fn single_experiment_succeeds_and_prints_report() {
 
 #[test]
 fn json_flag_writes_reports() {
-    let dir = std::env::temp_dir().join(format!("lab-cli-test-{}", std::process::id()));
+    let dir =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("lab-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("reports.json");
     let out =
@@ -76,7 +78,8 @@ fn json_flag_writes_reports() {
 
 #[test]
 fn threads_flag_does_not_change_results() {
-    let dir = std::env::temp_dir().join(format!("lab-cli-threads-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("lab-cli-threads-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut bodies = Vec::new();
     for threads in ["1", "2"] {
@@ -101,7 +104,8 @@ fn threads_flag_does_not_change_results() {
 
 #[test]
 fn explore_command_writes_the_bench_artifact() {
-    let dir = std::env::temp_dir().join(format!("lab-cli-explore-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("lab-cli-explore-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_explore.json");
     let out = lab()
@@ -166,7 +170,8 @@ fn malformed_missing_and_unread_flags_are_rejected() {
 
 #[test]
 fn gate_names_the_first_differing_path_and_exits_one() {
-    let dir = std::env::temp_dir().join(format!("lab-cli-gate-{}", std::process::id()));
+    let dir =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("lab-cli-gate-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let write = |name: &str, text: &str| {
         let path = dir.join(name);
@@ -191,7 +196,8 @@ fn gate_names_the_first_differing_path_and_exits_one() {
 
 #[test]
 fn replaying_a_schedule_with_an_out_of_range_process_fails_cleanly() {
-    let dir = std::env::temp_dir().join(format!("lab-cli-replay-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("lab-cli-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("crash-p9.schedule");
     let text = "sih-schedule v2\nchecker: fig2\nn: 3\nmax-steps: 50\nverdict: ok\ncrash: p9 @ 5\n";

@@ -36,9 +36,6 @@
 //! assert_eq!(f.crashed_by(Time(1_000)), ProcessSet::from_iter([3, 4].map(ProcessId)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod adversary;
 mod environment;
 mod failure;

@@ -138,10 +138,10 @@ where
     let x = ProcessSet::full(n);
     let low = x.smallest(n / 2);
     let high = x.difference(low);
-    let p_lo = low.min().unwrap();
-    let p_hi = high.min().unwrap();
-    let q_lo = low.iter().nth(1).unwrap();
-    let q_hi = high.iter().nth(1).unwrap();
+    let p_lo = low.min().expect("invariant: n ≥ 4 gives each half ≥ 2 members");
+    let p_hi = high.min().expect("invariant: n ≥ 4 gives each half ≥ 2 members");
+    let q_lo = low.iter().nth(1).expect("invariant: n ≥ 4 gives each half ≥ 2 members");
+    let q_hi = high.iter().nth(1).expect("invariant: n ≥ 4 gives each half ≥ 2 members");
 
     // The history is the same in both runs: (∅, Π) at everyone, forever —
     // legal whenever the correct set straddles both halves.

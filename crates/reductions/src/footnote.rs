@@ -111,7 +111,7 @@ pub fn two_process_equivalence(seeds: u64) -> EquivalenceReport {
 /// §6 of the paper, executable: *"σ is strictly weaker than the result
 /// of a partition applied to Σ."*
 ///
-/// The partitioning approach of [7] runs `Σ` inside a chosen subset; for
+/// The partitioning approach of \[7\] runs `Σ` inside a chosen subset; for
 /// a pair `{p, q}` that is exactly `Σ_{p,q}`. Strictness of
 /// `σ ≺ Σ_{p,q}` then has two halves, both already mechanized:
 ///

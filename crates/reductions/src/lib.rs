@@ -38,9 +38,6 @@
 //! println!("the candidate was defeated: {defeat}");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod ablation;
 mod adversary;
 pub mod candidates;

@@ -27,9 +27,6 @@
 //! # Ok::<(), sih_registers::LinearizabilityViolation>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod abd;
 mod byzantine;
 mod client;

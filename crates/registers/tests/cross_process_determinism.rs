@@ -9,6 +9,11 @@
 //! so the test re-executes its own binary twice as child processes and
 //! compares the digests they print.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test re-executes its own binary and marks the child with an environment variable"
+)]
+
 use sih_model::{FailurePattern, OpKind, ProcessId, ProcessSet, Value};
 use sih_registers::{abd_processes, check_linearizable, WorkloadSpec};
 use sih_runtime::{FairScheduler, Simulation};

@@ -131,7 +131,7 @@ pub struct ExploreConfig {
     /// of commuting adjacent step pairs.
     pub por: bool,
     /// Source-DPOR: persistent sleep sets with happens-before race
-    /// wake-ups (see [`crate::dpor`]). Supersedes `por` — when set, the
+    /// wake-ups (see [`SleepSet`](crate::SleepSet)). Supersedes `por` — when set, the
     /// depth-1 sleep sets of `por` are carried down the path and woken
     /// only by dependent steps, pruning strictly more.
     pub dpor: bool,

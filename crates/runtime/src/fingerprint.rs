@@ -164,10 +164,10 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// A word-at-a-time hasher for state fingerprints.
 ///
 /// Each [`StateHasher::write_u64`] folds one word into the state through
-/// [`mix64`]: `state ← mix64((state + γ) ⊕ word)`. For a fixed state
-/// this is a bijection in the word, so two word sequences of the same
-/// length that differ in one word always hash differently, and unequal
-/// sequences collide with probability about 2⁻⁶⁴.
+/// the splitmix64 finalizer `mix64`: `state ← mix64((state + γ) ⊕ word)`.
+/// For a fixed state this is a bijection in the word, so two word
+/// sequences of the same length that differ in one word always hash
+/// differently, and unequal sequences collide with probability about 2⁻⁶⁴.
 ///
 /// Equal fingerprints must mean equal states, so every encoding fed to a
 /// `StateHasher` must be *injective*: variable-length data is preceded

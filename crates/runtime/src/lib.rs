@@ -54,9 +54,6 @@
 //! # let _ = outcome;
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod automaton;
 mod diagram;
 mod dpor;

@@ -471,7 +471,7 @@ impl<M: Clone + StateHash> Network<M> {
     /// uninstalls any link-fault plan and any mutation adversary — a
     /// pooled simulation starts reliable and honest until the next
     /// [`Network::set_link_faults`] / [`Network::set_adversary`] — and
-    /// switches the running [`Network::queue_sum`] off.
+    /// switches the running queue sum (the network's fingerprint word) off.
     pub fn reset(&mut self) {
         for q in &mut self.queues {
             q.clear();

@@ -101,7 +101,7 @@ pub enum TraceLevel {
     /// boundaries — the inputs of the agreement/σ/linearizability
     /// checkers. Per-step `Step`/`Send` events are skipped (aggregate
     /// counters and `end_time` remain exact). Space-timing diagrams
-    /// ([`crate::diagram`]) need a `Full` trace.
+    /// ([`render_diagram`](crate::render_diagram)) need a `Full` trace.
     Light,
 }
 

@@ -111,7 +111,10 @@ fn dirtied(n: usize) -> Network<u64> {
         let to = ProcessId((i * i % n as u64) as u32);
         net.send(ProcessId(0), to, Time(i), 1_000 + i);
     }
-    let deepest = (0..n as u32).map(ProcessId).max_by_key(|&p| net.pending_count(p)).unwrap();
+    let deepest = (0..n as u32)
+        .map(ProcessId)
+        .max_by_key(|&p| net.pending_count(p))
+        .expect("invariant: n ≥ 1 processes");
     net.deliver(deepest, net.pending_count(deepest) / 2);
     net
 }

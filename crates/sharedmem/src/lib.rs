@@ -42,9 +42,6 @@
 //! assert!(sim.trace().distinct_decisions().len() <= 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bridge;
 mod collect;
 mod local;

@@ -6,6 +6,8 @@
 //! cargo run --example hierarchy 8 3        # custom n, k
 //! ```
 
+#![expect(clippy::disallowed_methods, reason = "an example binary: its arguments are its input")]
+
 use sih::claims::{check_claim, Claim, ClaimConfig, Verdict};
 
 fn main() {

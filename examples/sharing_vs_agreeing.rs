@@ -29,7 +29,8 @@ fn main() {
     let proposals = distinct_proposals(n);
     let mut sim = Simulation::new(fig2_processes(&proposals), pattern.clone());
     sim.run(&mut FairScheduler::new(7), &sigma, 100_000);
-    check_k_set_agreement(sim.trace(), &pattern, &proposals, n - 1).unwrap();
+    check_k_set_agreement(sim.trace(), &pattern, &proposals, n - 1)
+        .expect("invariant: Figure 2 solves (n-1)-set agreement with σ");
     println!(
         "set agreement with σ: {} distinct decisions from {} values ✓ ({} messages)",
         sim.trace().distinct_decisions().len(),
@@ -50,7 +51,7 @@ fn main() {
         sim.pattern().correct().iter().all(|x| sim.process(x).script_finished())
     });
     let ops = sim.trace().op_records();
-    check_linearizable(&ops, None).unwrap();
+    check_linearizable(&ops, None).expect("invariant: ABD over Σ_S is linearizable");
     println!(
         "ABD register over Σ_{{p,q}}: {} operations, linearizable ✓ ({} messages)",
         ops.len(),

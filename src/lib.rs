@@ -13,7 +13,4 @@
 //! assert!(check_claim(Claim::DecisionBudgetsAreTight, &cfg).verdict.confirmed());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use sih::*;

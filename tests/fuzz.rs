@@ -42,7 +42,11 @@ fn corpus_schedules() -> Vec<(String, Schedule)> {
     files
         .into_iter()
         .map(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            let name = p
+                .file_name()
+                .expect("invariant: read_dir entries have file names")
+                .to_string_lossy()
+                .into_owned();
             let text = std::fs::read_to_string(&p).expect("reading schedule");
             let s = Schedule::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             (name, s)
