@@ -1,13 +1,14 @@
 //! CLI entry point for the static-analysis pass.
 //!
 //! ```text
-//! sih-analysis [--root <dir>] [--format text|json] [--out <file>] [--graph-out <file>]
+//! sih-analysis [--root <dir>] [--format text|json] [--out <file>] [--graph-out <file>]...
 //! ```
 //!
 //! Exits 0 when the analysis passes, 1 on findings, 2 on usage errors.
 //! `--out` writes the report to a file (CI uploads it as an artifact) in
 //! addition to printing it. `--graph-out` dumps the workspace call graph
-//! — Graphviz DOT when the path ends in `.dot`, JSON otherwise.
+//! — Graphviz DOT when the path ends in `.dot`, JSON otherwise — and may
+//! be given more than once to write several dumps from one analysis.
 
 #![expect(clippy::disallowed_methods, reason = "a tooling binary: its arguments are its input")]
 
@@ -20,7 +21,7 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = "text".to_string();
     let mut out: Option<PathBuf> = None;
-    let mut graph_out: Option<PathBuf> = None;
+    let mut graph_outs: Vec<PathBuf> = Vec::new();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -38,7 +39,7 @@ fn main() -> ExitCode {
                 None => return usage("--out requires a file path"),
             },
             "--graph-out" => match it.next() {
-                Some(v) => graph_out = Some(PathBuf::from(v)),
+                Some(v) => graph_outs.push(PathBuf::from(v)),
                 None => return usage("--graph-out requires a file path"),
             },
             other => return usage(&format!("unknown argument `{other}`")),
@@ -63,7 +64,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if let Some(path) = graph_out {
+    for path in graph_outs {
         let dump = if path.extension().is_some_and(|e| e == "dot") {
             graph.to_dot(&files)
         } else {
@@ -84,7 +85,7 @@ fn main() -> ExitCode {
 fn usage(problem: &str) -> ExitCode {
     eprintln!("sih-analysis: {problem}");
     eprintln!(
-        "usage: sih-analysis [--root <dir>] [--format text|json] [--out <file>] [--graph-out <file>]"
+        "usage: sih-analysis [--root <dir>] [--format text|json] [--out <file>] [--graph-out <file>]..."
     );
     ExitCode::from(2)
 }

@@ -115,13 +115,17 @@ fn members_without_workspace_lints_are_caught() {
 
 #[test]
 fn graph_out_writes_dot_and_json_dumps() {
-    let dot_path = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("sih-analysis-graph-{}.dot", std::process::id()));
+    // One run, two dumps: each path gets the format its extension names.
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let dot_path = tmp.join(format!("sih-analysis-graph-{}.dot", std::process::id()));
+    let json_path = tmp.join(format!("sih-analysis-graph-{}.json", std::process::id()));
     let out = bin()
         .args(["--root"])
         .arg(workspace_root())
         .args(["--graph-out"])
         .arg(&dot_path)
+        .args(["--graph-out"])
+        .arg(&json_path)
         .output()
         .expect("invariant: the sih-analysis binary is built for integration tests");
     assert!(out.status.success());
@@ -131,16 +135,6 @@ fn graph_out_writes_dot_and_json_dumps() {
     assert!(dot.contains("->"));
     assert!(dot.contains("Simulation::step"));
 
-    let json_path = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("sih-analysis-graph-{}.json", std::process::id()));
-    let out = bin()
-        .args(["--root"])
-        .arg(workspace_root())
-        .args(["--graph-out"])
-        .arg(&json_path)
-        .output()
-        .expect("invariant: the sih-analysis binary is built for integration tests");
-    assert!(out.status.success());
     let json = std::fs::read_to_string(&json_path).expect("invariant: --graph-out file written");
     std::fs::remove_file(&json_path).ok();
     assert!(json.contains("\"nodes\""));

@@ -28,7 +28,7 @@ use sih_reductions::{
     MirrorPairCandidate, MirrorXCandidate,
 };
 use sih_runtime::sweep::{with_seeds, Sweep};
-use sih_runtime::{Trace, TraceLevel};
+use sih_runtime::{SimPool, Trace, TraceLevel};
 use std::fmt;
 
 /// One row of the paper's Figure 1 (plus the appendix results).
@@ -325,15 +325,15 @@ pub fn positive_runs(
     let grid = with_seeds(patterns, seeds);
     let cells: Vec<Vec<RunSample>> = match claim {
         Claim::SigmaImplementsSetAgreement => sweep.run(grid, || {
-            let mut pool = pipeline::Fig2Pool::with_trace_level(light);
+            let mut pool = SimPool::with_trace_level(light);
             move |_, (pattern, seed): (FailurePattern, u64)| {
                 let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, max_steps);
                 vec![agreement(tr, &pattern, n - 1)]
             }
         }),
         Claim::TwoRegisterHarderThanSetAgreement => sweep.run(grid, || {
-            let mut fig3 = pipeline::Fig3Pool::with_trace_level(light);
-            let mut stack = pipeline::StackFig3Fig2Pool::with_trace_level(light);
+            let mut fig3 = SimPool::with_trace_level(light);
+            let mut stack = SimPool::with_trace_level(light);
             move |_, (pattern, seed): (FailurePattern, u64)| {
                 // Lemma 6: the Figure 3 emulation yields a legal σ history.
                 let tr = pipeline::run_fig3_pooled(&mut fig3, &pattern, p, q, seed, 6_000);
@@ -348,15 +348,15 @@ pub fn positive_runs(
             }
         }),
         Claim::Sigma2kImplementsNMinusKAgreement => sweep.run(grid, || {
-            let mut pool = pipeline::Fig4Pool::with_trace_level(light);
+            let mut pool = SimPool::with_trace_level(light);
             move |_, (pattern, seed): (FailurePattern, u64)| {
                 let tr = pipeline::run_fig4_pooled(&mut pool, &pattern, focus, seed, max_steps);
                 vec![agreement(tr, &pattern, n - k)]
             }
         }),
         Claim::XRegisterHarderThanNMinusKAgreement => sweep.run(grid, || {
-            let mut fig5 = pipeline::Fig5Pool::with_trace_level(light);
-            let mut stack = pipeline::StackFig5Fig4Pool::with_trace_level(light);
+            let mut fig5 = SimPool::with_trace_level(light);
+            let mut stack = SimPool::with_trace_level(light);
             move |_, (pattern, seed): (FailurePattern, u64)| {
                 let tr = pipeline::run_fig5_pooled(&mut fig5, &pattern, focus, seed, 6_000);
                 let emulation =
@@ -372,7 +372,7 @@ pub fn positive_runs(
             }
         }),
         Claim::SigmaStrictlyStrongerThanAntiOmega => sweep.run(grid, || {
-            let mut pool = pipeline::Fig6Pool::with_trace_level(light);
+            let mut pool = SimPool::with_trace_level(light);
             move |_, (pattern, seed): (FailurePattern, u64)| {
                 let tr = pipeline::run_fig6_pooled(&mut pool, &pattern, p, q, seed, max_steps);
                 vec![RunSample::judge(tr, check_anti_omega(tr.emulated_history(), &pattern))]

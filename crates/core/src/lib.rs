@@ -20,8 +20,8 @@
 //!   15, tightness schedules and the Theorem 13 simulation;
 //! * [`claims`] — every row of the paper's Figure 1 as a machine-checked
 //!   [`Claim`];
-//! * [`pipeline`] — one-call experiment runners shared by the harness
-//!   and the examples;
+//! * [`pipeline`] — one pooled runner per paper workload (`run_*_pooled`),
+//!   shared by the claims, the `lab` harness and the tests;
 //! * [`patterns`] — failure-pattern sweeps.
 //!
 //! ## Quickstart

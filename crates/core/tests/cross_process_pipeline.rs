@@ -14,6 +14,7 @@ use sih::patterns::pattern_suite;
 use sih::pipeline;
 use sih_model::{FailurePattern, ProcessId, ProcessSet};
 use sih_runtime::sweep::{with_seeds, Sweep};
+use sih_runtime::SimPool;
 use std::process::Command;
 
 const CHILD_ENV: &str = "SIH_XPROC_PIPELINE_CHILD";
@@ -29,7 +30,7 @@ fn digest() -> u64 {
     let focus = ProcessSet::from_iter([p, q]);
     let grid = with_seeds(&pattern_suite(4, focus, 2, 101), 2);
     let runs = Sweep::new(2).run(grid, || {
-        let mut pool = pipeline::Fig2Pool::new();
+        let mut pool = SimPool::new();
         move |_idx, (pattern, seed): (FailurePattern, u64)| {
             let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
             format!(

@@ -7,7 +7,7 @@ use sih::patterns::pattern_suite;
 use sih::pipeline;
 use sih_model::{FailurePattern, ProcessId, ProcessSet};
 use sih_runtime::sweep::{with_seeds, Sweep};
-use sih_runtime::{Event, TraceLevel};
+use sih_runtime::{Event, SimPool, TraceLevel};
 
 /// One run's full observable output: the exact event log plus the
 /// aggregate counters a report would fold.
@@ -24,7 +24,7 @@ fn e1_shaped_sweep(threads: usize) -> Vec<RunRecord> {
     let focus = ProcessSet::from_iter([p, q]);
     let grid = with_seeds(&pattern_suite(4, focus, 3, 101), 3);
     Sweep::new(threads).run(grid, || {
-        let mut pool = pipeline::Fig2Pool::new();
+        let mut pool = SimPool::new();
         move |_idx, (pattern, seed): (FailurePattern, u64)| {
             let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
             RunRecord {
@@ -57,7 +57,7 @@ fn light_level_aggregates_identical_across_thread_counts() {
     let sweep_at = |threads: usize| -> Vec<(u64, u64, usize)> {
         let grid = with_seeds(&pattern_suite(4, focus, 2, 113), 2);
         Sweep::new(threads).run(grid, || {
-            let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
+            let mut pool = SimPool::with_trace_level(TraceLevel::Light);
             move |_idx, (pattern, seed): (FailurePattern, u64)| {
                 let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
                 (tr.total_steps(), tr.messages_sent(), tr.distinct_decisions().len())

@@ -323,7 +323,7 @@ fn e11_abd(cfg: &ClaimConfig) -> ExperimentReport {
         let items: Vec<(FailurePattern, u64)> =
             (0..cfg.seeds).map(|seed| (random_majority_pattern(cfg.n, &mut rng), seed)).collect();
         let samples = Sweep::new(cfg.threads).run(items, || {
-            let mut pool = pipeline::RegisterPool::with_trace_level(TraceLevel::Light);
+            let mut pool = SimPool::with_trace_level(TraceLevel::Light);
             move |_idx, (pattern, seed): (FailurePattern, u64)| {
                 let spec = WorkloadSpec { ops_per_process: 4, read_ratio: 0.5, seed };
                 let tr = pipeline::run_register_workload_pooled(

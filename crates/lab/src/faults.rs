@@ -298,8 +298,8 @@ fn starved_leg(pattern: &FailurePattern, budget: u64) -> StarvedLeg {
     let scripts = vec![vec![OpKind::Write(sih_model::Value(1))], vec![OpKind::Read]];
     let det = SigmaS::new(s, pattern, 0);
     let mut sim = Simulation::new(abd_processes(s, n, scripts), pattern.clone())
-        .with_trace_level(TraceLevel::Light)
-        .with_link_faults(blackout);
+        .with_trace_level(TraceLevel::Light);
+    sim.set_link_faults(blackout);
     let done = |sim: &Simulation<AbdRegister>| {
         sim.pattern().correct().iter().all(|p| sim.process(p).script_finished())
     };

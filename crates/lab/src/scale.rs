@@ -217,8 +217,7 @@ fn reason_str(reason: StopReason) -> &'static str {
 
 /// The ABD leg: scripted clients at `{p0, p1}` over `n` majority-quorum
 /// replicas, run to script completion and checked linearizable.
-fn run_abd_cell(n: usize, sample: usize) -> ScaleCell {
-    let _ = sample;
+fn run_abd_cell(n: usize) -> ScaleCell {
     let t0 = Instant::now();
     let pattern = FailurePattern::all_correct(n);
     let s = ProcessSet::from_iter([0, 1].map(ProcessId));
@@ -341,7 +340,7 @@ pub fn run_scale_bench(cfg: &ScaleLabConfig) -> ScaleBenchReport {
     let workers = sweep.effective_threads(grid.len());
     let cells: Vec<ScaleCell> = sweep.run(grid, || {
         move |_idx, (w, n): (usize, usize)| match WORKLOADS[w] {
-            "abd" => run_abd_cell(n, sample),
+            "abd" => run_abd_cell(n),
             wl @ ("fig2" | "fig4") => run_agreement_cell(wl, n, sample),
             other => unreachable!("workload {other}"),
         }

@@ -101,11 +101,6 @@ impl Fig6AntiOmegaFromSigma {
         }
     }
 
-    /// The announced-active set as currently known.
-    pub fn active_set(&self) -> ProcessSet {
-        self.active
-    }
-
     fn emit(&mut self, out: FdOutput, eff: &mut Effects<Fig6Msg>) {
         if self.last_output != Some(out) {
             self.last_output = Some(out);

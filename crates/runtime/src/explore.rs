@@ -121,8 +121,7 @@ pub struct ExploreConfig {
     /// Sleep sets are cap-sound too: they key on content
     /// ([`crate::dpor::SleepKey`]), and a commuting sibling step never
     /// removes the sleeping message — hence **both reductions stay on
-    /// under finite caps** (they were forced off before the canonical
-    /// enumeration existed).
+    /// under finite caps**.
     pub max_deliveries: usize,
     /// Skip states whose canonical fingerprint was already explored
     /// under the same sleep context at equal or greater remaining depth.
@@ -451,28 +450,6 @@ fn probe_table(slots: &[TableSlot], fp: u64, ctx: u64) -> (usize, bool) {
             i = 0;
         }
     }
-}
-
-/// Exhaustively explores all schedules of `sim` up to `depth` further
-/// steps, calling `check` on every reached state; returns on the first
-/// violation.
-///
-/// Thin wrapper over [`explore_with`] with the [`ExploreConfig::new`]
-/// defaults — reductions **on**, serial. Pass a config with
-/// `.dedup(false).por(false)` for the unreduced enumeration.
-pub fn explore<A, D, F>(
-    sim: &Simulation<A>,
-    fd: &D,
-    depth: usize,
-    max_branch_deliveries: usize,
-    check: &mut F,
-) -> ExploreResult
-where
-    A: Automaton + Clone + fmt::Debug,
-    D: FailureDetector + ?Sized,
-    F: FnMut(&Simulation<A>) -> Result<(), String>,
-{
-    explore_with(sim, fd, &ExploreConfig::new(depth).max_deliveries(max_branch_deliveries), check)
 }
 
 /// Explores under an explicit [`ExploreConfig`], single-threaded.
@@ -1152,7 +1129,7 @@ mod tests {
         let pattern = FailurePattern::all_correct(2);
         let sim = Simulation::new(vec![TwoStepDecider::default(); 2], pattern);
         let mut no_check = |_: &Simulation<TwoStepDecider>| Ok(());
-        let res = explore(&sim, &NoDetector, 1, usize::MAX, &mut no_check);
+        let res = explore_with(&sim, &NoDetector, &ExploreConfig::new(1), &mut no_check);
         assert!(res.truncated > 0);
         assert_eq!(res.terminals, 0);
     }
@@ -1282,7 +1259,7 @@ mod tests {
                 Ok(())
             }
         };
-        let res = explore(&sim, &NoDetector, 6, usize::MAX, &mut check);
+        let res = explore_with(&sim, &NoDetector, &ExploreConfig::new(6), &mut check);
         let (script, msg) = res.violation.expect("must find the violation");
         assert_eq!(msg, "p1 decided");
         // The reaching script must contain exactly two steps of p1 at its
@@ -1355,17 +1332,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn old_wrapper_matches_default_config() {
-        let pattern = FailurePattern::all_correct(2);
-        let sim = Simulation::new(vec![TwoStepDecider::default(); 2], pattern);
-        let mut c1 = |_: &Simulation<TwoStepDecider>| Ok(());
-        let wrapped = explore(&sim, &NoDetector, 4, usize::MAX, &mut c1);
-        let mut c2 = |_: &Simulation<TwoStepDecider>| Ok(());
-        let configured = explore_with(&sim, &NoDetector, &ExploreConfig::new(4), &mut c2);
-        assert_eq!(wrapped, configured);
     }
 
     #[test]

@@ -174,7 +174,8 @@ fn fully_partitioned_run_stops_starved_in_linear_steps() {
     let n = 6;
     let pattern = FailurePattern::all_correct(n);
     let plan = LinkFaultPlan::builder(n).blackout(Time::ZERO, None).build();
-    let mut sim = Simulation::new(vec![AskOnce::default(); n], pattern).with_link_faults(plan);
+    let mut sim = Simulation::new(vec![AskOnce::default(); n], pattern);
+    sim.set_link_faults(plan);
     let outcome = sim.run(&mut RoundRobinScheduler::new(), &NoDetector, 1_000_000);
     // One step per process and every broadcast is eaten by the blackout;
     // the engine then proves no further step can have an effect — O(n)
@@ -198,13 +199,14 @@ fn healed_partition_lets_the_same_system_finish() {
     // flow. This pins down that Starved depends on reachability, not on
     // the mere presence of a plan.
     let healing = LinkFaultPlan::builder(n).blackout(Time::ZERO, Some(Time(20))).build();
-    let mut sim =
-        Simulation::new(vec![AskOnce::default(); n], pattern.clone()).with_link_faults(healing);
+    let mut sim = Simulation::new(vec![AskOnce::default(); n], pattern.clone());
+    sim.set_link_faults(healing);
     let outcome = sim.run(&mut RoundRobinScheduler::new(), &NoDetector, 1_000);
     assert_eq!(outcome.reason, crate::sim::StopReason::Starved);
 
     let idle = LinkFaultPlan::builder(n).blackout(Time(500), None).build();
-    let mut sim = Simulation::new(vec![AskOnce::default(); n], pattern).with_link_faults(idle);
+    let mut sim = Simulation::new(vec![AskOnce::default(); n], pattern);
+    sim.set_link_faults(idle);
     let outcome = sim.run_until(&mut RoundRobinScheduler::new(), &NoDetector, 1_000, |s| {
         (0..n).all(|i| s.process(ProcessId(i as u32)).got_reply)
     });
@@ -221,7 +223,8 @@ fn run_outcome_counters_satisfy_the_network_invariant() {
         .drop_every(ProcessId(0), ProcessId(1), 2, 0, Time::ZERO, Some(Time(300)))
         .duplicate_every(ProcessId(2), ProcessId(3), 3, 1, Time::ZERO, Some(Time(200)))
         .build();
-    let mut sim = Simulation::new(vec![Flood::default(); n], pattern).with_link_faults(plan);
+    let mut sim = Simulation::new(vec![Flood::default(); n], pattern);
+    sim.set_link_faults(plan);
     let outcome = sim.run(&mut FairScheduler::new(11), &NoDetector, 2_000);
     assert!(outcome.dropped > 0, "the drop window saw traffic");
     assert!(outcome.duplicated > 0, "the duplicate window saw traffic");

@@ -16,7 +16,8 @@
 //!   strict/lenient replay of a recorded script;
 //! * [`Stacked`] — layering a consumer algorithm on top of a
 //!   failure-detector emulation (the paper's reduction mechanism);
-//! * [`explore`] — bounded exhaustive schedule enumeration.
+//! * [`explore_with`] / [`explore_par`] — bounded exhaustive schedule
+//!   enumeration under an [`ExploreConfig`].
 //!
 //! # Example: two processes ping-pong until one decides
 //!
@@ -74,7 +75,7 @@ mod trace;
 pub use automaton::{Automaton, Effects, Envelope, MsgId, OpEvent, StepInput};
 pub use diagram::{column_time, render_diagram, render_summary, MAX_COLUMNS};
 pub use dpor::{wake_process, wake_races, SleepKey, SleepSet};
-pub use explore::{explore, explore_par, explore_with, ExploreConfig, ExploreResult};
+pub use explore::{explore_par, explore_with, ExploreConfig, ExploreResult};
 pub use fingerprint::{fnv1a_64, Fnv64, StateHash, StateHasher};
 pub use fuzz::{
     crossover, mutate, Coverage, FuzzCorpus, FuzzRng, MutOp, MutatorConfig, PowerEntry,
@@ -91,7 +92,5 @@ pub use sim::{
     Driver, LivenessVerdict, ReplayMode, RunOutcome, SchedState, SimPool, Simulation, StepReport,
     StopReason,
 };
-pub use stack::{
-    stubborn_processes, Layered, ReportLayer, Stacked, Stubborn, StubbornMsg, STUBBORN_PERIOD,
-};
+pub use stack::{stubborn_processes, Layered, Stacked, Stubborn, StubbornMsg, STUBBORN_PERIOD};
 pub use trace::{Event, Trace, TraceLevel};

@@ -16,8 +16,8 @@ use crate::network::{Corruptible, Network};
 use crate::scheduler::{Choice, FairScheduler, Scheduler};
 use crate::trace::{Trace, TraceLevel};
 use sih_model::{
-    AdversaryPlan, Armor, FailureDetector, FailurePattern, FdOutput, LinkFaultPlan, ProcSet,
-    ProcessId, ProcessSet, Time,
+    AdversaryPlan, Armor, FailureDetector, FailurePattern, LinkFaultPlan, ProcSet, ProcessId,
+    ProcessSet, Time,
 };
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -404,17 +404,6 @@ impl<A: Automaton> Simulation<A> {
     ///
     /// Panics if `procs.len() != pattern.n()`.
     pub fn new(procs: Vec<A>, pattern: FailurePattern) -> Self {
-        Self::with_emulated_initial(procs, pattern, FdOutput::Bot)
-    }
-
-    /// Like [`Simulation::new`], but sets the initial value of every
-    /// process's *emulated* failure-detector output (what the trace's
-    /// emulated history reports before the first `set_output`).
-    pub fn with_emulated_initial(
-        procs: Vec<A>,
-        pattern: FailurePattern,
-        emulated_initial: FdOutput,
-    ) -> Self {
         assert_eq!(procs.len(), pattern.n(), "one automaton per process");
         let n = procs.len();
         Simulation {
@@ -423,7 +412,7 @@ impl<A: Automaton> Simulation<A> {
             correct_count: pattern.correct_count(),
             pattern,
             now: Time::ZERO,
-            trace: Trace::new(n, emulated_initial),
+            trace: Trace::new(n),
             halted: ProcSet::with_capacity(n),
             halted_correct: 0,
             decided_correct: 0,
@@ -434,17 +423,11 @@ impl<A: Automaton> Simulation<A> {
         }
     }
 
-    /// Sets how much the trace records (builder form). See [`TraceLevel`].
+    /// Sets how much the trace records. See [`TraceLevel`].
     #[must_use]
     pub fn with_trace_level(mut self, level: TraceLevel) -> Self {
-        self.set_trace_level(level);
-        self
-    }
-
-    /// Sets how much the trace records. Call before the first step;
-    /// events already recorded are kept.
-    pub fn set_trace_level(&mut self, level: TraceLevel) {
         self.trace.set_level(level);
+        self
     }
 
     /// Rewinds to a fresh run of `procs` under `pattern`, reusing the
@@ -457,17 +440,6 @@ impl<A: Automaton> Simulation<A> {
     ///
     /// Panics if `procs.len() != pattern.n()`.
     pub fn reset(&mut self, procs: Vec<A>, pattern: &FailurePattern) {
-        self.reset_with_emulated_initial(procs, pattern, FdOutput::Bot);
-    }
-
-    /// Like [`Simulation::reset`], with the initial emulated
-    /// failure-detector output of [`Simulation::with_emulated_initial`].
-    pub fn reset_with_emulated_initial(
-        &mut self,
-        procs: Vec<A>,
-        pattern: &FailurePattern,
-        emulated_initial: FdOutput,
-    ) {
         assert_eq!(procs.len(), pattern.n(), "one automaton per process");
         let n = procs.len();
         self.procs = procs;
@@ -483,7 +455,7 @@ impl<A: Automaton> Simulation<A> {
         } else {
             self.net = Network::new(n);
         }
-        self.trace.reset(n, emulated_initial);
+        self.trace.reset(n);
         self.fp.get_mut().invalidate();
     }
 
@@ -529,13 +501,6 @@ impl<A: Automaton> Simulation<A> {
         self.fp.get_mut().invalidate();
     }
 
-    /// Builder form of [`Simulation::set_link_faults`].
-    #[must_use]
-    pub fn with_link_faults(mut self, plan: LinkFaultPlan) -> Self {
-        self.set_link_faults(plan);
-        self
-    }
-
     /// Installs a message-mutation adversary on the network; subsequent
     /// sends consult its plan with `armor` deciding which attack classes
     /// the honest processes neutralize (see [`Network::set_adversary`]).
@@ -550,16 +515,6 @@ impl<A: Automaton> Simulation<A> {
     {
         self.net.set_adversary(plan, armor);
         self.fp.get_mut().invalidate();
-    }
-
-    /// Builder form of [`Simulation::set_adversary`].
-    #[must_use]
-    pub fn with_adversary(mut self, plan: AdversaryPlan, armor: Armor) -> Self
-    where
-        A::Msg: Corruptible,
-    {
-        self.set_adversary(plan, armor);
-        self
     }
 
     /// Uninstalls the mutation adversary, returning its plan and armor if
@@ -1153,31 +1108,12 @@ impl<A: Automaton> SimPool<A> {
     ///
     /// Panics if `procs.len() != pattern.n()`.
     pub fn acquire(&mut self, procs: Vec<A>, pattern: &FailurePattern) -> &mut Simulation<A> {
-        self.acquire_with_emulated_initial(procs, pattern, FdOutput::Bot)
-    }
-
-    /// [`SimPool::acquire`] with an explicit initial emulated output.
-    pub fn acquire_with_emulated_initial(
-        &mut self,
-        procs: Vec<A>,
-        pattern: &FailurePattern,
-        emulated_initial: FdOutput,
-    ) -> &mut Simulation<A> {
         match &mut self.slot {
-            Some(sim) => sim.reset_with_emulated_initial(procs, pattern, emulated_initial),
+            Some(sim) => sim.reset(procs, pattern),
             slot @ None => {
-                *slot = Some(
-                    Simulation::with_emulated_initial(procs, pattern.clone(), emulated_initial)
-                        .with_trace_level(self.level),
-                );
+                *slot = Some(Simulation::new(procs, pattern.clone()).with_trace_level(self.level));
             }
         }
         self.slot.as_mut().expect("invariant: both match arms above leave the slot occupied")
-    }
-
-    /// Takes the pooled simulation's trace, leaving the pool empty (for
-    /// one-shot wrappers that must return an owned [`Trace`]).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.slot.take().map(Simulation::into_trace)
     }
 }

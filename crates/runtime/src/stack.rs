@@ -54,40 +54,22 @@ impl<L: StateHash, U: StateHash> StateHash for Layered<L, U> {
     }
 }
 
-/// Which layer's emulated output the stack reports to the trace.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ReportLayer {
-    /// Report the lower layer's emulated output (default): the trace's
-    /// emulated history then records the emulation under test, even while
-    /// a consumer runs on top.
-    #[default]
-    Lower,
-    /// Report the upper layer's emulated output (for stacks whose upper
-    /// layer is itself an emulator).
-    Upper,
-}
-
 /// Two automata stacked at one process; see the module docs.
+///
+/// The trace records the lower layer's emulated output, so its emulated
+/// history is the emulation under test even while a consumer runs on top.
 #[derive(Clone, Debug)]
 pub struct Stacked<L: Automaton, U: Automaton> {
     lower: L,
     upper: U,
     emulated: FdOutput,
-    report: ReportLayer,
 }
 
 impl<L: Automaton, U: Automaton> Stacked<L, U> {
     /// Stacks `upper` on top of `lower`; before the lower layer's first
-    /// `set_output`, the upper layer's `queryFD()` returns
-    /// `initial_output`.
-    pub fn new(lower: L, upper: U, initial_output: FdOutput) -> Self {
-        Stacked { lower, upper, emulated: initial_output, report: ReportLayer::Lower }
-    }
-
-    /// Selects which layer's emulated output the trace records.
-    pub fn with_report(mut self, report: ReportLayer) -> Self {
-        self.report = report;
-        self
+    /// `set_output`, the upper layer's `queryFD()` returns `⊥`.
+    pub fn new(lower: L, upper: U) -> Self {
+        Stacked { lower, upper, emulated: FdOutput::Bot }
     }
 
     /// The lower (emulation) automaton.
@@ -187,11 +169,7 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
         for ev in upper_eff.op_events {
             eff.op_events.push(ev);
         }
-        let reported = match self.report {
-            ReportLayer::Lower => lower_eff.emulated,
-            ReportLayer::Upper => upper_eff.emulated,
-        };
-        if let Some(out) = reported {
+        if let Some(out) = lower_eff.emulated {
             eff.set_output(out);
         }
         // The stack halts only when the upper layer does AND the lower
@@ -213,7 +191,6 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
         self.lower.hash_state(h);
         self.upper.hash_state(h);
         h.write(&self.emulated);
-        h.write_u64(self.report as u64);
     }
 }
 
@@ -573,15 +550,14 @@ mod tests {
 
     #[test]
     fn upper_sees_lower_output_from_same_step() {
-        let mut stack =
-            Stacked::new(CountingEmulator::default(), LeaderConsumer::default(), FdOutput::Bot);
+        let mut stack = Stacked::new(CountingEmulator::default(), LeaderConsumer::default());
         // Step 1: lower outputs Leader(p1); upper sees it but 1 < 2.
         let eff = step_stack(&mut stack, None);
         assert_eq!(stack.current_output(), FdOutput::Leader(ProcessId(1)));
         assert!(eff.decision.is_none());
         // Lower's send is tagged Lower.
         assert!(matches!(eff.sends().next(), Some((_, Layered::Lower(42)))));
-        // Reported emulated output defaults to the lower layer's.
+        // The stack reports the lower layer's emulated output.
         assert_eq!(eff.emulated, Some(FdOutput::Leader(ProcessId(1))));
 
         // Step 2: lower outputs Leader(p2); upper decides 2.
@@ -594,8 +570,7 @@ mod tests {
 
     #[test]
     fn messages_route_to_their_layer() {
-        let mut stack =
-            Stacked::new(CountingEmulator::default(), LeaderConsumer::default(), FdOutput::Bot);
+        let mut stack = Stacked::new(CountingEmulator::default(), LeaderConsumer::default());
         let env = Envelope {
             id: crate::automaton::MsgId(0),
             from: ProcessId(1),
@@ -605,16 +580,6 @@ mod tests {
         };
         let _ = step_stack(&mut stack, Some(env));
         assert!(stack.upper().got_upper_msg);
-    }
-
-    #[test]
-    fn initial_output_visible_before_first_emulation_step() {
-        let stack = Stacked::new(
-            CountingEmulator::default(),
-            LeaderConsumer::default(),
-            FdOutput::EMPTY_TRUST,
-        );
-        assert_eq!(stack.current_output(), FdOutput::EMPTY_TRUST);
     }
 
     /// Inner automaton for the stubborn tests: sends one "hello" to p1 on

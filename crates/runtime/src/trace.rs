@@ -156,17 +156,16 @@ impl Clone for Trace {
 }
 
 impl Trace {
-    /// An empty trace for `n` processes; `emulated_initial` is the output
-    /// every process's emulated detector starts at (e.g. Figure 6
-    /// processes emit their first `output` only after a step, so the
-    /// checkers need a defined initial value — conventionally `⊥`).
-    pub fn new(n: usize, emulated_initial: FdOutput) -> Self {
+    /// An empty trace for `n` processes. Every process's emulated detector
+    /// starts at `⊥` (Figure 6 processes emit their first `output` only
+    /// after a step, so the checkers need a defined initial value).
+    pub(crate) fn new(n: usize) -> Self {
         Trace {
             n,
             level: TraceLevel::Full,
             events: Vec::new(),
             decisions: vec![None; n],
-            emulated: RecordedHistory::new(n, emulated_initial),
+            emulated: RecordedHistory::new(n, FdOutput::Bot),
             steps_taken: vec![0; n],
             sent: 0,
             decided_count: 0,
@@ -192,12 +191,12 @@ impl Trace {
     /// Empties the trace for a fresh run of `n` processes, keeping the
     /// recording level and (where sizes allow) the event and per-process
     /// allocations.
-    pub(crate) fn reset(&mut self, n: usize, emulated_initial: FdOutput) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.n = n;
         self.events.clear();
         self.decisions.clear();
         self.decisions.resize(n, None);
-        self.emulated.reset(n, emulated_initial);
+        self.emulated.reset(n, FdOutput::Bot);
         self.steps_taken.clear();
         self.steps_taken.resize(n, 0);
         self.sent = 0;
@@ -448,7 +447,7 @@ mod tests {
 
     #[test]
     fn decisions_are_first_write_wins() {
-        let mut tr = Trace::new(2, FdOutput::Bot);
+        let mut tr = Trace::new(2);
         assert!(tr.push_decide(Time(1), ProcessId(0), Value(5)));
         assert!(!tr.push_decide(Time(2), ProcessId(0), Value(6)));
         assert_eq!(tr.decision_of(ProcessId(0)), Some(Value(5)));
@@ -458,7 +457,7 @@ mod tests {
 
     #[test]
     fn distinct_decisions_sorted_dedup() {
-        let mut tr = Trace::new(3, FdOutput::Bot);
+        let mut tr = Trace::new(3);
         tr.push_decide(Time(1), ProcessId(0), Value(9));
         tr.push_decide(Time(2), ProcessId(1), Value(3));
         tr.push_decide(Time(3), ProcessId(2), Value(9));
@@ -467,7 +466,7 @@ mod tests {
 
     #[test]
     fn emulated_history_tracks_outputs() {
-        let mut tr = Trace::new(2, FdOutput::Bot);
+        let mut tr = Trace::new(2);
         tr.push_emulate(Time(4), ProcessId(1), FdOutput::Leader(ProcessId(0)));
         let h = tr.emulated_history();
         use sih_model::FailureDetector;
@@ -477,7 +476,7 @@ mod tests {
 
     #[test]
     fn op_records_pairs_invocations_and_responses() {
-        let mut tr = Trace::new(1, FdOutput::Bot);
+        let mut tr = Trace::new(1);
         tr.push_op_event(
             Time(1),
             ProcessId(0),
@@ -503,7 +502,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "response without invocation")]
     fn orphan_response_panics() {
-        let mut tr = Trace::new(1, FdOutput::Bot);
+        let mut tr = Trace::new(1);
         tr.push_op_event(
             Time(5),
             ProcessId(0),
@@ -514,7 +513,7 @@ mod tests {
 
     #[test]
     fn light_level_skips_step_and_send_events_but_keeps_checker_inputs() {
-        let mut tr = Trace::new(2, FdOutput::Bot);
+        let mut tr = Trace::new(2);
         tr.set_level(TraceLevel::Light);
         tr.push_step(Time(1), ProcessId(0), None, FdOutput::Bot);
         tr.push_send(Time(1), ProcessId(0), ProcessId(1), MsgId(0));
@@ -538,11 +537,11 @@ mod tests {
 
     #[test]
     fn reset_clears_while_keeping_level() {
-        let mut tr = Trace::new(2, FdOutput::Bot);
+        let mut tr = Trace::new(2);
         tr.set_level(TraceLevel::Light);
         tr.push_step(Time(1), ProcessId(1), None, FdOutput::Bot);
         tr.push_decide(Time(1), ProcessId(1), Value(3));
-        tr.reset(3, FdOutput::Bot);
+        tr.reset(3);
         assert_eq!(tr.n(), 3);
         assert_eq!(tr.level(), TraceLevel::Light);
         assert_eq!(tr.total_steps(), 0);
@@ -555,7 +554,7 @@ mod tests {
 
     #[test]
     fn step_and_send_counters() {
-        let mut tr = Trace::new(2, FdOutput::Bot);
+        let mut tr = Trace::new(2);
         tr.push_step(Time(1), ProcessId(0), None, FdOutput::Bot);
         tr.push_step(Time(2), ProcessId(0), None, FdOutput::Bot);
         tr.push_step(Time(3), ProcessId(1), None, FdOutput::Bot);

@@ -56,8 +56,8 @@ fn fig2_byz_run(seed: u64, armor: Armor) -> (String, u64) {
         let mut sim = Simulation::new(
             equivocator_processes(fig2_processes(&proposals), ProcessId(0), EQUIVOCATE, armor),
             pattern.clone(),
-        )
-        .with_adversary(all_links(n, MutationKind::Perturb, 100), armor);
+        );
+        sim.set_adversary(all_links(n, MutationKind::Perturb, 100), armor);
         sim.run(&mut FairScheduler::new(seed), &sigma, 4_000);
         let verdict = match check_k_agreement_safety(sim.trace(), &proposals, n - 1) {
             Ok(()) => "ok".to_string(),
@@ -186,8 +186,8 @@ fn full_armor_fig2_is_bit_identical_to_honest_baseline() {
         let mut armored = Simulation::new(
             equivocator_processes(fig2_processes(&proposals), ProcessId(0), EQUIVOCATE, Armor::MAX),
             pattern.clone(),
-        )
-        .with_adversary(all_links(n, MutationKind::Perturb, 100), Armor::MAX);
+        );
+        armored.set_adversary(all_links(n, MutationKind::Perturb, 100), Armor::MAX);
         let outcome =
             armored.run(&mut ScriptedScheduler::new(base.script().to_vec()), &sigma, u64::MAX);
         assert_eq!(outcome.mutated, 0, "seed {seed}: armor let a mutation through");
@@ -217,8 +217,8 @@ fn full_armor_fig4_is_bit_identical_to_honest_baseline() {
         let mut base = Simulation::new(fig4_processes(&proposals), pattern.clone());
         base.run(&mut FairScheduler::new(seed), &det, 4_000);
 
-        let mut armored = Simulation::new(fig4_processes(&proposals), pattern.clone())
-            .with_adversary(all_links(n, MutationKind::Perturb, 100), Armor::MAX);
+        let mut armored = Simulation::new(fig4_processes(&proposals), pattern.clone());
+        armored.set_adversary(all_links(n, MutationKind::Perturb, 100), Armor::MAX);
         let outcome =
             armored.run(&mut ScriptedScheduler::new(base.script().to_vec()), &det, u64::MAX);
         assert_eq!(outcome.mutated, 0, "seed {seed}");
@@ -255,8 +255,8 @@ fn full_armor_abd_is_bit_identical_to_honest_baseline() {
                 Armor::MAX,
             ),
             pattern.clone(),
-        )
-        .with_adversary(all_links(n, MutationKind::ForgeAck, 77), Armor::MAX);
+        );
+        armored.set_adversary(all_links(n, MutationKind::ForgeAck, 77), Armor::MAX);
         let outcome =
             armored.run(&mut ScriptedScheduler::new(base.script().to_vec()), &fd, u64::MAX);
         assert_eq!(outcome.mutated, 0, "seed {seed}");
@@ -285,8 +285,8 @@ proptest! {
         let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, seed);
         let proposals = distinct_proposals(n);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = Simulation::new(fig2_processes(&proposals), pattern.clone())
-                .with_adversary(all_links(n, MutationKind::Perturb, 100), armor);
+            let mut sim = Simulation::new(fig2_processes(&proposals), pattern.clone());
+            sim.set_adversary(all_links(n, MutationKind::Perturb, 100), armor);
             sim.run(&mut FairScheduler::new(seed), &sigma, 4_000)
         }));
         // A panicked run is the mutated validity `expect` firing — a

@@ -184,8 +184,8 @@ fn real_partition_safety_violation_is_never_excused() {
     let weak = WeakSigmaK::new(active);
     let blackout = LinkFaultPlan::builder(n).blackout(Time::ZERO, None).build();
 
-    let mut sim =
-        Simulation::new(fig4_processes(&proposals), pattern.clone()).with_link_faults(blackout);
+    let mut sim = Simulation::new(fig4_processes(&proposals), pattern.clone());
+    sim.set_link_faults(blackout);
     sim.run(&mut FairScheduler::new(0), &weak, 4_000);
     let trace = sim.into_trace();
     assert!(trace.distinct_decisions().len() > n - k, "partitioned run must split decisions");
@@ -330,8 +330,8 @@ fn real_blackout_starvation_is_excused() {
     let scripts = vec![vec![OpKind::Write(Value(7))], vec![OpKind::Read], vec![]];
     let blackout = LinkFaultPlan::builder(n).blackout(Time::ZERO, None).build();
 
-    let mut sim =
-        Simulation::new(abd_processes(s, n, scripts), pattern.clone()).with_link_faults(blackout);
+    let mut sim = Simulation::new(abd_processes(s, n, scripts), pattern.clone());
+    sim.set_link_faults(blackout);
     let outcome = sim.run(&mut FairScheduler::new(0), &det, 2_000);
     assert!(
         matches!(outcome.reason, StopReason::MaxSteps | StopReason::Starved),

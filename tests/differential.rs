@@ -16,7 +16,7 @@ use sih::model::{FailureDetector, FailurePattern, OpKind, ProcessId, ProcessSet,
 use sih::registers::{abd_processes, check_linearizable};
 use sih::runtime::sweep::Sweep;
 use sih::runtime::{
-    explore, explore_with, Automaton, ExploreConfig, ExploreResult, FairScheduler, Simulation,
+    explore_with, Automaton, ExploreConfig, ExploreResult, FairScheduler, Simulation,
 };
 use sih_lab::repro::{
     capture_from_script, record_first_violation, replay, ReplayMode, PANIC_VERDICT,
@@ -92,7 +92,7 @@ fn fig2_sound_sigma_both_engines_report_no_violation() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - 1).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &sigma, 9, usize::MAX, &mut check);
+    let result = explore_with(&sim, &sigma, &ExploreConfig::new(9), &mut check);
     assert!(result.ok(), "explorer found {:?}", result.violation);
 
     // Sweep: every sampled seed is clean too, at any thread count.
@@ -121,7 +121,7 @@ fn fig2_sound_sigma_with_active_crash_both_engines_agree() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - 1).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &sigma, 9, usize::MAX, &mut check);
+    let result = explore_with(&sim, &sigma, &ExploreConfig::new(9), &mut check);
     assert!(result.ok(), "explorer found {:?}", result.violation);
 
     let verdicts =
@@ -146,7 +146,7 @@ fn fig2_weak_sigma_both_engines_catch_the_planted_weakness() {
         let mut check = |s: &Simulation<_>| {
             check_k_agreement_safety(s.trace(), &proposals, n - 1).map_err(|e| e.to_string())
         };
-        let result = explore(&sim, &weak, 6, usize::MAX, &mut check);
+        let result = explore_with(&sim, &weak, &ExploreConfig::new(6), &mut check);
         result.violation.is_some()
     }))
     .map_err(|panic| {
@@ -182,7 +182,7 @@ fn fig4_sound_sigma_k_both_engines_report_no_violation() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - k).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &det, 8, 3, &mut check);
+    let result = explore_with(&sim, &det, &ExploreConfig::new(8).max_deliveries(3), &mut check);
     assert!(result.ok(), "explorer found {:?}", result.violation);
 
     let verdicts = sweep_fig4(&pattern, |seed| SigmaK::new(active, &pattern, seed), 0);
@@ -204,7 +204,7 @@ fn fig4_weak_sigma_k_both_engines_find_the_agreement_violation() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - k).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &weak, 8, usize::MAX, &mut check);
+    let result = explore_with(&sim, &weak, &ExploreConfig::new(8), &mut check);
     let (script, msg) = result.violation.expect("explorer missed the weak-σ_k violation");
     assert!(msg.contains("agreement"), "unexpected violation: {msg}");
 
@@ -258,7 +258,7 @@ fn engines_agree_that_validity_needs_no_weakening_to_check() {
             Ok(())
         }
     };
-    let result = explore(&sim, &sigma, 9, usize::MAX, &mut check);
+    let result = explore_with(&sim, &sigma, &ExploreConfig::new(9), &mut check);
     assert!(result.violation.is_some(), "explorer missed the planted invariant");
 
     let seeds: Vec<u64> = (0..SEEDS).collect();

@@ -5,6 +5,7 @@ use sih::claims::{check_claim, Claim, ClaimConfig};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
 use sih::pipeline;
 use sih::prelude::*;
+use sih::runtime::SimPool;
 use sih_lab::run_experiment;
 
 #[test]
@@ -12,14 +13,15 @@ fn theorem2_positive_direction_end_to_end() {
     // Σ_{p,q} → (Figure 3) → σ → (Figure 2) → set agreement, stacked in
     // one run per pattern.
     let (p, q) = (ProcessId(0), ProcessId(1));
+    let mut pool = SimPool::new();
     for pattern in [
         FailurePattern::all_correct(5),
         FailurePattern::crashed_from_start(5, ProcessSet::from_iter([2, 3, 4].map(ProcessId))),
         FailurePattern::builder(5).crash_at(ProcessId(1), Time(30)).build(),
     ] {
         for seed in 0..3 {
-            let tr = pipeline::run_stack_fig3_fig2(&pattern, p, q, seed, 250_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(5), 4)
+            let tr = pipeline::run_stack_fig3_fig2_pooled(&mut pool, &pattern, p, q, seed, 250_000);
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(5), 4)
                 .unwrap_or_else(|e| panic!("{pattern:?} seed {seed}: {e}"));
             check_sigma(tr.emulated_history(), &pattern, ProcessSet::from_iter([p, q]))
                 .unwrap_or_else(|e| panic!("{pattern:?} seed {seed}: emulated σ: {e}"));
@@ -30,13 +32,14 @@ fn theorem2_positive_direction_end_to_end() {
 #[test]
 fn theorem8_positive_direction_end_to_end() {
     let x = ProcessSet::from_iter([0, 1, 2, 3].map(ProcessId));
+    let mut pool = SimPool::new();
     for pattern in [
         FailurePattern::all_correct(6),
         FailurePattern::crashed_from_start(6, ProcessSet::from_iter([2, 3, 4, 5].map(ProcessId))),
     ] {
         for seed in 0..3 {
-            let tr = pipeline::run_stack_fig5_fig4(&pattern, x, seed, 400_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(6), 4)
+            let tr = pipeline::run_stack_fig5_fig4_pooled(&mut pool, &pattern, x, seed, 400_000);
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(6), 4)
                 .unwrap_or_else(|e| panic!("{pattern:?} seed {seed}: {e}"));
         }
     }
@@ -68,11 +71,20 @@ fn register_and_agreement_coexist_in_one_system() {
     let pattern = FailurePattern::builder(5).crash_at(ProcessId(4), Time(50)).build();
     let s = ProcessSet::from_iter([0, 1].map(ProcessId));
     let spec = WorkloadSpec { ops_per_process: 3, read_ratio: 0.4, seed: 9 };
-    let (_, ops) = pipeline::run_register_workload(&pattern, s, spec.scripts(s), 9, 400_000);
+    let ops = pipeline::run_register_workload_pooled(
+        &mut SimPool::new(),
+        &pattern,
+        s,
+        spec.scripts(s),
+        9,
+        400_000,
+    )
+    .op_records();
     check_linearizable(&ops, None).unwrap();
 
-    let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), 9, 200_000);
-    check_k_set_agreement(&tr, &pattern, &distinct_proposals(5), 4).unwrap();
+    let mut pool = SimPool::new();
+    let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, ProcessId(0), ProcessId(1), 9, 200_000);
+    check_k_set_agreement(tr, &pattern, &distinct_proposals(5), 4).unwrap();
 }
 
 #[test]
@@ -80,7 +92,8 @@ fn paxos_baseline_beats_the_weak_agreement_bound() {
     // Consensus decides ONE value where Figure 2 is allowed n−1: the
     // baseline really is stronger.
     let pattern = FailurePattern::all_correct(5);
-    let tr = pipeline::run_paxos(&pattern, 3, 400_000);
+    let mut pool = SimPool::new();
+    let tr = pipeline::run_paxos_pooled(&mut pool, &pattern, 3, 400_000);
     assert_eq!(tr.distinct_decisions().len(), 1);
-    check_k_set_agreement(&tr, &pattern, &distinct_proposals(5), 1).unwrap();
+    check_k_set_agreement(tr, &pattern, &distinct_proposals(5), 1).unwrap();
 }

@@ -6,7 +6,7 @@ use sih::agreement::{
 };
 use sih::detectors::{Sigma, SigmaK};
 use sih::model::{FailurePattern, ProcessId, ProcessSet, Time};
-use sih::runtime::{explore, explore_par, explore_with, ExploreConfig, Simulation};
+use sih::runtime::{explore_par, explore_with, ExploreConfig, Simulation};
 
 #[test]
 fn fig2_safety_over_all_schedules_n3() {
@@ -20,7 +20,7 @@ fn fig2_safety_over_all_schedules_n3() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - 1).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &sigma, 9, usize::MAX, &mut check);
+    let result = explore_with(&sim, &sigma, &ExploreConfig::new(9), &mut check);
     assert!(result.ok(), "violation: {:?}", result.violation);
     // The reduced explorer must still have done real work — and must have
     // actually reduced it.
@@ -41,7 +41,7 @@ fn fig2_safety_over_all_schedules_with_active_crash() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - 1).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &sigma, 9, usize::MAX, &mut check);
+    let result = explore_with(&sim, &sigma, &ExploreConfig::new(9), &mut check);
     assert!(result.ok(), "violation: {:?}", result.violation);
 }
 
@@ -59,7 +59,7 @@ fn fig4_safety_over_all_schedules_n3_k1() {
     let mut check = |s: &Simulation<_>| {
         check_k_agreement_safety(s.trace(), &proposals, n - k).map_err(|e| e.to_string())
     };
-    let result = explore(&sim, &det, 8, 3, &mut check);
+    let result = explore_with(&sim, &det, &ExploreConfig::new(8).max_deliveries(3), &mut check);
     assert!(result.ok(), "violation: {:?}", result.violation);
     assert!(result.states > 0 && result.terminals > 0);
     // Reductions stay ON under a finite delivery cap: capped dedup keys
@@ -108,7 +108,7 @@ fn exploration_would_catch_a_real_violation() {
             Ok(())
         }
     };
-    let result = explore(&sim, &sigma, 9, usize::MAX, &mut check);
+    let result = explore_with(&sim, &sigma, &ExploreConfig::new(9), &mut check);
     let (script, msg) = result.violation.expect("planted violation must be found");
     assert!(msg.contains("planted"));
     assert!(script.len() >= 2);

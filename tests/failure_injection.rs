@@ -6,19 +6,21 @@ use sih::agreement::{check_k_set_agreement, distinct_proposals};
 use sih::detectors::{check_anti_omega, check_sigma};
 use sih::model::{FailurePattern, LinkFaultPlan, ProcessId, ProcessSet, Time};
 use sih::pipeline;
-use sih::runtime::{LivenessVerdict, TraceLevel};
+use sih::runtime::{LivenessVerdict, SimPool, TraceLevel};
 use sih_lab::repro::{Algo, Pools};
 use sih_lab::run_fault_cell;
 
 #[test]
 fn fig2_survives_every_single_crash_time() {
     let n = 4;
+    let mut pool = SimPool::new();
     for victim in 0..n as u32 {
         for crash_t in 1..=12u64 {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), crash_t, 150_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - 1)
+            let (p, q) = (ProcessId(0), ProcessId(1));
+            let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, crash_t, 150_000);
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - 1)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }
     }
@@ -27,6 +29,7 @@ fn fig2_survives_every_single_crash_time() {
 #[test]
 fn fig2_survives_every_double_crash() {
     let n = 4;
+    let mut pool = SimPool::new();
     for v1 in 0..n as u32 {
         for v2 in (v1 + 1)..n as u32 {
             for crash_t in [1u64, 5, 15] {
@@ -34,8 +37,9 @@ fn fig2_survives_every_double_crash() {
                     .crash_at(ProcessId(v1), Time(crash_t))
                     .crash_at(ProcessId(v2), Time(crash_t + 3))
                     .build();
-                let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), crash_t, 150_000);
-                check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - 1)
+                let (p, q) = (ProcessId(0), ProcessId(1));
+                let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, crash_t, 150_000);
+                check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - 1)
                     .unwrap_or_else(|e| panic!("p{v1},p{v2} at t{crash_t}: {e}"));
             }
         }
@@ -47,12 +51,13 @@ fn fig4_survives_every_single_crash_time() {
     let n = 5;
     let k = 2;
     let active: ProcessSet = (0..4u32).map(ProcessId).collect();
+    let mut pool = SimPool::new();
     for victim in 0..n as u32 {
         for crash_t in [1u64, 4, 9, 20] {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig4(&pattern, active, crash_t, 250_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - k)
+            let tr = pipeline::run_fig4_pooled(&mut pool, &pattern, active, crash_t, 250_000);
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - k)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }
     }
@@ -125,11 +130,13 @@ fn fig4_survives_every_crash_x_partition_product() {
 fn fig3_emulation_survives_every_single_crash_time() {
     let n = 4;
     let pair = ProcessSet::from_iter([0, 1].map(ProcessId));
+    let mut pool = SimPool::new();
     for victim in 0..n as u32 {
         for crash_t in [1u64, 6, 14] {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig3(&pattern, ProcessId(0), ProcessId(1), crash_t, 6_000);
+            let (p, q) = (ProcessId(0), ProcessId(1));
+            let tr = pipeline::run_fig3_pooled(&mut pool, &pattern, p, q, crash_t, 6_000);
             check_sigma(tr.emulated_history(), &pattern, pair)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }
@@ -139,11 +146,13 @@ fn fig3_emulation_survives_every_single_crash_time() {
 #[test]
 fn fig6_emulation_survives_every_single_crash_time() {
     let n = 4;
+    let mut pool = SimPool::new();
     for victim in 0..n as u32 {
         for crash_t in [1u64, 6, 14] {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig6(&pattern, ProcessId(0), ProcessId(1), crash_t, 25_000);
+            let (p, q) = (ProcessId(0), ProcessId(1));
+            let tr = pipeline::run_fig6_pooled(&mut pool, &pattern, p, q, crash_t, 25_000);
             check_anti_omega(tr.emulated_history(), &pattern)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }

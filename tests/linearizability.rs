@@ -8,14 +8,16 @@ use sih::pipeline;
 use sih::registers::{
     check_linearizable, check_linearizable_search, LinearizabilityViolation, WorkloadSpec, MAX_OPS,
 };
+use sih::runtime::SimPool;
 
 /// One ABD history: `S` = {p0, p1, p2} of n = 4, all correct.
 fn abd_history(ops_per_process: usize, seed: u64) -> Vec<OpRecord> {
     let pattern = FailurePattern::all_correct(4);
     let s = ProcessSet::from_iter([0, 1, 2].map(ProcessId));
     let spec = WorkloadSpec { ops_per_process, read_ratio: 0.5, seed };
-    let (_, ops) = pipeline::run_register_workload(&pattern, s, spec.scripts(s), seed, 5_000_000);
-    ops
+    let mut pool = SimPool::new();
+    pipeline::run_register_workload_pooled(&mut pool, &pattern, s, spec.scripts(s), seed, 5_000_000)
+        .op_records()
 }
 
 fn written(op: &OpRecord) -> Option<Value> {

@@ -58,7 +58,8 @@ proptest! {
         let plan = LinkFaultPlan::random_plan(n, plan_seed, Time(400));
         let pattern = FailurePattern::all_correct(n);
         let mut sim =
-            Simulation::new(vec![Chatter::default(); n], pattern).with_link_faults(plan);
+            Simulation::new(vec![Chatter::default(); n], pattern);
+        sim.set_link_faults(plan);
         let outcome = sim.run(&mut FairScheduler::new(sched_seed), &NoDetector, 3_000);
         prop_assert_eq!(
             outcome.sent,
@@ -79,7 +80,8 @@ proptest! {
         let pattern = FailurePattern::all_correct(n);
         let procs =
             sih::runtime::stubborn_processes(vec![BroadcastOnce::default(); n]);
-        let mut sim = Simulation::new(procs, pattern).with_link_faults(plan);
+        let mut sim = Simulation::new(procs, pattern);
+        sim.set_link_faults(plan);
         let outcome = sim.run_until(
             &mut FairScheduler::new(plan_seed ^ 0x5bd1e995),
             &NoDetector,
@@ -106,8 +108,8 @@ proptest! {
         let run = || {
             let plan = LinkFaultPlan::random_plan(n, plan_seed, Time(400));
             let mut sim =
-                Simulation::new(vec![Chatter::default(); n], pattern.clone())
-                    .with_link_faults(plan);
+                Simulation::new(vec![Chatter::default(); n], pattern.clone());
+            sim.set_link_faults(plan);
             let outcome =
                 sim.run(&mut FairScheduler::new(plan_seed), &NoDetector, 2_000);
             (sim.script().to_vec(), outcome.sent, outcome.delivered, outcome.dropped,

@@ -5,14 +5,22 @@
 use sih::agreement::{check_k_set_agreement, distinct_proposals};
 use sih::model::{FailurePattern, NoDetector, ProcessId, ProcessSet, Value};
 use sih::pipeline;
-use sih::runtime::{Automaton, Effects, FairScheduler, Simulation, StepInput};
+use sih::runtime::{Automaton, Effects, FairScheduler, SimPool, Simulation, StepInput};
 
 #[test]
 fn fig2_at_n_32() {
+    let mut pool = SimPool::new();
     for seed in 0..2 {
         let pattern = FailurePattern::all_correct(32);
-        let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), seed, 400_000);
-        check_k_set_agreement(&tr, &pattern, &distinct_proposals(32), 31).unwrap();
+        let tr = pipeline::run_fig2_pooled(
+            &mut pool,
+            &pattern,
+            ProcessId(0),
+            ProcessId(1),
+            seed,
+            400_000,
+        );
+        check_k_set_agreement(tr, &pattern, &distinct_proposals(32), 31).unwrap();
     }
 }
 
@@ -20,8 +28,9 @@ fn fig2_at_n_32() {
 fn fig4_at_n_24_k_8() {
     let active: ProcessSet = (0..16u32).map(ProcessId).collect();
     let pattern = FailurePattern::all_correct(24);
-    let tr = pipeline::run_fig4(&pattern, active, 1, 600_000);
-    check_k_set_agreement(&tr, &pattern, &distinct_proposals(24), 16).unwrap();
+    let mut pool = SimPool::new();
+    let tr = pipeline::run_fig4_pooled(&mut pool, &pattern, active, 1, 600_000);
+    check_k_set_agreement(tr, &pattern, &distinct_proposals(24), 16).unwrap();
 }
 
 #[test]

@@ -27,9 +27,8 @@ use sih::agreement::{
 };
 use sih::detectors::{AntiOmega, Omega, QuorumMsg, QuorumSigma, Sigma, SigmaK, SigmaS, WeakSigmaS};
 use sih::model::{
-    AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, FdOutput,
-    LinkFaultPlan, Mutation, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time,
-    Value,
+    AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, LinkFaultPlan,
+    Mutation, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time, Value,
 };
 use sih::reductions::{
     fig3_processes, fig5_processes, fig6_processes, AblatedFig6Msg, AntiOmegaAgreementCandidate,
@@ -359,7 +358,7 @@ fn other_automata_hash_like_debug_on_fair_runs() {
     let stack: Vec<_> = fig3_processes(n, ProcessId(0), ProcessId(1))
         .into_iter()
         .zip(fig2_processes(&proposals))
-        .map(|(lower, upper)| Stacked::new(lower, upper, FdOutput::Bot))
+        .map(|(lower, upper)| Stacked::new(lower, upper))
         .collect();
     let pair = SigmaS::new(ProcessSet::from_iter([ProcessId(0), ProcessId(1)]), &pattern, 0);
     assert_same_fair_classes(stack, &pattern, &Reliable, &pair);
