@@ -16,7 +16,9 @@
 //!
 //! Any evaluated schedule whose verdict is not `ok` is a violation; the
 //! first per (workload, verdict) class auto-shrinks through
-//! [`crate::repro::shrink`] into a corpus-format witness.
+//! [`crate::repro::shrink`] into a corpus-format witness. The report
+//! counts the replays (evaluations plus shrink candidates) and the steps
+//! they executed, so a speed-up can show the same work in less time.
 //!
 //! **Determinism.** Mutant generation, corpus selection and the merge
 //! are serial; evaluation is the only parallel stage, and [`Sweep`]
@@ -30,12 +32,12 @@
 
 use crate::json::{ObjectBuilder, Value};
 use crate::repro::{
-    record_any, replay, replay_with_fingerprints, shrink, RecordRequest, ReplayMode, BYZ_WORKLOADS,
+    record_any, replay, replay_with_fingerprints, shrink_counting, RecordRequest, ReplayMode,
+    ReplayWork, BYZ_WORKLOADS,
 };
 use sih_runtime::fuzz::{crossover, mutate, Coverage, FuzzCorpus, FuzzRng, MutOp, MutatorConfig};
 use sih_runtime::sweep::Sweep;
-use sih_runtime::{fnv1a_64, Schedule, ShrinkReport};
-use std::collections::BTreeSet;
+use sih_runtime::{Schedule, ShrinkReport, StateHasher};
 use std::fmt;
 use std::time::Instant;
 
@@ -109,6 +111,12 @@ pub struct FuzzBenchReport {
     pub distinct_fingerprints: u64,
     /// Evaluations whose verdict was not `ok`.
     pub violations: u64,
+    /// Replays run: every evaluation that ran plus every shrink
+    /// candidate replayed.
+    pub replays: u64,
+    /// Steps those replays executed — with `replays`, the work the
+    /// wall clock pays for.
+    pub replay_steps: u64,
     /// The kept corpus, in insertion order (every entry
     /// strict-replays).
     pub corpus: Vec<Schedule>,
@@ -156,6 +164,8 @@ impl FuzzBenchReport {
             .field("batches", self.batches)
             .field("distinct_fingerprints", self.distinct_fingerprints)
             .field("violations", self.violations)
+            .field("replays", self.replays)
+            .field("replay_steps", self.replay_steps)
             .field("corpus_size", self.corpus.len())
             .field("corpus_digest", format!("{:016x}", self.corpus_digest))
             .field(
@@ -193,14 +203,16 @@ impl fmt::Display for FuzzBenchReport {
         writeln!(
             f,
             "  {} evaluated in {} batches ({} base seeds): {} distinct fingerprints, \
-             corpus {} (digest {:016x}), {} violations",
+             corpus {} (digest {:016x}), {} violations; {} replays, {} steps",
             self.executed,
             self.batches,
             self.seeds_loaded,
             self.distinct_fingerprints,
             self.corpus.len(),
             self.corpus_digest,
-            self.violations
+            self.violations,
+            self.replays,
+            self.replay_steps
         )?;
         for w in &self.witnesses {
             writeln!(
@@ -238,7 +250,9 @@ pub fn load_seed_schedules(dir: &std::path::Path) -> std::io::Result<Vec<Schedul
 /// engine's state fingerprint, so identical automaton states of
 /// different workloads never collide.
 fn workload_key(checker: &str) -> u64 {
-    fnv1a_64(checker.as_bytes())
+    let mut h = StateHasher::new();
+    h.write(checker);
+    h.finish()
 }
 
 /// One evaluation job: parent corpus index (`None` for base seeds) and
@@ -262,7 +276,7 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
     let mut executed = 0u64;
     let mut batches = 0u64;
     let mut violations = 0u64;
-    let mut witness_keys: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut work = ReplayWork::default();
     let mut raw_witnesses: Vec<Schedule> = Vec::new();
 
     // ---- base corpus: fresh recordings + caller-supplied seeds ----
@@ -295,21 +309,25 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
                  corpus: &mut FuzzCorpus,
                  executed: &mut u64,
                  violations: &mut u64,
-                 witness_keys: &mut BTreeSet<(String, String)>,
+                 work: &mut ReplayWork,
                  raw_witnesses: &mut Vec<Schedule>| {
         for (parent, cand, rep) in evals {
             *executed += 1;
             let Some(rep) = rep else { continue };
+            work.add(rep.executed.len());
             let key = workload_key(&cand.checker);
             let novel = coverage.observe(rep.fingerprints.iter().map(|fp| key ^ fp));
             // Canonical form: the actually-executed legal subsequence,
             // which strict-replays to the same verdict (DESIGN.md §10).
-            let canonical =
-                Schedule { choices: rep.executed.clone(), verdict: rep.verdict.clone(), ..cand };
-            if rep.verdict != "ok" {
+            let canonical = Schedule { choices: rep.executed, verdict: rep.verdict, ..cand };
+            // The first violation of each (workload, verdict) class is
+            // kept; the few classes are scanned, not cloned into keys.
+            if canonical.verdict != "ok" {
                 *violations += 1;
-                let k = (canonical.checker.clone(), canonical.verdict.clone());
-                if witness_keys.insert(k) {
+                let seen = raw_witnesses
+                    .iter()
+                    .any(|w| w.checker == canonical.checker && w.verdict == canonical.verdict);
+                if !seen {
                     raw_witnesses.push(canonical.clone());
                 }
             }
@@ -329,7 +347,7 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
         &mut corpus,
         &mut executed,
         &mut violations,
-        &mut witness_keys,
+        &mut work,
         &mut raw_witnesses,
     );
 
@@ -396,7 +414,7 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
             &mut corpus,
             &mut executed,
             &mut violations,
-            &mut witness_keys,
+            &mut work,
             &mut raw_witnesses,
         );
         batches += 1;
@@ -406,7 +424,8 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
     let witnesses: Vec<FuzzWitness> = raw_witnesses
         .into_iter()
         .map(|s| {
-            let (shrunk, report) = shrink(&s).expect("witness workload is registered");
+            let (shrunk, report) =
+                shrink_counting(&s, &mut work).expect("witness workload is registered");
             FuzzWitness {
                 workload: shrunk.checker.clone(),
                 verdict: shrunk.verdict.clone(),
@@ -427,6 +446,8 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
         batches,
         distinct_fingerprints: coverage.len(),
         violations,
+        replays: work.replays,
+        replay_steps: work.steps,
         corpus: corpus.entries().iter().map(|e| e.schedule.clone()).collect(),
         corpus_digest: corpus.digest(),
         witnesses,

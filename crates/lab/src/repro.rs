@@ -759,11 +759,34 @@ struct RunResult {
     executed: Vec<Choice>,
 }
 
-/// Reconstructs the workload a schedule header names and drives it.
-/// Everything the header records — `n`, `k`, `seed`, pattern, faults,
-/// adversary plan, attack, armor — plus a driver fully determines the
-/// run; the header's own `choices` and `verdict` are not read.
+thread_local! {
+    /// The simulations every record, replay and shrink candidate on this
+    /// thread runs in, recycled run over run. `Light` keeps what the
+    /// checkers read (decisions, emulated outputs, op events) and skips
+    /// the per-step `Step`/`Send` events nobody here reads; fingerprints
+    /// are equal at both levels. A run that panicked is rewound like any
+    /// other by the next `acquire`.
+    static REPRO_POOLS: std::cell::RefCell<Pools> =
+        std::cell::RefCell::new(Pools::new(TraceLevel::Light));
+}
+
+/// Reconstructs the workload a schedule header names and drives it in
+/// this thread's pooled simulations.
 fn run_workload(
+    s: &Schedule,
+    driver: Driver<'_>,
+    fps: Option<&mut Vec<u64>>,
+) -> Result<RunResult, ReproError> {
+    REPRO_POOLS.with_borrow_mut(|pools| run_in(pools, s, driver, fps))
+}
+
+/// Reconstructs the workload a schedule header names and drives it in
+/// `pools`. Everything the header records — `n`, `k`, `seed`, pattern,
+/// faults, adversary plan, attack, armor — plus a driver fully
+/// determines the run; the header's own `choices` and `verdict` are not
+/// read.
+fn run_in(
+    pools: &mut Pools,
     s: &Schedule,
     driver: Driver<'_>,
     fps: Option<&mut Vec<u64>>,
@@ -775,8 +798,7 @@ fn run_workload(
             w.name
         )));
     }
-    let mut pools = Pools::new(TraceLevel::Full);
-    let ran = w.spec.run(s, &mut pools, Layer::Bare, driver, fps)?;
+    let ran = w.spec.run(s, pools, Layer::Bare, driver, fps)?;
     let verdict = match ran.outcome {
         Some(_) => ran.check.verdict(ran.trace, &s.pattern),
         None => PANIC_VERDICT.to_string(),
@@ -929,11 +951,39 @@ pub fn replay_with_fingerprints(
 /// actually-executed choice sequence, so the final schedule strict-replays
 /// exactly. Serial and deterministic — thread count never enters.
 pub fn shrink(s: &Schedule) -> Result<(Schedule, ShrinkReport), ReproError> {
+    shrink_counting(s, &mut ReplayWork::default())
+}
+
+/// Deterministic replay work: how many replays ran and how many steps
+/// they executed between them.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayWork {
+    /// Replays that ran (a workload that rejected its parameters runs
+    /// none).
+    pub(crate) replays: u64,
+    /// Steps those replays executed (a panicking step included).
+    pub(crate) steps: u64,
+}
+
+impl ReplayWork {
+    /// Counts one replay that executed `steps` steps.
+    pub(crate) fn add(&mut self, steps: usize) {
+        self.replays += 1;
+        self.steps += steps as u64;
+    }
+}
+
+/// [`shrink`], adding every candidate replay to `work`.
+pub(crate) fn shrink_counting(
+    s: &Schedule,
+    work: &mut ReplayWork,
+) -> Result<(Schedule, ShrinkReport), ReproError> {
     let w = workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
     let opts = ShrinkOptions { min_n: w.spec.algo.min_n(s.k), ..ShrinkOptions::default() };
     let target = s.verdict.clone();
     let mut eval = |cand: &Schedule| -> Option<Schedule> {
         let rep = replay(cand, ReplayMode::Lenient).ok()?;
+        work.add(rep.executed.len());
         (rep.verdict == target).then(|| Schedule { choices: rep.executed, ..cand.clone() })
     };
     Ok(shrink_schedule(s, &opts, &mut eval))
@@ -1168,6 +1218,65 @@ mod tests {
             assert!(!entry.ok && entry.detail.starts_with("not a witness"), "{entry}");
             assert!(entry.detail.contains(gap), "{entry}");
         }
+    }
+
+    /// Replays go through one recycled `Light` pool per thread; they must
+    /// be indistinguishable from fresh `Full` runs — across workloads,
+    /// for the fuzzer's mutated offspring, and after a panicking run.
+    #[test]
+    fn pooled_light_replays_match_fresh_full_runs() {
+        let check = |s: &Schedule, mode: ReplayMode| {
+            let pooled = replay_with_fingerprints(s, mode).unwrap();
+            let mut fps = Vec::new();
+            let driver = Driver::Replay { choices: &s.choices, mode };
+            let fresh =
+                run_in(&mut Pools::new(TraceLevel::Full), s, driver, Some(&mut fps)).unwrap();
+            let at = format!("{} ({mode:?}, {} choices)", s.checker, s.choices.len());
+            assert_eq!(pooled.verdict, fresh.verdict, "{at}");
+            assert_eq!(pooled.executed, fresh.executed, "{at}");
+            assert_eq!(pooled.fingerprints, fps, "{at}");
+        };
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
+            .collect();
+        files.sort();
+        let corpus: Vec<Schedule> = files
+            .iter()
+            .map(|p| Schedule::parse(&std::fs::read_to_string(p).unwrap()).unwrap())
+            .collect();
+        assert_eq!(corpus.len(), 12);
+        let mut rng = sih_runtime::FuzzRng::new(33);
+        let mut offspring = 0;
+        for s in &corpus {
+            check(s, ReplayMode::Strict);
+            let allow = BYZ_WORKLOADS.contains(&s.checker.as_str());
+            let mcfg = sih_runtime::MutatorConfig::for_schedule(s, allow);
+            let ops = sih_runtime::MutOp::ALL;
+            let mut made = 0;
+            for _ in 0..200 {
+                let op = ops[rng.below(ops.len() as u64) as usize];
+                if let Some(m) = sih_runtime::mutate(s, op, &mcfg, &mut rng) {
+                    check(&m, ReplayMode::Lenient);
+                    made += 1;
+                    if made == 20 {
+                        break;
+                    }
+                }
+            }
+            offspring += made;
+        }
+        assert!(offspring >= 200, "only {offspring} offspring");
+        // The panic witness, then a clean run of the same algorithm — the
+        // same pooled simulation — on this thread.
+        let algo = |s: &Schedule| workload(&s.checker).map(|w| w.spec.algo);
+        let witness = corpus.iter().find(|s| s.verdict == PANIC_VERDICT).unwrap();
+        let clean =
+            corpus.iter().find(|s| algo(s) == algo(witness) && s.verdict != PANIC_VERDICT).unwrap();
+        check(witness, ReplayMode::Strict);
+        check(clean, ReplayMode::Strict);
     }
 
     #[test]

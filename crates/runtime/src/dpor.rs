@@ -45,7 +45,7 @@
 // sih-analysis: allow(index-reachable) — `grew` is the explorer's per-destination growth
 // vector of length n, and every sleeping key's process id comes from the explorer's own
 // choice enumeration, bounded by n at construction.
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::StateHasher;
 use crate::hb::HbState;
 use sih_model::ProcessId;
 
@@ -133,16 +133,10 @@ impl SleepSet {
         if self.sleeping.is_empty() {
             return 0;
         }
-        let mut h = Fnv64::new();
+        let mut h = StateHasher::new();
         for c in &self.sleeping {
-            h.write_u64(u64::from(c.p.0));
-            match c.deliver {
-                None => h.write_u64(0),
-                Some(fp) => {
-                    h.write_u64(1);
-                    h.write_u64(fp);
-                }
-            }
+            h.write(&c.p);
+            h.write(&c.deliver);
         }
         h.finish()
     }

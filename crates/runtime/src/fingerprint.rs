@@ -8,17 +8,21 @@
 //! is explicitly unstable, so the determinism contract (DESIGN.md §6)
 //! rules it out. Two hashers, both fully specified and dependency-free:
 //!
-//! * [`StateHasher`] folds whole `u64` words through the splitmix64
-//!   finalizer. [`Simulation::fingerprint`](crate::Simulation::fingerprint)
-//!   uses it for everything it hashes: automata feed their fields word by
-//!   word through [`Automaton::hash_state`](crate::Automaton::hash_state),
-//!   and plain data — message payloads, envelopes, the installed fault
-//!   plans — feed themselves through [`StateHash`].
-//! * [`Fnv64`] is FNV-1a/64 over bytes. It hashes schedule text (the
+//! * [`StateHasher`] folds whole `u64` words, one multiply each, and
+//!   mixes once at the end; its docs give the kernel, why one changed
+//!   word never collides, and the collision battery that tests it. Every
+//!   in-memory fingerprint uses it:
+//!   [`Simulation::fingerprint`](crate::Simulation::fingerprint) for
+//!   everything it hashes — automata feed their fields word by word
+//!   through [`Automaton::hash_state`](crate::Automaton::hash_state), and
+//!   plain data (message payloads, envelopes, the installed fault plans)
+//!   feed themselves through [`StateHash`] — and the explorer's sleep-set
+//!   contexts ([`SleepSet::fingerprint`](crate::SleepSet::fingerprint)).
+//! * [`Fnv64`] is FNV-1a/64 over bytes, kept for digests that are
+//!   persisted or printed: schedule text (the
 //!   [`Schedule::digest`](crate::Schedule::digest) of the fuzzer's corpus
-//!   dedup, streamed without building the text), sleep-set contexts and
-//!   corpus digests, plus the `Debug` rendering behind
-//!   [`StateHasher::write_debug`] — the
+//!   dedup, streamed without building the text) and corpus digests, plus
+//!   the `Debug` rendering behind [`StateHasher::write_debug`] — the
 //!   [`Automaton::hash_state`](crate::Automaton::hash_state) default for
 //!   wrappers outside this workspace, and the one place a fingerprint
 //!   still formats text.
@@ -161,13 +165,36 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 /// run of zero words still moves the state.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The fold's odd multiplier (splitmix64's first finalizer constant).
+const FOLD_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+
+/// The fold's left rotation: brings the multiply's well-mixed high bits
+/// down to where the next word's low bits land.
+const FOLD_ROT: u32 = 29;
+
 /// A word-at-a-time hasher for state fingerprints.
 ///
-/// Each [`StateHasher::write_u64`] folds one word into the state through
-/// the splitmix64 finalizer `mix64`: `state ← mix64((state + γ) ⊕ word)`.
-/// For a fixed state this is a bijection in the word, so two word
-/// sequences of the same length that differ in one word always hash
-/// differently, and unequal sequences collide with probability about 2⁻⁶⁴.
+/// [`StateHasher::write_u64`] folds a word `w` into the state `s` as
+/// `s ← rotl(((s + γ) ⊕ w) · K, 29)`, with `γ = ⌊2⁶⁴/φ⌋` and `K` odd;
+/// [`StateHasher::finish`] applies the splitmix64 finalizer once. A fold
+/// costs one multiply on the dependency chain, where a full finalizer
+/// per word costs two multiplies and three shift-xors.
+///
+/// Adding `γ`, xoring the word, multiplying by an odd constant and
+/// rotating are each bijections on `u64`, so the fold is a bijection in
+/// the word for a fixed state *and* in the state for a fixed word, and
+/// the finalizer is a bijection too. Hence two word sequences of the
+/// same length that differ in exactly one word never collide: the states
+/// part at that word and stay apart through every later (equal) word.
+/// Other unequal sequences collide with probability about 2⁻⁶⁴ for data
+/// not built against the constants. `γ` keeps runs of zero words moving
+/// the state. The rotation matters: a multiply only carries differences
+/// upward, so without it words that differ in the top bit alone collide
+/// once the next word cancels the difference. The unit tests hash every
+/// sequence of one to four words from a structured alphabet (small
+/// integers, tags, single bits, `1 << 63`, `u64::MAX`, byte patterns)
+/// plus zero runs up to 64 words and require no collision, and check
+/// that changing one word always changes the hash.
 ///
 /// Equal fingerprints must mean equal states, so every encoding fed to a
 /// `StateHasher` must be *injective*: variable-length data is preceded
@@ -197,7 +224,7 @@ impl StateHasher {
     /// Folds one word.
     #[inline]
     pub fn write_u64(&mut self, word: u64) {
-        self.0 = mix64(self.0.wrapping_add(GAMMA) ^ word);
+        self.0 = (self.0.wrapping_add(GAMMA) ^ word).wrapping_mul(FOLD_MUL).rotate_left(FOLD_ROT);
     }
 
     /// Folds a `usize` widened to `u64` (so 32- and 64-bit hosts agree).
@@ -223,10 +250,11 @@ impl StateHasher {
         self.write_u64(f.finish());
     }
 
-    /// The current hash value.
+    /// The hash of the words folded so far: the state through the
+    /// splitmix64 finalizer. Folding may continue afterwards.
     #[inline]
     pub fn finish(&self) -> u64 {
-        self.0
+        mix64(self.0)
     }
 }
 
@@ -575,6 +603,126 @@ mod tests {
         let mut b = StateHasher::new();
         b.write_u64(fnv1a_64(format!("{v:?}").as_bytes()));
         assert_eq!(a, b);
+    }
+
+    /// The collision battery's alphabet: structured words of the kinds
+    /// encodings feed the hasher (small integers and tags, lengths,
+    /// single bits, the top bit, all-ones, byte patterns). The first 30
+    /// cover every kind; debug builds run those, release builds all 55.
+    const BATTERY: [u64; 55] = [
+        0,
+        1,
+        2,
+        3,
+        1 << 63,
+        u64::MAX,
+        4,
+        5,
+        6,
+        7,
+        8,
+        u64::MAX - 1,
+        (1 << 63) + 1,
+        1 << 32,
+        (1 << 32) - 1,
+        (1 << 32) + 1,
+        1 << 31,
+        1 << 62,
+        u64::MAX >> 1,
+        16,
+        32,
+        64,
+        128,
+        255,
+        256,
+        0x0101_0101_0101_0101,
+        0xAAAA_AAAA_AAAA_AAAA,
+        0x5555_5555_5555_5555,
+        0xFFFF_FFFF_0000_0000,
+        1000,
+        9,
+        10,
+        11,
+        12,
+        13,
+        14,
+        15,
+        17,
+        18,
+        19,
+        20,
+        100,
+        u64::MAX - 2,
+        u64::MAX - 3,
+        1 << 16,
+        1 << 20,
+        1 << 40,
+        1 << 48,
+        1 << 56,
+        (1 << 63) | (1 << 31),
+        0xFF00,
+        0x0000_FFFF_FFFF_0000,
+        0xDEAD_BEEF,
+        0x1234_5678_9ABC_DEF0,
+        0x8000_0000_0000_0003,
+    ];
+
+    /// Pushes the hash of every sequence of `1..=depth` more words from
+    /// `alphabet` after the words already folded into `h`.
+    fn hash_sequences(alphabet: &[u64], h: StateHasher, depth: usize, out: &mut Vec<u64>) {
+        for &w in alphabet {
+            let mut g = h;
+            g.write_u64(w);
+            out.push(g.finish());
+            if depth > 1 {
+                hash_sequences(alphabet, g, depth - 1, out);
+            }
+        }
+    }
+
+    #[test]
+    fn structured_word_sequences_never_collide() {
+        let m = if cfg!(debug_assertions) { 30 } else { BATTERY.len() };
+        let alphabet = &BATTERY[..m];
+        let mut hashes = Vec::with_capacity(m * (1 + m * (1 + m * (1 + m))) + 60);
+        hash_sequences(alphabet, StateHasher::new(), 4, &mut hashes);
+        // Zero runs of 5..=64 words (1..=4 are in the battery).
+        for len in 5..=64 {
+            let mut h = StateHasher::new();
+            for _ in 0..len {
+                h.write_u64(0);
+            }
+            hashes.push(h.finish());
+        }
+        let total = hashes.len();
+        hashes.sort_unstable();
+        let collisions = hashes.windows(2).filter(|w| w[0] == w[1]).count();
+        assert_eq!(collisions, 0, "{collisions} collisions among {total} word sequences");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// The fold is a bijection in the word and in the state, so
+        /// changing any one word of a sequence always changes the hash.
+        #[test]
+        fn changing_one_word_never_collides(
+            words in proptest::collection::vec(
+                proptest::prop_oneof![0u64..4, proptest::any::<u64>()],
+                1..24,
+            ),
+            at in proptest::any::<usize>(),
+            flip in 1u64..=u64::MAX,
+        ) {
+            let fold = |ws: &[u64]| {
+                let mut h = StateHasher::new();
+                ws.iter().for_each(|&w| h.write_u64(w));
+                h.finish()
+            };
+            let mut changed = words.clone();
+            changed[at % words.len()] ^= flip;
+            proptest::prop_assert_ne!(fold(&words), fold(&changed));
+        }
     }
 
     #[test]

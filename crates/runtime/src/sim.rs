@@ -933,7 +933,7 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// see DESIGN.md for the trade-off discussion).
     ///
     /// **What is hashed**, word by word through a [`StateHasher`] (an
-    /// in-repo splitmix64 fold — no `std` hashers, per the determinism
+    /// in-repo one-multiply fold — no `std` hashers, per the determinism
     /// contract):
     ///
     /// * per process, one *word* keyed by its id: its automaton state,

@@ -135,7 +135,8 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
             self.emulated = out;
         }
 
-        // Upper layer steps with the emulated output.
+        // Upper layer steps with the emulated output. A message for a
+        // returned upper layer is dropped, as a halted process drops it.
         let mut upper_eff = Effects::new();
         if !self.upper.halted() {
             self.upper.step(
@@ -148,10 +149,6 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
                 },
                 &mut upper_eff,
             );
-        } else if let Some(env) = upper_msg {
-            // A message for a returned upper layer is dropped, as a halted
-            // process would drop it.
-            let _ = env;
         }
 
         // Merge effects. Fan-outs stay fan-outs: wrapping the payload in a
