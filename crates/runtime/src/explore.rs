@@ -67,12 +67,17 @@
 //!   non-mutating [`Simulation::schedulable_set`] view instead of
 //!   cloning a probe. Every child but the last is materialized with
 //!   allocation-reusing [`Clone::clone_from`] into free-list pools
-//!   (simulations, happens-before shadows, sleep sets); the last child
-//!   takes the parent's state and shadow themselves, since the parent
-//!   is not read again once its children exist. [`explore_with`] clones
-//!   the caller's root once and leaves it untouched. The copies are flat
-//!   memory: trace events are `Copy`, happens-before stamps are one flat
-//!   vector per queue, and queued payloads sit inline in their slots.
+//!   (boxed simulations, happens-before shadows, sleep sets); the last
+//!   child takes the parent's state and shadow themselves, since the
+//!   parent is not read again once its children exist. Simulations are
+//!   boxed, so handing a state to a child, a pool or a frontier job
+//!   moves a pointer, never the state. [`explore_with`] clones the
+//!   caller's root once, at [`TraceLevel::Light`], and leaves the root
+//!   untouched: the search tree records decisions, emulated outputs, op
+//!   events and counters but no per-step `Step`/`Send` events, which
+//!   fingerprints ignore and the property checkers never read. The
+//!   copies are flat memory: happens-before stamps are one flat vector
+//!   per queue, and queued payloads sit inline in their slots.
 //! * **One-probe dead-end claims** — a state is classified as a dead end
 //!   before its dedup claim, and a dead end claims at budget
 //!   `usize::MAX` (its empty future is covered at any depth), so each
@@ -98,6 +103,7 @@ use crate::hb::HbState;
 use crate::scheduler::Choice;
 use crate::sim::Simulation;
 use crate::sweep::Sweep;
+use crate::trace::TraceLevel;
 use sih_model::{FailureDetector, ProcessId};
 use std::fmt;
 use std::mem;
@@ -458,6 +464,16 @@ fn probe_table(slots: &[TableSlot], fp: u64, ctx: u64) -> (usize, bool) {
 /// `cfg.frontier_depth` are ignored here, and thanks to the shared
 /// fingerprint table the result is bitwise identical to [`explore_par`]
 /// with the same config at any thread count or frontier depth.
+///
+/// The search runs on a copy of `sim` at [`TraceLevel::Light`], so
+/// `check` sees states whose trace holds decisions, emulated-detector
+/// outputs, op events and counters but no per-step `Step`/`Send` events
+/// past the root's. Fingerprints ignore those events, so the counters
+/// are the same at either level, and so is the verdict of any check
+/// that does not read [`Trace::events`](crate::Trace::events). `sim`
+/// itself keeps its level and its events. To render a violation
+/// ([`render_diagram`](crate::render_diagram)), replay its script on a
+/// [`TraceLevel::Full`] copy of the root.
 pub fn explore_with<A, D, F>(
     sim: &Simulation<A>,
     fd: &D,
@@ -473,7 +489,7 @@ where
     let mut dfs = Dfs::new(fd, cfg, &table, None, check);
     // The search moves each node's state into its last child, so it
     // works on a copy of the caller's root.
-    let mut root = sim.clone();
+    let mut root = light_root(sim);
     let mut hb =
         cfg.dpor.then(|| HbState::with_pending(sim.n(), |p| sim.network().pending_count(p)));
     dfs.node(&mut root, hb.as_mut(), cfg.depth, &SleepSet::new());
@@ -500,6 +516,10 @@ where
 /// not "whatever finished before the abort". (Violating explorations
 /// stop at the first violation, so the serial re-run is cheap relative
 /// to a full sweep of the state space.)
+///
+/// As in [`explore_with`], the checks see [`TraceLevel::Light`] copies
+/// of `sim` (no per-step events past the root's); replay a violation's
+/// script on a [`TraceLevel::Full`] copy to render it.
 pub fn explore_par<A, D, W, C>(
     sim: &Simulation<A>,
     fd: &D,
@@ -560,7 +580,7 @@ where
 /// A frontier subtree job: the state to explore plus its inherited
 /// happens-before shadow and sleep context.
 struct Job<A: Automaton> {
-    sim: Simulation<A>,
+    sim: Box<Simulation<A>>,
     hb: Option<HbState>,
     sleep: SleepSet,
 }
@@ -589,7 +609,7 @@ where
     let k = if cfg.frontier_depth > 0 { cfg.frontier_depth.min(cfg.depth) } else { cfg.depth };
 
     let mut level = vec![Job {
-        sim: sim.clone(),
+        sim: light_root(sim),
         hb: cfg.dpor.then(|| HbState::with_pending(sim.n(), |p| sim.network().pending_count(p))),
         sleep: SleepSet::new(),
     }];
@@ -639,7 +659,7 @@ enum Gate {
 /// [`Dfs`]'s pools; return them with [`Dfs::recycle`]).
 struct ChildEdge<A: Automaton> {
     choice: Choice,
-    sim: Simulation<A>,
+    sim: Box<Simulation<A>>,
     hb: Option<HbState>,
     sleep: SleepSet,
 }
@@ -655,8 +675,10 @@ struct Dfs<'a, A: Automaton, D: ?Sized, F> {
     /// violation, checked at node entry. `None` in the serial driver
     /// (whose early exit is the canonical one).
     abort: Option<&'a AtomicBool>,
-    /// Free lists recycled across tree edges.
-    sim_pool: Vec<Simulation<A>>,
+    /// Free lists recycled across tree edges. Simulations are boxed, so
+    /// pooling, handing out and swapping one moves a pointer.
+    #[expect(clippy::vec_box, reason = "a pooled state moves as a pointer into a child edge")]
+    sim_pool: Vec<Box<Simulation<A>>>,
     hb_pool: Vec<HbState>,
     sleep_pool: Vec<SleepSet>,
     edge_pool: Vec<Vec<ChildEdge<A>>>,
@@ -758,7 +780,7 @@ where
     /// buffers (see [`Dfs::expand_into`]).
     fn node(
         &mut self,
-        sim: &mut Simulation<A>,
+        sim: &mut Box<Simulation<A>>,
         hb: Option<&mut HbState>,
         remaining: usize,
         sleep: &SleepSet,
@@ -803,7 +825,7 @@ where
     /// [`child_buffer`]). So `sim` and `hb` are stale once this returns.
     fn expand_into(
         &mut self,
-        sim: &mut Simulation<A>,
+        sim: &mut Box<Simulation<A>>,
         mut hb: Option<&mut HbState>,
         sleep: &SleepSet,
         out: &mut Vec<ChildEdge<A>>,
@@ -935,7 +957,8 @@ where
 
 /// A child's copy of `parent`, drawn from `pool`: a `clone_from` into a
 /// pooled buffer, except that the `last` child swaps the pooled buffer
-/// for the parent itself. An empty pool falls back to a plain clone.
+/// for the parent itself (for a boxed simulation, two pointers). An
+/// empty pool falls back to a plain clone.
 fn child_buffer<T: Clone>(pool: &mut Vec<T>, parent: &mut T, last: bool) -> T {
     match pool.pop() {
         Some(mut buf) if last => {
@@ -948,6 +971,12 @@ fn child_buffer<T: Clone>(pool: &mut Vec<T>, parent: &mut T, last: bool) -> T {
         }
         None => parent.clone(),
     }
+}
+
+/// The search's working copy of the caller's root: boxed, and recording
+/// at [`TraceLevel::Light`].
+fn light_root<A: Automaton + Clone>(sim: &Simulation<A>) -> Box<Simulation<A>> {
+    Box::new(sim.clone().with_trace_level(TraceLevel::Light))
 }
 
 #[cfg(test)]
@@ -1359,7 +1388,7 @@ mod tests {
         let table = SharedTable::new();
         assert!(table.claim(fp, ctx, 1)); // seed: explored at budget 1
         let mut dfs = Dfs::new(&NoDetector, &cfg, &table, None, &mut check);
-        dfs.node(&mut sim.clone(), None, 3, &SleepSet::new());
+        dfs.node(&mut Box::new(sim.clone()), None, 3, &SleepSet::new());
         assert_eq!(dfs.result.deduped, 0, "larger remaining budget must re-explore");
         let (script, _) = dfs.result.violation.expect("violation beyond the seeded budget");
         assert_eq!(script.iter().filter(|c| c.p == ProcessId(1)).count(), 2);
@@ -1376,7 +1405,7 @@ mod tests {
         let table2 = SharedTable::new();
         assert!(table2.claim(fp, ctx, 3));
         let mut dfs2 = Dfs::new(&NoDetector, &cfg, &table2, None, &mut check2);
-        dfs2.node(&mut sim.clone(), None, 3, &SleepSet::new());
+        dfs2.node(&mut Box::new(sim.clone()), None, 3, &SleepSet::new());
         assert_eq!(dfs2.result.deduped, 1);
         assert_eq!(dfs2.result.states, 0);
         assert_eq!(dfs2.result.violation, None);
@@ -1407,8 +1436,8 @@ mod tests {
         let table = SharedTable::new();
         let mut no_check = |_: &Simulation<TwoStepDecider>| Ok(());
         let mut dfs = Dfs::new(&NoDetector, &cfg, &table, None, &mut no_check);
-        dfs.node(&mut sim.clone(), None, 1, &SleepSet::new());
-        dfs.node(&mut sim.clone(), None, 5, &SleepSet::new());
+        dfs.node(&mut Box::new(sim.clone()), None, 1, &SleepSet::new());
+        dfs.node(&mut Box::new(sim.clone()), None, 5, &SleepSet::new());
         assert_eq!((dfs.result.terminals, dfs.result.deduped), (1, 1));
         let key = (sim.fingerprint(), SleepSet::new().fingerprint());
         assert_eq!(table.get(key.0, key.1), Some(usize::MAX));

@@ -66,11 +66,13 @@ fn corrupt_thunk<M: Corruptible>(m: &M, kind: MutationKind, x: u64) -> Option<M>
 ///
 /// The hash is filled at send time once state fingerprinting is on (see
 /// [`Network::queue_sum`]), and otherwise lazily on first use (hence the
-/// `Cell`: reading it takes `&self`). Payloads are immutable while
-/// queued and `Clone` copies them unchanged, so a cached value stays
-/// valid for the clone too — the exhaustive explorer hashes each message
-/// once per *send*, not once per visited state. The destination is not
-/// stored: a slot lives in its destination's queue.
+/// `Cell`: reading it takes `&self`). `0` means "not hashed yet", so the
+/// memo costs one word instead of an `Option`'s two; an envelope whose
+/// true hash is `0` is simply rehashed on each use. Payloads are
+/// immutable while queued and `Clone` copies them unchanged, so a cached
+/// value stays valid for the clone too — the exhaustive explorer hashes
+/// each message once per *send*, not once per visited state. The
+/// destination is not stored: a slot lives in its destination's queue.
 ///
 /// The payload sits inline. Protocol messages are plain data without
 /// heap fields, so copying a queue (the explorer's per-edge
@@ -85,7 +87,7 @@ struct Slot<M> {
     /// payload, forged sender, or stale replay). Tampered deliveries are
     /// counted in `mutated_count` instead of `delivered_count`.
     tampered: bool,
-    fp: Cell<Option<u64>>,
+    fp: Cell<u64>,
 }
 
 /// A borrowed view of a pending message (what [`Network::pending`]
@@ -438,7 +440,14 @@ impl<M: StateHash> Slot<M> {
     /// The [`envelope_fp`] of this envelope, memoized in the slot on
     /// first use (and carried across clones — see [`Slot`]).
     fn envelope_fp(&self) -> u64 {
-        memoized(&self.fp, || envelope_fp(self.from, &self.payload))
+        match self.fp.get() {
+            0 => {
+                let v = envelope_fp(self.from, &self.payload);
+                self.fp.set(v);
+                v
+            }
+            v => v,
+        }
     }
 }
 
@@ -728,6 +737,7 @@ impl<M: Clone + StateHash> Network<M> {
                 last.sent_at,
             );
         }
+        let fp = fp.unwrap_or(0);
         for _ in 1..copies {
             let payload = payload.clone();
             queue.push_back(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
@@ -1240,8 +1250,9 @@ mod tests {
         assert_eq!(net.delivered_count(), 2);
     }
 
-    /// The per-slot envelope fingerprints of the queue at `to`.
-    fn slot_fps<M: StateHash>(net: &Network<M>, to: u32) -> Vec<Option<u64>> {
+    /// The per-slot envelope fingerprint memos of the queue at `to` (`0`:
+    /// not hashed yet).
+    fn slot_fps<M: StateHash>(net: &Network<M>, to: u32) -> Vec<u64> {
         net.queues[to as usize].iter().map(|s| s.fp.get()).collect()
     }
 
@@ -1263,11 +1274,11 @@ mod tests {
         for to in 1..4 {
             unicast.send(ProcessId(1), ProcessId(to), Time(1), 10);
         }
-        let clean = Some(envelope_fp(ProcessId(1), &10u8));
+        let clean = envelope_fp(ProcessId(1), &10u8);
         assert_eq!(slot_fps(&fanned, 1), vec![clean]);
         assert_eq!(slot_fps(&fanned, 2), vec![clean]);
         // The tampered recipient keeps the fingerprint of what it holds.
-        assert_eq!(slot_fps(&fanned, 3), vec![Some(envelope_fp(ProcessId(1), &15u8))]);
+        assert_eq!(slot_fps(&fanned, 3), vec![envelope_fp(ProcessId(1), &15u8)]);
         for to in 0..4 {
             assert_eq!(slot_fps(&fanned, to), slot_fps(&unicast, to), "queue {to}");
         }
@@ -1278,7 +1289,7 @@ mod tests {
     /// One pending slot as a copy or an equivalent send path must
     /// reproduce it: id, sender, send time, payload, memoized
     /// fingerprint and tampered flag.
-    type SlotView = (MsgId, u32, Time, u8, Option<u64>, bool);
+    type SlotView = (MsgId, u32, Time, u8, u64, bool);
 
     /// Every counter of a network: the next id, then sent, delivered,
     /// dropped, duplicated, mutated, forged and armored.
@@ -1435,6 +1446,56 @@ mod tests {
         }
         net.reset();
         assert_eq!(net.queue_sum.get(), None, "reset switches the running sum off");
+    }
+
+    /// Every destination's content menu and the running queue sum.
+    fn menus_and_sum(net: &Network<u32>) -> (Vec<Vec<(u64, usize)>>, u64) {
+        let menus = (0..net.queues.len() as u32)
+            .map(|p| {
+                let mut menu = Vec::new();
+                net.content_menu(ProcessId(p), &mut menu);
+                menu
+            })
+            .collect();
+        (menus, net.queue_sum())
+    }
+
+    #[test]
+    fn eager_and_lazy_slot_hashes_agree_before_and_after_copies() {
+        // `eager` hashes each envelope at send (its running sum is on);
+        // `lazy` leaves the slot memos at 0 until a menu or the sum asks.
+        let (mut eager, mut lazy) = (Network::<u32>::new(3), Network::<u32>::new(3));
+        eager.queue_sum();
+        for (i, m) in [5u32, 0, 9, 5, 2].into_iter().enumerate() {
+            let (from, t) = (ProcessId(i as u32 % 3), Time(i as u64));
+            for net in [&mut eager, &mut lazy] {
+                net.send(from, ProcessId(2), t, m);
+                net.broadcast(from, t, m + 1, 3, Some(from));
+            }
+        }
+        assert!(slot_fps(&eager, 2).iter().all(|&fp| fp != 0));
+        assert!(slot_fps(&lazy, 2).iter().all(|&fp| fp == 0));
+        // Copies taken before any lazy hashing carry the unhashed memos,
+        // into a fresh network and into one holding other messages.
+        let mut dirty = Network::new(3);
+        dirty.send(ProcessId(0), ProcessId(1), Time(0), 77);
+        dirty.queue_sum();
+        let (mut eager_copy, mut lazy_copy) = (Network::new(3), dirty);
+        eager_copy.clone_from(&eager);
+        lazy_copy.clone_from(&lazy);
+        assert!(slot_fps(&lazy_copy, 2).iter().all(|&fp| fp == 0));
+
+        let expected = menus_and_sum(&eager);
+        assert_eq!(menus_and_sum(&lazy), expected);
+        assert_eq!(slot_fps(&lazy, 2), slot_fps(&eager, 2), "the menu filled the memos");
+        assert_eq!(menus_and_sum(&eager_copy), expected);
+        assert_eq!(menus_and_sum(&lazy_copy), expected);
+        // A copy taken after the lazy hashing carries the filled memos.
+        let mut late_copy = Network::new(3);
+        late_copy.clone_from(&lazy);
+        assert_eq!(slot_fps(&late_copy, 2), slot_fps(&eager, 2));
+        assert_eq!(menus_and_sum(&late_copy), expected);
+        assert_eq!(expected.1, eager.queue_sum_uncached());
     }
 
     #[test]

@@ -20,12 +20,18 @@
 //! the same value from scratch. Every fair run below, explorer-style
 //! `clone_from` chains, pooled runs across `reset` and runs that change
 //! their plans mid-way check the two agree after every step.
+//!
+//! The explorer searches a `TraceLevel::Light` copy of its root: a
+//! `Full` root and a `Light` copy of it must explore to bitwise-equal
+//! results, and a violation's script must replay at `Full`.
 
 use sih::agreement::{
     check_k_agreement_safety, distinct_proposals, equivocator_processes, fig2_processes,
     fig4_processes, paxos_processes, Fig2Msg, Fig2WithoutPhase2, Fig4Msg, PaxosMsg,
 };
-use sih::detectors::{AntiOmega, Omega, QuorumMsg, QuorumSigma, Sigma, SigmaK, SigmaS, WeakSigmaS};
+use sih::detectors::{
+    AntiOmega, Omega, QuorumMsg, QuorumSigma, Sigma, SigmaK, SigmaS, WeakSigmaK, WeakSigmaS,
+};
 use sih::model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailureDetector, FailurePattern, LinkFaultPlan,
     Mutation, MutationKind, MutationWindow, NoDetector, ProcessId, ProcessSet, Time, Value,
@@ -41,8 +47,8 @@ use sih::registers::{
 };
 use sih::runtime::{
     explore_par, explore_with, stubborn_processes, Automaton, Choice, Corruptible, Driver, Effects,
-    ExploreConfig, Layered, Network, SimPool, Simulation, SleepKey, Stacked, StateHash,
-    StateHasher, StepInput, StubbornMsg, Trace, TraceLevel,
+    ExploreConfig, ExploreResult, Layered, Network, SimPool, Simulation, SleepKey, Stacked,
+    StateHash, StateHasher, StepInput, StubbornMsg, Trace, TraceLevel,
 };
 use sih::sharedmem::{bridged_processes, BridgeMsg, CollectMin, RegisterId};
 use std::cmp::Ordering;
@@ -619,61 +625,124 @@ fn plan_changes_mid_run_fingerprint_incrementally() {
 }
 
 /// Explores `root` under `cfg` serially and through `explore_par` at 2
-/// threads with frontier depths 0 and 2, checking the incremental
-/// fingerprint against a from-scratch one at every visited state. The
-/// explorer moves each expanded state into its last child, so this
-/// covers states that were stepped in place as well as copied ones.
-/// All three runs must agree on every counter, and the caller's root
-/// must come back untouched.
-fn assert_explored_incrementally<A, D>(root: &Simulation<A>, fd: &D, cfg: ExploreConfig)
+/// threads with frontier depths 0 and 2, from `root` itself and from a
+/// `Light` copy of it, checking the incremental fingerprint against a
+/// from-scratch one at every visited state. The explorer moves each
+/// expanded state into its last child, so this covers states that were
+/// stepped in place as well as copied ones; and it searches a `Light`
+/// copy of whatever root it is given, so every check must see a `Light`
+/// state. All six runs must agree bitwise (every counter and any
+/// violation), and the caller's root must come back untouched, its
+/// level and events included. A violation's script, replayed on a
+/// `Full` copy of the root, must reach a state `check` rejects with the
+/// same message, now with the per-step events the search skipped.
+fn assert_explored_consistently<A, D>(
+    root: &Simulation<A>,
+    fd: &D,
+    cfg: ExploreConfig,
+    check: impl Fn(&Trace) -> Result<(), String> + Sync,
+) -> ExploreResult
 where
     A: Automaton + Clone + fmt::Debug + Send,
     D: FailureDetector + Sync,
 {
-    let (fp, steps) = (root.fingerprint_uncached(), root.trace().events().len());
+    assert_eq!(root.trace().level(), TraceLevel::Full);
+    let (fp, events) = (root.fingerprint_uncached(), root.trace().events().to_vec());
     let checked = |s: &Simulation<A>| {
         assert_incremental(s);
-        Ok(())
+        assert_eq!(s.trace().level(), TraceLevel::Light, "a check saw a Full state");
+        check(s.trace())
     };
     let mut visits = 0u64;
     let serial = explore_with(root, fd, &cfg, &mut |s| {
         visits += 1;
         checked(s)
     });
-    assert!(serial.ok(), "{serial:?}");
     assert_eq!(visits, serial.states, "the check runs once per visited state");
-    assert!(serial.states > 100, "too small to exercise the edges: {serial:?}");
-    for frontier in [0, 2] {
-        let par = explore_par(root, fd, &cfg.threads(2).frontier_depth(frontier), || checked);
-        assert_eq!(par, serial, "frontier {frontier}");
+    let light = root.clone().with_trace_level(TraceLevel::Light);
+    assert_eq!(explore_with(&light, fd, &cfg, &mut |s| checked(s)), serial, "Light root");
+    for r in [root, &light] {
+        for frontier in [0, 2] {
+            let par = explore_par(r, fd, &cfg.threads(2).frontier_depth(frontier), || checked);
+            assert_eq!(par, serial, "frontier {frontier}");
+        }
     }
     assert_eq!(root.fingerprint_uncached(), fp, "exploration changed the caller's root");
     assert_eq!(root.fingerprint(), fp);
-    assert_eq!(root.trace().events().len(), steps);
+    assert_eq!(root.trace().level(), TraceLevel::Full);
+    assert_eq!(root.trace().events(), events);
+    if let Some((script, msg)) = &serial.violation {
+        let mut full = root.clone();
+        for &choice in script {
+            full.step(choice, fd);
+        }
+        assert_eq!(check(full.trace()).err().as_ref(), Some(msg), "replay at Full");
+        assert!(full.trace().events().len() > events.len() + script.len());
+    }
+    serial
 }
 
 #[test]
 fn explored_states_fingerprint_incrementally_after_parent_moves() {
     for (n, depth) in [(3, 7), (4, 5)] {
         let proposals = distinct_proposals(n);
+        let check =
+            |t: &Trace| check_k_agreement_safety(t, &proposals, n - 1).map_err(|e| e.to_string());
         let pattern = FailurePattern::all_correct(n);
         let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 0);
         let root = Simulation::new(fig2_processes(&proposals), pattern.clone());
-        assert_explored_incrementally(&root, &sigma, ExploreConfig::new(depth));
-        assert_explored_incrementally(&root, &sigma, ExploreConfig::new(depth).dpor(true));
+        for cfg in [ExploreConfig::new(depth), ExploreConfig::new(depth).dpor(true)] {
+            let res = assert_explored_consistently(&root, &sigma, cfg, check);
+            assert!(res.ok() && res.states > 100, "{res:?}");
+        }
     }
 
     // ABD over lossy links: under dpor from the initial state, and under
-    // sleep sets from a root one step in, with messages already pending.
+    // sleep sets from a root one step in, with messages already pending
+    // and events already in its Full trace.
     let n = 3;
     let (s, scripts) = two_writer_workload();
+    let check = |t: &Trace| check_linearizable(&t.op_records(), None).map_err(|e| e.to_string());
     let pattern = FailurePattern::all_correct(n);
     let sigma_s = SigmaS::new(s, &pattern, 0);
     let mut root = sim(abd_processes(s, n, scripts), &pattern, &lossy(n));
-    assert_explored_incrementally(&root, &sigma_s, ExploreConfig::new(5).dpor(true));
-    root.step(Choice { p: ProcessId(0), deliver: None }, &sigma_s);
-    assert!(root.network().in_flight() > 0);
-    assert_explored_incrementally(&root, &sigma_s, ExploreConfig::new(5));
+    for step in [false, true] {
+        if step {
+            root.step(Choice { p: ProcessId(0), deliver: None }, &sigma_s);
+            assert!(root.network().in_flight() > 0 && !root.trace().events().is_empty());
+        }
+        let cfg = ExploreConfig::new(5).dpor(!step);
+        let res = assert_explored_consistently(&root, &sigma_s, cfg, check);
+        assert!(res.ok() && res.states > 100, "{res:?}");
+    }
+}
+
+/// The explorer's results do not depend on the root's trace level
+/// (checked by `assert_explored_consistently` for the reduced engines
+/// above): unreduced, too, and when the search finds a violation.
+#[test]
+fn explorer_results_do_not_depend_on_the_root_trace_level() {
+    for (n, depth) in [(3, 6), (4, 4)] {
+        let proposals = distinct_proposals(n);
+        let check =
+            |t: &Trace| check_k_agreement_safety(t, &proposals, n - 1).map_err(|e| e.to_string());
+        let pattern = FailurePattern::all_correct(n);
+        let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 0);
+        let root = Simulation::new(fig2_processes(&proposals), pattern.clone());
+        let cfg = ExploreConfig::new(depth).dedup(false).por(false);
+        assert!(assert_explored_consistently(&root, &sigma, cfg, check).ok());
+    }
+
+    // A weak twin violates: Fig. 4 under σ_k without the intersection
+    // property decides too many values, and its script replays at Full.
+    let (n, k) = (4, 1);
+    let proposals = distinct_proposals(n);
+    let check =
+        |t: &Trace| check_k_agreement_safety(t, &proposals, n - k).map_err(|e| e.to_string());
+    let weak = WeakSigmaK::new((0..2 * k as u32).map(ProcessId).collect());
+    let root = Simulation::new(fig4_processes(&proposals), FailurePattern::all_correct(n));
+    let res = assert_explored_consistently(&root, &weak, ExploreConfig::new(8), check);
+    assert!(res.violation.is_some(), "the weak twin should violate: {res:?}");
 }
 
 /// A dpor root may already have messages pending: the happens-before
