@@ -104,10 +104,14 @@ pub struct ScaleCell {
 }
 
 impl ScaleCell {
-    /// The run stopped because its done-predicate fired and nothing
-    /// broke.
+    /// The run stopped because its done-predicate fired, nothing broke,
+    /// and no message was lost or double-counted: scale cells run over
+    /// reliable, honest channels, so every send was delivered or is still
+    /// queued (`in_flight` scans the queues, independent of the counters).
     pub fn ok(&self) -> bool {
-        self.violations == 0 && self.reason == "all-correct-halted"
+        self.violations == 0
+            && self.reason == "all-correct-halted"
+            && self.sent == self.delivered + self.in_flight
     }
 
     fn to_json(&self) -> Json {
@@ -384,6 +388,20 @@ mod tests {
         let parsed = crate::json::parse(&json).expect("round-trips");
         assert_eq!(parsed.get("ok").as_bool(), Some(true));
         assert_eq!(parsed.get("bench").as_str(), Some("scale_tier"));
+    }
+
+    #[test]
+    fn a_cell_that_loses_or_double_counts_messages_is_not_ok() {
+        let report = run_scale_bench(&ScaleLabConfig { max_n: 100, ..tiny() });
+        for cell in &report.cells {
+            assert!(cell.ok(), "{cell:?}");
+            // A send that reached neither a queue nor a receiver...
+            let lost = ScaleCell { sent: cell.sent + 1, ..cell.clone() };
+            assert!(!lost.ok(), "a lost message passed: {lost:?}");
+            // ...and a delivery counted twice.
+            let doubled = ScaleCell { delivered: cell.delivered + 1, ..cell.clone() };
+            assert!(!doubled.ok(), "a double-counted message passed: {doubled:?}");
+        }
     }
 
     #[test]

@@ -436,6 +436,22 @@ fn memoized(cell: &Cell<Option<u64>>, f: impl FnOnce() -> u64) -> u64 {
     })
 }
 
+impl<M> Slot<M> {
+    /// A slot whose memo holds `fp` when the caller hashed the envelope
+    /// (the running queue sum is on), and "not hashed yet" otherwise.
+    #[inline]
+    fn new(
+        id: MsgId,
+        from: ProcessId,
+        sent_at: Time,
+        payload: M,
+        tampered: bool,
+        fp: Option<u64>,
+    ) -> Self {
+        Slot { id, from, sent_at, payload, tampered, fp: Cell::new(fp.unwrap_or(0)) }
+    }
+}
+
 impl<M: StateHash> Slot<M> {
     /// The [`envelope_fp`] of this envelope, memoized in the slot on
     /// first use (and carried across clones — see [`Slot`]).
@@ -630,18 +646,30 @@ impl<M: Clone + StateHash> Network<M> {
     /// engine always sends at the current step time, which only grows);
     /// the oldest-message accessors rely on this invariant.
     ///
-    /// When a [`LinkFaultPlan`] is installed the plan decides the fate of
-    /// the send — deterministically, from the plan plus the per-link send
-    /// counter, never from ambient randomness. A dropped message still
-    /// gets an id (the sender cannot tell) but never enters a queue; a
-    /// duplicated one enqueues extra copies **sharing** the id, so
-    /// receive-side dedup can recognize them. Every copy, enqueued or
-    /// dropped, counts in `sent_count`, keeping the invariant
-    /// `sent == delivered + dropped + in_flight` exact at all times.
+    /// With no plan installed — reliable, authenticated channels, the
+    /// paper's model — the send consults nothing: it enqueues one
+    /// untampered copy. When a [`LinkFaultPlan`] is installed the plan
+    /// decides the fate of the send — deterministically, from the plan
+    /// plus the per-link send counter, never from ambient randomness. A
+    /// dropped message still gets an id (the sender cannot tell) but
+    /// never enters a queue; a duplicated one enqueues extra copies
+    /// **sharing** the id, so receive-side dedup can recognize them.
+    /// Every copy, enqueued or dropped, counts in `sent_count`, keeping
+    /// the invariant `sent == delivered + dropped + in_flight` exact at
+    /// all times. A plan that never acts (`LinkFaultPlan::reliable`, an
+    /// empty [`AdversaryPlan`]) leaves every id, slot, counter, queue sum
+    /// and wake-up exactly as the plan-free path does; only the state
+    /// fingerprint differs, since installed plans are hashed as run
+    /// constants.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_at: Time, payload: M) -> MsgId {
         let id = MsgId(self.next_id);
         self.next_id += 1;
-        self.route(id, from, to, sent_at, payload, None);
+        if self.has_plans() {
+            self.route(id, from, to, sent_at, payload, None);
+        } else {
+            let fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &payload));
+            self.enqueue(to, Slot::new(id, from, sent_at, payload, false, fp), 1, fp);
+        }
         id
     }
 
@@ -650,11 +678,12 @@ impl<M: Clone + StateHash> Network<M> {
     ///
     /// Exactly equivalent to calling [`Network::send`] once per recipient
     /// in increasing id order: ids are assigned in that order, link-fault
-    /// fates and the adversary are consulted per recipient, and every
-    /// counter moves the same way. The batch hashes its envelope once
-    /// (when the running queue sum is on) instead of once per recipient.
-    /// Returns the first assigned id; recipient `j` (in expansion order)
-    /// got id `first + j`, dropped or not.
+    /// fates and the adversary are consulted per recipient when installed
+    /// (with none installed the batch consults nothing, testing for plans
+    /// once), and every counter moves the same way. The batch hashes its
+    /// envelope once (when the running queue sum is on) instead of once
+    /// per recipient. Returns the first assigned id; recipient `j` (in
+    /// expansion order) got id `first + j`, dropped or not.
     ///
     /// # Panics
     ///
@@ -672,21 +701,36 @@ impl<M: Clone + StateHash> Network<M> {
         // One envelope hash for every untampered recipient, computed only
         // when the running queue sum is on (`None` otherwise).
         let clean_fp = self.queue_sum.get_mut().is_some().then(|| envelope_fp(from, &payload));
-        for to in (0..n as u32).map(ProcessId) {
-            if Some(to) == except {
-                continue;
+        let recipients = (0..n as u32).map(ProcessId).filter(|&to| Some(to) != except);
+        if self.has_plans() {
+            for to in recipients {
+                let id = MsgId(self.next_id);
+                self.next_id += 1;
+                self.route(id, from, to, sent_at, payload.clone(), clean_fp);
             }
-            let id = MsgId(self.next_id);
-            self.next_id += 1;
-            self.route(id, from, to, sent_at, payload.clone(), clean_fp);
+        } else {
+            for to in recipients {
+                let id = MsgId(self.next_id);
+                self.next_id += 1;
+                let slot = Slot::new(id, from, sent_at, payload.clone(), false, clean_fp);
+                self.enqueue(to, slot, 1, clean_fp);
+            }
         }
         first
     }
 
-    /// One send `from -> to` with id `id`, after the id is assigned: the
-    /// link-fault fate, the adversary, and the enqueue of every copy.
-    /// `clean_fp` is the untampered envelope's [`envelope_fp`] when the
-    /// caller already has it (a broadcast hashes once per batch).
+    /// Whether a link-fault plan or an adversary is installed: only then
+    /// does a send need [`Network::route`].
+    #[inline]
+    fn has_plans(&self) -> bool {
+        self.faults.is_some() || self.adversary.is_some()
+    }
+
+    /// One planned send `from -> to` with id `id`, after the id is
+    /// assigned: the link-fault fate, then the adversary, then the
+    /// [`Network::enqueue`] of every surviving copy. `clean_fp` is the
+    /// untampered envelope's [`envelope_fp`] when the caller already has
+    /// it (a broadcast hashes once per batch).
     fn route(
         &mut self,
         id: MsgId,
@@ -713,7 +757,6 @@ impl<M: Clone + StateHash> Network<M> {
             }
             SendFate::Deliver { copies } => copies,
         };
-        self.sent_count += copies;
         self.duplicated_count += copies - 1;
         let sum_on = self.queue_sum.get_mut().is_some();
         let (payload, from, tampered, fp) =
@@ -727,38 +770,38 @@ impl<M: Clone + StateHash> Network<M> {
                     (payload, from, false, fp)
                 }
             };
-        self.add_queued(to, copies, fp);
+        self.enqueue(to, Slot::new(id, from, sent_at, payload, tampered, fp), copies, fp);
+    }
+
+    /// Appends `copies` copies of `slot` to `to`'s queue: counts them as
+    /// sent, adds their terms to the running [`Network::queue_sum`] (`fp`
+    /// is the slot's envelope hash, `None` exactly when the sum is off)
+    /// and logs the wake-up if the queue was empty.
+    fn enqueue(&mut self, to: ProcessId, slot: Slot<M>, copies: u64, fp: Option<u64>) {
+        self.sent_count += copies;
+        if let (Some(fp), Some(sum)) = (fp, self.queue_sum.get_mut()) {
+            *sum = sum.wrapping_add(copies.wrapping_mul(queued_term(to, fp)));
+        }
         let queue = &mut self.queues[to.index()];
         let was_empty = queue.is_empty();
         if let Some(last) = queue.back() {
             debug_assert!(
-                sent_at >= last.sent_at,
-                "send times must be nondecreasing per queue ({sent_at:?} after {:?})",
+                slot.sent_at >= last.sent_at,
+                "send times must be nondecreasing per queue ({:?} after {:?})",
+                slot.sent_at,
                 last.sent_at,
             );
         }
-        let fp = fp.unwrap_or(0);
         for _ in 1..copies {
-            let payload = payload.clone();
-            queue.push_back(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
+            queue.push_back(slot.clone());
         }
-        // The last copy moves the payload: the reliable fast path
-        // (copies == 1) clones nothing.
-        queue.push_back(Slot { id, from, sent_at, payload, fp: Cell::new(fp), tampered });
+        // The last copy moves the slot: the reliable case (copies == 1)
+        // clones nothing.
+        queue.push_back(slot);
         if was_empty {
             if let Some(tracked) = &mut self.woken {
                 tracked.push(to);
             }
-        }
-    }
-
-    /// Adds `copies` envelopes with fingerprint `fp` at `to` to the
-    /// running [`Network::queue_sum`]. Senders compute `fp` exactly when
-    /// the sum is on, so `None` (the sum is off) costs one branch.
-    #[inline]
-    fn add_queued(&mut self, to: ProcessId, copies: u64, fp: Option<u64>) {
-        if let (Some(fp), Some(sum)) = (fp, self.queue_sum.get_mut()) {
-            *sum = sum.wrapping_add(copies.wrapping_mul(queued_term(to, fp)));
         }
     }
 
@@ -1295,10 +1338,18 @@ mod tests {
     /// dropped, duplicated, mutated, forged and armored.
     type Counters = [u64; 8];
 
-    /// Everything observable about a network: every queue's slots, every
-    /// counter, the running queue sum and the full state fingerprint
-    /// (which covers the per-link send counters and the replay stash).
-    fn view(net: &Network<u8>) -> (Vec<Vec<SlotView>>, Counters, Option<u64>, u64) {
+    /// Every queue's slots, every counter and the running queue sum.
+    type Contents = (Vec<Vec<SlotView>>, Counters, Option<u64>);
+
+    /// Everything observable about a network: its [`Contents`] and the
+    /// full state fingerprint (which covers the per-link send counters
+    /// and the replay stash).
+    fn view(net: &Network<u8>) -> (Contents, u64) {
+        (contents(net), fp(net))
+    }
+
+    /// A network's [`Contents`], without the state fingerprint.
+    fn contents(net: &Network<u8>) -> Contents {
         let queues = net
             .queues
             .iter()
@@ -1318,7 +1369,7 @@ mod tests {
             net.forged_count,
             net.armored_count,
         ];
-        (queues, counters, net.queue_sum.get(), fp(net))
+        (queues, counters, net.queue_sum.get())
     }
 
     /// A network over `n` processes with a random link-fault plan and a
@@ -1409,6 +1460,84 @@ mod tests {
                 prop_assert_eq!(view(&dst), view(&fanned.clone()));
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The plan-free send path is the planned one with plans that
+        /// never act: random sends, fan-outs (with and without `except`)
+        /// and deliveries on a network without plans and on one with
+        /// `LinkFaultPlan::reliable` and an empty adversary installed
+        /// assign the same ids and leave every slot (id, sender, send
+        /// time, payload, slot hash, tampered flag), every counter, the
+        /// running queue sum and the wake-up log identical. The state
+        /// fingerprints differ by design: installed plans are hashed as
+        /// run constants.
+        #[test]
+        fn plan_free_sends_match_sends_through_inert_plans(
+            n in 2usize..6,
+            sum_on in any::<bool>(),
+            ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 1..40),
+        ) {
+            use sih_model::{AdversaryPlan, LinkFaultPlan};
+            let mut bare: Network<u8> = Network::new(n);
+            let mut inert: Network<u8> = Network::new(n);
+            inert.set_link_faults(LinkFaultPlan::reliable(n));
+            inert.set_adversary(AdversaryPlan::builder(n).build(), Armor::NONE);
+            for net in [&mut bare, &mut inert] {
+                net.set_wake_tracking(true);
+                if sum_on {
+                    net.queue_sum();
+                }
+            }
+            for (step, &(op, a, m)) in ops.iter().enumerate() {
+                let t = Time(step as u64 / 2);
+                let from = ProcessId(u32::from(a) % n as u32);
+                let to = ProcessId(u32::from(m) % n as u32);
+                match op {
+                    0 | 1 => {
+                        let k = 1 + usize::from(m) % n;
+                        let except = (op == 1).then(|| ProcessId(u32::from(a) % k as u32));
+                        prop_assert_eq!(
+                            bare.broadcast(from, t, m, k, except),
+                            inert.broadcast(from, t, m, k, except)
+                        );
+                    }
+                    2 => prop_assert_eq!(bare.send(from, to, t, m), inert.send(from, to, t, m)),
+                    _ => {
+                        let len = bare.pending_count(to);
+                        if len > 0 {
+                            let i = usize::from(a) % len;
+                            let (x, y) = (bare.deliver(to, i), inert.deliver(to, i));
+                            prop_assert_eq!(
+                                (x.id, x.from, x.sent_at, x.payload),
+                                (y.id, y.from, y.sent_at, y.payload)
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(contents(&bare), contents(&inert), "after op {}", step);
+                prop_assert_eq!(&bare.woken, &inert.woken, "after op {}", step);
+                if step % 3 == 2 {
+                    let (mut x, mut y) = (Vec::new(), Vec::new());
+                    bare.drain_woken(|p| x.push(p));
+                    inert.drain_woken(|p| y.push(p));
+                    prop_assert_eq!(x, y);
+                }
+            }
+        }
+    }
+
+    /// The plan-free path keeps the monotone-`sent_at` check of every
+    /// queue (debug builds only: release builds drop `debug_assert`s).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "send times must be nondecreasing per queue")]
+    fn plan_free_sends_reject_decreasing_send_times() {
+        let mut net: Network<u8> = Network::new(3);
+        net.broadcast(ProcessId(0), Time(5), 1, 3, None);
+        net.send(ProcessId(1), ProcessId(2), Time(4), 2);
     }
 
     #[test]

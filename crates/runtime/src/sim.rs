@@ -680,12 +680,12 @@ impl<A: Automaton> Simulation<A> {
         }
         self.trace.push_step(t, p, delivered.as_ref().map(|e| (e.from, e.id)), fd_out);
 
-        // Reuse the scratch arena: the automaton fills the same Vecs every
-        // step instead of allocating fresh ones.
-        let mut eff = std::mem::replace(&mut self.scratch_eff, Effects::new());
-        eff.clear();
+        // The automaton fills the scratch arena in place, cleared first: a
+        // step that panicked mid-effects may have left it dirty.
+        self.scratch_eff.clear();
         let input = StepInput { me: p, n: self.n(), now: t, delivered, fd: fd_out };
-        self.procs[p.index()].step(input, &mut eff);
+        self.procs[p.index()].step(input, &mut self.scratch_eff);
+        let eff = &mut self.scratch_eff;
 
         let mut report = StepReport {
             decided: eff.decision.is_some(),
@@ -725,7 +725,6 @@ impl<A: Automaton> Simulation<A> {
             }
             report.halted = true;
         }
-        self.scratch_eff = eff;
         self.fp.get_mut().touch(p);
         report
     }
@@ -1115,5 +1114,82 @@ impl<A: Automaton> SimPool<A> {
             }
         }
         self.slot.as_mut().expect("invariant: both match arms above leave the slot occupied")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sih_model::{FdOutput, NoDetector, OpId, OpKind, Value};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Asserts that the `Effects` it is handed is empty on every step,
+    /// then leaves effects behind by its own step count: a send, a
+    /// fan-out to all, a fan-out to the others, a decision, op events
+    /// with an emulated output, and finally every kind of effect
+    /// followed by a panic. Process 1 sends and halts on its first step.
+    #[derive(Clone, Debug, Default)]
+    struct Probe {
+        steps: u32,
+    }
+
+    impl Automaton for Probe {
+        type Msg = u8;
+
+        fn step(&mut self, input: StepInput<u8>, eff: &mut Effects<u8>) {
+            assert_eq!(eff.send_count(), 0, "stale sends at step {}", self.steps);
+            assert_eq!(eff.decision(), None, "stale decision at step {}", self.steps);
+            assert_eq!(eff.emulated(), None, "stale output at step {}", self.steps);
+            assert!(eff.op_events().is_empty(), "stale op events at step {}", self.steps);
+            assert!(!eff.halt_requested(), "stale halt at step {}", self.steps);
+            self.steps += 1;
+            if input.me == ProcessId(1) {
+                eff.send(ProcessId(0), 9);
+                eff.halt();
+                return;
+            }
+            match self.steps {
+                1 => eff.send(ProcessId(1), 1),
+                2 => eff.send_all(input.n, 2),
+                3 => eff.send_others(input.n, input.me, 3),
+                4 => eff.decide(Value(7)),
+                5 => {
+                    eff.op_invoke(OpId(1), OpKind::Write(Value(3)));
+                    eff.op_return(OpId(1), OpKind::Write(Value(3)), None);
+                    eff.set_output(FdOutput::Bot);
+                }
+                6 => {
+                    eff.send(ProcessId(2), 4);
+                    eff.send_all(input.n, 5);
+                    eff.decide(Value(8));
+                    eff.set_output(FdOutput::Bot);
+                    eff.op_invoke(OpId(2), OpKind::Read);
+                    eff.halt();
+                    panic!("probe panics mid-effects");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn every_step_starts_from_empty_effects() {
+        let mut sim = Simulation::new(vec![Probe::default(); 3], FailurePattern::all_correct(3));
+        let p0 = Choice::compute(ProcessId(0));
+        for _ in 0..5 {
+            sim.step(p0, &NoDetector);
+        }
+        // A halting step of another process, then p0 again.
+        sim.step(Choice::compute(ProcessId(1)), &NoDetector);
+        assert!(sim.is_halted(ProcessId(1)));
+        let caught = catch_unwind(AssertUnwindSafe(|| sim.step(p0, &NoDetector)));
+        assert!(caught.is_err(), "the probe's sixth step panics");
+        // The step after the caught panic still sees empty effects.
+        let report = sim.step(p0, &NoDetector);
+        assert_eq!(report.sent, 0);
+        assert!(!report.halted && !report.decided && !report.ops && !report.emulated);
+        assert_eq!(sim.process(ProcessId(0)).steps, 7);
+        assert_eq!(sim.network().sent_count(), 1 + 3 + 2 + 1);
+        assert!(!sim.is_halted(ProcessId(0)));
     }
 }
