@@ -22,10 +22,12 @@
 //! `msgs_per_sec` rates and `peak_rss_kb` depend on the runner.
 
 use crate::json::{ObjectBuilder, Value as Json};
-use sih_agreement::{distinct_proposals, fig2_processes, fig4_processes};
+use sih_agreement::{
+    distinct_proposals, fig2_processes, fig4_processes, Fig2SetAgreement, Fig4SetAgreement,
+};
 use sih_detectors::{Sigma, SigmaK};
 use sih_model::{FailurePattern, NoDetector, OpKind, ProcessId, ProcessSet};
-use sih_registers::{abd_processes_with_rule, check_linearizable, QuorumRule};
+use sih_registers::{abd_processes_with_rule, check_linearizable, AbdRegister, QuorumRule};
 use sih_runtime::sweep::Sweep;
 use sih_runtime::{Simulation, StopReason, TraceLevel};
 use std::fmt;
@@ -95,10 +97,14 @@ pub struct ScaleCell {
     /// `AllCorrectHalted`).
     pub reason: &'static str,
     /// Harness heap at stop time (queues, trace, halted set — measured,
-    /// not estimated), in bytes.
+    /// not estimated), in bytes. Excludes the automata: see
+    /// [`automaton_bytes`](Self::automaton_bytes).
     pub heap_bytes: u64,
     /// `heap_bytes / n`.
     pub bytes_per_process: u64,
+    /// The automata's inline footprint, `n × size_of` of the workload's
+    /// automaton type (heap they own behind boxes is not counted).
+    pub automaton_bytes: u64,
     /// Wall clock of this cell in milliseconds (runner-dependent).
     pub wall_ms: f64,
 }
@@ -129,6 +135,7 @@ impl ScaleCell {
             .field("reason", self.reason)
             .field("heap_bytes", self.heap_bytes)
             .field("bytes_per_process", self.bytes_per_process)
+            .field("automaton_bytes", self.automaton_bytes)
             .field("ok", self.ok())
             // Runner-dependent fields last; CI strips them before
             // comparing artifacts across thread counts.
@@ -195,13 +202,14 @@ impl fmt::Display for ScaleBenchReport {
         for c in &self.cells {
             writeln!(
                 f,
-                "  {:<4} n={:<7} steps {:>9}  sent {:>10}  delivered {:>9}  {:>5} B/proc  {:>8.0} steps/s — {}",
+                "  {:<4} n={:<7} steps {:>9}  sent {:>10}  delivered {:>9}  {:>5} B/proc  automata {:>9} B  {:>8.0} steps/s — {}",
                 c.workload,
                 c.n,
                 c.steps,
                 c.sent,
                 c.delivered,
                 c.bytes_per_process,
+                c.automaton_bytes,
                 c.steps as f64 / (c.wall_ms / 1e3).max(1e-9),
                 if c.ok() { "OK" } else { "UNEXPECTED" }
             )?;
@@ -263,8 +271,14 @@ fn run_abd_cell(n: usize) -> ScaleCell {
         reason: reason_str(outcome.reason),
         heap_bytes: heap,
         bytes_per_process: heap / n as u64,
+        automaton_bytes: automaton_bytes::<AbdRegister>(n),
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     }
+}
+
+/// `n` automata of type `A`, inline.
+fn automaton_bytes<A>(n: usize) -> u64 {
+    (n * std::mem::size_of::<A>()) as u64
 }
 
 /// An agreement leg: run until `sample` decisions are on the trace.
@@ -276,7 +290,7 @@ fn run_agreement_cell(workload: &'static str, n: usize, sample: usize) -> ScaleC
     let proposals = distinct_proposals(n);
     let budget = 32 * n as u64 + 100_000;
     let target = sample.min(n / 2);
-    let (outcome, heap, decided) = match workload {
+    let (outcome, heap, decided, automata) = match workload {
         "fig2" => {
             let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 0);
             let mut sim = Simulation::new(fig2_processes(&proposals), pattern.clone())
@@ -284,7 +298,8 @@ fn run_agreement_cell(workload: &'static str, n: usize, sample: usize) -> ScaleC
             sim.set_script_recording(false);
             let o =
                 sim.run_event_driven(&sigma, budget, |sim| sim.trace().decided_count() >= target);
-            (o, sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64)
+            let automata = automaton_bytes::<Fig2SetAgreement>(n);
+            (o, sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64, automata)
         }
         "fig4" => {
             let active: ProcessSet = (0..4u32).map(ProcessId).collect();
@@ -294,7 +309,8 @@ fn run_agreement_cell(workload: &'static str, n: usize, sample: usize) -> ScaleC
             sim.set_script_recording(false);
             let o = sim
                 .run_event_driven(&sigma_2k, budget, |sim| sim.trace().decided_count() >= target);
-            (o, sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64)
+            let automata = automaton_bytes::<Fig4SetAgreement>(n);
+            (o, sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64, automata)
         }
         other => panic!("unknown scale workload {other:?}"),
     };
@@ -311,6 +327,7 @@ fn run_agreement_cell(workload: &'static str, n: usize, sample: usize) -> ScaleC
         reason: reason_str(outcome.reason),
         heap_bytes: heap,
         bytes_per_process: heap / n as u64,
+        automaton_bytes: automata,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     }
 }

@@ -10,9 +10,10 @@
 //!    then hand them to the simulator as the oracle — `RecordedHistory`
 //!    implements [`FailureDetector`].
 
-// sih-analysis: allow(index-reachable) — timeline and record slots are sized to the model's n
-// at construction and indexed only by ProcessId/Time values drawn from that model.
+// sih-analysis: allow(index-reachable) — `record` grows the timelines to cover a process index
+// checked against n before writing it, and `at` indexes below a partition point of its changes.
 use crate::{FailureDetector, FdOutput, ProcessId, Time};
+use std::fmt;
 
 /// The output of one process over time, as a step function.
 ///
@@ -139,6 +140,12 @@ impl OutputTimeline {
 /// adversary constructions of Lemmas 7, 11 and 15 feed the proofs' explicit
 /// histories to candidate algorithms.
 ///
+/// Timelines are materialised lazily: a history from [`new`](Self::new)
+/// stores only `n` and one blank timeline, and holds per-process timelines
+/// up to the highest process that has recorded. A process beyond them
+/// reads the blank one. Every accessor, `==` and [`Clone::clone_from`]
+/// see the same `n` timelines either way.
+///
 /// # Example
 ///
 /// ```
@@ -149,8 +156,12 @@ impl OutputTimeline {
 /// assert_eq!(h.output(ProcessId(1), Time(3)), FdOutput::Leader(ProcessId(0)));
 /// assert_eq!(h.output(ProcessId(0), Time(9)), FdOutput::Bot);
 /// ```
-#[derive(Debug, PartialEq, Eq)]
 pub struct RecordedHistory {
+    n: usize,
+    /// What a process at or beyond `timelines.len()` reads: its initial
+    /// output forever.
+    blank: OutputTimeline,
+    /// The materialised prefix of the per-process timelines (at most `n`).
     timelines: Vec<OutputTimeline>,
     label: String,
 }
@@ -159,12 +170,48 @@ pub struct RecordedHistory {
 // recycles the per-process timeline vectors and the label buffer.
 impl Clone for RecordedHistory {
     fn clone(&self) -> Self {
-        RecordedHistory { timelines: self.timelines.clone(), label: self.label.clone() }
+        RecordedHistory {
+            n: self.n,
+            blank: self.blank.clone(),
+            timelines: self.timelines.clone(),
+            label: self.label.clone(),
+        }
     }
 
     fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.blank.clone_from(&source.blank);
         self.timelines.clone_from(&source.timelines);
         self.label.clone_from(&source.label);
+    }
+}
+
+/// Equal labels and equal timelines at every process, however many of
+/// them either side has materialised.
+impl PartialEq for RecordedHistory {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.label == other.label
+            && self.iter().zip(other.iter()).all(|((_, a), (_, b))| a == b)
+    }
+}
+
+impl Eq for RecordedHistory {}
+
+/// All `n` timelines and the label, however many are materialised, so
+/// equal histories render equally.
+impl fmt::Debug for RecordedHistory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Timelines<'a>(&'a RecordedHistory);
+        impl fmt::Debug for Timelines<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter().map(|(_, tl)| tl)).finish()
+            }
+        }
+        f.debug_struct("RecordedHistory")
+            .field("timelines", &Timelines(self))
+            .field("label", &self.label)
+            .finish()
     }
 }
 
@@ -172,7 +219,9 @@ impl RecordedHistory {
     /// A history over `n` processes, all initially outputting `initial`.
     pub fn new(n: usize, initial: FdOutput) -> Self {
         RecordedHistory {
-            timelines: vec![OutputTimeline::new(initial); n],
+            n,
+            blank: OutputTimeline::new(initial),
+            timelines: Vec::new(),
             label: "recorded".to_owned(),
         }
     }
@@ -180,6 +229,8 @@ impl RecordedHistory {
     /// A history with a distinct initial output per process.
     pub fn with_initials(initials: Vec<FdOutput>) -> Self {
         RecordedHistory {
+            n: initials.len(),
+            blank: OutputTimeline::new(FdOutput::Bot),
             timelines: initials.into_iter().map(OutputTimeline::new).collect(),
             label: "recorded".to_owned(),
         }
@@ -194,18 +245,17 @@ impl RecordedHistory {
     /// Empties the history back to `n` all-`initial` timelines, keeping
     /// per-timeline allocations where sizes allow (run-over-run reuse).
     pub fn reset(&mut self, n: usize, initial: FdOutput) {
+        self.n = n;
+        self.blank.reset(initial);
         self.timelines.truncate(n);
         for tl in &mut self.timelines {
             tl.reset(initial);
-        }
-        while self.timelines.len() < n {
-            self.timelines.push(OutputTimeline::new(initial));
         }
     }
 
     /// Number of processes the history covers.
     pub fn n(&self) -> usize {
-        self.timelines.len()
+        self.n
     }
 
     /// Records `H(p, t) = out` from `t` on.
@@ -214,23 +264,53 @@ impl RecordedHistory {
     ///
     /// Panics if `p` is out of range or the timeline is written backwards.
     pub fn record(&mut self, p: ProcessId, t: Time, out: FdOutput) {
-        self.timelines[p.index()].set(t, out);
+        let i = self.index(p);
+        if i >= self.timelines.len() {
+            self.timelines.resize(i + 1, self.blank.clone());
+        }
+        self.timelines[i].set(t, out);
     }
 
     /// The per-process timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[inline]
     pub fn timeline(&self, p: ProcessId) -> &OutputTimeline {
-        &self.timelines[p.index()]
+        self.timelines.get(self.index(p)).unwrap_or(&self.blank)
     }
 
     /// Iterates over `(process, timeline)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &OutputTimeline)> {
-        self.timelines.iter().enumerate().map(|(i, tl)| (ProcessId(i as u32), tl))
+        (0..self.n).map(|i| (ProcessId(i as u32), self.timeline(ProcessId(i as u32))))
+    }
+
+    /// Approximate heap usage in bytes (capacity-based): the materialised
+    /// timelines and their change lists. A history nobody recorded into
+    /// holds none.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.timelines.capacity() * size_of::<OutputTimeline>()
+            + self
+                .timelines
+                .iter()
+                .map(|tl| tl.changes.capacity() * size_of::<(Time, FdOutput)>())
+                .sum::<usize>()
+    }
+
+    /// `p`'s index, checked against `n`.
+    #[inline]
+    fn index(&self, p: ProcessId) -> usize {
+        let i = p.index();
+        assert!(i < self.n, "process {p} out of range for a history over {} processes", self.n);
+        i
     }
 }
 
 impl FailureDetector for RecordedHistory {
     fn output(&self, p: ProcessId, t: Time) -> FdOutput {
-        self.timelines[p.index()].at(t)
+        self.timeline(p).at(t)
     }
 
     fn stabilization_time(&self) -> Time {
@@ -321,6 +401,68 @@ mod tests {
         let h = RecordedHistory::with_initials(vec![FdOutput::Bot, trust(&[1])]);
         assert_eq!(h.output(ProcessId(0), Time(0)), FdOutput::Bot);
         assert_eq!(h.output(ProcessId(1), Time(0)), trust(&[1]));
+    }
+
+    #[test]
+    fn timelines_materialise_up_to_the_highest_recorder() {
+        let mut h = RecordedHistory::new(1_000, FdOutput::Bot);
+        assert_eq!((h.timelines.len(), h.heap_bytes()), (0, 0));
+        h.record(ProcessId(3), Time(1), trust(&[3]));
+        assert_eq!(h.timelines.len(), 4);
+        assert!(h.heap_bytes() > 0);
+        assert_eq!(h.timeline(ProcessId(999)), &OutputTimeline::new(FdOutput::Bot));
+        assert_eq!(h.iter().count(), 1_000);
+        assert_eq!(RecordedHistory::with_initials(vec![FdOutput::Bot; 5]).timelines.len(), 5);
+    }
+
+    #[test]
+    fn clone_from_crosses_sparse_and_materialised() {
+        let mut sparse = RecordedHistory::new(6, FdOutput::Bot);
+        sparse.record(ProcessId(1), Time(2), trust(&[1]));
+        let mut dense = RecordedHistory::with_initials(vec![FdOutput::Bot; 6]);
+        dense.record(ProcessId(5), Time(3), trust(&[0]));
+
+        let mut copy = dense.clone();
+        copy.clone_from(&sparse);
+        assert_eq!(copy, sparse);
+        assert_eq!(copy.timeline(ProcessId(5)), &OutputTimeline::new(FdOutput::Bot));
+        assert_eq!(copy.output(ProcessId(1), Time(2)), trust(&[1]));
+
+        copy.clone_from(&dense);
+        assert_eq!(copy, dense);
+        assert_eq!(copy.output(ProcessId(5), Time(3)), trust(&[0]));
+        assert_eq!(copy.output(ProcessId(1), Time(2)), FdOutput::Bot);
+        assert_ne!(copy, sparse);
+    }
+
+    #[test]
+    fn reset_to_smaller_and_larger_n() {
+        let mut h = RecordedHistory::with_initials(vec![FdOutput::Bot; 5]);
+        h.record(ProcessId(4), Time(1), trust(&[4]));
+        h.reset(3, FdOutput::Leader(ProcessId(0)));
+        assert_eq!(h.n(), 3);
+        assert_eq!(h, RecordedHistory::new(3, FdOutput::Leader(ProcessId(0))));
+        assert_eq!(h.stabilization_time(), Time::ZERO);
+
+        h.record(ProcessId(2), Time(4), trust(&[2]));
+        h.reset(8, FdOutput::Bot);
+        assert_eq!(h.n(), 8);
+        assert_eq!(h, RecordedHistory::new(8, FdOutput::Bot));
+        assert!(h.iter().all(|(_, tl)| tl == &OutputTimeline::new(FdOutput::Bot)));
+        h.record(ProcessId(7), Time(1), trust(&[7]));
+        assert_eq!(h.output(ProcessId(7), Time(1)), trust(&[7]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn record_out_of_range_panics() {
+        RecordedHistory::new(3, FdOutput::Bot).record(ProcessId(3), Time(1), trust(&[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn timeline_out_of_range_panics() {
+        let _ = RecordedHistory::new(3, FdOutput::Bot).timeline(ProcessId(3));
     }
 
     #[test]

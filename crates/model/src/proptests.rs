@@ -1,10 +1,14 @@
 //! Property-based tests for the model vocabulary: algebraic laws of
-//! [`ProcessSet`], monotonicity of [`FailurePattern`], and step-function
-//! consistency of [`OutputTimeline`].
+//! [`ProcessSet`], monotonicity of [`FailurePattern`], step-function
+//! consistency of [`OutputTimeline`], and the lazily materialised
+//! [`RecordedHistory`] against a dense model.
 
 #![cfg(test)]
 
-use crate::{FailurePattern, FdOutput, OutputTimeline, ProcSet, ProcessId, ProcessSet, Time};
+use crate::{
+    FailureDetector, FailurePattern, FdOutput, OutputTimeline, ProcSet, ProcessId, ProcessSet,
+    RecordedHistory, Time,
+};
 use proptest::prelude::*;
 
 fn arb_set() -> impl Strategy<Value = ProcessSet> {
@@ -215,5 +219,69 @@ proptest! {
         prop_assert_eq!(grown.len(), small.len());
         prop_assert_eq!(grown.contains_all(other), other.is_subset(small));
         prop_assert_eq!(format!("{grown:?}"), format!("{small:?}"));
+    }
+}
+
+/// Records as `(process, time step, leader)`: the process is taken
+/// modulo `n`, and each process's clock advances by the step (0 is a
+/// same-instant overwrite), so every timeline is written forward.
+fn arb_records() -> impl Strategy<Value = (usize, Vec<(usize, u64, u32)>)> {
+    (1usize..12, proptest::collection::vec((0usize..12, 0u64..3, 0u32..4), 0..40))
+}
+
+/// Replays `records` into a fresh history, a materialised one and a dense
+/// per-process model.
+fn replay(
+    n: usize,
+    records: &[(usize, u64, u32)],
+) -> (RecordedHistory, RecordedHistory, Vec<OutputTimeline>) {
+    let mut sparse = RecordedHistory::new(n, FdOutput::Bot);
+    let mut dense = RecordedHistory::with_initials(vec![FdOutput::Bot; n]);
+    let mut model = vec![OutputTimeline::new(FdOutput::Bot); n];
+    let mut clock = vec![0u64; n];
+    for &(p, dt, leader) in records {
+        let p = p % n;
+        clock[p] += dt;
+        let (t, out) = (Time(clock[p]), FdOutput::Leader(ProcessId(leader)));
+        sparse.record(ProcessId(p as u32), t, out);
+        dense.record(ProcessId(p as u32), t, out);
+        model[p].set(t, out);
+    }
+    (sparse, dense, model)
+}
+
+proptest! {
+    /// A sparse history reads exactly like the dense model through every
+    /// accessor, and equals (and renders like) a fully materialised
+    /// history of the same records.
+    #[test]
+    fn sparse_history_matches_dense_model(input in arb_records()) {
+        let (n, records) = input;
+        let (h, dense, model) = replay(n, &records);
+        prop_assert_eq!(h.n(), n);
+        for (i, tl) in model.iter().enumerate() {
+            let p = ProcessId(i as u32);
+            prop_assert_eq!(h.timeline(p), tl);
+            for t in 0..(2 * records.len() as u64 + 2) {
+                prop_assert_eq!(h.output(p, Time(t)), tl.at(Time(t)));
+            }
+        }
+        let iterated: Vec<(ProcessId, OutputTimeline)> =
+            h.iter().map(|(p, tl)| (p, tl.clone())).collect();
+        let expected: Vec<(ProcessId, OutputTimeline)> =
+            model.iter().enumerate().map(|(i, tl)| (ProcessId(i as u32), tl.clone())).collect();
+        prop_assert_eq!(iterated, expected);
+        prop_assert_eq!(
+            h.stabilization_time(),
+            model.iter().map(OutputTimeline::last_change).max().unwrap_or(Time::ZERO)
+        );
+
+        prop_assert_eq!(&h, &dense);
+        prop_assert_eq!(&dense, &h);
+        prop_assert_eq!(format!("{h:?}"), format!("{dense:?}"));
+        let mut other = dense.clone();
+        other.record(ProcessId((n - 1) as u32), Time(1_000), FdOutput::Leader(ProcessId(99)));
+        prop_assert_ne!(&h, &other);
+        prop_assert_ne!(&other, &h);
     }
 }

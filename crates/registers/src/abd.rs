@@ -25,6 +25,7 @@
 use sih_model::{OpId, OpKind, ProcSet, ProcessId, ProcessSet, Value};
 use sih_runtime::{Automaton, Effects, StateHash, StateHasher, StepInput};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// A logical timestamp: Lamport pair ordered lexicographically.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -173,17 +174,52 @@ impl StateHash for QuorumRule {
 
 /// One process of the ABD register emulation: a replica at every process,
 /// plus a scripted client at processes of `S`.
-#[derive(Clone, Debug)]
+///
+/// The replica state (timestamp and value) is inline; the client state
+/// (script, in-flight operation, tag and operation counters) lives in one
+/// box, allocated only for a non-empty script. A replica-only process of
+/// a large run is then 72 bytes. A process without a client hashes and
+/// renders exactly like one with an empty script, no operation and zero
+/// counters.
+#[derive(Clone)]
 pub struct AbdRegister {
     s: ProcessSet,
     n: usize,
     replica_ts: Timestamp,
     replica_v: Option<Value>,
+    rule: QuorumRule,
+    client: Option<Box<Client>>,
+}
+
+/// The client half of a process of `S`.
+#[derive(Clone, Debug)]
+struct Client {
     script: VecDeque<OpKind>,
     current: Option<ActiveOp>,
     next_tag: u64,
     ops_done: u64,
-    rule: QuorumRule,
+}
+
+/// What a process without a client reads as its client state.
+static IDLE: Client = Client { script: VecDeque::new(), current: None, next_tag: 0, ops_done: 0 };
+
+// The field order of the single-struct layout, so `Debug` renderings (and
+// with them the `Debug`-derived fingerprints) do not depend on the split.
+impl fmt::Debug for AbdRegister {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = self.client();
+        f.debug_struct("AbdRegister")
+            .field("s", &self.s)
+            .field("n", &self.n)
+            .field("replica_ts", &self.replica_ts)
+            .field("replica_v", &self.replica_v)
+            .field("script", &c.script)
+            .field("current", &c.current)
+            .field("next_tag", &c.next_tag)
+            .field("ops_done", &c.ops_done)
+            .field("rule", &self.rule)
+            .finish()
+    }
 }
 
 impl AbdRegister {
@@ -207,29 +243,33 @@ impl AbdRegister {
         if let QuorumRule::Majority(m) = rule {
             assert!(m >= 1 && m <= n, "majority threshold {m} out of range for n = {n}");
         }
-        AbdRegister {
-            s,
-            n,
-            replica_ts: Timestamp::default(),
-            replica_v: None,
-            script: script.into(),
-            current: None,
-            next_tag: 0,
-            ops_done: 0,
-            rule,
-        }
+        let client = (!script.is_empty()).then(|| {
+            Box::new(Client { script: script.into(), current: None, next_tag: 0, ops_done: 0 })
+        });
+        AbdRegister { s, n, replica_ts: Timestamp::default(), replica_v: None, rule, client }
     }
 
     /// Number of operations this process has completed.
     pub fn ops_done(&self) -> u64 {
-        self.ops_done
+        self.client().ops_done
     }
 
     /// Whether all scripted operations have completed.
     pub fn script_finished(&self) -> bool {
-        self.script.is_empty() && self.current.is_none()
+        let c = self.client();
+        c.script.is_empty() && c.current.is_none()
     }
 
+    fn client(&self) -> &Client {
+        self.client.as_deref().unwrap_or(&IDLE)
+    }
+
+    fn current_mut(&mut self) -> Option<&mut ActiveOp> {
+        self.client.as_deref_mut().and_then(|c| c.current.as_mut())
+    }
+}
+
+impl Client {
     fn fresh_tag(&mut self, me: ProcessId) -> u64 {
         self.next_tag += 1;
         (u64::from(me.0) << 40) | self.next_tag
@@ -261,7 +301,7 @@ impl Automaton for AbdRegister {
                     eff.send(env.from, AbdMsg::UpdateAck { tag });
                 }
                 AbdMsg::QueryAck { tag, ts, v } => {
-                    if let Some(op) = &mut self.current {
+                    if let Some(op) = self.current_mut() {
                         if op.tag == tag {
                             if let OpPhase::Query { best_ts, best_v } = &mut op.phase {
                                 op.acks.insert(env.from);
@@ -274,7 +314,7 @@ impl Automaton for AbdRegister {
                     }
                 }
                 AbdMsg::UpdateAck { tag } => {
-                    if let Some(op) = &mut self.current {
+                    if let Some(op) = self.current_mut() {
                         if op.tag == tag {
                             if let OpPhase::Update { .. } = op.phase {
                                 op.acks.insert(env.from);
@@ -285,14 +325,18 @@ impl Automaton for AbdRegister {
             }
         }
 
-        // Client duties (processes of S only).
+        // Client duties (processes of S with a script only; a process
+        // without a client has nothing to complete or start).
         if !self.s.contains(input.me) {
             return;
         }
+        let Some(c) = self.client.as_deref_mut() else {
+            return;
+        };
 
         // Phase completion: repliers ⊇ some currently-trusted set (Sigma),
         // or repliers ≥ the majority threshold (Majority, detector-free).
-        let completed = match (&self.current, self.rule) {
+        let completed = match (&c.current, self.rule) {
             (Some(op), QuorumRule::Majority(m)) => op.acks.len() >= m,
             (Some(op), QuorumRule::Sigma) => {
                 let Some(trusted) = input.fd.trust() else {
@@ -307,7 +351,7 @@ impl Automaton for AbdRegister {
             (None, _) => false,
         };
         if completed {
-            let op = self.current.take().expect("invariant: current checked Some above");
+            let op = c.current.take().expect("invariant: current checked Some above");
             match op.phase {
                 OpPhase::Query { best_ts, best_v } => {
                     // Move to phase 2.
@@ -317,12 +361,12 @@ impl Automaton for AbdRegister {
                         }
                         OpKind::Read => (best_ts, best_v),
                     };
-                    let tag = self.fresh_tag(input.me);
+                    let tag = c.fresh_tag(input.me);
                     let result = match op.kind {
                         OpKind::Read => best_v,
                         OpKind::Write(_) => None,
                     };
-                    self.current = Some(ActiveOp {
+                    c.current = Some(ActiveOp {
                         id: op.id,
                         kind: op.kind,
                         tag,
@@ -334,19 +378,19 @@ impl Automaton for AbdRegister {
                 OpPhase::Update { result } => {
                     // Operation returns.
                     eff.op_return(op.id, op.kind, result);
-                    self.ops_done += 1;
+                    c.ops_done += 1;
                 }
             }
             return;
         }
 
         // Start the next scripted operation when idle.
-        if self.current.is_none() {
-            if let Some(kind) = self.script.pop_front() {
-                let id = self.op_id(input.me);
+        if c.current.is_none() {
+            if let Some(kind) = c.script.pop_front() {
+                let id = c.op_id(input.me);
                 eff.op_invoke(id, kind);
-                let tag = self.fresh_tag(input.me);
-                self.current = Some(ActiveOp {
+                let tag = c.fresh_tag(input.me);
+                c.current = Some(ActiveOp {
                     id,
                     kind,
                     tag,
@@ -364,8 +408,9 @@ impl Automaton for AbdRegister {
         // trusted set is contained in `acks`; with no acks at all that is
         // impossible under every Σ output, and acks only grow through
         // deliveries. Replica duties fire on deliveries only.
-        match &self.current {
-            None => self.script.is_empty(),
+        let c = self.client();
+        match &c.current {
+            None => c.script.is_empty(),
             Some(op) => op.acks.is_empty(),
         }
     }
@@ -375,10 +420,11 @@ impl Automaton for AbdRegister {
         h.write(&self.n);
         h.write(&self.replica_ts);
         h.write(&self.replica_v);
-        h.write(&self.script);
-        h.write(&self.current);
-        h.write(&self.next_tag);
-        h.write(&self.ops_done);
+        let c = self.client();
+        h.write(&c.script);
+        h.write(&c.current);
+        h.write(&c.next_tag);
+        h.write(&c.ops_done);
         h.write(&self.rule);
     }
 }
@@ -596,6 +642,86 @@ mod tests {
         let b = Timestamp { num: 2, pid: 0 };
         let c = Timestamp { num: 2, pid: 1 };
         assert!(a < b && b < c);
+    }
+
+    /// The per-step fingerprints of a fixed n = 5 run with clients at
+    /// `{p0, p1}`, folded into one word, and the step count. The
+    /// automaton's layout may change; its fingerprints may not.
+    fn fingerprint_digest(rule: QuorumRule) -> (u64, u64) {
+        let s = ProcessSet::from_iter([0, 1].map(ProcessId));
+        let f = FailurePattern::all_correct(5);
+        let sigma = SigmaS::new(s, &f, 7);
+        let procs = abd_processes_with_rule(
+            s,
+            5,
+            vec![
+                vec![OpKind::Write(Value(3)), OpKind::Read],
+                vec![OpKind::Read, OpKind::Write(Value(8)), OpKind::Read],
+            ],
+            rule,
+        );
+        let mut sim = Simulation::new(procs, f);
+        let mut sched = FairScheduler::new(5);
+        let mut h = StateHasher::new();
+        let mut steps = 0;
+        sim.run_until(&mut sched, &sigma, 20_000, |sim| {
+            h.write(&sim.fingerprint());
+            steps += 1;
+            sim.pattern().correct().iter().all(|p| sim.process(p).script_finished())
+        });
+        (steps, h.finish())
+    }
+
+    #[test]
+    fn per_step_fingerprints_are_pinned() {
+        assert_eq!(fingerprint_digest(QuorumRule::Sigma), (264, 12906677622322111294));
+        assert_eq!(fingerprint_digest(QuorumRule::Majority(3)), (261, 14776817395423536208));
+    }
+
+    #[test]
+    fn replica_without_client_hashes_as_the_empty_client_words() {
+        let s = ProcessSet::from_iter([0, 1].map(ProcessId));
+        for rule in [QuorumRule::Sigma, QuorumRule::Majority(3)] {
+            let replica = AbdRegister::with_rule(s, 5, vec![], rule);
+            assert!(replica.client.is_none(), "an empty script allocates no client");
+            let mut got = StateHasher::new();
+            replica.hash_state(&mut got);
+            let mut want = StateHasher::new();
+            want.write(&s);
+            want.write(&5usize);
+            want.write(&Timestamp::default());
+            want.write(&None::<Value>);
+            want.write(&VecDeque::<OpKind>::new());
+            want.write(&None::<ActiveOp>);
+            want.write(&0u64);
+            want.write(&0u64);
+            want.write(&rule);
+            assert_eq!(got.finish(), want.finish(), "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn debug_rendering_keeps_the_single_struct_layout() {
+        let s = ProcessSet::from_iter([0, 1].map(ProcessId));
+        let replica = AbdRegister::majority(s, 3, vec![]);
+        let client = AbdRegister::new(s, 3, vec![OpKind::Write(Value(4))]);
+        assert_eq!(
+            format!("{replica:?}"),
+            "AbdRegister { s: {p0,p1}, n: 3, replica_ts: Timestamp { num: 0, pid: 0 }, \
+             replica_v: None, script: [], current: None, next_tag: 0, ops_done: 0, \
+             rule: Majority(2) }"
+        );
+        assert_eq!(
+            format!("{client:?}"),
+            "AbdRegister { s: {p0,p1}, n: 3, replica_ts: Timestamp { num: 0, pid: 0 }, \
+             replica_v: None, script: [Write(Value(4))], current: None, next_tag: 0, \
+             ops_done: 0, rule: Sigma }"
+        );
+    }
+
+    #[test]
+    fn replica_state_is_inline_and_small() {
+        assert!(std::mem::size_of::<AbdRegister>() <= 72);
     }
 
     #[test]

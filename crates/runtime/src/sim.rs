@@ -602,7 +602,8 @@ impl<A: Automaton> Simulation<A> {
     /// network queues + trace + script + halted set + fingerprint cache
     /// (empty unless the run was fingerprinted).
     /// Used by the scale lab to report bytes/process; excludes the
-    /// automata themselves (the caller knows its own state layout).
+    /// automata themselves (the caller knows its own state layout — the
+    /// scale lab reports them separately as `automaton_bytes`).
     pub fn harness_heap_bytes(&self) -> usize {
         self.net.heap_bytes()
             + self.trace.heap_bytes()

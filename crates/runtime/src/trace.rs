@@ -351,13 +351,15 @@ impl Trace {
         self.sent
     }
 
-    /// Approximate heap usage of the trace in bytes (capacity-based; the
-    /// emulated-history timelines are not counted — they are empty in
-    /// scale runs, which never emulate a detector).
+    /// Approximate heap usage of the trace in bytes (capacity-based),
+    /// including the emulated-history timelines, which are materialised
+    /// only up to the highest process that emitted an output (none in a
+    /// run that emulates no detector).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.events.capacity() * size_of::<Event>()
             + self.decisions.capacity() * size_of::<Option<(Time, Value)>>()
+            + self.emulated.heap_bytes()
             + self.steps_taken.capacity() * size_of::<u64>()
     }
 
@@ -472,6 +474,18 @@ mod tests {
         use sih_model::FailureDetector;
         assert_eq!(h.output(ProcessId(1), Time(3)), FdOutput::Bot);
         assert_eq!(h.output(ProcessId(1), Time(4)), FdOutput::Leader(ProcessId(0)));
+    }
+
+    #[test]
+    fn heap_bytes_count_only_materialised_timelines() {
+        let mut tr = Trace::new(1_000);
+        assert_eq!(tr.emulated_history().heap_bytes(), 0, "no output, no timeline");
+        let before = tr.heap_bytes();
+        tr.push_emulate(Time(4), ProcessId(2), FdOutput::Leader(ProcessId(0)));
+        let grown = tr.emulated_history().heap_bytes();
+        assert!(grown >= 3 * std::mem::size_of::<sih_model::OutputTimeline>(), "{grown}");
+        let events = tr.events.capacity() * std::mem::size_of::<Event>();
+        assert_eq!(tr.heap_bytes(), before + events + grown);
     }
 
     #[test]
