@@ -47,7 +47,7 @@ impl Automaton for Fig2WithoutPhase2 {
         }
         if !self.started {
             self.started = true;
-            if input.fd.is_bot() {
+            if input.fd().is_bot() {
                 eff.send_all(input.n, Fig2Msg::Decision(self.v));
                 eff.decide(self.v);
                 eff.halt();
@@ -74,8 +74,9 @@ impl Automaton for Fig2WithoutPhase2 {
             }
         }
         // Phase 1 wait — and then decide immediately (no echo round).
-        let escaped = input.fd == FdOutput::Trust(ProcessSet::singleton(input.me));
-        if self.got_phase1.is_some() || escaped {
+        if self.got_phase1.is_some()
+            || input.fd() == FdOutput::Trust(ProcessSet::singleton(input.me))
+        {
             if let Some(w) = self.got_phase1 {
                 self.you = Some(w);
             }

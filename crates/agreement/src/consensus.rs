@@ -233,7 +233,7 @@ impl Automaton for PaxosConsensus {
 
         // Proposer drive: start a ballot when Ω says we lead and no ballot
         // is in flight.
-        if self.phase == ProposerPhase::Idle && input.fd.leader() == Some(input.me) {
+        if self.phase == ProposerPhase::Idle && input.fd().leader() == Some(input.me) {
             self.ballot = self.next_ballot(input.me);
             self.promises.clear();
             self.promisers = ProcessSet::EMPTY;

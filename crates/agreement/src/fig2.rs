@@ -121,9 +121,11 @@ impl Fig2SetAgreement {
         self.stage = Stage::Done;
     }
 
-    /// The wait-condition escape `{p} = queryFD()` of lines 18/22.
+    /// The wait-condition escape `{p} = queryFD()` of lines 18/22,
+    /// evaluated only when the message condition failed (the query is
+    /// the costlier test, and the `or` needs it only then).
     fn fd_is_self_only(input: &StepInput<Fig2Msg>) -> bool {
-        input.fd == FdOutput::Trust(ProcessSet::singleton(input.me))
+        input.fd() == FdOutput::Trust(ProcessSet::singleton(input.me))
     }
 }
 
@@ -137,7 +139,7 @@ impl Automaton for Fig2SetAgreement {
 
         // propose(v), first step: line 2's ⊥-test.
         if self.stage == Stage::Start {
-            if input.fd.is_bot() {
+            if input.fd().is_bot() {
                 // Lines 3–5: non-active — broadcast and decide own value.
                 self.decide_and_return(self.v, input.n, eff);
                 return;
@@ -173,8 +175,7 @@ impl Automaton for Fig2SetAgreement {
         // Task 2 progress: one wait-condition evaluation per step.
         match self.stage {
             Stage::Phase1 => {
-                let escaped_by_fd = Self::fd_is_self_only(&input);
-                if self.got_phase1.is_some() || escaped_by_fd {
+                if self.got_phase1.is_some() || Self::fd_is_self_only(&input) {
                     // Line 19.
                     if let Some(w) = self.got_phase1 {
                         self.you = Some(w);
@@ -185,8 +186,7 @@ impl Automaton for Fig2SetAgreement {
                 }
             }
             Stage::Phase2 => {
-                let escaped_by_fd = Self::fd_is_self_only(&input);
-                if self.got_phase2.is_some() || escaped_by_fd {
+                if self.got_phase2.is_some() || Self::fd_is_self_only(&input) {
                     // Line 23.
                     if self.got_phase2 == Some(None) {
                         self.me = None;

@@ -166,7 +166,7 @@ impl Automaton for Fig4SetAgreement {
 
         // propose(v_i), first step: line 2's `active = ⊥` test.
         if self.stage == Stage::Start {
-            if input.fd.active().is_none() {
+            if input.fd().active().is_none() {
                 self.decide_and_return(self.v, input.n, eff);
                 return;
             }
@@ -193,7 +193,7 @@ impl Automaton for Fig4SetAgreement {
         match self.stage {
             Stage::WaitActive => {
                 // Lines 20–23.
-                if let Some(a) = input.fd.active() {
+                if let Some(a) = input.fd().active() {
                     if !a.is_empty() {
                         assert!(a.len() % 2 == 0, "σ_2k active sets have even size");
                         self.active = a;
@@ -227,7 +227,7 @@ impl Automaton for Fig4SetAgreement {
                         }
                         self.decide_and_return(w, input.n, eff);
                     }
-                } else if Self::until_exit(input.fd, other_half) {
+                } else if Self::until_exit(input.fd(), other_half) {
                     // Exiting the repeat loop undecided: the whole other
                     // half is suspected gone — decide own value.
                     self.decide_and_return(self.v, input.n, eff);

@@ -5,16 +5,19 @@
 //! see the same value. We therefore derive a fresh, deterministic RNG from
 //! `(seed, p, t)` for each query instead of keeping mutable RNG state.
 //!
-//! A query is on the hot path of every fair run (one per step), so it is
-//! kept to what it uses: seeding a `ChaCha8Rng` is arithmetic only, and
-//! its first block is computed on the first draw. A query that draws at
-//! most sixteen 32-bit words — every one at `n ≤ 8` — computes exactly
-//! one ChaCha8 block. Fair coins are integer tests ([`coin`]), bit-equal
-//! to the `gen_bool(0.5)` they replace, so no query does float math.
+//! A query is on the hot path of every fair run (one per step the
+//! automaton reads it in), so it is kept to what it uses. Its words are
+//! those of `ChaCha8Rng::seed_from_u64(mix(seed, p, t))`, but a
+//! [`QueryRng`] computes them from that stream's first block
+//! ([`rand_chacha::first_block`]) without building a generator, and
+//! builds one only if the query reads past sixteen 32-bit words — no
+//! query at `n ≤ 8` does. Fair coins are integer tests ([`coin`]),
+//! bit-equal to the `gen_bool(0.5)` they replace, so no query does float
+//! math.
 
 use rand::{Rng, RngCore};
 use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::{first_block, ChaCha8Rng};
 use sih_model::{ProcessId, ProcessSet, Time};
 
 /// SplitMix64-style mixing of the query coordinates into one RNG seed.
@@ -28,10 +31,67 @@ pub(crate) fn mix(seed: u64, p: ProcessId, t: Time) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic RNG for the query `(seed, p, t)`.
+/// The random words of one query: word for word the stream of
+/// `ChaCha8Rng::seed_from_u64(state)`, served from its first block while
+/// the query reads at most sixteen words.
+pub(crate) struct QueryRng {
+    state: u64,
+    block: [u32; 16],
+    /// Next unread word of `block`; 16 once it is used up.
+    next: usize,
+    /// The generator the words after the first block come from, built
+    /// when the query first reads past it.
+    rest: Option<ChaCha8Rng>,
+}
+
+impl QueryRng {
+    /// The words seeded by `state`. The first block is computed here, so
+    /// build one only on a path that draws.
+    #[inline]
+    pub(crate) fn new(state: u64) -> Self {
+        QueryRng { state, block: first_block(state), next: 0, rest: None }
+    }
+
+    /// The next word past the first block.
+    #[cold]
+    #[inline(never)]
+    fn next_past_block(&mut self) -> u32 {
+        let state = self.state;
+        self.rest
+            .get_or_insert_with(|| {
+                let mut rng = ChaCha8Rng::seed_from_u64(state);
+                rng.set_word_pos(16);
+                rng
+            })
+            .next_u32()
+    }
+}
+
+impl RngCore for QueryRng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        match self.block.get(self.next) {
+            Some(&w) => {
+                self.next += 1;
+                w
+            }
+            None => self.next_past_block(),
+        }
+    }
+
+    /// Two words, low half first, exactly as `ChaCha8Rng::next_u64`.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let lo = u64::from(self.next_u32());
+        let hi = u64::from(self.next_u32());
+        lo | (hi << 32)
+    }
+}
+
+/// The deterministic words of the query `(seed, p, t)`.
 #[inline]
-pub(crate) fn query_rng(seed: u64, p: ProcessId, t: Time) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(mix(seed, p, t))
+pub(crate) fn query_rng(seed: u64, p: ProcessId, t: Time) -> QueryRng {
+    QueryRng::new(mix(seed, p, t))
 }
 
 /// A fair coin: `true` with probability 1/2, one `next_u64` per flip.
@@ -40,7 +100,7 @@ pub(crate) fn query_rng(seed: u64, p: ProcessId, t: Time) -> ChaCha8Rng {
 /// `(x >> 11) · 2⁻⁵³` with `0.5`, which holds iff `x < 2⁶³`, i.e. iff the
 /// top bit of `x` is clear.
 #[inline]
-pub(crate) fn coin(rng: &mut ChaCha8Rng) -> bool {
+pub(crate) fn coin(rng: &mut QueryRng) -> bool {
     rng.next_u64() >> 63 == 0
 }
 
@@ -51,7 +111,7 @@ pub(crate) fn coin(rng: &mut ChaCha8Rng) -> bool {
 /// coin defeats branch prediction, and a mispredict per member costs more
 /// than the ChaCha8 block the flips come from.
 #[inline]
-pub(crate) fn random_subset(rng: &mut ChaCha8Rng, base: ProcessSet) -> ProcessSet {
+pub(crate) fn random_subset(rng: &mut QueryRng, base: ProcessSet) -> ProcessSet {
     let mut kept = 0u64;
     for p in base {
         kept |= u64::from(coin(rng)) << p.index();
@@ -64,7 +124,7 @@ pub(crate) fn random_subset(rng: &mut ChaCha8Rng, base: ProcessSet) -> ProcessSe
 /// # Panics
 ///
 /// Panics if `base` is empty.
-pub(crate) fn random_member(rng: &mut ChaCha8Rng, base: ProcessSet) -> ProcessId {
+pub(crate) fn random_member(rng: &mut impl RngCore, base: ProcessSet) -> ProcessId {
     let k = rng.gen_range(0..base.len());
     base.iter().nth(k).expect("invariant: callers pass a nonempty base set")
 }
@@ -104,7 +164,7 @@ mod tests {
         assert_eq!(edges.iter().map(|&x| x >> 63 == 0).collect::<Vec<_>>(), bools);
         for t in 0..50 {
             let mut a = query_rng(4, ProcessId(1), Time(t));
-            let mut b = a.clone();
+            let mut b = query_rng(4, ProcessId(1), Time(t));
             for _ in 0..20 {
                 assert_eq!(coin(&mut a), b.gen_bool(0.5));
             }
@@ -128,6 +188,55 @@ mod tests {
         for t in 0..20 {
             let mut rng = query_rng(0, ProcessId(0), Time(t));
             assert!(base.contains(random_member(&mut rng, base)));
+        }
+    }
+
+    /// A base of `k` members spread over `0..64` by `bits`: `k` steps of
+    /// 37 (odd, so all 64 ids are distinct) from a start `bits` picks.
+    fn base_of_size(k: usize, bits: u64) -> ProcessSet {
+        let start = (bits % 64) as u32;
+        ProcessSet::from_iter((0..k as u32).map(|i| ProcessId((start + i * 37) % 64)))
+    }
+
+    /// `random_subset` as first written: one `ChaCha8Rng` per query,
+    /// `gen_bool(0.5)` per member in increasing id order.
+    fn reference_subset(state: u64, base: ProcessSet) -> ProcessSet {
+        let mut rng = ChaCha8Rng::seed_from_u64(state);
+        base.iter().filter(|_| rng.gen_bool(0.5)).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_block_draws_equal_the_seeded_stream(
+            seed in proptest::prelude::any::<u64>(),
+            p in 0u32..64,
+            t in 0u64..1_000_000,
+            bits in proptest::prelude::any::<u64>(),
+        ) {
+            let state = mix(seed, ProcessId(p), Time(t));
+            // Every base size: up to 8 members stay in the first block,
+            // 9 and more cross into the fallback generator.
+            for k in 0..=64 {
+                let base = base_of_size(k, bits);
+                proptest::prop_assert_eq!(base.len(), k);
+                let got = random_subset(&mut query_rng(seed, ProcessId(p), Time(t)), base);
+                proptest::prop_assert_eq!(got, reference_subset(state, base));
+            }
+            // Raw words across the boundary, and a draw that starts in the
+            // first block and ends past it.
+            let mut q = query_rng(seed, ProcessId(p), Time(t));
+            let mut r = ChaCha8Rng::seed_from_u64(state);
+            for _ in 0..40 {
+                proptest::prop_assert_eq!(q.next_u32(), r.next_u32());
+            }
+            let mut q = query_rng(seed, ProcessId(p), Time(t));
+            let mut r = ChaCha8Rng::seed_from_u64(state);
+            for _ in 0..15 {
+                proptest::prop_assert_eq!(q.next_u32(), r.next_u32());
+            }
+            proptest::prop_assert_eq!(q.next_u64(), r.next_u64());
+            let base = base_of_size(1 + (bits % 64) as usize, bits >> 6);
+            proptest::prop_assert_eq!(random_member(&mut q, base), random_member(&mut r, base));
         }
     }
 }

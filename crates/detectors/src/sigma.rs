@@ -134,11 +134,14 @@ impl FailureDetector for Sigma {
             return FdOutput::EMPTY_TRUST;
         };
         let corr_a = self.corr_a;
-        let mut rng = query_rng(self.seed, p, t);
+        // Each path below draws from the query's stream at most once, so
+        // the stream is built where it is drawn from: an output that
+        // draws nothing computes no ChaCha8 block.
+        let rng = || query_rng(self.seed, p, t);
         if t >= self.stab {
             if self.nontrivial() {
                 // Must be nonempty, ⊆ Correct ∩ A, and contain the pivot.
-                if corr_a.len() > 1 && coin(&mut rng) {
+                if corr_a.len() > 1 && coin(&mut rng()) {
                     FdOutput::Trust(corr_a)
                 } else {
                     FdOutput::Trust(ProcessSet::singleton(pivot))
@@ -147,7 +150,7 @@ impl FailureDetector for Sigma {
                 match self.mode {
                     SigmaMode::Reticent => FdOutput::EMPTY_TRUST,
                     SigmaMode::Generous => {
-                        if coin(&mut rng) {
+                        if coin(&mut rng()) {
                             FdOutput::EMPTY_TRUST
                         } else {
                             FdOutput::Trust(ProcessSet::singleton(pivot))
@@ -157,7 +160,7 @@ impl FailureDetector for Sigma {
             }
         } else {
             // Pre-stabilization: ∅ or pivot-bearing subsets of A.
-            match rng.gen_range(0..3u8) {
+            match rng().gen_range(0..3u8) {
                 0 => FdOutput::EMPTY_TRUST,
                 1 => FdOutput::Trust(ProcessSet::singleton(pivot)),
                 _ => FdOutput::Trust(self.active),

@@ -146,12 +146,15 @@ impl FailureDetector for SigmaK {
             return FdOutput::EMPTY_TRUST; // all actives faulty: ∅ forever
         };
         let corr_a = self.corr_a;
-        let mut rng = query_rng(self.seed, p, t);
+        // Each path below draws from the query's stream at most once, so
+        // the stream is built where it is drawn from: an output that
+        // draws nothing computes no ChaCha8 block.
+        let rng = || query_rng(self.seed, p, t);
         let pair = |x: ProcessSet| FdOutput::TrustActive { trust: x, active: self.active };
         if t >= self.stab {
             if self.nontrivial() {
                 // Forced: neither ∅ nor (∅, A); X ⊆ Correct with pivot.
-                if corr_a.len() > 1 && coin(&mut rng) {
+                if corr_a.len() > 1 && coin(&mut rng()) {
                     pair(corr_a)
                 } else {
                     pair(ProcessSet::singleton(pivot))
@@ -164,14 +167,14 @@ impl FailureDetector for SigmaK {
                 // Figure 4's `while A = ∅` loop needs for termination.
                 match self.mode {
                     SigmaKMode::Reticent => pair(ProcessSet::EMPTY),
-                    SigmaKMode::Generous => match rng.gen_range(0..2u8) {
+                    SigmaKMode::Generous => match rng().gen_range(0..2u8) {
                         0 => pair(ProcessSet::EMPTY),
                         _ => pair(ProcessSet::singleton(pivot)),
                     },
                 }
             }
         } else {
-            match rng.gen_range(0..4u8) {
+            match rng().gen_range(0..4u8) {
                 0 => FdOutput::EMPTY_TRUST,
                 1 => pair(ProcessSet::EMPTY),
                 2 => pair(ProcessSet::singleton(pivot)),

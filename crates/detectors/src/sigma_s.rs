@@ -39,9 +39,9 @@ pub struct SigmaS {
     pivot: ProcessId,
     stab: Time,
     seed: u64,
-    // Materialized once at construction (the pattern is immutable per
-    // run): queries draw from these instead of re-scanning the pattern —
-    // `correct()`/`all()` are O(n) scans that used to run per query.
+    // Copied once at construction (the pattern is immutable per run):
+    // queries read the two sets here, without the size checks of the
+    // pattern's accessors.
     correct: ProcessSet,
     all: ProcessSet,
 }

@@ -1220,6 +1220,66 @@ mod tests {
         }
     }
 
+    /// The schedules of `tests/corpus`, in file-name order.
+    fn corpus() -> Vec<Schedule> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
+            .collect();
+        files.sort();
+        let corpus: Vec<Schedule> = files
+            .iter()
+            .map(|p| Schedule::parse(&std::fs::read_to_string(p).unwrap()).unwrap())
+            .collect();
+        assert_eq!(corpus.len(), 12);
+        corpus
+    }
+
+    /// A `Light` run hands each step a pending detector query, run only
+    /// if the automaton reads the output; a `Full` run queries before
+    /// every step (its trace records the output). Detectors are pure, so
+    /// the two must be one run: for every registered workload (a fresh
+    /// fair recording at two seeds) and every corpus schedule, strict
+    /// replays at both levels execute the same script, reach the same
+    /// verdict, record the same register operations and pass through the
+    /// same states.
+    #[test]
+    fn lazy_light_replays_equal_eager_full_replays() {
+        let replay_at = |level: TraceLevel, s: &Schedule| {
+            let w = workload(&s.checker).unwrap();
+            let mut fps = Vec::new();
+            let driver = Driver::Replay { choices: &s.choices, mode: ReplayMode::Strict };
+            let mut pools = Pools::new(level);
+            let ran = w.spec.run(s, &mut pools, Layer::Bare, driver, Some(&mut fps)).unwrap();
+            let verdict = match ran.outcome {
+                Some(_) => ran.check.verdict(ran.trace, &s.pattern),
+                None => PANIC_VERDICT.to_string(),
+            };
+            (verdict, ran.script.to_vec(), ran.trace.op_records(), fps)
+        };
+        let mut schedules = corpus();
+        for w in WORKLOADS {
+            for seed in [0, 1] {
+                schedules.push(
+                    record_any(&RecordRequest { seed, ..RecordRequest::new(w.name) }).unwrap(),
+                );
+            }
+        }
+        let mut ops = 0;
+        for s in &schedules {
+            let light = replay_at(TraceLevel::Light, s);
+            let full = replay_at(TraceLevel::Full, s);
+            let at = format!("{} seed {} ({} choices)", s.checker, s.seed, s.choices.len());
+            assert_eq!(light.0, s.verdict, "{at}");
+            assert_eq!(light.1, s.choices, "{at}");
+            assert_eq!(light, full, "{at}");
+            ops += light.2.len();
+        }
+        assert!(ops > 0, "the register workloads record operations");
+    }
+
     /// Replays go through one recycled `Light` pool per thread; they must
     /// be indistinguishable from fresh `Full` runs — across workloads,
     /// for the fuzzer's mutated offspring, and after a panicking run.
@@ -1236,18 +1296,7 @@ mod tests {
             assert_eq!(pooled.executed, fresh.executed, "{at}");
             assert_eq!(pooled.fingerprints, fps, "{at}");
         };
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
-            .collect();
-        files.sort();
-        let corpus: Vec<Schedule> = files
-            .iter()
-            .map(|p| Schedule::parse(&std::fs::read_to_string(p).unwrap()).unwrap())
-            .collect();
-        assert_eq!(corpus.len(), 12);
+        let corpus = corpus();
         let mut rng = sih_runtime::FuzzRng::new(33);
         let mut offspring = 0;
         for s in &corpus {

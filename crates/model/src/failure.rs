@@ -31,6 +31,11 @@ use std::fmt;
 pub struct FailurePattern {
     n: usize,
     crash_at: Vec<Option<Time>>,
+    /// `Correct(F)`, computed when the pattern is built (a function of
+    /// `crash_at`, so it adds nothing to equality); empty above
+    /// [`ProcessSet::MAX_PROCESSES`], where [`FailurePattern::correct`]
+    /// panics.
+    correct: ProcessSet,
 }
 
 // Manual Clone so `clone_from` (used by `Simulation::reset` and the
@@ -38,12 +43,13 @@ pub struct FailurePattern {
 // vector instead of reallocating it.
 impl Clone for FailurePattern {
     fn clone(&self) -> Self {
-        FailurePattern { n: self.n, crash_at: self.crash_at.clone() }
+        FailurePattern { n: self.n, crash_at: self.crash_at.clone(), correct: self.correct }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.n = source.n;
         self.crash_at.clone_from(&source.crash_at);
+        self.correct = source.correct;
     }
 }
 
@@ -62,7 +68,8 @@ impl FailurePattern {
     /// Panics if `n == 0`.
     pub fn builder(n: usize) -> FailurePatternBuilder {
         assert!(n > 0, "a system has at least one process");
-        FailurePatternBuilder { pattern: FailurePattern { n, crash_at: vec![None; n] } }
+        let pattern = FailurePattern { n, crash_at: vec![None; n], correct: ProcessSet::EMPTY };
+        FailurePatternBuilder { pattern }
     }
 
     /// The failure-free pattern over `n` processes.
@@ -97,14 +104,22 @@ impl FailurePattern {
         ProcessSet::full(self.n)
     }
 
-    /// `Correct(F)`: processes that never crash.
+    /// `Correct(F)`: processes that never crash. O(1): the set is
+    /// computed when the pattern is built.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds [`ProcessSet::MAX_PROCESSES`]; large-`n`
     /// code uses [`Self::correct_count`] / [`Self::is_correct`].
+    #[inline]
     pub fn correct(&self) -> ProcessSet {
-        (0..self.n as u32).map(ProcessId).filter(|p| self.is_correct(*p)).collect()
+        assert!(
+            self.n <= ProcessSet::MAX_PROCESSES,
+            "Correct(F) is a ProcessSet only up to {} processes (n = {})",
+            ProcessSet::MAX_PROCESSES,
+            self.n
+        );
+        self.correct
     }
 
     /// `|Correct(F)|`, at any `n`. One O(n) scan; callers that need it
@@ -247,7 +262,7 @@ impl FailurePatternBuilder {
             self.pattern.has_correct_process(),
             "the paper's environments require at least one correct process"
         );
-        self.pattern
+        self.build_unchecked()
     }
 
     /// Finishes the pattern without the at-least-one-correct check.
@@ -255,7 +270,12 @@ impl FailurePatternBuilder {
     /// Only adversary constructions that explicitly reason about transient
     /// prefixes need this; normal code should use [`Self::build`].
     pub fn build_unchecked(self) -> FailurePattern {
-        self.pattern
+        let mut pattern = self.pattern;
+        if pattern.n <= ProcessSet::MAX_PROCESSES {
+            pattern.correct =
+                (0..pattern.n as u32).map(ProcessId).filter(|&p| pattern.is_correct(p)).collect();
+        }
+        pattern
     }
 }
 

@@ -101,7 +101,7 @@ impl Automaton for Fig6WithoutChange {
         }
         if !self.announced {
             self.announced = true;
-            if input.fd.is_bot() {
+            if input.fd().is_bot() {
                 eff.send_all(self.n, AblatedFig6Msg::NonActive(input.me));
                 self.nonactive.insert(input.me);
             } else {
@@ -123,7 +123,7 @@ impl Automaton for Fig6WithoutChange {
         if self.settled {
             return;
         }
-        if input.me == min && input.fd == FdOutput::Trust(ProcessSet::singleton(input.me)) {
+        if input.me == min && input.fd() == FdOutput::Trust(ProcessSet::singleton(input.me)) {
             // The ablation: switch locally, tell nobody.
             self.emit(FdOutput::Leader(max), eff);
             self.settled = true;

@@ -277,7 +277,7 @@ mod tests {
                 eff.set_output(FdOutput::Bot);
                 return;
             }
-            let trusted = match input.fd.trust() {
+            let trusted = match input.fd().trust() {
                 Some(s) if !s.is_empty() => s,
                 _ => ProcessSet::singleton(input.me).union(self.heard),
             };

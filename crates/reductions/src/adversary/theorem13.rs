@@ -79,6 +79,7 @@ impl<A: Automaton + fmt::Debug> Automaton for Theorem13Transform<A> {
     type Msg = A::Msg;
 
     fn step(&mut self, input: StepInput<A::Msg>, eff: &mut Effects<A::Msg>) {
+        let fd = self.fd_to_big(input.fd());
         let delivered = input.delivered.map(|env| sih_runtime::Envelope {
             id: env.id,
             from: self.to_big(env.from),
@@ -86,13 +87,7 @@ impl<A: Automaton + fmt::Debug> Automaton for Theorem13Transform<A> {
             sent_at: env.sent_at,
             payload: env.payload,
         });
-        let big_input = StepInput {
-            me: self.to_big(input.me),
-            n: self.big_n,
-            now: input.now,
-            delivered,
-            fd: self.fd_to_big(input.fd),
-        };
+        let big_input = StepInput::new(self.to_big(input.me), self.big_n, input.now, delivered, fd);
         let mut inner_eff = Effects::new();
         self.inner.step(big_input, &mut inner_eff);
 
@@ -250,7 +245,7 @@ mod tests {
             type Msg = ();
             fn step(&mut self, input: StepInput<()>, _eff: &mut Effects<()>) {
                 self.saw_me = Some(input.me);
-                self.saw_fd = Some(input.fd);
+                self.saw_fd = Some(input.fd());
             }
         }
         // X = {p2, p5, p7} in a big system of 9.
@@ -258,13 +253,13 @@ mod tests {
         let mut t = Theorem13Transform::new(Probe::default(), members, 9);
         let mut eff = Effects::new();
         t.step(
-            StepInput {
-                me: ProcessId(1), // small id 1 ↦ big p5
-                n: 3,
-                now: sih_model::Time(1),
-                delivered: None,
-                fd: FdOutput::Trust(ProcessSet::from_iter([0, 1].map(ProcessId))),
-            },
+            StepInput::new(
+                ProcessId(1), // small id 1 ↦ big p5
+                3,
+                sih_model::Time(1),
+                None,
+                FdOutput::Trust(ProcessSet::from_iter([0, 1].map(ProcessId))),
+            ),
             &mut eff,
         );
         assert_eq!(t.inner.saw_me, Some(ProcessId(5)));
@@ -288,16 +283,7 @@ mod tests {
         let members = vec![ProcessId(0), ProcessId(1), ProcessId(2)];
         let mut t = Theorem13Transform::new(Spammer, members, 6);
         let mut eff = Effects::new();
-        t.step(
-            StepInput {
-                me: ProcessId(0),
-                n: 3,
-                now: sih_model::Time(1),
-                delivered: None,
-                fd: FdOutput::Bot,
-            },
-            &mut eff,
-        );
+        t.step(StepInput::new(ProcessId(0), 3, sih_model::Time(1), None, FdOutput::Bot), &mut eff);
         // Only the three members receive; the three outsiders are dropped.
         assert_eq!(eff.send_count(), 3);
         assert!(eff.sends().all(|(to, _)| to.index() < 3));

@@ -39,7 +39,7 @@ impl Automaton for MirrorPairCandidate {
             eff.set_output(FdOutput::Bot);
             return;
         }
-        match input.fd.trust() {
+        match input.fd().trust() {
             Some(s) if !s.is_empty() => eff.set_output(FdOutput::Trust(s)),
             _ => eff.set_output(FdOutput::Trust(self.pair)),
         }
@@ -127,7 +127,7 @@ impl Automaton for GossipPairCandidate {
         } else {
             // Long silence: fall back on σ's word if it says anything,
             // else conclude we are alone.
-            match input.fd.trust() {
+            match input.fd().trust() {
                 Some(s) if !s.is_empty() => s,
                 _ => ProcessSet::singleton(input.me),
             }
@@ -167,7 +167,7 @@ impl Automaton for MirrorXCandidate {
             eff.set_output(FdOutput::Bot);
             return;
         }
-        match input.fd.trust() {
+        match input.fd().trust() {
             Some(s) if !s.is_empty() => eff.set_output(FdOutput::Trust(s)),
             _ => eff.set_output(FdOutput::Trust(self.x)),
         }
@@ -244,7 +244,7 @@ impl Automaton for AntiOmegaAgreementCandidate {
             eff.halt();
             return;
         }
-        if let Some(named) = input.fd.leader() {
+        if let Some(named) = input.fd().leader() {
             let c = &mut self.named[named.index()];
             *c += 1;
             if *c >= self.patience {
@@ -324,7 +324,7 @@ impl Automaton for SelfQuietCandidate {
             eff.halt();
             return;
         }
-        if let Some(named) = input.fd.leader() {
+        if let Some(named) = input.fd().leader() {
             if named == input.me {
                 self.quiet = 0;
             } else {
@@ -412,7 +412,7 @@ impl Automaton for QuorumMinXCandidate {
             let (p, w) = env.payload;
             self.received[p.index()] = Some(w);
         }
-        if let Some(trusted) = input.fd.trust() {
+        if let Some(trusted) = input.fd().trust() {
             // Values from outside X never come; wait on the X-side of the
             // trusted set.
             let wait_set = trusted.intersection(self.x);
@@ -454,13 +454,7 @@ mod tests {
         let mut c = MirrorPairCandidate::new(ProcessId(0), ProcessId(1));
         let mut eff = Effects::new();
         c.step(
-            StepInput {
-                me: ProcessId(0),
-                n: 3,
-                now: sih_model::Time(1),
-                delivered: None,
-                fd: FdOutput::EMPTY_TRUST,
-            },
+            StepInput::new(ProcessId(0), 3, sih_model::Time(1), None, FdOutput::EMPTY_TRUST),
             &mut eff,
         );
         assert_eq!(
@@ -508,19 +502,19 @@ mod tests {
         let mut c = GossipPairCandidate::new(ProcessId(0), ProcessId(1), 8);
         let mut eff = Effects::new();
         c.step(
-            StepInput {
-                me: ProcessId(2),
-                n: 3,
-                now: sih_model::Time(1),
-                delivered: Some(sih_runtime::Envelope {
+            StepInput::new(
+                ProcessId(2),
+                3,
+                sih_model::Time(1),
+                Some(sih_runtime::Envelope {
                     id: sih_runtime::MsgId(0),
                     from: ProcessId(0),
                     to: ProcessId(2),
                     sent_at: sih_model::Time(0),
                     payload: GossipMsg::Ping,
                 }),
-                fd: FdOutput::Bot,
-            },
+                FdOutput::Bot,
+            ),
             &mut eff,
         );
         assert!(eff.sends().any(|(to, m)| to == ProcessId(0) && *m == GossipMsg::Pong));
@@ -534,13 +528,13 @@ mod tests {
         let mut c = MirrorXCandidate::new(x);
         let mut eff = Effects::new();
         c.step(
-            StepInput {
-                me: ProcessId(1),
-                n: 6,
-                now: sih_model::Time(1),
-                delivered: None,
-                fd: FdOutput::TrustActive { trust: ProcessSet::EMPTY, active: x },
-            },
+            StepInput::new(
+                ProcessId(1),
+                6,
+                sih_model::Time(1),
+                None,
+                FdOutput::TrustActive { trust: ProcessSet::EMPTY, active: x },
+            ),
             &mut eff,
         );
         assert_eq!(eff.emulated(), Some(FdOutput::Trust(x)));

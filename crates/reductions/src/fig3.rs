@@ -47,7 +47,7 @@ impl Automaton for Fig3SigmaFromSigmaPair {
 
     fn step(&mut self, input: StepInput<()>, eff: &mut Effects<()>) {
         if self.pair.contains(input.me) {
-            match input.fd.trust() {
+            match input.fd().trust() {
                 Some(y) if y.is_subset(self.pair) => eff.set_output(FdOutput::Trust(y)),
                 _ => eff.set_output(FdOutput::EMPTY_TRUST),
             }

@@ -47,7 +47,7 @@ impl Automaton for Fig5SigmaKFromSigmaX {
 
     fn step(&mut self, input: StepInput<()>, eff: &mut Effects<()>) {
         if self.x.contains(input.me) {
-            match input.fd.trust() {
+            match input.fd().trust() {
                 Some(y) if y.is_subset(self.x) => {
                     eff.set_output(FdOutput::TrustActive { trust: y, active: self.x });
                 }

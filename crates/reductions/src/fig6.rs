@@ -136,7 +136,7 @@ impl Automaton for Fig6AntiOmegaFromSigma {
         match self.stage {
             Stage::Start => {
                 // Lines 13–18.
-                if input.fd.is_bot() {
+                if input.fd().is_bot() {
                     eff.send_all(self.n, Fig6Msg::NonActive(input.me));
                     self.nonactive.insert(input.me);
                 } else {
@@ -165,7 +165,7 @@ impl Automaton for Fig6AntiOmegaFromSigma {
             }
             Stage::MinPolling => {
                 // Line 25: `while queryFD() ≠ {p_i}`.
-                if input.fd == FdOutput::Trust(ProcessSet::singleton(input.me)) {
+                if input.fd() == FdOutput::Trust(ProcessSet::singleton(input.me)) {
                     let max = self.active.max().expect("invariant: σ marks two processes active");
                     self.emit(FdOutput::Leader(max), eff);
                     eff.send(max, Fig6Msg::Change);

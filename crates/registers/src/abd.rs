@@ -336,10 +336,14 @@ impl Automaton for AbdRegister {
 
         // Phase completion: repliers ⊇ some currently-trusted set (Sigma),
         // or repliers ≥ the majority threshold (Majority, detector-free).
+        // The detector is read only where its output can matter: with no
+        // acks no nonempty trusted set is covered, whatever Σ_S says, and
+        // an idle client with a drained script has nothing to start.
         let completed = match (&c.current, self.rule) {
             (Some(op), QuorumRule::Majority(m)) => op.acks.len() >= m,
+            (Some(op), QuorumRule::Sigma) if op.acks.is_empty() => false,
             (Some(op), QuorumRule::Sigma) => {
-                let Some(trusted) = input.fd.trust() else {
+                let Some(trusted) = input.fd().trust() else {
                     // Σ_S outputs lists at members of S; ⊥ here means the
                     // detector is not serving us this step (e.g. an
                     // emulated Σ still initializing) — just wait.
@@ -347,7 +351,9 @@ impl Automaton for AbdRegister {
                 };
                 !trusted.is_empty() && op.acks.contains_all(trusted)
             }
-            (None, QuorumRule::Sigma) if input.fd.trust().is_none() => return,
+            (None, QuorumRule::Sigma) if !c.script.is_empty() && input.fd().trust().is_none() => {
+                return
+            }
             (None, _) => false,
         };
         if completed {

@@ -11,6 +11,7 @@
 
 use crate::fingerprint::{StateHash, StateHasher};
 use sih_model::{FdOutput, OpId, OpKind, ProcessId, Time, Value};
+use std::cell::Cell;
 
 /// Unique identifier of a message within a run (assigned at send time, in
 /// send order — deterministic, so replays produce identical ids).
@@ -39,8 +40,19 @@ pub struct Envelope<M> {
 }
 
 /// Everything a process observes in one atomic step.
-#[derive(Clone, Debug)]
-pub struct StepInput<M> {
+///
+/// The failure-detector output is read on demand through
+/// [`StepInput::fd`]. In the model every step queries the detector, but
+/// an automaton only uses the output where it tests a wait condition, so
+/// the engine may hand over a pending query instead of a value
+/// ([`StepInput::lazy`]); the first read evaluates it and later reads
+/// return the same value. That changes no run because detector histories
+/// are pure: [`FailureDetector`](sih_model::FailureDetector) promises the
+/// same `H(p, t)` on every query, so reading the output late, twice or
+/// never is indistinguishable from having read it at the start of the
+/// step.
+#[derive(Clone)]
+pub struct StepInput<'q, M> {
     /// The stepping process's own identity.
     pub me: ProcessId,
     /// System size `n` (processes know `Π`).
@@ -55,9 +67,82 @@ pub struct StepInput<M> {
     /// (the paper's "receives a message from some process or a null
     /// message").
     pub delivered: Option<Envelope<M>>,
+    /// The output `H(p, t)` once known.
+    fd: Cell<Option<FdOutput>>,
+    /// The query that computes `H(p, t)` while `fd` is unknown.
+    query: Option<&'q dyn Fn() -> FdOutput>,
+}
+
+impl<M> StepInput<'static, M> {
+    /// An input whose detector output is already known (wrappers and
+    /// adversaries that feed an inner automaton a computed output, and
+    /// tests).
+    pub fn new(
+        me: ProcessId,
+        n: usize,
+        now: Time,
+        delivered: Option<Envelope<M>>,
+        fd: FdOutput,
+    ) -> Self {
+        StepInput { me, n, now, delivered, fd: Cell::new(Some(fd)), query: None }
+    }
+}
+
+impl<'q, M> StepInput<'q, M> {
+    /// An input whose detector output is `query()`, evaluated on the
+    /// first [`StepInput::fd`] and never if the automaton does not read
+    /// it. `query` must be pure (see the type's documentation).
+    pub fn lazy(
+        me: ProcessId,
+        n: usize,
+        now: Time,
+        delivered: Option<Envelope<M>>,
+        query: &'q dyn Fn() -> FdOutput,
+    ) -> Self {
+        StepInput { me, n, now, delivered, fd: Cell::new(None), query: Some(query) }
+    }
+
     /// The failure-detector output `H(p, t)` for this step (the paper's
     /// "queries and receives a value from its failure detector module").
-    pub fd: FdOutput,
+    /// The first call of a lazy input runs its query; every call returns
+    /// the same value.
+    #[inline]
+    pub fn fd(&self) -> FdOutput {
+        if let Some(out) = self.fd.get() {
+            return out;
+        }
+        let out = (self.query.expect("invariant: an input without an output has a query"))();
+        self.fd.set(Some(out));
+        out
+    }
+
+    /// The same step (process, time and detector output, still pending if
+    /// it is) with another delivery — for wrappers that pass a step on to
+    /// an inner automaton with the real detector output.
+    pub fn with_delivered<N>(&self, delivered: Option<Envelope<N>>) -> StepInput<'q, N> {
+        StepInput {
+            me: self.me,
+            n: self.n,
+            now: self.now,
+            delivered,
+            fd: self.fd.clone(),
+            query: self.query,
+        }
+    }
+}
+
+impl<M: std::fmt::Debug> std::fmt::Debug for StepInput<'_, M> {
+    /// Shows the detector output only if it is known: formatting never
+    /// runs a query.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StepInput")
+            .field("me", &self.me)
+            .field("n", &self.n)
+            .field("now", &self.now)
+            .field("delivered", &self.delivered)
+            .field("fd", &self.fd.get())
+            .finish()
+    }
 }
 
 /// One send action queued in an [`Effects`] set.
@@ -357,7 +442,14 @@ pub trait Automaton {
     type Msg: Clone + std::fmt::Debug + Send + Sync + StateHash + Ord;
 
     /// Executes one atomic step.
-    fn step(&mut self, input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>);
+    ///
+    /// The step's detector output is read through [`StepInput::fd`], on
+    /// demand: read it where the algorithm tests a condition on it, after
+    /// the cheaper conditions that make the test moot. Whether and when it
+    /// is read cannot change the run, because detector histories are pure
+    /// (the contract of [`FailureDetector`](sih_model::FailureDetector));
+    /// it only saves the queries nobody reads.
+    fn step(&mut self, input: StepInput<'_, Self::Msg>, eff: &mut Effects<Self::Msg>);
 
     /// Whether the process has returned (pseudocode `return`); the engine
     /// also tracks halting via [`Effects::halt`], and a halted process is

@@ -674,17 +674,27 @@ impl<A: Automaton> Simulation<A> {
             self.net.deliver(p, idx)
         });
 
-        let fd_out = fd.output(p, t);
         self.now = t;
         if self.record_script {
             self.script.push(choice);
         }
-        self.trace.push_step(t, p, delivered.as_ref().map(|e| (e.from, e.id)), fd_out);
+        // A `Full` trace records the step's detector output, so it is
+        // queried now; otherwise the automaton queries it if it reads it
+        // (detectors are pure, so the two are the same run). The thunk
+        // makes a `&dyn Fn` out of an unsized `D`.
+        let query = || fd.output(p, t);
+        let input = if self.trace.level() == TraceLevel::Full {
+            let out = query();
+            self.trace.push_step(t, p, delivered.as_ref().map(|e| (e.from, e.id)), out);
+            StepInput::new(p, self.n(), t, delivered, out)
+        } else {
+            self.trace.count_step(t, p);
+            StepInput::lazy(p, self.n(), t, delivered, &query)
+        };
 
         // The automaton fills the scratch arena in place, cleared first: a
         // step that panicked mid-effects may have left it dirty.
         self.scratch_eff.clear();
-        let input = StepInput { me: p, n: self.n(), now: t, delivered, fd: fd_out };
         self.procs[p.index()].step(input, &mut self.scratch_eff);
         let eff = &mut self.scratch_eff;
 

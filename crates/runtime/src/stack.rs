@@ -91,9 +91,9 @@ impl<L: Automaton, U: Automaton> Stacked<L, U> {
 impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked<L, U> {
     type Msg = Layered<L::Msg, U::Msg>;
 
-    fn step(&mut self, input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>) {
+    fn step(&mut self, mut input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>) {
         // Route the delivered message (if any) to its layer.
-        let (lower_msg, upper_msg) = match input.delivered {
+        let (lower_msg, upper_msg) = match input.delivered.take() {
             None => (None, None),
             Some(env) => match env.payload {
                 Layered::Lower(payload) => (
@@ -121,16 +121,7 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
 
         // Lower layer steps with the real detector output.
         let mut lower_eff = Effects::new();
-        self.lower.step(
-            StepInput {
-                me: input.me,
-                n: input.n,
-                now: input.now,
-                delivered: lower_msg,
-                fd: input.fd,
-            },
-            &mut lower_eff,
-        );
+        self.lower.step(input.with_delivered(lower_msg), &mut lower_eff);
         if let Some(out) = lower_eff.emulated {
             self.emulated = out;
         }
@@ -140,13 +131,7 @@ impl<L: Automaton + fmt::Debug, U: Automaton + fmt::Debug> Automaton for Stacked
         let mut upper_eff = Effects::new();
         if !self.upper.halted() {
             self.upper.step(
-                StepInput {
-                    me: input.me,
-                    n: input.n,
-                    now: input.now,
-                    delivered: upper_msg,
-                    fd: self.emulated,
-                },
+                StepInput::new(input.me, input.n, input.now, upper_msg, self.emulated),
                 &mut upper_eff,
             );
         }
@@ -367,7 +352,7 @@ impl<A: Automaton> Stubborn<A> {
 impl<A: Automaton + fmt::Debug> Automaton for Stubborn<A> {
     type Msg = StubbornMsg<A::Msg>;
 
-    fn step(&mut self, input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>) {
+    fn step(&mut self, mut input: StepInput<Self::Msg>, eff: &mut Effects<Self::Msg>) {
         self.ticks += 1;
 
         // Unwrap the delivered message: acks update the unacked buffer;
@@ -375,7 +360,7 @@ impl<A: Automaton + fmt::Debug> Automaton for Stubborn<A> {
         // null deliveries. Every Data gets an Ack back (even duplicates —
         // the original ack may have been lost).
         let mut inner_delivery = None;
-        if let Some(env) = input.delivered {
+        if let Some(env) = input.delivered.take() {
             let from = env.from;
             match env.payload {
                 StubbornMsg::Ack { cum } => self.apply_cum_ack(from, cum),
@@ -400,16 +385,7 @@ impl<A: Automaton + fmt::Debug> Automaton for Stubborn<A> {
         // drops deliveries like any halted process would.
         let mut inner_eff = Effects::new();
         if !self.inner.halted() {
-            self.inner.step(
-                StepInput {
-                    me: input.me,
-                    n: input.n,
-                    now: input.now,
-                    delivered: inner_delivery,
-                    fd: input.fd,
-                },
-                &mut inner_eff,
-            );
+            self.inner.step(input.with_delivered(inner_delivery), &mut inner_eff);
         }
 
         // Wrap the inner sends with fresh sequence numbers and remember
@@ -521,7 +497,7 @@ mod tests {
             if input.delivered.is_some() {
                 self.got_upper_msg = true;
             }
-            if let FdOutput::Leader(p) = input.fd {
+            if let FdOutput::Leader(p) = input.fd() {
                 if p.0 >= 2 && !self.done {
                     self.done = true;
                     eff.decide(Value(u64::from(p.0)));
@@ -538,10 +514,7 @@ mod tests {
         delivered: Option<Envelope<Layered<u8, &'static str>>>,
     ) -> Effects<Layered<u8, &'static str>> {
         let mut eff = Effects::new();
-        stack.step(
-            StepInput { me: ProcessId(0), n: 2, now: Time(1), delivered, fd: FdOutput::Bot },
-            &mut eff,
-        );
+        stack.step(StepInput::new(ProcessId(0), 2, Time(1), delivered, FdOutput::Bot), &mut eff);
         eff
     }
 
@@ -605,7 +578,7 @@ mod tests {
         delivered: Option<Envelope<StubbornMsg<&'static str>>>,
     ) -> Effects<StubbornMsg<&'static str>> {
         let mut eff = Effects::new();
-        s.step(StepInput { me, n: 2, now: Time(1), delivered, fd: FdOutput::Bot }, &mut eff);
+        s.step(StepInput::new(me, 2, Time(1), delivered, FdOutput::Bot), &mut eff);
         eff
     }
 
@@ -695,10 +668,7 @@ mod tests {
 
         let mut s = Stubborn::with_period(DecideAndReturn::default(), 2, 4);
         let mut eff = Effects::new();
-        s.step(
-            StepInput { me: ProcessId(0), n: 2, now: Time(1), delivered: None, fd: FdOutput::Bot },
-            &mut eff,
-        );
+        s.step(StepInput::new(ProcessId(0), 2, Time(1), None, FdOutput::Bot), &mut eff);
         // Inner decided and returned, but the wrapper must keep running
         // until the send is acked.
         assert_eq!(eff.decision(), Some(Value(1)));
@@ -713,16 +683,7 @@ mod tests {
             payload: StubbornMsg::Ack { cum: 1 },
         };
         let mut eff = Effects::new();
-        s.step(
-            StepInput {
-                me: ProcessId(0),
-                n: 2,
-                now: Time(2),
-                delivered: Some(ack),
-                fd: FdOutput::Bot,
-            },
-            &mut eff,
-        );
+        s.step(StepInput::new(ProcessId(0), 2, Time(2), Some(ack), FdOutput::Bot), &mut eff);
         assert!(eff.halt_requested());
         assert!(s.halted());
         assert!(s.quiescent());

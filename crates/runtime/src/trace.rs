@@ -205,6 +205,8 @@ impl Trace {
         self.op_fp = StateHasher::new();
     }
 
+    /// Records a step of `p` at `t` with its `Step` event (kept at
+    /// [`TraceLevel::Full`] only).
     pub(crate) fn push_step(
         &mut self,
         t: Time,
@@ -212,11 +214,17 @@ impl Trace {
         delivered: Option<(ProcessId, MsgId)>,
         fd: FdOutput,
     ) {
-        self.steps_taken[p.index()] += 1;
-        self.last_step_time = t;
+        self.count_step(t, p);
         if self.level == TraceLevel::Full {
             self.events.push(Event::Step { t, p, delivered, fd });
         }
+    }
+
+    /// Counts a step of `p` at `t` without its event: what
+    /// [`Trace::push_step`] records at [`TraceLevel::Light`].
+    pub(crate) fn count_step(&mut self, t: Time, p: ProcessId) {
+        self.steps_taken[p.index()] += 1;
+        self.last_step_time = t;
     }
 
     pub(crate) fn push_send(&mut self, t: Time, from: ProcessId, to: ProcessId, id: MsgId) {

@@ -248,7 +248,7 @@ impl<A: SharedAlgorithm + std::fmt::Debug> Automaton for SharedOverAbd<A> {
         if self.decided {
             return;
         }
-        let Some(trusted) = input.fd.trust() else { return };
+        let Some(trusted) = input.fd().trust() else { return };
         if trusted.is_empty() {
             return;
         }

@@ -50,7 +50,10 @@ impl Automaton for FirstResponder {
         if let Some(env) = &input.delivered {
             self.announced.insert(env.payload);
         }
-        if let Some(trusted) = input.fd.trust() {
+        // The detector output is read on demand: a step that never calls
+        // `input.fd()` makes no query (detector histories are pure, so
+        // that changes nothing).
+        if let Some(trusted) = input.fd().trust() {
             if let Some(leader) = self.announced.intersection(trusted).min() {
                 if self.elected != Some(leader) {
                     self.elected = Some(leader);
